@@ -2,7 +2,7 @@
 
 Usage::
 
-    guidance-lab <kind> [--config cfg.json] [--out DIR] [--seed N] [--threads N]
+    guidance-lab <kind> [--config cfg.json] [--out DIR] [--seed N]
 
 with ``kind`` one of ``verify``, ``trace_divergence``, ``sweep_beta``,
 ``sweep_omega``, ``sample_compare``.  Without ``--config`` the built-in
@@ -271,17 +271,12 @@ def build_parser():
                         help="output directory (overrides the config)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the experiment and sampler seeds")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; execution is single-threaded for "
-                             "reproducibility")
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise GuidanceLabError(f"--threads must be >= 1, got {args.threads}")
         if args.config is None:
             config = cfg_mod.default_config(args.kind)
         else:

@@ -12,8 +12,7 @@ The on-disk format is a single JSON object::
       "guidance":  {"rule": "projected", "guidance_scale": 5.0,
                     "min_scale": 1.0, "decay_power": 4.0,
                     "parallel_scale": 0.1, "normal_source": "conditional",
-                    "beta_sweep": [...], "omega_sweep": [...],
-                    "gamma_sweep": [...]},
+                    "beta_sweep": [...], "omega_sweep": [...]},
       "sampler":   {"steps": 30, "t_start": 0.001, "t_end": 0.999,
                     "record_diagnostics": false, "seed": 0},
       "hutchinson": {"probes": 256, "probe_dist": "rademacher",
@@ -47,7 +46,6 @@ KINDS = ("verify", "trace_divergence", "sweep_beta", "sweep_omega",
 DEFAULT_TRACE_BETAS = (0.0, 0.1, 0.5, 1.0)
 DEFAULT_SWEEP_BETAS = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 DEFAULT_OMEGAS = (1.0, 3.0, 7.0, 15.0)
-DEFAULT_GAMMAS = (4.0,)
 
 # Default experiment pair: a four-mode ring of sharp Gaussians as the
 # unconditional target, with the conditional target selecting one mode at
@@ -81,7 +79,6 @@ class ExperimentConfig:
     guidance: GuidanceConfig
     beta_sweep: Tuple[float, ...]
     omega_sweep: Tuple[float, ...]
-    gamma_sweep: Tuple[float, ...]
     sampler: SamplerConfig
     hutchinson: HutchinsonConfig
     sample_count: int
@@ -264,7 +261,6 @@ def config_from_dict(d):
         guidance=_guidance_from_dict(guidance_block),
         beta_sweep=_sweep(guidance_block, "beta_sweep", beta_fallback),
         omega_sweep=_sweep(guidance_block, "omega_sweep", DEFAULT_OMEGAS),
-        gamma_sweep=_sweep(guidance_block, "gamma_sweep", DEFAULT_GAMMAS),
         sampler=_sampler_from_dict(_get_block(d, "sampler")),
         hutchinson=_hutchinson_from_dict(_get_block(d, "hutchinson")),
         sample_count=int(samples.get("count", 2000)),
@@ -295,7 +291,6 @@ def config_to_dict(config):
             "normal_source": config.guidance.normal_source.value,
             "beta_sweep": [float(v) for v in config.beta_sweep],
             "omega_sweep": [float(v) for v in config.omega_sweep],
-            "gamma_sweep": [float(v) for v in config.gamma_sweep],
         },
         "sampler": {
             "steps": int(config.sampler.steps),

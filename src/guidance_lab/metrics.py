@@ -15,16 +15,14 @@ from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist, pdist
 
 from .errors import ConfigurationError, DomainError, ShapeError
 
 VARIANTS = ("u", "v")
 
-# Above this pooled size the permutation test stops materializing the
-# pooled distance matrix ((n+m)^2 doubles) and recomputes distances per
-# permutation instead.
-_POOLED_MATRIX_LIMIT = 4096
+# Rows of the pooled distance matrix the permutation test holds at once.
+_ROW_BLOCK = 64
 
 DEFAULT_QUANTILES = (0.5, 0.9, 0.95, 0.99)
 
@@ -52,12 +50,16 @@ def _check_samples(a, b):
     return a, b
 
 
+def _pair_count(n, variant):
+    """Ordered pairs a within-sample mean averages over: self-pairs are
+    excluded by the U-statistic and included by the V-statistic."""
+    return n * (n - 1) if variant == "u" else n * n
+
+
 def _within_mean(sample, variant):
     n = sample.shape[0]
     total = 2.0 * float(np.sum(pdist(sample)))
-    if variant == "u":
-        return total / (n * (n - 1))
-    return total / (n * n)
+    return total / _pair_count(n, variant)
 
 
 def energy_distance(a, b, variant="u"):
@@ -78,57 +80,57 @@ def energy_distance(a, b, variant="u"):
     return 2.0 * between - _within_mean(a, variant) - _within_mean(b, variant)
 
 
-def _energy_from_pooled(dist, idx_a, idx_b, total_sum, variant):
-    """Energy distance of a label split of a pooled distance matrix.
+def _permutation_null(pooled, n, n_perm, seed, variant):
+    """Energy distance of each of ``n_perm`` seeded splits of ``pooled``.
 
-    ``total_sum`` is the full matrix sum, so only the two within-group
-    blocks need gathering per permutation.
+    Column ``p`` of the 0/1 matrix ``labels`` marks group ``a`` of split
+    ``p``.  With ``D`` the pooled distance matrix and ``r`` its row sums,
+    group ``a`` has within sum ``z^T D z``, the between sum is
+    ``z^T r - z^T D z`` and group ``b`` has within sum
+    ``sum(r) - 2 z^T r + z^T D z``.
     """
-    n, m = idx_a.shape[0], idx_b.shape[0]
-    sum_a = float(np.sum(dist[np.ix_(idx_a, idx_a)]))
-    sum_b = float(np.sum(dist[np.ix_(idx_b, idx_b)]))
-    between = (total_sum - sum_a - sum_b) / (2.0 * n * m)
-    if variant == "u":
-        wa = sum_a / (n * (n - 1))
-        wb = sum_b / (m * (m - 1))
-    else:
-        wa = sum_a / (n * n)
-        wb = sum_b / (m * m)
-    return 2.0 * between - wa - wb
+    size = pooled.shape[0]
+    m = size - n
+    rng = np.random.default_rng(seed)
+    labels = np.zeros((size, n_perm))
+    for p in range(n_perm):
+        labels[rng.permutation(size)[:n], p] = 1.0
+    row_sums = np.empty(size)
+    sum_a = np.zeros(n_perm)
+    for start in range(0, size, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        block = cdist(pooled[rows], pooled)
+        row_sums[rows] = np.sum(block, axis=1)
+        sum_a += np.einsum("ip,ip->p", labels[rows],
+                           np.einsum("ij,jp->ip", block, labels))
+    from_a = np.einsum("i,ip->p", row_sums, labels)
+    between = (from_a - sum_a) / (n * m)
+    sum_b = float(np.sum(row_sums)) - 2.0 * from_a + sum_a
+    return (2.0 * between - sum_a / _pair_count(n, variant)
+            - sum_b / _pair_count(m, variant))
 
 
 def permutation_test(a, b, n_perm=1000, seed=0, variant="u",
                      quantiles=DEFAULT_QUANTILES):
     """Permutation null of the energy distance under label shuffling.
 
-    Deterministic per seed.  For pooled sizes up to 4096 the pooled
-    pairwise-distance matrix is computed once and label splits reuse it;
-    beyond that, each permutation recomputes the statistic directly.
+    Deterministic per seed: permutation ``p`` is the ``p``-th draw of
+    ``default_rng(seed).permutation(n + m)``, whose first ``n`` entries
+    label group ``a``.  One code path serves every size: all permutations
+    are contracted together against the pooled distance matrix, which is
+    built ``_ROW_BLOCK`` rows at a time and never held whole, so memory is
+    O(_ROW_BLOCK * (n + m) + (n + m) * n_perm) doubles.  The contractions
+    use ``np.einsum``, not a BLAS product whose summation order depends on
+    the BLAS thread count, so the null does not depend on it either.
     """
     if n_perm < 100:
         raise ConfigurationError(f"n_perm must be >= 100, got {n_perm}")
     if variant not in VARIANTS:
         raise ConfigurationError(f"variant must be one of {VARIANTS}, got {variant!r}")
     a, b = _check_samples(a, b)
-    n, m = a.shape[0], b.shape[0]
     statistic = energy_distance(a, b, variant=variant)
-    pooled = np.concatenate([a, b], axis=0)
-    rng = np.random.default_rng(seed)
-    null = np.empty(n_perm)
-    if n + m <= _POOLED_MATRIX_LIMIT:
-        dist = squareform(pdist(pooled))
-        total_sum = float(np.sum(dist))
-        for i in range(n_perm):
-            perm = rng.permutation(n + m)
-            null[i] = _energy_from_pooled(
-                dist, perm[:n], perm[n:], total_sum, variant
-            )
-    else:
-        for i in range(n_perm):
-            perm = rng.permutation(n + m)
-            null[i] = energy_distance(
-                pooled[perm[:n]], pooled[perm[n:]], variant=variant
-            )
+    null = _permutation_null(np.concatenate([a, b], axis=0), a.shape[0],
+                             n_perm, seed, variant)
     qs = {float(q): float(np.quantile(null, q)) for q in quantiles}
     return TwoSampleResult(statistic=statistic, null_quantiles=qs, n_perm=n_perm)
 

@@ -94,7 +94,6 @@ class TrajectoryRecord:
     velocities_uncond: Optional[np.ndarray] = None
     velocities_cond: Optional[np.ndarray] = None
     breakdowns: Optional[tuple] = None
-    divergences: Optional[tuple] = None
 
     @property
     def steps(self):

@@ -35,39 +35,13 @@ from guidance_lab import (
     score_rotation_field,
 )
 from guidance_lab.schedule import evaluate, guidance_scale_at
+from guidance_lab.verify import _random_mixture, _separated_gaussian_pair
 
 
 def _report(num, passed, detail):
     status = "PASS" if passed else "FAIL"
     print(f"[{status}] criterion {num}: {detail}")
     assert passed, f"criterion {num}: {detail}"
-
-
-def _random_mixture(rng, dim, k):
-    weights = rng.uniform(0.5, 1.5, size=k)
-    weights /= weights.sum()
-    means = rng.normal(0.0, 2.0, size=(k, dim))
-    covs = np.empty((k, dim, dim))
-    for j in range(k):
-        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-        covs[j] = q @ np.diag(rng.uniform(0.3, 1.8, size=dim)) @ q.T
-    return GaussianMixture(weights, means, covs)
-
-
-def _separated_gaussian_pair(rng, dim):
-    """Single-Gaussian pair whose covariance spectra do not overlap.
-
-    With every conditional eigenvalue below every unconditional one, the
-    posterior-trace gap keeps one sign at all times, so relative identity
-    checks never hit a sign-crossing cancellation.
-    """
-
-    def _one(lo, hi):
-        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-        cov = q @ np.diag(rng.uniform(lo, hi, size=dim)) @ q.T
-        return GaussianMixture.single(rng.normal(0.0, 2.0, size=dim), cov)
-
-    return _one(0.1, 0.45), _one(0.9, 1.8)
 
 
 # ---------------------------------------------------------------------------

@@ -310,8 +310,6 @@ def test_cli_error_paths(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["verify", "--config", str(bad)]) == 2
-    # bad thread count
-    assert cli.main(["verify", "--threads", "0"]) == 2
     # unknown kind is rejected by argparse itself
     with pytest.raises(SystemExit):
         cli.main(["explode"])

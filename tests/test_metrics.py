@@ -1,5 +1,9 @@
 """Tests for energy distance, its permutation null, and slope fits."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -132,20 +136,51 @@ def test_permutation_deterministic():
     assert r3.null_quantiles != r1.null_quantiles
 
 
-def test_blockwise_fallback_matches_pooled_path(monkeypatch):
-    # Force the no-pooled-matrix branch and check both paths consume the
-    # permutation stream identically.
+@pytest.mark.parametrize("variant", ["u", "v"])
+def test_null_matches_per_permutation_reference(variant):
+    # The reference recomputes the energy distance of every label split
+    # drawn from the same seeded permutation stream.  The pooled size spans
+    # more than one row block, so the blocked accumulation is exercised.
     rng = np.random.default_rng(8)
-    a = rng.normal(size=(20, 2))
-    b = rng.normal(loc=0.3, size=(22, 2))
-    pooled = permutation_test(a, b, n_perm=100, seed=9)
-    monkeypatch.setattr(metrics, "_POOLED_MATRIX_LIMIT", 8)
-    block = permutation_test(a, b, n_perm=100, seed=9)
-    assert block.statistic == pooled.statistic
-    for q in pooled.null_quantiles:
-        assert block.null_quantiles[q] == pytest.approx(
-            pooled.null_quantiles[q], rel=1e-12, abs=1e-12
+    n, m = 150, 170
+    assert n + m > metrics._ROW_BLOCK
+    pooled = np.concatenate([rng.normal(size=(n, 2)),
+                             rng.normal(loc=0.3, size=(m, 2))])
+    null = metrics._permutation_null(pooled, n, 100, 9, variant)
+    perms = np.random.default_rng(9)
+    for value in null:
+        perm = perms.permutation(n + m)
+        assert value == pytest.approx(
+            energy_distance(pooled[perm[:n]], pooled[perm[n:]], variant),
+            rel=1e-12, abs=1e-12,
         )
+
+
+def test_null_independent_of_blas_threads():
+    # BLAS splits a product's sums differently per thread count; the null
+    # must not.  Each run is a fresh process so the thread count applies,
+    # and the quantiles at k/99 are the 100 sorted null values.
+    script = (
+        "import numpy as np\n"
+        "from guidance_lab import permutation_test\n"
+        "rng = np.random.default_rng(11)\n"
+        "a = rng.normal(size=(600, 2))\n"
+        "b = rng.normal(loc=0.2, size=(600, 2))\n"
+        "qs = [k / 99 for k in range(100)]\n"
+        "print(repr(permutation_test(a, b, n_perm=100, seed=3,\n"
+        "                            quantiles=qs).null_quantiles))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(metrics.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_permutation_validation():
