@@ -42,7 +42,7 @@ def _child_seed(base, *branch):
 def _write_json(payload, path):
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
     print(f"wrote {path}")
 

@@ -23,6 +23,11 @@ The on-disk format is a single JSON object::
 with TARGET = ``{"dim": D, "components": [{"weight": w, "mean": [...],
 "cov_diag": [...] | "cov_full": [[...]]}]}``.  Parsing then serializing a
 parsed config reproduces the dictionary exactly.
+
+Parsing is strict: every block rejects keys it does not know and values of
+the wrong JSON type with ``ConfigurationError``.  Integer fields take JSON
+integers only (not booleans or fractional numbers), real fields take any
+JSON number, and flags take ``true``/``false`` only.
 """
 
 from __future__ import annotations
@@ -99,25 +104,106 @@ class ExperimentConfig:
             )
 
 
+# -- typed field access --------------------------------------------------------------
+
+_MISSING = object()
+
+
+def _check_keys(block, allowed, where):
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}"
+        )
+
+
+def _field(block, key, default, where):
+    value = block.get(key, default)
+    if value is _MISSING:
+        raise ConfigurationError(f"{where} is missing {key!r}")
+    return value
+
+
+def _int(block, key, default, where):
+    value = _field(block, key, default, where)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{where}.{key} must be an integer, got {value!r}")
+    return value
+
+
+def _real(block, key, default, where):
+    value = _field(block, key, default, where)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{where}.{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _flag(block, key, default, where):
+    value = _field(block, key, default, where)
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{where}.{key} must be true or false, got {value!r}")
+    return value
+
+
+def _text(block, key, default, where):
+    value = _field(block, key, default, where)
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{where}.{key} must be a string, got {value!r}")
+    return value
+
+
+def _is_numeric_list(value):
+    if isinstance(value, list):
+        return all(_is_numeric_list(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _real_array(block, key, default, where, ndim):
+    """A JSON list (``ndim`` 1) or list of lists (``ndim`` 2) of numbers."""
+    value = _field(block, key, default, where)
+    if not isinstance(value, list) or not _is_numeric_list(value):
+        raise ConfigurationError(
+            f"{where}.{key} must be a list of numbers, got {value!r}"
+        )
+    try:
+        arr = np.asarray(value, dtype=float)
+    except ValueError as exc:  # ragged nesting
+        raise ConfigurationError(f"{where}.{key} is ragged: {value!r}") from exc
+    if arr.ndim != ndim:
+        raise ConfigurationError(
+            f"{where}.{key} must be {ndim}-dimensional, got {value!r}"
+        )
+    return arr
+
+
+def _object(value, where):
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{where} must be an object, got {value!r}")
+    return value
+
+
 # -- target (de)serialization --------------------------------------------------------
+
+_TARGET_KEYS = ("dim", "components")
+_COMPONENT_KEYS = ("weight", "mean", "cov_diag", "cov_full")
 
 
 def target_from_dict(d):
     """Build a GaussianMixture from its JSON dictionary form."""
-    try:
-        dim = int(d["dim"])
-        components = d["components"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigurationError(f"malformed target block: {d!r}") from exc
+    where = "target"
+    _check_keys(_object(d, where), _TARGET_KEYS, where)
+    dim = _int(d, "dim", _MISSING, where)
+    components = _field(d, "components", _MISSING, where)
+    if not isinstance(components, list):
+        raise ConfigurationError(f"{where}.components must be a list")
     if not components:
         raise ConfigurationError("target needs at least one component")
     weights, means, covs = [], [], []
-    for comp in components:
-        try:
-            weights.append(float(comp["weight"]))
-            mean = np.asarray(comp["mean"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed component: {comp!r}") from exc
+    for index, comp in enumerate(components):
+        at = f"{where}.components[{index}]"
+        _check_keys(_object(comp, at), _COMPONENT_KEYS, at)
+        weights.append(_real(comp, "weight", _MISSING, at))
+        mean = _real_array(comp, "mean", _MISSING, at, ndim=1)
         if mean.shape != (dim,):
             raise ConfigurationError(
                 f"component mean {mean.tolist()} does not have dim {dim}"
@@ -127,12 +213,12 @@ def target_from_dict(d):
                 "each component needs exactly one of cov_diag / cov_full"
             )
         if "cov_diag" in comp:
-            diag = np.asarray(comp["cov_diag"], dtype=float)
+            diag = _real_array(comp, "cov_diag", _MISSING, at, ndim=1)
             if diag.shape != (dim,):
                 raise ConfigurationError(f"cov_diag must have length {dim}")
             cov = np.diag(diag)
         else:
-            cov = np.asarray(comp["cov_full"], dtype=float)
+            cov = _real_array(comp, "cov_full", _MISSING, at, ndim=2)
             if cov.shape != (dim, dim):
                 raise ConfigurationError(f"cov_full must be {dim}x{dim}")
         means.append(mean)
@@ -155,16 +241,18 @@ def target_to_dict(target):
 
 # -- block (de)serialization ---------------------------------------------------------
 
+_TOP_KEYS = ("kind", "seed", "output_dir", "schedule", "targets", "guidance",
+             "sampler", "hutchinson", "samples")
 
-def _get_block(d, key):
-    block = d.get(key, {})
-    if not isinstance(block, dict):
-        raise ConfigurationError(f"config block {key!r} must be an object")
+
+def _get_block(d, key, allowed):
+    block = _object(d.get(key, {}), f"config block {key!r}")
+    _check_keys(block, allowed, key)
     return block
 
 
 def _schedule_from_dict(d):
-    kind = d.get("kind", ScheduleKind.LINEAR.value)
+    kind = _text(d, "kind", ScheduleKind.LINEAR.value, "schedule")
     try:
         sched_kind = ScheduleKind(kind)
     except ValueError as exc:
@@ -172,70 +260,72 @@ def _schedule_from_dict(d):
     defaults = Schedule(kind=sched_kind)
     return Schedule(
         kind=sched_kind,
-        t_min=float(d.get("t_min", defaults.t_min)),
-        t_max=float(d.get("t_max", defaults.t_max)),
+        t_min=_real(d, "t_min", defaults.t_min, "schedule"),
+        t_max=_real(d, "t_max", defaults.t_max, "schedule"),
     )
 
 
 def _guidance_from_dict(d):
     defaults = GuidanceConfig()
+    where = "guidance"
     try:
-        rule = GuidanceRule(d.get("rule", defaults.rule.value))
+        rule = GuidanceRule(_text(d, "rule", defaults.rule.value, where))
     except ValueError as exc:
         raise ConfigurationError(f"unknown guidance rule {d.get('rule')!r}") from exc
     try:
-        source = NormalSource(d.get("normal_source", defaults.normal_source.value))
+        source = NormalSource(
+            _text(d, "normal_source", defaults.normal_source.value, where)
+        )
     except ValueError as exc:
         raise ConfigurationError(
             f"unknown normal_source {d.get('normal_source')!r}"
         ) from exc
     return GuidanceConfig(
         rule=rule,
-        guidance_scale=float(d.get("guidance_scale", defaults.guidance_scale)),
-        min_scale=float(d.get("min_scale", defaults.min_scale)),
-        decay_power=float(d.get("decay_power", defaults.decay_power)),
-        parallel_scale=float(d.get("parallel_scale", defaults.parallel_scale)),
+        guidance_scale=_real(d, "guidance_scale", defaults.guidance_scale, where),
+        min_scale=_real(d, "min_scale", defaults.min_scale, where),
+        decay_power=_real(d, "decay_power", defaults.decay_power, where),
+        parallel_scale=_real(d, "parallel_scale", defaults.parallel_scale, where),
         normal_source=source,
     )
 
 
 def _sampler_from_dict(d):
     defaults = SamplerConfig()
+    where = "sampler"
     return SamplerConfig(
-        steps=int(d.get("steps", defaults.steps)),
-        t_start=float(d.get("t_start", defaults.t_start)),
-        t_end=float(d.get("t_end", defaults.t_end)),
-        record_diagnostics=bool(d.get("record_diagnostics",
-                                      defaults.record_diagnostics)),
-        seed=int(d.get("seed", defaults.seed)),
+        steps=_int(d, "steps", defaults.steps, where),
+        t_start=_real(d, "t_start", defaults.t_start, where),
+        t_end=_real(d, "t_end", defaults.t_end, where),
+        record_diagnostics=_flag(d, "record_diagnostics",
+                                 defaults.record_diagnostics, where),
+        seed=_int(d, "seed", defaults.seed, where),
     )
 
 
 def _hutchinson_from_dict(d):
     defaults = HutchinsonConfig()
+    where = "hutchinson"
     return HutchinsonConfig(
-        probes=int(d.get("probes", defaults.probes)),
-        probe_dist=str(d.get("probe_dist", defaults.probe_dist)),
-        fd_step=float(d.get("fd_step", defaults.fd_step)),
-        seed=int(d.get("seed", defaults.seed)),
+        probes=_int(d, "probes", defaults.probes, where),
+        probe_dist=_text(d, "probe_dist", defaults.probe_dist, where),
+        fd_step=_real(d, "fd_step", defaults.fd_step, where),
+        seed=_int(d, "seed", defaults.seed, where),
     )
 
 
 def _sweep(d, key, fallback):
-    raw = d.get(key, list(fallback))
-    try:
-        return tuple(float(v) for v in raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"sweep list {key!r} must be numeric") from exc
+    return tuple(
+        float(v) for v in _real_array(d, key, list(fallback), "guidance", ndim=1)
+    )
 
 
 def config_from_dict(d):
     if not isinstance(d, dict):
         raise ConfigurationError("experiment config must be a JSON object")
-    kind = d.get("kind")
-    if kind is None:
-        raise ConfigurationError("config is missing the experiment 'kind'")
-    targets = _get_block(d, "targets")
+    _check_keys(d, _TOP_KEYS, "config")
+    kind = _text(d, "kind", _MISSING, "config")
+    targets = _get_block(d, "targets", ("conditional", "unconditional"))
     if "conditional" in targets and "unconditional" in targets:
         pair = TargetPair(
             conditional=target_from_dict(targets["conditional"]),
@@ -247,24 +337,29 @@ def config_from_dict(d):
         )
     else:
         pair = default_target_pair()
-    guidance_block = _get_block(d, "guidance")
-    samples = _get_block(d, "samples")
+    guidance_block = _get_block(d, "guidance", (
+        "rule", "guidance_scale", "min_scale", "decay_power", "parallel_scale",
+        "normal_source", "beta_sweep", "omega_sweep"))
+    samples = _get_block(d, "samples", ("count", "n_perm"))
     beta_fallback = (
         DEFAULT_SWEEP_BETAS if kind == "sweep_beta" else DEFAULT_TRACE_BETAS
     )
     return ExperimentConfig(
-        kind=str(kind),
-        seed=int(d.get("seed", 0)),
-        output_dir=str(d.get("output_dir", "out")),
-        schedule=_schedule_from_dict(_get_block(d, "schedule")),
+        kind=kind,
+        seed=_int(d, "seed", 0, "config"),
+        output_dir=_text(d, "output_dir", "out", "config"),
+        schedule=_schedule_from_dict(
+            _get_block(d, "schedule", ("kind", "t_min", "t_max"))),
         pair=pair,
         guidance=_guidance_from_dict(guidance_block),
         beta_sweep=_sweep(guidance_block, "beta_sweep", beta_fallback),
         omega_sweep=_sweep(guidance_block, "omega_sweep", DEFAULT_OMEGAS),
-        sampler=_sampler_from_dict(_get_block(d, "sampler")),
-        hutchinson=_hutchinson_from_dict(_get_block(d, "hutchinson")),
-        sample_count=int(samples.get("count", 2000)),
-        n_perm=int(samples.get("n_perm", 200)),
+        sampler=_sampler_from_dict(_get_block(d, "sampler", (
+            "steps", "t_start", "t_end", "record_diagnostics", "seed"))),
+        hutchinson=_hutchinson_from_dict(_get_block(d, "hutchinson", (
+            "probes", "probe_dist", "fd_step", "seed"))),
+        sample_count=_int(samples, "count", 2000, "samples"),
+        n_perm=_int(samples, "n_perm", 200, "samples"),
     )
 
 
@@ -325,7 +420,7 @@ def load_config(path):
 
 def save_config(config, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2)
+        json.dump(config_to_dict(config), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -14,8 +14,13 @@ Conventions used throughout:
 * densities are evaluated in the log domain with log-sum-exp over
   components; responsibilities never leave the log domain until the final
   normalized weights are formed;
-* every covariance is factored once (Cholesky) when the mixture object is
-  built and all later solves reuse the factor;
+* every covariance is eigendecomposed once, ``Sigma_j = Q_j diag(lam_j)
+  Q_j^T``, when the mixture is built.  ``M_j`` below has the same
+  eigenvectors and eigenvalues ``m_j = alpha^2 lam_j + sigma^2``, so at any
+  ``t`` its log-determinant, solves and inverse are diagonal scalings in
+  that basis; no oracle builds a time-``t`` mixture.  The static methods
+  are the same computation at ``(alpha, sigma) = (1, 0)``.  A diagonal
+  covariance's eigenvectors form a signed permutation, which rotates exactly;
 * points ``x`` may be a single vector of shape ``(dim,)`` or a batch of
   shape ``(n, dim)``; outputs match.
 
@@ -27,16 +32,17 @@ component:
 
 with ``M_j = alpha^2 Sigma_j + sigma^2 I`` the marginal component
 covariance, and the mixture posterior follows by the law of total variance
-(component-trace part plus the spread of component means).
+(component-trace part plus the spread of component means).  In the
+eigenbasis these are ``Q_j (sigma^2 Q_j^T mu_j + alpha lam_j Q_j^T x) / m_j``
+and the trace ``sigma^2 sum(lam_j / m_j)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.special import logsumexp
 
 from . import schedule as sched
 from .errors import ConfigurationError, DomainError, ShapeError
@@ -60,7 +66,10 @@ def _as_batch(x, dim):
 
 
 class GaussianMixture:
-    """A finite Gaussian mixture with cached Cholesky factors.
+    """A finite Gaussian mixture with each covariance factored once.
+
+    The eigendecompositions serve every oracle, here and at any time ``t``
+    (see the module docstring); the Cholesky factors serve :meth:`sample`.
 
     Parameters
     ----------
@@ -105,6 +114,10 @@ class GaussianMixture:
                 "every covariance must be positive definite"
             ) from exc
 
+        eigvals, eigvecs = np.linalg.eigh(covariances)
+        if np.any(eigvals <= 0.0):
+            raise ConfigurationError("every covariance must be positive definite")
+
         self.weights = weights
         self.means = means
         self.covariances = covariances
@@ -112,22 +125,11 @@ class GaussianMixture:
         self.n_components = k
         self._chols = chols
         self._log_weights = np.log(weights)
-        # log of the normalization constant of each component
-        self._log_norms = -0.5 * dim * _LOG_2PI - np.sum(
-            np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1
-        )
-        # trace of each inverse covariance: ||L^{-1}||_F^2
-        eye = np.eye(dim)
-        self._inv_traces = np.array(
-            [
-                np.sum(solve_triangular(chols[j], eye, lower=True) ** 2)
-                for j in range(k)
-            ]
-        )
-        self._precisions = np.stack(
-            [cho_solve((chols[j], True), eye) for j in range(k)]
-        )
-        for arr in (self.weights, self.means, self.covariances, self._chols):
+        self._eigvals = eigvals  # (k, dim): lam_j
+        self._eigvecs = eigvecs  # (k, dim, dim): columns of Q_j
+        self._rotated_means = np.einsum("kij,ki->kj", eigvecs, means)  # Q_j^T mu_j
+        for arr in (self.weights, self.means, self.covariances, self._chols,
+                    self._eigvals, self._eigvecs, self._rotated_means):
             arr.setflags(write=False)
 
     # -- convenience constructors -------------------------------------------------
@@ -156,52 +158,21 @@ class GaussianMixture:
         covs = np.stack([(s * s) * np.eye(dim) for s in scales])
         return cls(weights, means, covs)
 
-    # -- static (time-free) operations --------------------------------------------
-
-    def _component_log_densities(self, pts):
-        """(n, k) matrix of ``log w_j + log N(x; mu_j, Sigma_j)``."""
-        n = pts.shape[0]
-        out = np.empty((n, self.n_components))
-        for j in range(self.n_components):
-            delta = (pts - self.means[j]).T  # (dim, n)
-            y = solve_triangular(self._chols[j], delta, lower=True)
-            out[:, j] = (
-                self._log_weights[j]
-                + self._log_norms[j]
-                - 0.5 * np.sum(y * y, axis=0)
-            )
-        return out
+    # -- static (time-free) operations: the marginal machinery at (1, 0) ----------
 
     def log_density(self, x):
         """Log density of the mixture at ``x``."""
-        pts, single = _as_batch(x, self.dim)
-        vals = logsumexp(self._component_log_densities(pts), axis=1)
-        return float(vals[0]) if single else vals
+        return _log_density(self, 1.0, 0.0, x)
 
     def responsibilities(self, x):
         """(n, k) posterior component weights at ``x`` (rows sum to one)."""
         pts, single = _as_batch(x, self.dim)
-        lp = self._component_log_densities(pts)
-        r = np.exp(lp - logsumexp(lp, axis=1, keepdims=True))
+        r = _evaluate(self, 1.0, 0.0, pts).resp
         return r[0] if single else r
-
-    def _component_scores(self, pts):
-        """(k, n, dim) array of per-component scores -Sigma_j^{-1}(x - mu_j)."""
-        k, n = self.n_components, pts.shape[0]
-        out = np.empty((k, n, self.dim))
-        for j in range(k):
-            delta = (pts - self.means[j]).T
-            out[j] = -cho_solve((self._chols[j], True), delta).T
-        return out
 
     def score(self, x):
         """Gradient of the log density at ``x``."""
-        pts, single = _as_batch(x, self.dim)
-        lp = self._component_log_densities(pts)
-        resp = np.exp(lp - logsumexp(lp, axis=1, keepdims=True))  # (n, k)
-        comp = self._component_scores(pts)  # (k, n, dim)
-        s = np.einsum("nk,knd->nd", resp, comp)
-        return s[0] if single else s
+        return _score(self, 1.0, 0.0, x)
 
     def laplacian_log_density(self, x):
         """Trace of the Hessian of the log density at ``x``.
@@ -210,33 +181,14 @@ class GaussianMixture:
         ``lap = sum_j r_j (||u_j||^2 - tr Sigma_j^{-1}) - ||score||^2``
         where ``u_j`` is the per-component score.
         """
-        pts, single = _as_batch(x, self.dim)
-        lp = self._component_log_densities(pts)
-        resp = np.exp(lp - logsumexp(lp, axis=1, keepdims=True))
-        comp = self._component_scores(pts)
-        s = np.einsum("nk,knd->nd", resp, comp)
-        sq = np.einsum("knd,knd->nk", comp, comp)
-        vals = np.einsum("nk,nk->n", resp, sq - self._inv_traces[None, :]) - np.sum(
-            s * s, axis=1
-        )
-        return float(vals[0]) if single else vals
+        return _laplacian(self, 1.0, 0.0, x)
 
     def hessian_log_density(self, x):
         """Full Hessian of the log density at a single point ``x``.
 
         ``H = sum_j r_j (-Sigma_j^{-1} + u_j u_j^T) - score score^T``.
         """
-        pts, single = _as_batch(x, self.dim)
-        if not single and pts.shape[0] != 1:
-            raise ShapeError("hessian_log_density expects a single point")
-        lp = self._component_log_densities(pts)
-        resp = np.exp(lp - logsumexp(lp, axis=1, keepdims=True))[0]
-        comp = self._component_scores(pts)[:, 0, :]  # (k, dim)
-        s = resp @ comp
-        h = -np.einsum("k,kij->ij", resp, self._precisions)
-        h += np.einsum("k,ki,kj->ij", resp, comp, comp)
-        h -= np.outer(s, s)
-        return h
+        return _hessian(self, 1.0, 0.0, x)
 
     def sample(self, count, seed):
         """Draw ``count`` points; deterministic for a fixed ``seed``."""
@@ -266,19 +218,97 @@ def marginal_at(target: GaussianMixture, schedule: sched.Schedule, t: float):
     return GaussianMixture(target.weights, alpha * target.means, covs)
 
 
+class _Terms(NamedTuple):
+    m: np.ndarray  # (k, dim) eigenvalues of M_j = alpha^2 Sigma_j + sigma^2 I
+    whitened: np.ndarray  # (k, n, dim) Q_j^T (x - alpha mu_j) / m_j
+    log_density: np.ndarray  # (n,)
+    resp: np.ndarray  # (n, k) responsibilities
+
+
+def _evaluate(target, alpha, sigma, pts):
+    """Terms of ``sum_j w_j Normal(alpha mu_j, M_j)`` at ``pts`` (n, dim).
+
+    A log-sum-exp row whose maximum is not finite is shifted by zero, so a
+    point where every component underflows gets log density -inf, not NaN.
+    """
+    m = (alpha * alpha) * target._eigvals + sigma * sigma
+    delta = pts[None, :, :] - alpha * target.means[:, None, :]
+    resid = np.einsum("kij,kni->knj", target._eigvecs, delta)
+    whitened = resid / m[:, None, :]
+    log_norms = target._log_weights - 0.5 * (
+        target.dim * _LOG_2PI + np.log(m).sum(axis=1)
+    )
+    lp = log_norms - 0.5 * np.einsum("knd,knd->nk", resid, whitened)
+    top = lp.max(axis=1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        log_density = np.log(np.exp(lp - top).sum(axis=1)) + top[:, 0]
+    resp = np.exp(lp - log_density[:, None])
+    return _Terms(m=m, whitened=whitened, log_density=log_density, resp=resp)
+
+
+def _scores(target, terms):
+    """Per-component scores ``u_j = -Q_j w_j`` (k, n, dim) and the mixture
+    score ``sum_j r_j u_j`` (n, dim)."""
+    comp = -np.einsum("kij,knj->kni", target._eigvecs, terms.whitened)
+    return comp, np.einsum("nk,knd->nd", terms.resp, comp)
+
+
+def _log_density(target, alpha, sigma, x):
+    pts, single = _as_batch(x, target.dim)
+    vals = _evaluate(target, alpha, sigma, pts).log_density
+    return float(vals[0]) if single else vals
+
+
+def _score(target, alpha, sigma, x):
+    pts, single = _as_batch(x, target.dim)
+    _, s = _scores(target, _evaluate(target, alpha, sigma, pts))
+    return s[0] if single else s
+
+
+def _laplacian(target, alpha, sigma, x):
+    pts, single = _as_batch(x, target.dim)
+    terms = _evaluate(target, alpha, sigma, pts)
+    comp, s = _scores(target, terms)
+    sq = np.einsum("knd,knd->nk", comp, comp)
+    inv_traces = (1.0 / terms.m).sum(axis=1)
+    vals = np.einsum("nk,nk->n", terms.resp, sq - inv_traces) - np.sum(s * s, axis=1)
+    return float(vals[0]) if single else vals
+
+
+def _hessian(target, alpha, sigma, x):
+    pts, single = _as_batch(x, target.dim)
+    if not single and pts.shape[0] != 1:
+        raise ShapeError("hessian_log_density expects a single point")
+    terms = _evaluate(target, alpha, sigma, pts)
+    comp, s = _scores(target, terms)
+    resp, comp, s = terms.resp[0], comp[:, 0, :], s[0]
+    q = target._eigvecs
+    # sum_j r_j M_j^{-1} with M_j^{-1} = Q_j diag(1 / m_j) Q_j^T
+    h = -np.sum((q * (resp[:, None] / terms.m)[:, None, :]) @ q.swapaxes(1, 2), axis=0)
+    h += np.einsum("k,ki,kj->ij", resp, comp, comp)
+    h -= np.outer(s, s)
+    return h
+
+
+def _path(schedule, t):
+    point = sched.evaluate(schedule, t)
+    return point.alpha, point.sigma
+
+
 def log_density(target, schedule, t, x):
     """Log density of the time-``t`` marginal at ``x``."""
-    return marginal_at(target, schedule, t).log_density(x)
+    return _log_density(target, *_path(schedule, t), x)
 
 
 def score(target, schedule, t, x):
     """Score (gradient of log density) of the time-``t`` marginal at ``x``."""
-    return marginal_at(target, schedule, t).score(x)
+    return _score(target, *_path(schedule, t), x)
 
 
 def hessian_log_density(target, schedule, t, x):
     """Hessian of the time-``t`` marginal log density at a single point."""
-    return marginal_at(target, schedule, t).hessian_log_density(x)
+    return _hessian(target, *_path(schedule, t), x)
 
 
 def laplacian_log_density(target, schedule, t, x):
@@ -288,27 +318,25 @@ def laplacian_log_density(target, schedule, t, x):
     route ``(alpha^2 * cov_trace - dim * sigma^2) / sigma^4`` is provided
     by :func:`posterior` and serves as an independent cross-check.
     """
-    return marginal_at(target, schedule, t).laplacian_log_density(x)
+    return _laplacian(target, *_path(schedule, t), x)
 
 
 def posterior(target, schedule, t, x) -> PosteriorMoments:
     """Conjugate posterior moments of the clean sample given ``X_t = x``."""
-    alpha, sigma, _, _ = sched.evaluate(schedule, t)
-    marg = marginal_at(target, schedule, t)
+    alpha, sigma = _path(schedule, t)
     pts, single = _as_batch(x, target.dim)
-    n, k = pts.shape[0], target.n_components
-    lp = marg._component_log_densities(pts)
-    resp = np.exp(lp - logsumexp(lp, axis=1, keepdims=True))  # (n, k)
+    terms = _evaluate(target, alpha, sigma, pts)
+    resp, m = terms.resp, terms.m
+    q, lam = target._eigvecs, target._eigvals
 
     sig2 = sigma * sigma
-    comp_means = np.empty((k, n, target.dim))
-    comp_traces = np.empty(k)
-    for j in range(k):
-        rhs = sig2 * target.means[j][None, :] + alpha * (pts @ target.covariances[j])
-        comp_means[j] = cho_solve((marg._chols[j], True), rhs.T).T
-        comp_traces[j] = sig2 * np.trace(
-            cho_solve((marg._chols[j], True), target.covariances[j])
-        )
+    rotated = np.einsum("kij,ni->knj", q, pts)  # Q_j^T x
+    comp_means = np.einsum(
+        "kij,knj->kni", q,
+        (sig2 * target._rotated_means[:, None, :] + alpha * lam[:, None, :] * rotated)
+        / m[:, None, :],
+    )
+    comp_traces = sig2 * np.sum(lam / m, axis=1)
 
     mean = np.einsum("nk,knd->nd", resp, comp_means)
     diff = comp_means - mean[None, :, :]
@@ -329,14 +357,14 @@ def velocity(target, schedule, t, x, method="score"):
     * ``"predictors"``: ``d_alpha * x1_hat + d_sigma * x0_hat`` where
       ``x1_hat`` is the posterior mean and ``x0_hat = (x - alpha*x1_hat)/sigma``.
 
-    They share no code beyond the marginal construction, so their agreement
-    is a meaningful consistency check.
+    They share no code beyond the per-component marginal terms (log
+    densities, responsibilities and eigenvalues of :func:`_evaluate`), so
+    their agreement is a meaningful consistency check.
     """
     pts, single = _as_batch(x, target.dim)
     if method == "score":
         a, b = sched.coefficients(schedule, t)
-        s = marginal_at(target, schedule, t).score(pts)
-        v = a * pts - b * s
+        v = a * pts - b * _score(target, *_path(schedule, t), pts)
     elif method == "predictors":
         alpha, sigma, d_alpha, d_sigma = sched.evaluate(schedule, t)
         x1_hat = posterior(target, schedule, t, pts).mean

@@ -162,7 +162,7 @@ class TrajectoryRecord:
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
+            json.dump(self.to_json_dict(), fh, indent=2, allow_nan=False)
             fh.write("\n")
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from guidance_lab import (
     ConfigurationError,
+    DomainError,
     GaussianMixture,
     Table,
     cli,
@@ -19,6 +20,7 @@ from guidance_lab import (
     save_config,
     target_from_dict,
     target_to_dict,
+    verify,
 )
 from guidance_lab.config import KINDS
 
@@ -168,6 +170,31 @@ def test_config_validation_errors():
                           "targets": {"conditional": {"dim": 2, "components": []}}})
     with pytest.raises(ConfigurationError):
         load_config("/nonexistent/path.json")
+    # Unknown keys and wrong types are rejected, never ignored or coerced.
+    for bad in (
+        {"kind": "verify", "guidance": {"guidance_sclae": 99}},
+        {"kind": "verify", "sampler": {"record_diagnostics": "false"}},
+        {"kind": "verify", "sampler": {"steps": 30.7}},
+        {"kind": "verify", "samples": {"count": 2.9}},
+        {"kind": "verify", "gamma_sweep": [0.5]},
+        {"kind": "verify", "seed": True},
+        {"kind": "verify", "schedule": {"t_min": "0.01"}},
+        {"kind": "verify", "hutchinson": {"probes": 64, "probe": 1}},
+        {"kind": "verify", "guidance": {"beta_sweep": [0.5, "1"]}},
+    ):
+        with pytest.raises(ConfigurationError):
+            config_from_dict(bad)
+    base = target_to_dict(default_target_pair().conditional)
+    for key, value in (("dim", 2.0), ("colour", 1)):
+        bad = json.loads(json.dumps(base))
+        bad[key] = value
+        with pytest.raises(ConfigurationError):
+            target_from_dict(bad)
+    for key, value in (("weight", "1"), ("mean", [4.0, True]), ("scale", 1.0)):
+        bad = json.loads(json.dumps(base))
+        bad["components"][0][key] = value
+        with pytest.raises(ConfigurationError):
+            target_from_dict(bad)
 
 
 def test_default_pair_geometry():
@@ -300,6 +327,25 @@ def test_cli_verify_smoke(tmp_path):
     assert all(chk["passed"] for chk in report["checks"])
 
 
+def test_verify_report_is_strict_json_when_a_check_raises(tmp_path, monkeypatch):
+    def check_raises(config):
+        raise DomainError("forced failure")
+
+    monkeypatch.setattr(verify, "ALL_CHECKS",
+                        (verify.check_decompose_scale_free, check_raises))
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--out", str(out)]) == 1
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    report = json.loads((out / "verify_report.json").read_text(),
+                        parse_constant=reject)
+    failed = report["checks"][1]
+    assert failed["name"] == "raises" and failed["passed"] is False
+    assert failed["measured"] is None and failed["tolerance"] is None
+
+
 def test_cli_error_paths(tmp_path):
     # kind mismatch between CLI argument and config file
     cfg = _write_config(tmp_path, {"kind": "sweep_beta"})
@@ -310,6 +356,10 @@ def test_cli_error_paths(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["verify", "--config", str(bad)]) == 2
+    # unknown config key
+    cfg = _write_config(tmp_path, {"kind": "verify", "guidance_sclae": 99},
+                        name="typo.json")
+    assert cli.main(["verify", "--config", cfg]) == 2
     # unknown kind is rejected by argparse itself
     with pytest.raises(SystemExit):
         cli.main(["explode"])

@@ -1,5 +1,6 @@
 """Tests for energy distance, its permutation null, and slope fits."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,10 +11,12 @@ import pytest
 from guidance_lab import (
     ConfigurationError,
     DomainError,
+    GaussianMixture,
     ShapeError,
     energy_distance,
     loglog_slope,
     permutation_test,
+    target_to_dict,
 )
 from guidance_lab import metrics
 
@@ -156,10 +159,25 @@ def test_null_matches_per_permutation_reference(variant):
         )
 
 
+def _outputs_at_blas_threads(script, *args):
+    """stdout of ``script`` run in a fresh process at 1 and at 2 BLAS threads
+    (each run is a fresh process so that the thread count applies)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(metrics.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    return outputs
+
+
 def test_null_independent_of_blas_threads():
     # BLAS splits a product's sums differently per thread count; the null
-    # must not.  Each run is a fresh process so the thread count applies,
-    # and the quantiles at k/99 are the 100 sorted null values.
+    # must not.  The quantiles at k/99 are the 100 sorted null values.
     script = (
         "import numpy as np\n"
         "from guidance_lab import permutation_test\n"
@@ -170,16 +188,43 @@ def test_null_independent_of_blas_threads():
         "print(repr(permutation_test(a, b, n_perm=100, seed=3,\n"
         "                            quantiles=qs).null_quantiles))\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(metrics.__file__)))
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert run.returncode == 0, run.stderr
-        outputs.append(run.stdout)
+    outputs = _outputs_at_blas_threads(script)
+    assert outputs[0] == outputs[1]
+
+
+def test_trace_divergence_independent_of_blas_threads(tmp_path):
+    # The time-t oracles rotate into per-component eigenbases (LAPACK eigh)
+    # and assemble Hessians with small matrix products; a d = 8
+    # full-covariance profile must come out byte-identical either way.
+    rng = np.random.default_rng(8)
+    dim, k = 8, 3
+    covs = []
+    for _ in range(k):
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        covs.append(q @ np.diag(rng.uniform(0.05, 0.3, dim) ** 2) @ q.T)
+    uncond = GaussianMixture(np.full(k, 1.0 / k), rng.normal(0.0, 2.0, (k, dim)),
+                             covs)
+    cond = GaussianMixture.single(uncond.means[0], 0.0625 * uncond.covariances[0])
+    config = tmp_path / "trace_d8_full.json"
+    config.write_text(json.dumps({
+        "kind": "trace_divergence",
+        "targets": {"conditional": target_to_dict(cond),
+                    "unconditional": target_to_dict(uncond)},
+        "guidance": {"guidance_scale": 1.0, "min_scale": 1.0,
+                     "decay_power": 0.0},
+        "sampler": {"steps": 60},
+    }))
+    script = (
+        "import contextlib, io, os, sys\n"
+        "from guidance_lab import cli\n"
+        "config, out = sys.argv[1:]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['trace_divergence', '--config', config,\n"
+        "                     '--out', out]) == 0\n"
+        "print(open(os.path.join(out, 'trace_divergence.csv')).read())\n"
+    )
+    outputs = _outputs_at_blas_threads(script, str(config), str(tmp_path / "out"))
+    assert outputs[0].count("\n") == 63  # header + 61 states + print's newline
     assert outputs[0] == outputs[1]
 
 

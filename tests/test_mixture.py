@@ -89,6 +89,100 @@ def test_log_density_shapes():
         g.log_density(np.zeros((4, 3)))
 
 
+def test_log_density_far_point_is_minus_infinity():
+    # Every component's quadratic form overflows at this point; the
+    # log-sum-exp must give -inf there, not the NaN of (-inf) - (-inf).
+    far = np.array([1e200, 0.0])
+    rng = np.random.default_rng(7)
+    for target in (
+        GaussianMixture.isotropic(np.array([[1.0, 0.0], [0.0, 1.0]]), [0.5, 0.7]),
+        _random_mixture(rng, 2, 3),
+    ):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert target.log_density(far) == -math.inf
+            assert mixture.log_density(target, Schedule(), 0.5, far) == -math.inf
+
+
+# ---------------------------------------------------------------------------
+# time-t oracles against a dense reference
+
+
+def _dense_reference(target, t, pts):
+    """Slow reference: forms alpha^2 Sigma_j + sigma^2 I explicitly and uses
+    ``solve``/``slogdet``/``inv`` on it.  Returns per-point log density,
+    score, Hessian, posterior mean and posterior covariance trace."""
+    alpha, sigma = t, 1.0 - t
+    dim, k = target.dim, target.n_components
+    covs = alpha**2 * target.covariances + sigma**2 * np.eye(dim)
+    out = []
+    for x in pts:
+        logs, comp_scores, precs, post_means, post_traces = [], [], [], [], []
+        for j in range(k):
+            delta = x - alpha * target.means[j]
+            sol = np.linalg.solve(covs[j], delta)
+            _, logdet = np.linalg.slogdet(covs[j])
+            logs.append(math.log(target.weights[j])
+                        - 0.5 * (dim * math.log(2 * math.pi) + logdet + delta @ sol))
+            comp_scores.append(-sol)
+            precs.append(np.linalg.inv(covs[j]))
+            post_means.append(np.linalg.solve(
+                covs[j],
+                sigma**2 * target.means[j] + alpha * target.covariances[j] @ x))
+            post_traces.append(
+                sigma**2 * np.trace(np.linalg.solve(covs[j], target.covariances[j])))
+        logs = np.array(logs)
+        top = logs.max()
+        log_p = top + math.log(np.sum(np.exp(logs - top)))
+        r = np.exp(logs - log_p)
+        u, post_means = np.array(comp_scores), np.array(post_means)
+        s = r @ u
+        hess = sum(r[j] * (-precs[j] + np.outer(u[j], u[j])) for j in range(k))
+        hess -= np.outer(s, s)
+        mean = r @ post_means
+        spread = sum(r[j] * np.sum((post_means[j] - mean) ** 2) for j in range(k))
+        out.append((log_p, s, hess, mean, r @ np.array(post_traces) + spread))
+    return out
+
+
+def _diagonal_mixture(rng, dim, k):
+    weights = rng.uniform(0.5, 1.5, size=k)
+    covs = np.stack([np.diag(rng.uniform(0.05, 2.0, size=dim)) for _ in range(k)])
+    return GaussianMixture(weights / weights.sum(),
+                           rng.normal(0.0, 2.0, size=(k, dim)), covs)
+
+
+_FORMS = {
+    "isotropic": lambda rng: GaussianMixture.isotropic(
+        rng.normal(0.0, 2.0, size=(3, 3)), rng.uniform(0.2, 1.3, size=3),
+        weights=np.array([0.2, 0.3, 0.5])),
+    "diagonal": lambda rng: _diagonal_mixture(rng, 3, 3),
+    "full": lambda rng: _random_mixture(rng, 3, 3),
+}
+
+
+@pytest.mark.parametrize("t", [Schedule().t_min, 0.5, Schedule().t_max])
+@pytest.mark.parametrize("form", sorted(_FORMS))
+def test_time_t_oracles_match_dense_reference(form, t):
+    rng = np.random.default_rng([31, sorted(_FORMS).index(form)])
+    target = _FORMS[form](rng)
+    sch = Schedule()
+    marg = mixture.marginal_at(target, sch, t)
+    pts = marg.sample(4, seed=3) + 0.3 * rng.normal(size=(4, target.dim))
+    log_p = mixture.log_density(target, sch, t, pts)
+    score = mixture.score(target, sch, t, pts)
+    post = mixture.posterior(target, sch, t, pts)
+    for i, (ref_log_p, ref_s, ref_h, ref_mean, ref_trace) in enumerate(
+        _dense_reference(target, t, pts)
+    ):
+        assert log_p[i] == pytest.approx(ref_log_p, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(score[i], ref_s, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(
+            mixture.hessian_log_density(target, sch, t, pts[i]), ref_h,
+            rtol=1e-10, atol=1e-10 * np.max(np.abs(ref_h)))
+        np.testing.assert_allclose(post.mean[i], ref_mean, rtol=1e-10, atol=1e-10)
+        assert post.cov_trace[i] == pytest.approx(ref_trace, rel=1e-10, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # derivatives against finite differences
 
