@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -32,7 +31,7 @@ from . import sampler as smp
 from . import schedule as sched
 from . import verify
 from .errors import GuidanceLabError
-from .tables import Table
+from .tables import Table, write_json
 
 
 def _child_seed(base, *branch):
@@ -40,10 +39,7 @@ def _child_seed(base, *branch):
 
 
 def _write_json(payload, path):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    write_json(payload, path)
     print(f"wrote {path}")
 
 
@@ -132,20 +128,18 @@ def run_sweep_beta(config):
         columns += [f"div_update_beta_{tag}", f"div_update_par_beta_{tag}",
                     f"div_update_perp_beta_{tag}"]
     dim = pair.dim
-    rows = []
-    base_rule = _projected(config)
-    for k, (t, x) in enumerate(zip(record.times, record.states)):
-        t = float(t)
-        div_g = g_field.divergence(x, t)
-        div_par = par_field.divergence(x, t)
-        div_perp = div_g - div_par
-        row = [k, t, abs(div_g) / dim, abs(div_par) / dim, abs(div_perp) / dim]
-        omega = sched.guidance_scale_at(base_rule, t)
-        for beta in betas:
-            total = omega * (div_g - (1.0 - beta) * div_par)
-            row += [abs(total) / dim, abs(omega * beta * div_par) / dim,
-                    abs(omega * div_perp) / dim]
-        rows.append(row)
+    times, states = record.times, record.states
+    div_g = g_field.divergence(states, times)
+    div_par = par_field.divergence(states, times)
+    div_perp = div_g - div_par
+    omega = sched.guidance_scale_at(_projected(config), times)
+    cells = [times, np.abs(div_g) / dim, np.abs(div_par) / dim,
+             np.abs(div_perp) / dim]
+    for beta in betas:
+        total = omega * (div_g - (1.0 - beta) * div_par)
+        cells += [np.abs(total) / dim, np.abs(omega * beta * div_par) / dim,
+                  np.abs(omega * div_perp) / dim]
+    rows = [[k] + row for k, row in enumerate(np.column_stack(cells).tolist())]
     table = Table(columns=columns, rows=rows)
     _write_table(table, os.path.join(config.output_dir, "sweep_beta.csv"))
     return 0

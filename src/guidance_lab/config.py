@@ -44,6 +44,7 @@ from .errors import ConfigurationError
 from .guidance import GuidanceConfig, GuidanceRule, NormalSource
 from .sampler import SamplerConfig, TargetPair
 from .schedule import Schedule, ScheduleKind
+from .tables import write_json
 
 KINDS = ("verify", "trace_divergence", "sweep_beta", "sweep_omega",
          "sample_compare")
@@ -419,9 +420,7 @@ def load_config(path):
 
 
 def save_config(config, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    write_json(config_to_dict(config), path)
 
 
 def default_config(kind, seed=0, output_dir="out"):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -131,15 +131,20 @@ class VectorField:
     """A time-dependent vector field ``(x, t) -> R^dim``.
 
     ``fn`` must accept a single point ``(dim,)`` or a batch ``(n, dim)``
-    and return the matching shape.  ``div_fn`` and ``jac_fn`` are optional
-    single-point callables providing the exact divergence and Jacobian;
-    fields without them can still be differentiated numerically.
+    at one float time and return the matching shape.  ``div_fn`` and
+    ``jac_fn`` are optional callables providing the exact divergence and
+    Jacobian.  They take ``x`` of shape ``(dim,)`` or ``(n, dim)`` and
+    ``t`` a float or an ``(n,)`` array (one time per point), and return a
+    float or ``(n,)`` divergences, a ``(dim, dim)`` or ``(n, dim, dim)``
+    Jacobian: a single point is a batch of one, so a whole trajectory is
+    one call.  Fields without them can still be differentiated
+    numerically.
     """
 
     fn: Callable[[np.ndarray, float], np.ndarray]
     dim: int
-    div_fn: Optional[Callable[[np.ndarray, float], float]] = None
-    jac_fn: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    div_fn: Optional[Callable] = None
+    jac_fn: Optional[Callable] = None
     label: str = field(default="")
 
     def __call__(self, x, t):
@@ -154,14 +159,16 @@ class VectorField:
             raise CapabilityError(
                 f"field {self.label or '<anonymous>'} has no exact divergence"
             )
-        return float(self.div_fn(np.asarray(x, dtype=float), float(t)))
+        x = np.asarray(x, dtype=float)
+        div = self.div_fn(x, t)
+        return float(div) if x.ndim == 1 else np.asarray(div, dtype=float)
 
     def jacobian(self, x, t):
         if self.jac_fn is None:
             raise CapabilityError(
                 f"field {self.label or '<anonymous>'} has no exact Jacobian"
             )
-        return self.jac_fn(np.asarray(x, dtype=float), float(t))
+        return self.jac_fn(np.asarray(x, dtype=float), t)
 
 
 # -- elementary operations ---------------------------------------------------------
@@ -262,7 +269,7 @@ def velocity_field(target, schedule, label="velocity"):
         return target.dim * a - b * mix.laplacian_log_density(target, schedule, t, x)
 
     def jac_fn(x, t):
-        a, b = sched.coefficients(schedule, t)
+        a, b = (mix._column(c, 2) for c in sched.coefficients(schedule, t))
         return a * np.eye(target.dim) - b * mix.hessian_log_density(
             target, schedule, t, x
         )
@@ -296,7 +303,7 @@ def residual_field(conditional, unconditional, schedule, label="residual"):
 
     def jac_fn(x, t):
         _, b = sched.coefficients(schedule, t)
-        return -b * (
+        return -mix._column(b, 2) * (
             mix.hessian_log_density(conditional, schedule, t, x)
             - mix.hessian_log_density(unconditional, schedule, t, x)
         )
@@ -305,41 +312,55 @@ def residual_field(conditional, unconditional, schedule, label="residual"):
                        label=label)
 
 
-def _pair_geometry(conditional, unconditional, schedule, t, x, normal_source):
-    """Shared exact quantities for the parallel/projected fields at one point."""
-    a, b = sched.coefficients(schedule, t)
-    dim = conditional.dim
-    src = conditional if normal_source is NormalSource.CONDITIONAL else unconditional
-    h_c = mix.hessian_log_density(conditional, schedule, t, x)
-    h_u = mix.hessian_log_density(unconditional, schedule, t, x)
-    h_src = h_c if src is conditional else h_u
-    s_c = mix.score(conditional, schedule, t, x)
-    s_u = mix.score(unconditional, schedule, t, x)
-    g = -b * (s_c - s_u)
-    n = b * (s_c if src is conditional else s_u)
-    jac_g = -b * (h_c - h_u)
-    jac_n = b * h_src
-    div_g = -b * (np.trace(h_c) - np.trace(h_u))
-    div_n = b * np.trace(h_src)
-    return a, b, dim, g, n, jac_g, jac_n, div_g, div_n
+class _PairTerms(NamedTuple):
+    jac_g: np.ndarray  # (n, dim, dim) Jacobian of the residual g
+    jac_par: np.ndarray  # (n, dim, dim) Jacobian of g_par
+    div_par: np.ndarray  # (n,) product-rule divergence of g_par
 
 
-def _parallel_terms(conditional, unconditional, schedule, t, x, normal_source):
-    """Value, gradient pieces, Jacobian and divergence of the parallel field."""
-    (_, _, _, g, n, jac_g, jac_n, div_g, div_n) = _pair_geometry(
-        conditional, unconditional, schedule, t, x, normal_source
-    )
-    nn = float(n @ n)
-    if nn == 0.0:
-        raise DegenerateNormalError("normal direction vanished at this point")
-    lam = float(g @ n) / nn
-    grad_lam = (jac_g.T @ n + jac_n.T @ g) / nn - (
-        2.0 * float(g @ n) / (nn * nn)
-    ) * (jac_n.T @ n)
-    value = lam * n
-    jac = np.outer(n, grad_lam) + lam * jac_n
-    div = float(n @ grad_lam) + lam * div_n
-    return value, jac, div, div_g, jac_g
+def _pair_terms(conditional, unconditional, schedule, t, x, normal_source):
+    """Exact Jacobians of ``g`` and ``g_par`` and the divergence of
+    ``g_par`` at every row of ``x`` (a point or a batch), from one Hessian
+    and one score per target.
+
+    With ``g = -b (s_c - s_u)``, ``n = b s_src`` and ``lam = <g, n> / ||n||^2``
+    the parallel field ``g_par = lam n`` has Jacobian
+    ``n grad_lam^T + lam J_n`` and divergence ``<n, grad_lam> + lam div n``.
+    Raises DegenerateNormalError if the normal vanishes at any row.
+    """
+    pts = np.atleast_2d(x)
+    _, b = sched.coefficients(schedule, t)
+    h_c = mix.hessian_log_density(conditional, schedule, t, pts)
+    h_u = mix.hessian_log_density(unconditional, schedule, t, pts)
+    s_c = mix.score(conditional, schedule, t, pts)
+    s_u = mix.score(unconditional, schedule, t, pts)
+    if normal_source is NormalSource.CONDITIONAL:
+        h_src, s_src = h_c, s_c
+    else:
+        h_src, s_src = h_u, s_u
+    g = -mix._column(b, 1) * (s_c - s_u)
+    n = mix._column(b, 1) * s_src
+    jac_g = -mix._column(b, 2) * (h_c - h_u)
+    jac_n = mix._column(b, 2) * h_src
+    div_n = b * np.einsum("nii->n", h_src)
+    nn = np.sum(n * n, axis=1)
+    if np.any(nn == 0.0):
+        row = int(np.argmax(nn == 0.0))
+        raise DegenerateNormalError(f"normal direction vanished at row {row}")
+    gn = np.sum(g * n, axis=1)
+    lam = gn / nn
+    grad_lam = (
+        np.einsum("nji,nj->ni", jac_g, n) + np.einsum("nji,nj->ni", jac_n, g)
+    ) / nn[:, None] - (2.0 * gn / (nn * nn))[:, None] * np.einsum(
+        "nji,nj->ni", jac_n, n)
+    jac_par = n[:, :, None] * grad_lam[:, None, :] + lam[:, None, None] * jac_n
+    div_par = np.sum(n * grad_lam, axis=1) + lam * div_n
+    return _PairTerms(jac_g=jac_g, jac_par=jac_par, div_par=div_par)
+
+
+def _rows_of(x, values):
+    """Per-row ``values`` for a batch ``x``; the single row for a point."""
+    return values[0] if np.ndim(x) == 1 else values
 
 
 def parallel_component_field(conditional, unconditional, schedule,
@@ -365,17 +386,15 @@ def parallel_component_field(conditional, unconditional, schedule,
         par, _ = _split_with_policy(g, n, x)
         return par
 
+    def terms(x, t):
+        return _pair_terms(conditional, unconditional, schedule, t, x,
+                           normal_source)
+
     def div_fn(x, t):
-        _, _, div, _, _ = _parallel_terms(
-            conditional, unconditional, schedule, t, x, normal_source
-        )
-        return div
+        return _rows_of(x, terms(x, t).div_par)
 
     def jac_fn(x, t):
-        _, jac, _, _, _ = _parallel_terms(
-            conditional, unconditional, schedule, t, x, normal_source
-        )
-        return jac
+        return _rows_of(x, terms(x, t).jac_par)
 
     return VectorField(fn=fn, dim=conditional.dim, div_fn=div_fn, jac_fn=jac_fn,
                        label=label)
@@ -400,15 +419,17 @@ def projected_update_field(conditional, unconditional, schedule, config,
         vu, vc = v_u(x, t), v_c(x, t)
         return apply_guidance(vu, vc, x, t, schedule, config).update
 
+    def batch_jacobian(x, t):
+        terms = _pair_terms(conditional, unconditional, schedule, t, x,
+                            config.normal_source)
+        scale = mix._column(sched.guidance_scale_at(config, t), 2)
+        return scale * (terms.jac_g + (config.parallel_scale - 1.0) * terms.jac_par)
+
     def jac_fn(x, t):
-        _, jac_par, _, _, jac_g = _parallel_terms(
-            conditional, unconditional, schedule, t, x, config.normal_source
-        )
-        scale = sched.guidance_scale_at(config, t)
-        return scale * (jac_g + (config.parallel_scale - 1.0) * jac_par)
+        return _rows_of(x, batch_jacobian(x, t))
 
     def div_fn(x, t):
-        return float(np.trace(jac_fn(x, t)))
+        return _rows_of(x, np.einsum("nii->n", batch_jacobian(x, t)))
 
     return VectorField(fn=fn, dim=conditional.dim, div_fn=div_fn, jac_fn=jac_fn,
                        label=label)
@@ -436,7 +457,7 @@ def score_rotation_field(target, schedule, scale=1.0, axes=(0, 1),
 
     def div_fn(x, t):
         h = mix.hessian_log_density(target, schedule, t, x)
-        return scale * float(np.sum(rot * h))
+        return scale * np.einsum("ij,...ij->...", rot, h)
 
     def jac_fn(x, t):
         h = mix.hessian_log_density(target, schedule, t, x)

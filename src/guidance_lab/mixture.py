@@ -22,7 +22,12 @@ Conventions used throughout:
   are the same computation at ``(alpha, sigma) = (1, 0)``.  A diagonal
   covariance's eigenvectors form a signed permutation, which rotates exactly;
 * points ``x`` may be a single vector of shape ``(dim,)`` or a batch of
-  shape ``(n, dim)``; outputs match.
+  shape ``(n, dim)``; outputs match;
+* the time ``t`` of a module-level oracle may be a scalar, shared by every
+  point, or an ``(n,)`` array holding one time per point of the batch, so
+  a whole trajectory is one call.  The path coefficients then become
+  ``(n, 1)`` columns and ``m_j`` one row of eigenvalues per point; a scalar
+  is the same computation with a single row that broadcasts.
 
 The posterior of the clean sample ``X1`` given ``X_t = x`` is conjugate per
 component:
@@ -184,7 +189,8 @@ class GaussianMixture:
         return _laplacian(self, 1.0, 0.0, x)
 
     def hessian_log_density(self, x):
-        """Full Hessian of the log density at a single point ``x``.
+        """Full Hessian of the log density at ``x``: ``(dim, dim)``, or
+        ``(n, dim, dim)`` for a batch.
 
         ``H = sum_j r_j (-Sigma_j^{-1} + u_j u_j^T) - score score^T``.
         """
@@ -219,26 +225,41 @@ def marginal_at(target: GaussianMixture, schedule: sched.Schedule, t: float):
 
 
 class _Terms(NamedTuple):
-    m: np.ndarray  # (k, dim) eigenvalues of M_j = alpha^2 Sigma_j + sigma^2 I
+    m: np.ndarray  # (k, n|1, dim) eigenvalues of M_j = alpha^2 Sigma_j + sigma^2 I
     whitened: np.ndarray  # (k, n, dim) Q_j^T (x - alpha mu_j) / m_j
     log_density: np.ndarray  # (n,)
     resp: np.ndarray  # (n, k) responsibilities
 
 
+def _column(c, trailing=1):
+    """A per-point ``(n,)`` path coefficient with ``trailing`` unit axes
+    appended, so it scales per-point arrays such as ``(n, dim)`` rows; a
+    scalar is returned as is."""
+    return c.reshape(c.shape + (1,) * trailing) if isinstance(c, np.ndarray) else c
+
+
 def _evaluate(target, alpha, sigma, pts):
     """Terms of ``sum_j w_j Normal(alpha mu_j, M_j)`` at ``pts`` (n, dim).
 
-    A log-sum-exp row whose maximum is not finite is shifted by zero, so a
-    point where every component underflows gets log density -inf, not NaN.
+    ``alpha`` and ``sigma`` are scalars, one time for every point, or
+    ``(n,)`` arrays, one time per point.  A log-sum-exp row whose maximum
+    is not finite is shifted by zero, so a point where every component
+    underflows gets log density -inf, not NaN.
     """
-    m = (alpha * alpha) * target._eigvals + sigma * sigma
-    delta = pts[None, :, :] - alpha * target.means[:, None, :]
+    if isinstance(alpha, np.ndarray) and alpha.shape != (pts.shape[0],):
+        raise ShapeError(
+            f"times have shape {alpha.shape}; expected a scalar or "
+            f"({pts.shape[0]},), one per point"
+        )
+    a, s = _column(alpha), _column(sigma)
+    m = (a * a) * target._eigvals[:, None, :] + s * s
+    delta = pts[None, :, :] - a * target.means[:, None, :]
     resid = np.einsum("kij,kni->knj", target._eigvecs, delta)
-    whitened = resid / m[:, None, :]
-    log_norms = target._log_weights - 0.5 * (
-        target.dim * _LOG_2PI + np.log(m).sum(axis=1)
+    whitened = resid / m
+    log_norms = target._log_weights[:, None] - 0.5 * (
+        target.dim * _LOG_2PI + np.log(m).sum(axis=2)
     )
-    lp = log_norms - 0.5 * np.einsum("knd,knd->nk", resid, whitened)
+    lp = log_norms.T - 0.5 * np.einsum("knd,knd->nk", resid, whitened)
     top = lp.max(axis=1, keepdims=True)
     top[~np.isfinite(top)] = 0.0
     with np.errstate(divide="ignore"):
@@ -271,24 +292,25 @@ def _laplacian(target, alpha, sigma, x):
     terms = _evaluate(target, alpha, sigma, pts)
     comp, s = _scores(target, terms)
     sq = np.einsum("knd,knd->nk", comp, comp)
-    inv_traces = (1.0 / terms.m).sum(axis=1)
+    inv_traces = (1.0 / terms.m).sum(axis=2).T  # (n|1, k)
     vals = np.einsum("nk,nk->n", terms.resp, sq - inv_traces) - np.sum(s * s, axis=1)
     return float(vals[0]) if single else vals
 
 
 def _hessian(target, alpha, sigma, x):
     pts, single = _as_batch(x, target.dim)
-    if not single and pts.shape[0] != 1:
-        raise ShapeError("hessian_log_density expects a single point")
     terms = _evaluate(target, alpha, sigma, pts)
     comp, s = _scores(target, terms)
-    resp, comp, s = terms.resp[0], comp[:, 0, :], s[0]
-    q = target._eigvecs
-    # sum_j r_j M_j^{-1} with M_j^{-1} = Q_j diag(1 / m_j) Q_j^T
-    h = -np.sum((q * (resp[:, None] / terms.m)[:, None, :]) @ q.swapaxes(1, 2), axis=0)
-    h += np.einsum("k,ki,kj->ij", resp, comp, comp)
-    h -= np.outer(s, s)
-    return h
+    # sum_j r_j M_j^{-1} with M_j^{-1} = Q_j diag(1 / m_j) Q_j^T: one BLAS
+    # product per component, so no (k, n, dim, dim) stack is formed.  A
+    # three-operand einsum over the eigenbasis runs in numpy's C loop, about
+    # ten times slower than BLAS at dim = 512.
+    h = np.zeros((pts.shape[0], target.dim, target.dim))
+    for q, scaled in zip(target._eigvecs, terms.resp.T[:, :, None] / terms.m):
+        h -= (q * scaled[:, None, :]) @ q.T
+    h += np.einsum("nk,kni,knj->nij", terms.resp, comp, comp)
+    h -= s[:, :, None] * s[:, None, :]
+    return h[0] if single else h
 
 
 def _path(schedule, t):
@@ -307,7 +329,8 @@ def score(target, schedule, t, x):
 
 
 def hessian_log_density(target, schedule, t, x):
-    """Hessian of the time-``t`` marginal log density at a single point."""
+    """Hessian of the time-``t`` marginal log density at ``x``: ``(dim, dim)``
+    for one point, ``(n, dim, dim)`` for a batch."""
     return _hessian(target, *_path(schedule, t), x)
 
 
@@ -327,21 +350,22 @@ def posterior(target, schedule, t, x) -> PosteriorMoments:
     pts, single = _as_batch(x, target.dim)
     terms = _evaluate(target, alpha, sigma, pts)
     resp, m = terms.resp, terms.m
-    q, lam = target._eigvecs, target._eigvals
+    q, lam = target._eigvecs, target._eigvals[:, None, :]
 
-    sig2 = sigma * sigma
+    a = _column(alpha)
+    s = _column(sigma)
+    sig2 = s * s
     rotated = np.einsum("kij,ni->knj", q, pts)  # Q_j^T x
     comp_means = np.einsum(
         "kij,knj->kni", q,
-        (sig2 * target._rotated_means[:, None, :] + alpha * lam[:, None, :] * rotated)
-        / m[:, None, :],
+        (sig2 * target._rotated_means[:, None, :] + a * lam * rotated) / m,
     )
-    comp_traces = sig2 * np.sum(lam / m, axis=1)
+    comp_traces = sig2 * np.sum(lam / m, axis=2).T  # (n|1, k)
 
     mean = np.einsum("nk,knd->nd", resp, comp_means)
     diff = comp_means - mean[None, :, :]
     spread = np.einsum("nk,knd,knd->n", resp, diff, diff)
-    cov_trace = resp @ comp_traces + spread
+    cov_trace = np.einsum("nk,nk->n", resp, comp_traces) + spread
     if single:
         return PosteriorMoments(mean=mean[0], cov_trace=float(cov_trace[0]))
     return PosteriorMoments(mean=mean, cov_trace=cov_trace)
@@ -363,11 +387,13 @@ def velocity(target, schedule, t, x, method="score"):
     """
     pts, single = _as_batch(x, target.dim)
     if method == "score":
-        a, b = sched.coefficients(schedule, t)
-        v = a * pts - b * _score(target, *_path(schedule, t), pts)
+        s = _score(target, *_path(schedule, t), pts)
+        a, b = (_column(c) for c in sched.coefficients(schedule, t))
+        v = a * pts - b * s
     elif method == "predictors":
-        alpha, sigma, d_alpha, d_sigma = sched.evaluate(schedule, t)
         x1_hat = posterior(target, schedule, t, pts).mean
+        alpha, sigma, d_alpha, d_sigma = (
+            _column(c) for c in sched.evaluate(schedule, t))
         x0_hat = (pts - alpha * x1_hat) / sigma
         v = d_alpha * x1_hat + d_sigma * x0_hat
     else:

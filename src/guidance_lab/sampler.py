@@ -15,8 +15,6 @@ by integrator order.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,7 +24,7 @@ from . import mixture as mix
 from . import schedule as sched
 from .errors import ConfigurationError, IntegrationError, ShapeError
 from .guidance import GuidanceBreakdown, apply_guidance
-from .tables import Table
+from .tables import Table, write_json
 
 _DIAG_COLUMNS = (
     "vu_norm",
@@ -159,11 +157,7 @@ class TrajectoryRecord:
         return out
 
     def write_json(self, path):
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, allow_nan=False)
-            fh.write("\n")
+        write_json(self.to_json_dict(), path)
 
 
 @dataclass(frozen=True)

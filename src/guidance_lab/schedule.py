@@ -19,14 +19,20 @@ the score.
 Evaluation times are clamped to ``[t_min, t_max]`` to keep ``a_t`` and the
 score finite; asking for a time outside the clamp raises ``DomainError``
 rather than silently projecting onto the boundary.
+
+Every function here takes ``t`` as a scalar or as an array of times (one
+per state of a batch).  A scalar gives Python floats; an array gives arrays
+of its shape.  An array with any non-finite element or any element outside
+the domain raises the same ``DomainError`` as that element would alone.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
@@ -41,7 +47,8 @@ class ScheduleKind(enum.Enum):
 
 
 class SchedulePoint(NamedTuple):
-    """Path coefficients and their time derivatives at one time."""
+    """Path coefficients and their time derivatives at one time (or, with
+    an array of times, one array per coefficient)."""
 
     alpha: float
     sigma: float
@@ -77,29 +84,42 @@ class Schedule:
             )
 
 
-def _check_time(schedule: Schedule, t: float) -> float:
+def _times(t, lo, hi, what):
+    """``t`` as a float (scalar input) or a float array, every element in
+    ``[lo, hi]``; otherwise DomainError naming the first offending time."""
+    if isinstance(t, (np.ndarray, list, tuple)):
+        arr = np.asarray(t, dtype=float)
+        bad = ~((arr >= lo) & (arr <= hi))  # also flags NaN
+        if np.any(bad):
+            first = float(arr.reshape(-1)[np.argmax(bad.reshape(-1))])
+            raise DomainError(f"time {first} outside {what} [{lo}, {hi}]")
+        return arr if arr.ndim else float(arr)
     t = float(t)
-    if not math.isfinite(t) or t < schedule.t_min or t > schedule.t_max:
-        raise DomainError(
-            f"time {t} outside schedule clamp [{schedule.t_min}, {schedule.t_max}]"
-        )
+    if not (lo <= t <= hi):
+        raise DomainError(f"time {t} outside {what} [{lo}, {hi}]")
     return t
 
 
-def evaluate(schedule: Schedule, t: float) -> SchedulePoint:
+def _check_time(schedule: Schedule, t):
+    return _times(t, schedule.t_min, schedule.t_max, "schedule clamp")
+
+
+def evaluate(schedule: Schedule, t) -> SchedulePoint:
     """Return (alpha, sigma, d_alpha, d_sigma) at time ``t``.
 
-    Raises DomainError if ``t`` lies outside ``[t_min, t_max]``.
+    Raises DomainError if ``t`` (or any element of it) lies outside
+    ``[t_min, t_max]``.
     """
     t = _check_time(schedule, t)
     # Only the linear kind exists; keep the dispatch explicit so adding a
     # schedule forces a decision here.
     if schedule.kind is ScheduleKind.LINEAR:
-        return SchedulePoint(alpha=t, sigma=1.0 - t, d_alpha=1.0, d_sigma=-1.0)
+        one = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
+        return SchedulePoint(alpha=t, sigma=1.0 - t, d_alpha=one, d_sigma=-one)
     raise ConfigurationError(f"unknown schedule kind: {schedule.kind!r}")
 
 
-def coefficients(schedule: Schedule, t: float) -> PathCoefficients:
+def coefficients(schedule: Schedule, t) -> PathCoefficients:
     """Coefficients (state_coef, score_coef) of ``v = a*x - b*score`` at ``t``.
 
     Computed from the generic schedule outputs so that any new kind
@@ -112,7 +132,7 @@ def coefficients(schedule: Schedule, t: float) -> PathCoefficients:
     return PathCoefficients(state_coef=state_coef, score_coef=score_coef)
 
 
-def guidance_scale_at(config, t: float) -> float:
+def guidance_scale_at(config, t):
     """Scheduled guidance scale ``max(min_scale, scale * (1-t)**decay)``.
 
     ``config`` is any object with ``guidance_scale``, ``min_scale`` and
@@ -129,7 +149,8 @@ def guidance_scale_at(config, t: float) -> float:
         raise ConfigurationError(
             f"min_scale ({floor}) must not exceed guidance_scale ({scale})"
         )
-    t = float(t)
-    if not (0.0 <= t <= 1.0):
-        raise DomainError(f"guidance scale is defined on [0, 1], got t={t}")
-    return max(floor, scale * (1.0 - t) ** decay)
+    t = _times(t, 0.0, 1.0, "the guidance scale's domain")
+    decayed = scale * (1.0 - t) ** decay
+    if isinstance(t, np.ndarray):
+        return np.maximum(floor, decayed)
+    return max(floor, decayed)

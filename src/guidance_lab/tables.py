@@ -1,14 +1,53 @@
-"""Tiny CSV table helper shared by the experiment runners.
+"""Artifact writers shared by the experiment runners: a tiny CSV table and
+strict JSON, both written atomically.
 
 All floats are serialized with 17 significant digits so that written values
 round-trip exactly through text, and reruns of a deterministic experiment
-produce byte-identical files.
+produce byte-identical files.  Every artifact is written to a temporary
+file in its target directory and then moved over the target with
+``os.replace``, so a run that fails midway leaves either the previous file
+or the complete new one, never a partial file.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import uuid
 from dataclasses import dataclass
+
+from .errors import ShapeError
+
+
+def atomic_write(path, write):
+    """Create or replace the text file ``path`` with what ``write(fh)`` writes.
+
+    The text goes to a temporary file next to ``path``, which replaces
+    ``path`` only once ``write`` has returned; if anything raises, the
+    temporary file is removed and ``path`` is left as it was.
+    """
+    parent, name = os.path.split(os.path.abspath(path))
+    os.makedirs(parent, exist_ok=True)
+    tmp = os.path.join(parent, f".{name}.{uuid.uuid4().hex}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return path
+
+
+def write_json(payload, path):
+    """Write ``payload`` as indented strict JSON (no NaN or infinity)."""
+
+    def dump(fh):
+        json.dump(payload, fh, indent=2, allow_nan=False)
+        fh.write("\n")
+
+    return atomic_write(path, dump)
 
 
 def format_value(value) -> str:
@@ -32,14 +71,12 @@ class Table:
     rows: list
 
     def write_csv(self, path):
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         lines = [",".join(self.columns)]
         for row in self.rows:
             if len(row) != len(self.columns):
-                raise ValueError(
+                raise ShapeError(
                     f"row has {len(row)} entries for {len(self.columns)} columns"
                 )
             lines.append(",".join(format_value(v) for v in row))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        return path
+        text = "\n".join(lines) + "\n"
+        return atomic_write(path, lambda fh: fh.write(text))

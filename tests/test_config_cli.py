@@ -9,6 +9,7 @@ from guidance_lab import (
     ConfigurationError,
     DomainError,
     GaussianMixture,
+    ShapeError,
     Table,
     cli,
     config_from_dict,
@@ -23,6 +24,7 @@ from guidance_lab import (
     verify,
 )
 from guidance_lab.config import KINDS
+from guidance_lab.tables import atomic_write
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +46,39 @@ def test_table_write_csv(tmp_path):
     path = tmp_path / "sub" / "t.csv"
     Table(columns=["a", "b"], rows=[[1, 0.5], [2, 1.5]]).write_csv(str(path))
     assert path.read_text() == "a,b\n1,0.5\n2,1.5\n"
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeError):
         Table(columns=["a", "b"], rows=[[1]]).write_csv(str(path))
+    assert path.read_text() == "a,b\n1,0.5\n2,1.5\n"
+
+
+def test_artifact_write_that_raises_midway_keeps_previous_file(tmp_path):
+    path = tmp_path / "artifact.json"
+    cli._write_json({"value": 1.0}, str(path))
+    before = path.read_bytes()
+
+    def half_written(fh):
+        fh.write('{"value": ')
+        raise OSError("device full")
+
+    with pytest.raises(OSError, match="device full"):
+        atomic_write(str(path), half_written)
+    # json.dump writes the first entry, then meets the NaN.
+    with pytest.raises(ValueError):
+        cli._write_json({"value": 2.0, "bad": float("nan")}, str(path))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.json"]
+
+
+def test_table_row_length_error_exits_2(tmp_path, monkeypatch):
+    target = tmp_path / "bad.csv"
+
+    def runner(config):
+        cli._write_table(Table(columns=["a", "b"], rows=[[1]]), str(target))
+        return 0
+
+    monkeypatch.setitem(cli._RUNNERS, "trace_divergence", runner)
+    assert cli.main(["trace_divergence", "--out", str(tmp_path / "out")]) == 2
+    assert not target.exists()
 
 
 # ---------------------------------------------------------------------------

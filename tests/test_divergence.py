@@ -10,6 +10,7 @@ from guidance_lab import (
     ConfigurationError,
     EstimationError,
     GaussianMixture,
+    GuidanceConfig,
     HutchinsonConfig,
     Schedule,
     VectorField,
@@ -18,9 +19,14 @@ from guidance_lab import (
     divergence_fd_dense,
     divergence_hutchinson,
     divergence_profile,
+    mixture,
+    parallel_component_field,
+    projected_update_field,
+    residual_field,
     score_rotation_field,
     velocity_field,
 )
+from guidance_lab.verify import _random_mixture
 
 
 def _linear_field(a):
@@ -237,6 +243,62 @@ def test_divergence_profile_table():
         assert row[1] == pytest.approx(times[k])
         expect = abs(f.divergence(states[k], times[k])) / 2.0
         assert row[2] == pytest.approx(expect, rel=1e-12)
+
+
+def _profile_fields(sch):
+    rng = np.random.default_rng(61)
+    cond, uncond = _random_mixture(rng, 3, 2), _random_mixture(rng, 3, 3)
+    fields = {
+        "cond": velocity_field(cond, sch),
+        "uncond": velocity_field(uncond, sch),
+        "g": residual_field(cond, uncond, sch),
+        "par": parallel_component_field(cond, uncond, sch),
+        "rot": score_rotation_field(uncond, sch, scale=0.4),
+    }
+    for beta in (0.0, 0.5, 2.0):
+        fields[f"upd_{beta:g}"] = projected_update_field(
+            cond, uncond, sch, GuidanceConfig(parallel_scale=beta))
+    return fields
+
+
+def _trajectory(steps, sch):
+    rng = np.random.default_rng([62, steps])
+    return SimpleNamespace(times=np.linspace(sch.t_min, sch.t_max, steps + 1),
+                           states=rng.normal(size=(steps + 1, 3)))
+
+
+def test_exact_profile_matches_per_state_reference():
+    sch = Schedule()
+    fields = _profile_fields(sch)
+    traj = _trajectory(40, sch)
+    table = divergence_profile(fields, traj, method="exact")
+    assert table.columns == ["step", "t"] + [f"div_{lab}" for lab in fields]
+    for k, row in enumerate(table.rows):
+        t, x = float(traj.times[k]), traj.states[k]
+        assert row[:2] == [k, t] and isinstance(row[0], int)
+        for value, field in zip(row[2:], fields.values()):
+            expect = abs(field.divergence(x, t)) / field.dim
+            assert value == pytest.approx(expect, rel=1e-13, abs=1e-13)
+
+
+def test_exact_profile_oracle_passes_do_not_grow_with_length(monkeypatch):
+    sch = Schedule()
+    fields = _profile_fields(sch)
+    calls = []
+    evaluate = mixture._evaluate
+
+    def counting(*args):
+        calls.append(args[3].shape[0])
+        return evaluate(*args)
+
+    monkeypatch.setattr(mixture, "_evaluate", counting)
+    counts = []
+    for steps in (4, 60):
+        calls.clear()
+        divergence_profile(fields, _trajectory(steps, sch), method="exact")
+        assert set(calls) == {steps + 1}
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_divergence_profile_hutchinson_deterministic():

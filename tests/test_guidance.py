@@ -27,17 +27,7 @@ from guidance_lab import (
     velocity_field,
 )
 from guidance_lab.schedule import coefficients, guidance_scale_at
-
-
-def _random_mixture(rng, dim, k):
-    weights = rng.uniform(0.5, 1.5, size=k)
-    weights /= weights.sum()
-    means = rng.normal(0.0, 2.0, size=(k, dim))
-    covs = np.empty((k, dim, dim))
-    for j in range(k):
-        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-        covs[j] = q @ np.diag(rng.uniform(0.3, 1.8, size=dim)) @ q.T
-    return GaussianMixture(weights, means, covs)
+from guidance_lab.verify import _random_mixture
 
 
 def _fd_jacobian(field, x, t, h=1e-5):
@@ -342,6 +332,64 @@ def test_field_jacobians_match_finite_differences():
             assert field.divergence(x, t) == pytest.approx(
                 float(np.trace(jac)), rel=1e-9, abs=1e-10
             )
+
+
+def _oracle_fields(cond, uncond, sch):
+    config = GuidanceConfig(parallel_scale=0.3, guidance_scale=4.0,
+                            min_scale=1.0, decay_power=2.0)
+    return [
+        velocity_field(cond, sch),
+        residual_field(cond, uncond, sch),
+        parallel_component_field(cond, uncond, sch),
+        parallel_component_field(cond, uncond, sch,
+                                 normal_source=NormalSource.UNCONDITIONAL),
+        projected_update_field(cond, uncond, sch, config),
+        score_rotation_field(cond, sch, scale=0.7, axes=(0, 2)),
+    ]
+
+
+def test_batched_field_derivatives_match_single_points():
+    # One call over a whole trajectory, one time per state, gives what a
+    # loop of single-point calls gives.
+    rng = np.random.default_rng(95)
+    sch = Schedule()
+    cond, uncond = _pair(rng, dim=3)
+    times = np.concatenate([[sch.t_min, sch.t_max],
+                            rng.uniform(sch.t_min, sch.t_max, size=10)])
+    xs = rng.normal(size=(times.size, 3))
+    for field in _oracle_fields(cond, uncond, sch):
+        div = field.divergence(xs, times)
+        jac = field.jacobian(xs, times)
+        assert div.shape == (times.size,) and jac.shape == (times.size, 3, 3)
+        shared = field.divergence(xs, 0.6)
+        for i, t in enumerate(times):
+            one_div = field.divergence(xs[i], float(t))
+            one_jac = field.jacobian(xs[i], float(t))
+            assert isinstance(one_div, float) and one_jac.shape == (3, 3)
+            assert div[i] == pytest.approx(one_div, rel=1e-13, abs=1e-13)
+            np.testing.assert_allclose(
+                jac[i], one_jac, rtol=1e-13, atol=1e-13 * np.max(np.abs(one_jac)),
+                err_msg=f"{field.label} at t={t}")
+            assert shared[i] == pytest.approx(field.divergence(xs[i], 0.6),
+                                              rel=1e-13, abs=1e-13)
+
+
+def test_batched_split_raises_when_any_normal_vanishes():
+    # The conditional score is exactly zero at alpha_t * mean, so the
+    # normal of the middle row vanishes.
+    sch = Schedule()
+    cond = GaussianMixture.single(np.array([1.0, -2.0]), 0.5)
+    uncond = GaussianMixture.single(np.zeros(2), 1.0)
+    times = np.array([0.3, 0.5, 0.7])
+    xs = np.array([[0.4, 0.1], 0.5 * cond.means[0], [-0.3, 0.2]])
+    config = GuidanceConfig(parallel_scale=0.3)
+    for field in (parallel_component_field(cond, uncond, sch),
+                  projected_update_field(cond, uncond, sch, config)):
+        field.divergence(xs[[0, 2]], times[[0, 2]])
+        with pytest.raises(DegenerateNormalError):
+            field.divergence(xs, times)
+        with pytest.raises(DegenerateNormalError):
+            field.jacobian(xs, times)
 
 
 def test_residual_divergence_uses_laplacian_gap():

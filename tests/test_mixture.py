@@ -19,17 +19,7 @@ from guidance_lab import (
     ShapeError,
     mixture,
 )
-
-
-def _random_mixture(rng, dim, k):
-    weights = rng.uniform(0.5, 1.5, size=k)
-    weights /= weights.sum()
-    means = rng.normal(0.0, 2.0, size=(k, dim))
-    covs = np.empty((k, dim, dim))
-    for j in range(k):
-        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-        covs[j] = q @ np.diag(rng.uniform(0.3, 1.8, size=dim)) @ q.T
-    return GaussianMixture(weights, means, covs)
+from guidance_lab.verify import _random_mixture
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +171,63 @@ def test_time_t_oracles_match_dense_reference(form, t):
             rtol=1e-10, atol=1e-10 * np.max(np.abs(ref_h)))
         np.testing.assert_allclose(post.mean[i], ref_mean, rtol=1e-10, atol=1e-10)
         assert post.cov_trace[i] == pytest.approx(ref_trace, rel=1e-10, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one time per point: a whole trajectory in one oracle call
+
+
+_PER_POINT_ORACLES = {
+    "log_density": mixture.log_density,
+    "score": mixture.score,
+    "laplacian": mixture.laplacian_log_density,
+    "hessian": mixture.hessian_log_density,
+    "posterior_mean": lambda *args: mixture.posterior(*args).mean,
+    "posterior_trace": lambda *args: mixture.posterior(*args).cov_trace,
+    "velocity": mixture.velocity,
+    "velocity_predictors": lambda *args: mixture.velocity(*args, method="predictors"),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_FORMS))
+def test_per_point_times_match_single_point_loop(form):
+    rng = np.random.default_rng([47, sorted(_FORMS).index(form)])
+    target = _FORMS[form](rng)
+    sch = Schedule()
+    times = np.concatenate([[sch.t_min, sch.t_max],
+                            rng.uniform(sch.t_min, sch.t_max, size=7)])
+    pts = rng.normal(0.0, 1.5, size=(times.size, target.dim))
+    for name, oracle in _PER_POINT_ORACLES.items():
+        batch = oracle(target, sch, times, pts)
+        assert np.shape(batch)[0] == times.size, name
+        for i, t in enumerate(times):
+            one = np.asarray(oracle(target, sch, float(t), pts[i]))
+            np.testing.assert_allclose(
+                batch[i], one, rtol=1e-13, atol=1e-13 * np.max(np.abs(one)),
+                err_msg=f"{name} at t={t}")
+
+
+def test_batched_hessian_method_matches_single_points():
+    target = _random_mixture(np.random.default_rng(48), 3, 4)
+    xs = np.random.default_rng(49).normal(size=(5, 3))
+    batch = target.hessian_log_density(xs)
+    assert batch.shape == (5, 3, 3)
+    for i in range(5):
+        np.testing.assert_array_equal(batch[i], target.hessian_log_density(xs[i]))
+
+
+def test_per_point_times_are_checked():
+    target = GaussianMixture.single(np.zeros(2), 1.0)
+    sch = Schedule()
+    pts = np.zeros((3, 2))
+    for bad in ([0.5, 0.0, 0.5], [0.5, 0.5, math.nan], [0.5, sch.t_max + 1e-9, 0.5]):
+        for oracle in _PER_POINT_ORACLES.values():
+            with pytest.raises(DomainError):
+                oracle(target, sch, np.array(bad), pts)
+    for wrong in (np.full(2, 0.5), np.full((3, 1), 0.5)):
+        for oracle in _PER_POINT_ORACLES.values():
+            with pytest.raises(ShapeError):
+                oracle(target, sch, wrong, pts)
 
 
 # ---------------------------------------------------------------------------

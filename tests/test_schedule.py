@@ -143,3 +143,35 @@ def test_guidance_scale_validation():
         guidance_scale_at(
             SimpleNamespace(guidance_scale=5.0, min_scale=1.0, decay_power=-1.0), 0.5
         )
+
+
+def test_time_arrays_match_scalar_times():
+    sch = Schedule()
+    cfg = SimpleNamespace(guidance_scale=5.0, min_scale=1.0, decay_power=4.0)
+    times = np.linspace(sch.t_min, sch.t_max, 9)
+    point = evaluate(sch, times)
+    coef = coefficients(sch, times)
+    scale = guidance_scale_at(cfg, times)
+    for values in (*point, *coef, scale):
+        assert isinstance(values, np.ndarray) and values.shape == times.shape
+    for i, t in enumerate(times):
+        assert [v[i] for v in point] == list(evaluate(sch, float(t)))
+        assert [v[i] for v in coef] == list(coefficients(sch, float(t)))
+        assert scale[i] == pytest.approx(guidance_scale_at(cfg, float(t)),
+                                         rel=1e-15)
+    assert isinstance(evaluate(sch, 0.5).alpha, float)
+    assert isinstance(guidance_scale_at(cfg, 0.5), float)
+
+
+def test_time_arrays_reject_any_bad_element():
+    sch = Schedule()
+    cfg = SimpleNamespace(guidance_scale=5.0, min_scale=1.0, decay_power=4.0)
+    for bad in (sch.t_min / 2, sch.t_max + 1e-6, math.nan, math.inf):
+        times = np.array([0.5, bad, 0.6])
+        with pytest.raises(DomainError, match="outside schedule clamp"):
+            evaluate(sch, times)
+        with pytest.raises(DomainError):
+            coefficients(sch, times)
+    for bad in (-0.1, 1.5, math.nan):
+        with pytest.raises(DomainError):
+            guidance_scale_at(cfg, np.array([0.5, bad]))
