@@ -100,17 +100,13 @@ def _times(t, lo, hi, what):
     return t
 
 
-def _check_time(schedule: Schedule, t):
-    return _times(t, schedule.t_min, schedule.t_max, "schedule clamp")
-
-
 def evaluate(schedule: Schedule, t) -> SchedulePoint:
     """Return (alpha, sigma, d_alpha, d_sigma) at time ``t``.
 
     Raises DomainError if ``t`` (or any element of it) lies outside
     ``[t_min, t_max]``.
     """
-    t = _check_time(schedule, t)
+    t = _times(t, schedule.t_min, schedule.t_max, "schedule clamp")
     # Only the linear kind exists; keep the dispatch explicit so adding a
     # schedule forces a decision here.
     if schedule.kind is ScheduleKind.LINEAR:
