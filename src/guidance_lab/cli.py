@@ -30,7 +30,7 @@ from . import mixture as mix
 from . import sampler as smp
 from . import schedule as sched
 from . import verify
-from .errors import GuidanceLabError
+from .errors import ConfigurationError, GuidanceLabError
 from .tables import Table, write_json
 
 
@@ -108,7 +108,7 @@ def run_trace_divergence(config):
         fields[f"g_beta_{beta:g}"] = gd.projected_update_field(
             pair.conditional, pair.unconditional, schedule, rule
         )
-    table = dvg.divergence_profile(fields, record, method="exact")
+    table = dvg.divergence_profile(fields, record)
     _write_table(table, os.path.join(config.output_dir, "trace_divergence.csv"))
     return 0
 
@@ -287,7 +287,12 @@ def main(argv=None):
             overrides["seed"] = args.seed
             overrides["sampler"]["seed"] = args.seed
         config = cfg_mod.config_from_dict(overrides)
-        os.makedirs(config.output_dir, exist_ok=True)
+        try:
+            os.makedirs(config.output_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot create output directory {config.output_dir!r}: {exc}"
+            ) from exc
         return _RUNNERS[config.kind](config)
     except GuidanceLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

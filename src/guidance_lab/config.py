@@ -9,25 +9,23 @@ The on-disk format is a single JSON object::
       "output_dir": "out",
       "schedule":  {"kind": "linear", "t_min": 0.001, "t_max": 0.999},
       "targets":   {"conditional": TARGET, "unconditional": TARGET},
-      "guidance":  {"rule": "projected", "guidance_scale": 5.0,
-                    "min_scale": 1.0, "decay_power": 4.0,
-                    "parallel_scale": 0.1, "normal_source": "conditional",
+      "guidance":  {"guidance_scale": 5.0, "min_scale": 1.0,
+                    "decay_power": 4.0, "parallel_scale": 0.1,
+                    "normal_source": "conditional",
                     "beta_sweep": [...], "omega_sweep": [...]},
-      "sampler":   {"steps": 30, "t_start": 0.001, "t_end": 0.999,
-                    "record_diagnostics": false, "seed": 0},
-      "hutchinson": {"probes": 256, "probe_dist": "rademacher",
-                     "fd_step": 1e-4, "seed": 0},
+      "sampler":   {"steps": 30, "t_start": 0.001, "t_end": 0.999, "seed": 0},
       "samples":   {"count": 2000, "n_perm": 200}
     }
 
 with TARGET = ``{"dim": D, "components": [{"weight": w, "mean": [...],
 "cov_diag": [...] | "cov_full": [[...]]}]}``.  Parsing then serializing a
-parsed config reproduces the dictionary exactly.
+parsed config reproduces the dictionary exactly.  There is no guidance
+rule key: each experiment kind fixes the rules it compares (see ``cli``).
 
 Parsing is strict: every block rejects keys it does not know and values of
 the wrong JSON type with ``ConfigurationError``.  Integer fields take JSON
-integers only (not booleans or fractional numbers), real fields take any
-JSON number, and flags take ``true``/``false`` only.
+integers only (not booleans or fractional numbers), and real fields take
+any JSON number.
 """
 
 from __future__ import annotations
@@ -38,10 +36,10 @@ from typing import Tuple
 
 import numpy as np
 
+from . import metrics
 from . import mixture as mix
-from .divergence import HutchinsonConfig
 from .errors import ConfigurationError
-from .guidance import GuidanceConfig, GuidanceRule, NormalSource
+from .guidance import GuidanceConfig, NormalSource
 from .sampler import SamplerConfig, TargetPair
 from .schedule import Schedule, ScheduleKind
 from .tables import write_json
@@ -86,7 +84,6 @@ class ExperimentConfig:
     beta_sweep: Tuple[float, ...]
     omega_sweep: Tuple[float, ...]
     sampler: SamplerConfig
-    hutchinson: HutchinsonConfig
     sample_count: int
     n_perm: int
 
@@ -102,6 +99,11 @@ class ExperimentConfig:
         if self.sample_count < 2:
             raise ConfigurationError(
                 f"samples.count must be >= 2, got {self.sample_count}"
+            )
+        if self.n_perm < metrics.MIN_PERMUTATIONS:
+            raise ConfigurationError(
+                f"samples.n_perm must be >= {metrics.MIN_PERMUTATIONS}, "
+                f"got {self.n_perm}"
             )
 
 
@@ -137,13 +139,6 @@ def _real(block, key, default, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{where}.{key} must be a number, got {value!r}")
     return float(value)
-
-
-def _flag(block, key, default, where):
-    value = _field(block, key, default, where)
-    if not isinstance(value, bool):
-        raise ConfigurationError(f"{where}.{key} must be true or false, got {value!r}")
-    return value
 
 
 def _text(block, key, default, where):
@@ -243,7 +238,7 @@ def target_to_dict(target):
 # -- block (de)serialization ---------------------------------------------------------
 
 _TOP_KEYS = ("kind", "seed", "output_dir", "schedule", "targets", "guidance",
-             "sampler", "hutchinson", "samples")
+             "sampler", "samples")
 
 
 def _get_block(d, key, allowed):
@@ -270,10 +265,6 @@ def _guidance_from_dict(d):
     defaults = GuidanceConfig()
     where = "guidance"
     try:
-        rule = GuidanceRule(_text(d, "rule", defaults.rule.value, where))
-    except ValueError as exc:
-        raise ConfigurationError(f"unknown guidance rule {d.get('rule')!r}") from exc
-    try:
         source = NormalSource(
             _text(d, "normal_source", defaults.normal_source.value, where)
         )
@@ -282,7 +273,6 @@ def _guidance_from_dict(d):
             f"unknown normal_source {d.get('normal_source')!r}"
         ) from exc
     return GuidanceConfig(
-        rule=rule,
         guidance_scale=_real(d, "guidance_scale", defaults.guidance_scale, where),
         min_scale=_real(d, "min_scale", defaults.min_scale, where),
         decay_power=_real(d, "decay_power", defaults.decay_power, where),
@@ -298,19 +288,6 @@ def _sampler_from_dict(d):
         steps=_int(d, "steps", defaults.steps, where),
         t_start=_real(d, "t_start", defaults.t_start, where),
         t_end=_real(d, "t_end", defaults.t_end, where),
-        record_diagnostics=_flag(d, "record_diagnostics",
-                                 defaults.record_diagnostics, where),
-        seed=_int(d, "seed", defaults.seed, where),
-    )
-
-
-def _hutchinson_from_dict(d):
-    defaults = HutchinsonConfig()
-    where = "hutchinson"
-    return HutchinsonConfig(
-        probes=_int(d, "probes", defaults.probes, where),
-        probe_dist=_text(d, "probe_dist", defaults.probe_dist, where),
-        fd_step=_real(d, "fd_step", defaults.fd_step, where),
         seed=_int(d, "seed", defaults.seed, where),
     )
 
@@ -339,7 +316,7 @@ def config_from_dict(d):
     else:
         pair = default_target_pair()
     guidance_block = _get_block(d, "guidance", (
-        "rule", "guidance_scale", "min_scale", "decay_power", "parallel_scale",
+        "guidance_scale", "min_scale", "decay_power", "parallel_scale",
         "normal_source", "beta_sweep", "omega_sweep"))
     samples = _get_block(d, "samples", ("count", "n_perm"))
     beta_fallback = (
@@ -356,9 +333,7 @@ def config_from_dict(d):
         beta_sweep=_sweep(guidance_block, "beta_sweep", beta_fallback),
         omega_sweep=_sweep(guidance_block, "omega_sweep", DEFAULT_OMEGAS),
         sampler=_sampler_from_dict(_get_block(d, "sampler", (
-            "steps", "t_start", "t_end", "record_diagnostics", "seed"))),
-        hutchinson=_hutchinson_from_dict(_get_block(d, "hutchinson", (
-            "probes", "probe_dist", "fd_step", "seed"))),
+            "steps", "t_start", "t_end", "seed"))),
         sample_count=_int(samples, "count", 2000, "samples"),
         n_perm=_int(samples, "n_perm", 200, "samples"),
     )
@@ -379,7 +354,6 @@ def config_to_dict(config):
             "unconditional": target_to_dict(config.pair.unconditional),
         },
         "guidance": {
-            "rule": config.guidance.rule.value,
             "guidance_scale": float(config.guidance.guidance_scale),
             "min_scale": float(config.guidance.min_scale),
             "decay_power": float(config.guidance.decay_power),
@@ -392,14 +366,7 @@ def config_to_dict(config):
             "steps": int(config.sampler.steps),
             "t_start": float(config.sampler.t_start),
             "t_end": float(config.sampler.t_end),
-            "record_diagnostics": bool(config.sampler.record_diagnostics),
             "seed": int(config.sampler.seed),
-        },
-        "hutchinson": {
-            "probes": int(config.hutchinson.probes),
-            "probe_dist": config.hutchinson.probe_dist,
-            "fd_step": float(config.hutchinson.fd_step),
-            "seed": int(config.hutchinson.seed),
         },
         "samples": {
             "count": int(config.sample_count),

@@ -13,8 +13,9 @@ Three routes are provided, in decreasing order of privilege:
 ``conservation_residual`` combines a divergence with the oracle score to
 measure ``div g + g . grad log p``, the quantity that vanishes exactly when
 adding ``g`` to the velocity leaves the evolving density untouched.
-``divergence_profile`` tabulates normalized divergences along a sampled
-trajectory.
+``divergence_profile`` tabulates normalized exact divergences along a
+sampled trajectory; the stochastic and dense routes serve as independent
+references for the exact one.
 """
 
 from __future__ import annotations
@@ -155,15 +156,14 @@ def conservation_residual(field, target, schedule, t, x, method="exact",
     return div + flux
 
 
-def divergence_profile(fields, trajectory, method="exact", hutch_config=None):
-    """Normalized |divergence| of each labeled field along a trajectory.
+def divergence_profile(fields, trajectory):
+    """Normalized |exact divergence| of each labeled field along a trajectory.
 
-    ``fields`` maps column labels to vector fields; ``trajectory`` is any
-    object with ``times`` and ``states`` arrays (a TrajectoryRecord).  The
-    output table has columns ``step`` and ``t`` followed by
-    ``div_<label>`` holding ``|div field| / dim`` at every state.  The exact
-    route evaluates each field once, on all states and their times; the
-    Hutchinson and finite-difference routes go state by state.
+    ``fields`` maps column labels to oracle vector fields; ``trajectory`` is
+    any object with ``times`` and ``states`` arrays (a TrajectoryRecord).
+    The output table has columns ``step`` and ``t`` followed by
+    ``div_<label>`` holding ``|div field| / dim`` at every state.  Each
+    field is evaluated once, on all states and their times.
     """
     times = np.asarray(trajectory.times, dtype=float)
     states = np.asarray(trajectory.states, dtype=float)
@@ -173,33 +173,10 @@ def divergence_profile(fields, trajectory, method="exact", hutch_config=None):
         )
     labels = list(fields)
     columns = ["step", "t"] + [f"div_{lab}" for lab in labels]
-    if method == "exact":
-        divs = np.column_stack([
-            np.abs(divergence_exact(fields[lab], times, states)) / fields[lab].dim
-            for lab in labels
-        ])
-        rows = [[k, float(t)] + row
-                for k, (t, row) in enumerate(zip(times, divs.tolist()))]
-        return Table(columns=columns, rows=rows)
-    rows = []
-    for k, (t, x) in enumerate(zip(times, states)):
-        row = [k, float(t)]
-        for j, lab in enumerate(labels):
-            fld = fields[lab]
-            if method == "hutchinson":
-                seed = int(
-                    np.random.SeedSequence(
-                        [0 if hutch_config is None else hutch_config.seed, k, j]
-                    ).generate_state(1)[0]
-                )
-                base = hutch_config if hutch_config is not None else HutchinsonConfig()
-                cfg = HutchinsonConfig(
-                    probes=base.probes, probe_dist=base.probe_dist,
-                    fd_step=base.fd_step, seed=seed,
-                )
-                div = divergence_hutchinson(fld, t, x, cfg).value
-            else:
-                div = _divergence_by_method(fld, t, x, method, hutch_config)
-            row.append(abs(div) / fld.dim)
-        rows.append(row)
+    divs = np.column_stack([
+        np.abs(divergence_exact(fields[lab], times, states)) / fields[lab].dim
+        for lab in labels
+    ])
+    rows = [[k, float(t)] + row
+            for k, (t, row) in enumerate(zip(times, divs.tolist()))]
     return Table(columns=columns, rows=rows)

@@ -26,6 +26,9 @@ _ROW_BLOCK = 64
 
 DEFAULT_QUANTILES = (0.5, 0.9, 0.95, 0.99)
 
+# Fewest permutations whose null quantiles the test reports.
+MIN_PERMUTATIONS = 100
+
 
 @dataclass(frozen=True)
 class TwoSampleResult:
@@ -123,8 +126,9 @@ def permutation_test(a, b, n_perm=1000, seed=0, variant="u",
     use ``np.einsum``, not a BLAS product whose summation order depends on
     the BLAS thread count, so the null does not depend on it either.
     """
-    if n_perm < 100:
-        raise ConfigurationError(f"n_perm must be >= 100, got {n_perm}")
+    if n_perm < MIN_PERMUTATIONS:
+        raise ConfigurationError(
+            f"n_perm must be >= {MIN_PERMUTATIONS}, got {n_perm}")
     if variant not in VARIANTS:
         raise ConfigurationError(f"variant must be one of {VARIANTS}, got {variant!r}")
     a, b = _check_samples(a, b)

@@ -23,28 +23,16 @@ import numpy as np
 from . import mixture as mix
 from . import schedule as sched
 from .errors import ConfigurationError, IntegrationError, ShapeError
-from .guidance import GuidanceBreakdown, apply_guidance
-from .tables import Table, write_json
-
-_DIAG_COLUMNS = (
-    "vu_norm",
-    "vc_norm",
-    "residual_norm",
-    "parallel_norm",
-    "orthogonal_norm",
-    "update_norm",
-    "scale",
-)
+from .guidance import apply_guidance
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Time grid and bookkeeping options of the Euler integrator."""
+    """Time grid of the Euler integrator and the seed of its initial states."""
 
     steps: int = 30
     t_start: float = sched.DEFAULT_T_MIN
     t_end: float = sched.DEFAULT_T_MAX
-    record_diagnostics: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -79,19 +67,14 @@ class TargetPair:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """One integrated trajectory plus optional per-step diagnostics.
+    """One integrated trajectory: its time grid and the state at each time.
 
-    ``states`` holds ``steps + 1`` rows (initial state included); the
-    velocity and breakdown entries, present when the sampler was asked to
-    record diagnostics, describe the ``steps`` Euler evaluations and so
-    have one row fewer.
+    ``states`` holds ``steps + 1`` rows, the initial state included, one
+    per entry of ``times``.
     """
 
     times: np.ndarray
     states: np.ndarray
-    velocities_uncond: Optional[np.ndarray] = None
-    velocities_cond: Optional[np.ndarray] = None
-    breakdowns: Optional[tuple] = None
 
     @property
     def steps(self):
@@ -104,60 +87,6 @@ class TrajectoryRecord:
     @property
     def terminal_state(self):
         return self.states[-1]
-
-    def to_table(self):
-        """One row per state; diagnostic columns are NaN on the last row."""
-        columns = ["step", "t"] + [f"x_{i}" for i in range(self.dim)]
-        has_diag = self.breakdowns is not None
-        if has_diag:
-            columns += list(_DIAG_COLUMNS)
-        rows = []
-        for k in range(self.steps + 1):
-            row = [k, float(self.times[k])] + [float(v) for v in self.states[k]]
-            if has_diag:
-                if k < self.steps:
-                    bd = self.breakdowns[k]
-                    row += [
-                        float(np.linalg.norm(self.velocities_uncond[k])),
-                        float(np.linalg.norm(self.velocities_cond[k])),
-                        float(np.linalg.norm(bd.residual)),
-                        float(np.linalg.norm(bd.parallel)),
-                        float(np.linalg.norm(bd.orthogonal)),
-                        float(np.linalg.norm(bd.update)),
-                        float(bd.scale),
-                    ]
-                else:
-                    row += [float("nan")] * len(_DIAG_COLUMNS)
-            rows.append(row)
-        return Table(columns=columns, rows=rows)
-
-    def write_csv(self, path):
-        self.to_table().write_csv(path)
-
-    def to_json_dict(self):
-        out = {
-            "times": self.times.tolist(),
-            "states": self.states.tolist(),
-        }
-        if self.velocities_uncond is not None:
-            out["velocities_uncond"] = self.velocities_uncond.tolist()
-            out["velocities_cond"] = self.velocities_cond.tolist()
-        if self.breakdowns is not None:
-            out["breakdowns"] = [
-                {
-                    "residual": bd.residual.tolist(),
-                    "parallel": bd.parallel.tolist(),
-                    "orthogonal": bd.orthogonal.tolist(),
-                    "normal": bd.normal.tolist(),
-                    "scale": float(bd.scale),
-                    "update": bd.update.tolist(),
-                }
-                for bd in self.breakdowns
-            ]
-        return out
-
-    def write_json(self, path):
-        write_json(self.to_json_dict(), path)
 
 
 @dataclass(frozen=True)
@@ -196,31 +125,26 @@ def _check_grid(schedule, sampler_config):
 
 
 def _euler(x0s, pair, schedule, guidance_config, sampler_config,
-           guidance_field=None, collect=False):
+           guidance_field=None):
     """Vectorized Euler loop over a batch of initial states.
 
-    Returns ``(times, states, vu_hist, vc_hist, upd_hist, breakdowns)``
-    with history entries ``None`` unless ``collect`` is set.
+    Returns ``(times, states, updates)``: the grid, the ``(steps + 1,
+    count, dim)`` states and the ``(steps, count, dim)`` guidance updates.
     """
     times = _check_grid(schedule, sampler_config)
     steps = sampler_config.steps
     count, dim = x0s.shape
     states = np.empty((steps + 1, count, dim))
     states[0] = x0s
-    vu_hist = np.empty((steps, count, dim)) if collect else None
-    vc_hist = np.empty((steps, count, dim)) if collect else None
-    upd_hist = np.empty((steps, count, dim))
-    breakdowns = [] if collect else None
+    updates = np.empty((steps, count, dim))
     for k in range(steps):
         t = float(times[k])
         x = states[k]
         v_u = mix.velocity(pair.unconditional, schedule, t, x)
-        v_c = mix.velocity(pair.conditional, schedule, t, x)
         if guidance_field is None:
-            bd = apply_guidance(v_u, v_c, x, t, schedule, guidance_config)
-            update = bd.update
+            v_c = mix.velocity(pair.conditional, schedule, t, x)
+            update = apply_guidance(v_u, v_c, x, t, schedule, guidance_config).update
         else:
-            bd = None
             update = np.asarray(guidance_field(x, t), dtype=float)
             if update.shape != x.shape:
                 update = np.broadcast_to(update, x.shape)
@@ -230,12 +154,8 @@ def _euler(x0s, pair, schedule, guidance_config, sampler_config,
                 f"non-finite state produced by Euler step {k} at t={t}", k
             )
         states[k + 1] = nxt
-        upd_hist[k] = update
-        if collect:
-            vu_hist[k] = v_u
-            vc_hist[k] = v_c
-            breakdowns.append(bd)
-    return times, states, vu_hist, vc_hist, upd_hist, breakdowns
+        updates[k] = update
+    return times, states, updates
 
 
 def integrate(x0, pair, schedule, guidance_config, sampler_config,
@@ -244,38 +164,18 @@ def integrate(x0, pair, schedule, guidance_config, sampler_config,
 
     ``guidance_field``, when given, replaces the configured guidance rule
     with an arbitrary vector field of ``(x, t)`` (the unconditional
-    velocity stays the base flow); diagnostics breakdowns are then not
-    recorded.  A single trajectory is bit-identical to the corresponding
-    row of a batch because both run the same vectorized loop.
+    velocity stays the base flow).  A single trajectory is bit-identical to
+    the corresponding row of a batch because both run the same vectorized
+    loop.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.shape[0] != pair.dim:
         raise ShapeError(f"x0 shape {x0.shape} does not match pair dim {pair.dim}")
-    collect = sampler_config.record_diagnostics and guidance_field is None
-    times, states, vu, vc, upd, bds = _euler(
+    times, states, _ = _euler(
         x0[None, :], pair, schedule, guidance_config, sampler_config,
-        guidance_field=guidance_field, collect=collect,
+        guidance_field=guidance_field,
     )
-    if not collect:
-        return TrajectoryRecord(times=times, states=states[:, 0, :])
-    squeezed = tuple(
-        GuidanceBreakdown(
-            residual=bd.residual[0],
-            parallel=bd.parallel[0],
-            orthogonal=bd.orthogonal[0],
-            normal=bd.normal[0],
-            scale=float(bd.scale),
-            update=bd.update[0],
-        )
-        for bd in bds
-    )
-    return TrajectoryRecord(
-        times=times,
-        states=states[:, 0, :],
-        velocities_uncond=vu[:, 0, :],
-        velocities_cond=vc[:, 0, :],
-        breakdowns=squeezed,
-    )
+    return TrajectoryRecord(times=times, states=states[:, 0, :])
 
 
 def draw_initial_state(dim, seed, index=0):
@@ -284,22 +184,18 @@ def draw_initial_state(dim, seed, index=0):
     return rng.standard_normal(dim)
 
 
-def initial_states(count, dim, seed, antithetic=False):
-    """Seeded batch of N(0, I) draws; antithetic pairing shares draws."""
+def initial_states(count, dim, seed):
+    """Seeded batch of N(0, I) draws; row ``j`` is draw ``(seed, j)``."""
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
     out = np.empty((count, dim))
     for j in range(count):
-        if antithetic:
-            base = draw_initial_state(dim, seed, j // 2)
-            out[j] = base if j % 2 == 0 else -base
-        else:
-            out[j] = draw_initial_state(dim, seed, j)
+        out[j] = draw_initial_state(dim, seed, j)
     return out
 
 
 def batch_integrate(count, pair, schedule, guidance_config, sampler_config,
-                    guidance_field=None, antithetic=False, keep_states=False):
+                    guidance_field=None, keep_states=False):
     """Integrate ``count`` seeded trajectories and summarize them.
 
     Initial states come from ``initial_states`` with the sampler config's
@@ -308,10 +204,10 @@ def batch_integrate(count, pair, schedule, guidance_config, sampler_config,
     standard error of the oracle log-density of the states under both
     targets' exact marginals.
     """
-    x0s = initial_states(count, pair.dim, sampler_config.seed, antithetic=antithetic)
-    times, states, _, _, upd, _ = _euler(
+    x0s = initial_states(count, pair.dim, sampler_config.seed)
+    times, states, upd = _euler(
         x0s, pair, schedule, guidance_config, sampler_config,
-        guidance_field=guidance_field, collect=False,
+        guidance_field=guidance_field,
     )
     mean_update_norm = np.linalg.norm(upd, axis=2).mean(axis=1)
     logs_c = np.empty((sampler_config.steps + 1, count))

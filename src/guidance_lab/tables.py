@@ -16,7 +16,7 @@ import os
 import uuid
 from dataclasses import dataclass
 
-from .errors import ShapeError
+from .errors import ConfigurationError, ShapeError
 
 
 def atomic_write(path, write):
@@ -24,19 +24,29 @@ def atomic_write(path, write):
 
     The text goes to a temporary file next to ``path``, which replaces
     ``path`` only once ``write`` has returned; if anything raises, the
-    temporary file is removed and ``path`` is left as it was.
+    temporary file is removed and ``path`` is left as it was.  A ``path``
+    whose directory cannot be created, or that cannot be created or
+    replaced there, raises ``ConfigurationError``; what ``write`` raises
+    passes through unchanged.
     """
     parent, name = os.path.split(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
     tmp = os.path.join(parent, f".{name}.{uuid.uuid4().hex}.tmp")
-    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        os.makedirs(parent, exist_ok=True)
+        fh = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path!r}: {exc}") from exc
     try:
         with fh:
             write(fh)
-        os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+    try:
+        os.replace(tmp, path)
+    except OSError as exc:
+        os.unlink(tmp)
+        raise ConfigurationError(f"cannot write {path!r}: {exc}") from exc
     return path
 
 

@@ -391,7 +391,7 @@ def test_criterion_08_divergence_profile():
         )
         for bi, beta in enumerate(betas)
     }
-    table = divergence_profile(fields, record, method="exact")
+    table = divergence_profile(fields, record)
 
     # Shape: the raw-residual row (beta = 1) must spike late; its largest
     # value over the first 80% of steps is at most a tenth of its largest

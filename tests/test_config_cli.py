@@ -1,6 +1,8 @@
 """Tests for config round-tripping, table formatting, and the CLI runners."""
 
 import json
+import os
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from guidance_lab import (
     ConfigurationError,
     DomainError,
     GaussianMixture,
+    GuidanceLabError,
     ShapeError,
     Table,
     cli,
@@ -67,6 +70,17 @@ def test_artifact_write_that_raises_midway_keeps_previous_file(tmp_path):
         cli._write_json({"value": 2.0, "bad": float("nan")}, str(path))
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.json"]
+
+
+def test_atomic_write_under_a_regular_file_raises_package_error(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    with pytest.raises(GuidanceLabError):
+        atomic_write(str(blocker / "x.csv"), lambda fh: fh.write("a\n"))
+    with pytest.raises(GuidanceLabError):
+        Table(columns=["a"], rows=[[1]]).write_csv(str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_table_row_length_error_exits_2(tmp_path, monkeypatch):
@@ -171,7 +185,6 @@ def test_config_defaults_fill_missing_blocks():
     config = config_from_dict({"kind": "verify"})
     assert config.seed == 0
     assert config.sampler.steps == 30
-    assert config.hutchinson.probes == 256
     assert config.guidance.guidance_scale == 5.0
     assert config.sample_count == 2000
     # Default targets: four-mode ring versus its first mode.
@@ -206,13 +219,15 @@ def test_config_validation_errors():
     # Unknown keys and wrong types are rejected, never ignored or coerced.
     for bad in (
         {"kind": "verify", "guidance": {"guidance_sclae": 99}},
-        {"kind": "verify", "sampler": {"record_diagnostics": "false"}},
+        {"kind": "verify", "sampler": {"record_diagnostics": False}},
+        {"kind": "verify", "guidance": {"rule": "cfg"}},
+        {"kind": "verify", "hutchinson": {"probes": 64}},
+        {"kind": "verify", "samples": {"n_perm": 99}},
         {"kind": "verify", "sampler": {"steps": 30.7}},
         {"kind": "verify", "samples": {"count": 2.9}},
         {"kind": "verify", "gamma_sweep": [0.5]},
         {"kind": "verify", "seed": True},
         {"kind": "verify", "schedule": {"t_min": "0.01"}},
-        {"kind": "verify", "hutchinson": {"probes": 64, "probe": 1}},
         {"kind": "verify", "guidance": {"beta_sweep": [0.5, "1"]}},
     ):
         with pytest.raises(ConfigurationError):
@@ -237,6 +252,16 @@ def test_default_pair_geometry():
     assert pair.unconditional.n_components == 4
     # The conditional mode is strictly sharper than the unconditional ring.
     assert pair.conditional.covariances[0][0, 0] < pair.unconditional.covariances[0][0, 0]
+
+
+def test_readme_config_example_loads():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"```json\n(.*?)```", fh.read(), flags=re.DOTALL)
+    assert len(blocks) == 1
+    example = json.loads(blocks[0])
+    config = config_from_dict(example)
+    assert config_to_dict(config) == example
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +418,30 @@ def test_cli_error_paths(tmp_path):
     cfg = _write_config(tmp_path, {"kind": "verify", "guidance_sclae": 99},
                         name="typo.json")
     assert cli.main(["verify", "--config", cfg]) == 2
+    # a guidance rule key: each kind fixes its own rules
+    cfg = _write_config(tmp_path, {"kind": "verify", "guidance": {"rule": "cfg"}},
+                        name="rule.json")
+    assert cli.main(["verify", "--config", cfg]) == 2
     # unknown kind is rejected by argparse itself
     with pytest.raises(SystemExit):
         cli.main(["explode"])
+
+
+def test_cli_unwritable_output_dir_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main(["sweep_beta", "--out", str(blocker / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "out" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_cli_too_few_permutations_exits_2_before_any_artifact(tmp_path):
+    cfg = _write_config(tmp_path, {
+        "kind": "sample_compare",
+        "sampler": {"steps": 4},
+        "samples": {"count": 20, "n_perm": 10},
+    })
+    out = tmp_path / "out"
+    assert cli.main(["sample_compare", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()

@@ -271,7 +271,7 @@ def test_exact_profile_matches_per_state_reference():
     sch = Schedule()
     fields = _profile_fields(sch)
     traj = _trajectory(40, sch)
-    table = divergence_profile(fields, traj, method="exact")
+    table = divergence_profile(fields, traj)
     assert table.columns == ["step", "t"] + [f"div_{lab}" for lab in fields]
     for k, row in enumerate(table.rows):
         t, x = float(traj.times[k]), traj.states[k]
@@ -295,23 +295,10 @@ def test_exact_profile_oracle_passes_do_not_grow_with_length(monkeypatch):
     counts = []
     for steps in (4, 60):
         calls.clear()
-        divergence_profile(fields, _trajectory(steps, sch), method="exact")
+        divergence_profile(fields, _trajectory(steps, sch))
         assert set(calls) == {steps + 1}
         counts.append(len(calls))
     assert counts[0] == counts[1]
-
-
-def test_divergence_profile_hutchinson_deterministic():
-    target = GaussianMixture.single(np.zeros(2), 1.0)
-    sch = Schedule()
-    f = velocity_field(target, sch, label="v")
-    traj = SimpleNamespace(
-        times=np.array([0.3, 0.6]), states=np.array([[0.1, 0.0], [0.2, 0.1]])
-    )
-    cfg = HutchinsonConfig(probes=32, seed=17)
-    t1 = divergence_profile({"v": f}, traj, method="hutchinson", hutch_config=cfg)
-    t2 = divergence_profile({"v": f}, traj, method="hutchinson", hutch_config=cfg)
-    assert t1.rows == t2.rows
 
 
 def test_divergence_profile_shape_mismatch():
