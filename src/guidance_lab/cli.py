@@ -152,6 +152,15 @@ def _terminal_run(config, rule, sampler_seed):
     )
 
 
+def _mean_terminal_log_p(config, batch):
+    """Mean log density of a batch's terminal states under the conditional
+    target's marginal at the final grid time."""
+    t = float(batch.times[-1])
+    return float(mix.log_density(
+        config.pair.conditional, config.schedule, t, batch.terminal_state
+    ).mean())
+
+
 def _oracle_terminal_draws(config, count, seed):
     marg = mix.marginal_at(
         config.pair.conditional, config.schedule, config.sampler.t_end
@@ -172,13 +181,12 @@ def run_sweep_omega(config):
         ):
             batch = _terminal_run(config, rule, sampler_seed)
             result = metrics.permutation_test(
-                batch.terminal, oracle, n_perm=config.n_perm,
+                batch.terminal_state, oracle, n_perm=config.n_perm,
                 seed=_child_seed(config.seed, 3, oi, ri),
             )
             rows.append([
                 rule_name, float(omega), result.statistic,
-                result.null_quantiles[0.95],
-                float(batch.mean_log_density_cond[-1]),
+                result.null_quantiles[0.95], _mean_terminal_log_p(config, batch),
             ])
             summary[f"{rule_name}_omega_{omega:g}"] = result.statistic
     table = Table(
@@ -223,11 +231,11 @@ def run_sample_compare(config):
     ):
         batch = _terminal_run(config, rule, config.sampler.seed)
         _write_table(
-            _samples_table(batch.terminal),
+            _samples_table(batch.terminal_state),
             os.path.join(config.output_dir, f"samples_{rule_name}.csv"),
         )
         result = metrics.permutation_test(
-            batch.terminal, oracle, n_perm=config.n_perm,
+            batch.terminal_state, oracle, n_perm=config.n_perm,
             seed=_child_seed(config.seed, 5, ri),
         )
         report["rules"][rule_name] = {
@@ -235,7 +243,7 @@ def run_sample_compare(config):
             "null_quantiles": {repr(q): v
                                for q, v in result.null_quantiles.items()},
             "n_perm": result.n_perm,
-            "mean_terminal_log_p_cond": float(batch.mean_log_density_cond[-1]),
+            "mean_terminal_log_p_cond": _mean_terminal_log_p(config, batch),
         }
     _write_json(report, os.path.join(config.output_dir,
                                      "sample_compare_report.json"))

@@ -13,6 +13,10 @@ chosen velocity's marginal), damps the score-parallel part by
 
 The second form is used for the arithmetic because it makes
 ``parallel_scale = 1`` with a constant scale reproduce CFG bit for bit.
+One batched split, ``decompose``, serves the sampler, the parallel field
+and the verify checks; where the normal is degenerate it passes the whole
+residual through as the orthogonal part.  ``apply_guidance`` returns only
+the update the sampler integrates.
 
 Fields built by the ``*_field`` constructors in this module carry exact
 divergences and Jacobians derived from the Gaussian-mixture oracle, which
@@ -110,23 +114,6 @@ class GuidanceConfig:
 
 
 @dataclass(frozen=True)
-class GuidanceBreakdown:
-    """Everything the guidance rule computed at one state.
-
-    ``residual = parallel + orthogonal`` up to floating-point roundoff and
-    ``orthogonal`` is orthogonal to ``normal``; ``update`` is the vector
-    actually added to the unconditional velocity.
-    """
-
-    residual: np.ndarray
-    parallel: np.ndarray
-    orthogonal: np.ndarray
-    normal: np.ndarray
-    scale: float
-    update: np.ndarray
-
-
-@dataclass(frozen=True)
 class VectorField:
     """A time-dependent vector field ``(x, t) -> R^dim``.
 
@@ -174,13 +161,6 @@ class VectorField:
 # -- elementary operations ---------------------------------------------------------
 
 
-def cfg_velocity(v_uncond, v_cond, scale):
-    """Classifier-free-guided velocity ``v_u + scale * (v_c - v_u)``."""
-    v_uncond = np.asarray(v_uncond, dtype=float)
-    v_cond = np.asarray(v_cond, dtype=float)
-    return v_uncond + scale * (v_cond - v_uncond)
-
-
 def normal_direction(velocity_value, x, state_coef):
     """Normal direction ``a_t * x - v`` implied by a velocity evaluation."""
     return state_coef * np.asarray(x, dtype=float) - np.asarray(velocity_value, float)
@@ -193,66 +173,47 @@ def degenerate_threshold(x):
     return 1e-12 * np.sqrt(dim) * (1.0 + np.linalg.norm(x, axis=-1))
 
 
-def decompose(residual, normal, eps=0.0):
+def decompose(residual, normal, x):
     """Split ``residual`` into components parallel and orthogonal to ``normal``.
 
-    Raises DegenerateNormalError when ``||normal|| <= eps`` (or is exactly
-    zero); the caller decides the fallback policy.  The projection is
-    scale-free in ``normal``.
+    Takes one point ``(dim,)`` or a batch ``(n, dim)``; ``x`` is the state
+    (or states) the normal was formed at.  A row whose normal has norm at
+    most ``degenerate_threshold(x)`` has no direction to project on, so its
+    residual passes through whole as the orthogonal part.  Above the
+    threshold the projection is scale-free in ``normal``.
     """
     g = np.asarray(residual, dtype=float)
     n = np.asarray(normal, dtype=float)
-    if g.shape != n.shape or g.ndim != 1:
+    if g.shape != n.shape or g.shape != np.shape(x) or g.ndim not in (1, 2):
         raise ShapeError(
-            f"residual and normal must be equal-length vectors, "
-            f"got {g.shape} and {n.shape}"
+            f"residual, normal and state must be equal-shape points or "
+            f"batches, got {g.shape}, {n.shape} and {np.shape(x)}"
         )
-    nn = float(n @ n)
-    if nn == 0.0 or np.sqrt(nn) <= eps:
-        raise DegenerateNormalError(
-            f"normal direction has norm {np.sqrt(nn)} <= threshold {eps}"
-        )
-    par = ((g @ n) / nn) * n
-    return par, g - par
-
-
-def _split_with_policy(g, n, x):
-    """Batched split; rows with a degenerate normal pass the residual through."""
     nn = np.sum(n * n, axis=-1)
-    thresh = degenerate_threshold(x)
-    ok = np.sqrt(nn) > thresh
+    ok = np.sqrt(nn) > degenerate_threshold(x)
     coef = np.where(ok, np.divide(np.sum(g * n, axis=-1), np.where(ok, nn, 1.0)), 0.0)
     par = coef[..., None] * n
     return par, g - par
 
 
-def apply_guidance(v_uncond, v_cond, x, t, schedule, config) -> GuidanceBreakdown:
-    """Evaluate the configured guidance rule at one state (or a batch).
+def apply_guidance(v_uncond, v_cond, x, t, schedule, config):
+    """The configured guidance rule's update at one state (or a batch).
 
-    Returns the full breakdown; the sampler integrates
-    ``v_uncond + breakdown.update``.  For ``GuidanceRule.CFG`` the update
-    is ``guidance_scale * residual`` with the decomposition still recorded
-    for diagnostics; for the projected rule it is
-    ``scale(t) * (residual + (parallel_scale - 1) * parallel)``.
+    The sampler integrates ``v_uncond + update``.  For ``GuidanceRule.CFG``
+    the update is ``guidance_scale * residual``; for the projected rule it
+    is ``scale(t) * (residual + (parallel_scale - 1) * parallel)``.
     """
     v_u = np.asarray(v_uncond, dtype=float)
     v_c = np.asarray(v_cond, dtype=float)
-    x = np.asarray(x, dtype=float)
     g = v_c - v_u
+    if config.rule is GuidanceRule.CFG:
+        return float(config.guidance_scale) * g
+    x = np.asarray(x, dtype=float)
     state_coef, _ = sched.coefficients(schedule, t)
     src = v_c if config.normal_source is NormalSource.CONDITIONAL else v_u
-    n = normal_direction(src, x, state_coef)
-    par, orth = _split_with_policy(g, n, x)
-    if config.rule is GuidanceRule.CFG:
-        scale = float(config.guidance_scale)
-        update = scale * g
-    else:
-        scale = sched.guidance_scale_at(config, t)
-        update = scale * (g + (config.parallel_scale - 1.0) * par)
-    return GuidanceBreakdown(
-        residual=g, parallel=par, orthogonal=orth, normal=n, scale=scale,
-        update=update,
-    )
+    par, _ = decompose(g, normal_direction(src, x, state_coef), x)
+    scale = sched.guidance_scale_at(config, t)
+    return scale * (g + (config.parallel_scale - 1.0) * par)
 
 
 # -- exact oracle fields -----------------------------------------------------------
@@ -383,7 +344,7 @@ def parallel_component_field(conditional, unconditional, schedule,
         state_coef, _ = sched.coefficients(schedule, t)
         src = vc if normal_source is NormalSource.CONDITIONAL else vu
         n = normal_direction(src, x, state_coef)
-        par, _ = _split_with_policy(g, n, x)
+        par, _ = decompose(g, n, x)
         return par
 
     def terms(x, t):
@@ -417,7 +378,7 @@ def projected_update_field(conditional, unconditional, schedule, config,
     def fn(x, t):
         x = np.asarray(x, dtype=float)
         vu, vc = v_u(x, t), v_c(x, t)
-        return apply_guidance(vu, vc, x, t, schedule, config).update
+        return apply_guidance(vu, vc, x, t, schedule, config)
 
     def batch_jacobian(x, t):
         terms = _pair_terms(conditional, unconditional, schedule, t, x,

@@ -1,12 +1,10 @@
 """Two-sample statistics and log-log slope fits for experiment reports.
 
 Energy distance is the workhorse: parameter-free, exact at small scale,
-and sensitive to any distributional difference.  The U-statistic variant
-(self-pairs excluded) is the default because it is unbiased and is what
-the permutation test resamples; note that unbiasedness means it can dip
-slightly below zero for samples from equal distributions.  The V-statistic
-variant (self-pairs included) is nonnegative and exactly zero on identical
-sets.
+and sensitive to any distributional difference.  It is the U-statistic
+(self-pairs excluded), which is unbiased and is what the permutation test
+resamples; unbiasedness means it can dip slightly below zero for samples
+from equal distributions.
 """
 
 from __future__ import annotations
@@ -18,8 +16,6 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import ConfigurationError, DomainError, ShapeError
-
-VARIANTS = ("u", "v")
 
 # Rows of the pooled distance matrix the permutation test holds at once.
 _ROW_BLOCK = 64
@@ -53,37 +49,32 @@ def _check_samples(a, b):
     return a, b
 
 
-def _pair_count(n, variant):
-    """Ordered pairs a within-sample mean averages over: self-pairs are
-    excluded by the U-statistic and included by the V-statistic."""
-    return n * (n - 1) if variant == "u" else n * n
+def _pair_count(n):
+    """Ordered pairs a within-sample mean averages over, self-pairs
+    excluded."""
+    return n * (n - 1)
 
 
-def _within_mean(sample, variant):
-    n = sample.shape[0]
+def _within_mean(sample):
     total = 2.0 * float(np.sum(pdist(sample)))
-    return total / _pair_count(n, variant)
+    return total / _pair_count(sample.shape[0])
 
 
-def energy_distance(a, b, variant="u"):
+def energy_distance(a, b):
     """Energy distance ``2 E|A-B| - E|A-A'| - E|B-B'|`` between samples.
 
-    ``variant="u"`` excludes self-pairs in the within terms (unbiased,
-    may be slightly negative for equal distributions); ``variant="v"``
-    includes them (nonnegative, exactly zero when ``a`` and ``b`` are
-    identical sets).  Exactly symmetric in its arguments: the pair is
-    ordered canonically before any summation.
+    The within terms exclude self-pairs (the U-statistic: unbiased, may be
+    slightly negative for equal distributions).  Exactly symmetric in its
+    arguments: the pair is ordered canonically before any summation.
     """
-    if variant not in VARIANTS:
-        raise ConfigurationError(f"variant must be one of {VARIANTS}, got {variant!r}")
     a, b = _check_samples(a, b)
     if a.tobytes() > b.tobytes():
         a, b = b, a
     between = float(np.mean(cdist(a, b)))
-    return 2.0 * between - _within_mean(a, variant) - _within_mean(b, variant)
+    return 2.0 * between - _within_mean(a) - _within_mean(b)
 
 
-def _permutation_null(pooled, n, n_perm, seed, variant):
+def _permutation_null(pooled, n, n_perm, seed):
     """Energy distance of each of ``n_perm`` seeded splits of ``pooled``.
 
     Column ``p`` of the 0/1 matrix ``labels`` marks group ``a`` of split
@@ -109,12 +100,10 @@ def _permutation_null(pooled, n, n_perm, seed, variant):
     from_a = np.einsum("i,ip->p", row_sums, labels)
     between = (from_a - sum_a) / (n * m)
     sum_b = float(np.sum(row_sums)) - 2.0 * from_a + sum_a
-    return (2.0 * between - sum_a / _pair_count(n, variant)
-            - sum_b / _pair_count(m, variant))
+    return 2.0 * between - sum_a / _pair_count(n) - sum_b / _pair_count(m)
 
 
-def permutation_test(a, b, n_perm=1000, seed=0, variant="u",
-                     quantiles=DEFAULT_QUANTILES):
+def permutation_test(a, b, n_perm=1000, seed=0, quantiles=DEFAULT_QUANTILES):
     """Permutation null of the energy distance under label shuffling.
 
     Deterministic per seed: permutation ``p`` is the ``p``-th draw of
@@ -129,12 +118,10 @@ def permutation_test(a, b, n_perm=1000, seed=0, variant="u",
     if n_perm < MIN_PERMUTATIONS:
         raise ConfigurationError(
             f"n_perm must be >= {MIN_PERMUTATIONS}, got {n_perm}")
-    if variant not in VARIANTS:
-        raise ConfigurationError(f"variant must be one of {VARIANTS}, got {variant!r}")
     a, b = _check_samples(a, b)
-    statistic = energy_distance(a, b, variant=variant)
+    statistic = energy_distance(a, b)
     null = _permutation_null(np.concatenate([a, b], axis=0), a.shape[0],
-                             n_perm, seed, variant)
+                             n_perm, seed)
     qs = {float(q): float(np.quantile(null, q)) for q in quantiles}
     return TwoSampleResult(statistic=statistic, null_quantiles=qs, n_perm=n_perm)
 

@@ -6,7 +6,10 @@ on a uniform time grid from the noise end to the data end, where
 arbitrary extra vector field, for conservation experiments).  Trajectories
 are deterministic given the initial state; batches draw initial states
 ``x0 ~ N(0, I)`` with one child seed per trajectory index so that results
-do not depend on batch size or ordering.
+do not depend on batch size or ordering.  A single trajectory and a batch
+both come back as a ``TrajectoryRecord`` of the time grid and the states:
+the loop keeps only what it integrates, and callers evaluate whatever
+summary they report on those states.
 
 Only the Euler scheme is provided: the laboratory studies guidance-rule
 effects, and a fixed first-order solver keeps those effects un-confounded
@@ -16,7 +19,6 @@ by integrator order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -67,10 +69,12 @@ class TargetPair:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """One integrated trajectory: its time grid and the state at each time.
+    """Integrated trajectories: the time grid and the state at each time.
 
-    ``states`` holds ``steps + 1`` rows, the initial state included, one
-    per entry of ``times``.
+    ``states`` holds ``steps + 1`` entries, the initial states included,
+    one per entry of ``times``: each a ``(dim,)`` state for one trajectory
+    from ``integrate``, or a ``(count, dim)`` batch from
+    ``batch_integrate``.
     """
 
     times: np.ndarray
@@ -82,35 +86,11 @@ class TrajectoryRecord:
 
     @property
     def dim(self):
-        return self.states.shape[1]
+        return self.states.shape[-1]
 
     @property
     def terminal_state(self):
         return self.states[-1]
-
-
-@dataclass(frozen=True)
-class BatchResult:
-    """Terminal states and per-step summary of a batch of trajectories.
-
-    Log-density summaries are taken under the exact marginal of each
-    target at the grid time of every recorded state; ``mean_update_norm``
-    averages the guidance-update magnitude over trajectories at each of
-    the ``steps`` Euler evaluations.
-    """
-
-    times: np.ndarray
-    terminal: np.ndarray
-    mean_update_norm: np.ndarray
-    mean_log_density_cond: np.ndarray
-    stderr_log_density_cond: np.ndarray
-    mean_log_density_uncond: np.ndarray
-    stderr_log_density_uncond: np.ndarray
-    states: Optional[np.ndarray] = None
-
-    @property
-    def count(self):
-        return self.terminal.shape[0]
 
 
 def _check_grid(schedule, sampler_config):
@@ -128,22 +108,21 @@ def _euler(x0s, pair, schedule, guidance_config, sampler_config,
            guidance_field=None):
     """Vectorized Euler loop over a batch of initial states.
 
-    Returns ``(times, states, updates)``: the grid, the ``(steps + 1,
-    count, dim)`` states and the ``(steps, count, dim)`` guidance updates.
+    Returns ``(times, states)``: the grid and the ``(steps + 1, count,
+    dim)`` states.
     """
     times = _check_grid(schedule, sampler_config)
     steps = sampler_config.steps
     count, dim = x0s.shape
     states = np.empty((steps + 1, count, dim))
     states[0] = x0s
-    updates = np.empty((steps, count, dim))
     for k in range(steps):
         t = float(times[k])
         x = states[k]
         v_u = mix.velocity(pair.unconditional, schedule, t, x)
         if guidance_field is None:
             v_c = mix.velocity(pair.conditional, schedule, t, x)
-            update = apply_guidance(v_u, v_c, x, t, schedule, guidance_config).update
+            update = apply_guidance(v_u, v_c, x, t, schedule, guidance_config)
         else:
             update = np.asarray(guidance_field(x, t), dtype=float)
             if update.shape != x.shape:
@@ -154,8 +133,7 @@ def _euler(x0s, pair, schedule, guidance_config, sampler_config,
                 f"non-finite state produced by Euler step {k} at t={t}", k
             )
         states[k + 1] = nxt
-        updates[k] = update
-    return times, states, updates
+    return times, states
 
 
 def integrate(x0, pair, schedule, guidance_config, sampler_config,
@@ -171,7 +149,7 @@ def integrate(x0, pair, schedule, guidance_config, sampler_config,
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.shape[0] != pair.dim:
         raise ShapeError(f"x0 shape {x0.shape} does not match pair dim {pair.dim}")
-    times, states, _ = _euler(
+    times, states = _euler(
         x0[None, :], pair, schedule, guidance_config, sampler_config,
         guidance_field=guidance_field,
     )
@@ -195,36 +173,16 @@ def initial_states(count, dim, seed):
 
 
 def batch_integrate(count, pair, schedule, guidance_config, sampler_config,
-                    guidance_field=None, keep_states=False):
-    """Integrate ``count`` seeded trajectories and summarize them.
+                    guidance_field=None):
+    """Integrate ``count`` seeded trajectories and return their record.
 
     Initial states come from ``initial_states`` with the sampler config's
     seed, so trajectory ``j`` is identical no matter the batch size.  The
-    summary tracks the mean guidance-update norm per step and the mean and
-    standard error of the oracle log-density of the states under both
-    targets' exact marginals.
+    record's ``states`` has shape ``(steps + 1, count, dim)``.
     """
     x0s = initial_states(count, pair.dim, sampler_config.seed)
-    times, states, upd = _euler(
+    times, states = _euler(
         x0s, pair, schedule, guidance_config, sampler_config,
         guidance_field=guidance_field,
     )
-    mean_update_norm = np.linalg.norm(upd, axis=2).mean(axis=1)
-    logs_c = np.empty((sampler_config.steps + 1, count))
-    logs_u = np.empty((sampler_config.steps + 1, count))
-    for k in range(sampler_config.steps + 1):
-        t = float(times[k])
-        logs_c[k] = mix.log_density(pair.conditional, schedule, t, states[k])
-        logs_u[k] = mix.log_density(pair.unconditional, schedule, t, states[k])
-    denom = np.sqrt(count) if count > 1 else 1.0
-    ddof = 1 if count > 1 else 0
-    return BatchResult(
-        times=times,
-        terminal=states[-1].copy(),
-        mean_update_norm=mean_update_norm,
-        mean_log_density_cond=logs_c.mean(axis=1),
-        stderr_log_density_cond=logs_c.std(axis=1, ddof=ddof) / denom,
-        mean_log_density_uncond=logs_u.mean(axis=1),
-        stderr_log_density_uncond=logs_u.std(axis=1, ddof=ddof) / denom,
-        states=states if keep_states else None,
-    )
+    return TrajectoryRecord(times=times, states=states)

@@ -15,7 +15,6 @@ from guidance_lab import (
     ShapeError,
     VectorField,
     apply_guidance,
-    cfg_velocity,
     decompose,
     degenerate_threshold,
     mixture,
@@ -42,16 +41,6 @@ def _fd_jacobian(field, x, t, h=1e-5):
 
 # ---------------------------------------------------------------------------
 # elementary operations
-
-
-def test_cfg_velocity_examples():
-    v_u = np.array([0.0, 0.0])
-    v_c = np.array([1.0, 2.0])
-    np.testing.assert_array_equal(cfg_velocity(v_u, v_c, 7.0), [7.0, 14.0])
-    np.testing.assert_array_equal(cfg_velocity(v_u, v_c, 1.0), v_c)
-    np.testing.assert_array_equal(cfg_velocity(v_u, v_c, 0.0), v_u)
-    # Affine in the scale.
-    np.testing.assert_allclose(cfg_velocity([1.0], [3.0], 2.5), [6.0])
 
 
 def test_normal_direction_examples():
@@ -90,7 +79,7 @@ def test_degenerate_threshold_formula():
 
 
 def test_decompose_axis_aligned():
-    par, orth = decompose(np.array([3.0, 4.0]), np.array([1.0, 0.0]))
+    par, orth = decompose(np.array([3.0, 4.0]), np.array([1.0, 0.0]), np.zeros(2))
     np.testing.assert_array_equal(par, [3.0, 0.0])
     np.testing.assert_array_equal(orth, [0.0, 4.0])
 
@@ -98,10 +87,11 @@ def test_decompose_axis_aligned():
 def test_decompose_orthogonal_and_collinear():
     g = np.array([0.0, 2.0])
     n = np.array([5.0, 0.0])
-    par, orth = decompose(g, n)
+    x = np.array([1.0, -1.0])
+    par, orth = decompose(g, n, x)
     np.testing.assert_allclose(par, [0.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(orth, g)
-    par, orth = decompose(2.0 * n, n)
+    par, orth = decompose(2.0 * n, n, x)
     np.testing.assert_allclose(par, 2.0 * n)
     np.testing.assert_allclose(orth, [0.0, 0.0], atol=1e-15)
 
@@ -110,9 +100,10 @@ def test_decompose_scale_free_in_normal():
     rng = np.random.default_rng(8)
     g = rng.normal(size=4)
     n = rng.normal(size=4)
-    ref_par, ref_orth = decompose(g, n)
+    x = rng.normal(size=4)
+    ref_par, ref_orth = decompose(g, n, x)
     for c in (1e-6, 3.7, 1e6):
-        par, orth = decompose(g, c * n)
+        par, orth = decompose(g, c * n, x)
         np.testing.assert_allclose(par, ref_par, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(orth, ref_orth, rtol=1e-12, atol=1e-15)
 
@@ -122,7 +113,7 @@ def test_decompose_reconstruction_and_orthogonality():
     for _ in range(25):
         g = rng.normal(size=5)
         n = rng.normal(size=5)
-        par, orth = decompose(g, n)
+        par, orth = decompose(g, n, np.zeros(5))
         np.testing.assert_allclose(par + orth, g, rtol=1e-13, atol=1e-14)
         assert abs(float(orth @ n)) <= 1e-12 * np.linalg.norm(orth) * np.linalg.norm(
             n
@@ -134,15 +125,21 @@ def test_decompose_reconstruction_and_orthogonality():
 
 
 def test_decompose_errors():
-    with pytest.raises(DegenerateNormalError):
-        decompose(np.ones(2), np.zeros(2))
-    n = np.array([1e-13, 0.0])
-    with pytest.raises(DegenerateNormalError):
-        decompose(np.ones(2), n, eps=1e-12)
+    # A normal at or below the degenerate threshold does not raise: the
+    # residual passes through whole, row by row in a batch.
+    g = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
+    n = np.array([[0.0, 0.0], [2.0, 0.0], [1e-13, 0.0]])
+    x = np.zeros((3, 2))
+    par, orth = decompose(g, n, x)
+    np.testing.assert_array_equal(par[[0, 2]], np.zeros((2, 2)))
+    np.testing.assert_array_equal(orth[[0, 2]], g[[0, 2]])
+    np.testing.assert_array_equal(par[1], [3.0, 0.0])
     with pytest.raises(ShapeError):
-        decompose(np.ones(3), np.ones(2))
+        decompose(np.ones(3), np.ones(2), np.zeros(3))
     with pytest.raises(ShapeError):
-        decompose(np.ones((2, 2)), np.ones((2, 2)))
+        decompose(np.ones(2), np.ones(2), np.zeros(3))
+    with pytest.raises(ShapeError):
+        decompose(np.ones((2, 2, 2)), np.ones((2, 2, 2)), np.zeros((2, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +177,14 @@ def test_apply_guidance_matches_step_by_step_oracle():
         scale = max(1.0, 5.0 * (1.0 - t) ** 4)
         update = scale * (g + (0.1 - 1.0) * par)
 
-        np.testing.assert_allclose(got.residual, g, rtol=1e-14)
-        np.testing.assert_allclose(got.normal, n, rtol=1e-14)
-        np.testing.assert_allclose(got.parallel, par, rtol=1e-11, atol=1e-13)
-        np.testing.assert_allclose(got.orthogonal, g - par, rtol=1e-11, atol=1e-13)
-        assert got.scale == pytest.approx(scale, rel=1e-15)
-        np.testing.assert_allclose(got.update, update, rtol=1e-11, atol=1e-13)
-        # The recorded orthogonal part really is orthogonal to the normal.
-        assert abs(float(got.orthogonal @ got.normal)) <= 1e-12 * np.linalg.norm(
-            got.orthogonal
-        ) * np.linalg.norm(got.normal)
+        split_par, split_orth = decompose(g, normal_direction(v_c, x, a), x)
+        np.testing.assert_allclose(split_par, par, rtol=1e-11, atol=1e-13)
+        np.testing.assert_allclose(split_orth, g - par, rtol=1e-11, atol=1e-13)
+        np.testing.assert_allclose(got, update, rtol=1e-11, atol=1e-13)
+        # The orthogonal part really is orthogonal to the normal.
+        assert abs(float(split_orth @ n)) <= 1e-12 * np.linalg.norm(
+            split_orth
+        ) * np.linalg.norm(n)
 
 
 def test_unconditional_normal_source():
@@ -202,7 +197,14 @@ def test_unconditional_normal_source():
     v_c = mixture.velocity(cond, sch, t, x)
     got = apply_guidance(v_u, v_c, x, t, sch, config)
     a, _ = coefficients(sch, t)
-    np.testing.assert_allclose(got.normal, a * x - v_u, rtol=1e-14)
+    g = v_c - v_u
+    n = a * x - v_u  # unconditional normal source
+    par = (float(g @ n) / float(n @ n)) * n
+    scale = guidance_scale_at(config, t)
+    expect = scale * (g + (config.parallel_scale - 1.0) * par)
+    np.testing.assert_allclose(got, expect, rtol=1e-11, atol=1e-13)
+    conditional = apply_guidance(v_u, v_c, x, t, sch, GuidanceConfig())
+    assert not np.allclose(got, conditional, rtol=1e-6)
 
 
 def test_parallel_scale_one_reproduces_cfg_bitwise():
@@ -219,8 +221,8 @@ def test_parallel_scale_one_reproduces_cfg_bitwise():
         x = rng.normal(size=2)
         v_u = mixture.velocity(uncond, sch, t, x)
         v_c = mixture.velocity(cond, sch, t, x)
-        a = apply_guidance(v_u, v_c, x, t, sch, cfg).update
-        b = apply_guidance(v_u, v_c, x, t, sch, proj).update
+        a = apply_guidance(v_u, v_c, x, t, sch, cfg)
+        b = apply_guidance(v_u, v_c, x, t, sch, proj)
         assert np.array_equal(a, b), f"bitwise mismatch at t={t}: {a} vs {b}"
 
 
@@ -234,11 +236,13 @@ def test_parallel_scale_zero_removes_normal_component():
     v_u = mixture.velocity(uncond, sch, t, x)
     v_c = mixture.velocity(cond, sch, t, x)
     got = apply_guidance(v_u, v_c, x, t, sch, config)
-    np.testing.assert_allclose(got.update, got.scale * got.orthogonal,
+    a, _ = coefficients(sch, t)
+    n = normal_direction(v_c, x, a)
+    _, orth = decompose(v_c - v_u, n, x)
+    np.testing.assert_allclose(got, guidance_scale_at(config, t) * orth,
                                rtol=1e-12, atol=1e-14)
-    assert abs(float(got.update @ got.normal)) <= 1e-10 * np.linalg.norm(
-        got.normal
-    ) * max(np.linalg.norm(got.update), 1e-30)
+    assert abs(float(got @ n)) <= 1e-10 * np.linalg.norm(n) * max(
+        np.linalg.norm(got), 1e-30)
 
 
 def test_degenerate_normal_passes_residual_through():
@@ -254,10 +258,14 @@ def test_degenerate_normal_passes_residual_through():
     v_u = mixture.velocity(uncond, sch, t, x)
     v_c = mixture.velocity(cond, sch, t, x)
     got = apply_guidance(v_u, v_c, x, t, sch, config)
-    assert np.linalg.norm(got.normal) <= degenerate_threshold(x)
-    np.testing.assert_array_equal(got.parallel, np.zeros(2))
-    np.testing.assert_array_equal(got.orthogonal, got.residual)
-    np.testing.assert_allclose(got.update, 2.0 * got.residual, rtol=1e-14)
+    a, _ = coefficients(sch, t)
+    n = normal_direction(v_c, x, a)
+    g = v_c - v_u
+    assert np.linalg.norm(n) <= degenerate_threshold(x)
+    par, orth = decompose(g, n, x)
+    np.testing.assert_array_equal(par, np.zeros(2))
+    np.testing.assert_array_equal(orth, g)
+    np.testing.assert_allclose(got, 2.0 * g, rtol=1e-14)
 
 
 def test_apply_guidance_batch_matches_single():
@@ -270,10 +278,14 @@ def test_apply_guidance_batch_matches_single():
     v_u = mixture.velocity(uncond, sch, t, xs)
     v_c = mixture.velocity(cond, sch, t, xs)
     batch = apply_guidance(v_u, v_c, xs, t, sch, config)
+    a, _ = coefficients(sch, t)
+    normals = normal_direction(v_c, xs, a)
+    batch_par, _ = decompose(v_c - v_u, normals, xs)
     for i in range(7):
         one = apply_guidance(v_u[i], v_c[i], xs[i], t, sch, config)
-        np.testing.assert_array_equal(batch.update[i], one.update)
-        np.testing.assert_array_equal(batch.parallel[i], one.parallel)
+        np.testing.assert_array_equal(batch[i], one)
+        one_par, _ = decompose(v_c[i] - v_u[i], normals[i], xs[i])
+        np.testing.assert_array_equal(batch_par[i], one_par)
 
 
 def test_guidance_config_validation():
@@ -429,7 +441,7 @@ def test_projected_update_field_matches_apply_guidance():
     t, x = 0.55, rng.normal(size=2)
     v_u = mixture.velocity(uncond, sch, t, x)
     v_c = mixture.velocity(cond, sch, t, x)
-    expect = apply_guidance(v_u, v_c, x, t, sch, config).update
+    expect = apply_guidance(v_u, v_c, x, t, sch, config)
     np.testing.assert_allclose(f(x, t), expect, rtol=1e-13)
 
 

@@ -27,27 +27,19 @@ from guidance_lab import metrics
 
 def test_point_mass_exact_value():
     # Every point of `a` sits at the origin and every point of `b` at (3,4):
-    # within-terms vanish and the distance is exactly 2 * 5 for both variants.
+    # within-terms vanish and the distance is exactly 2 * 5.
     a = np.zeros((4, 2))
     b = np.tile([3.0, 4.0], (5, 1))
-    assert energy_distance(a, b, variant="u") == 10.0
-    assert energy_distance(a, b, variant="v") == 10.0
+    assert energy_distance(a, b) == 10.0
 
 
 def test_two_point_set_against_itself():
-    # For a = b = {p, q} the U-statistic equals -d(p, q) exactly (its
-    # unbiasedness makes it negative on equal distributions), while the
-    # V-statistic is exactly zero.
+    # For a = b = {p, q} the U-statistic equals -d(p, q) exactly: its
+    # unbiasedness makes it negative on equal distributions.
     pts = np.array([[0.0, 0.0], [3.0, 4.0]])
-    assert energy_distance(pts, pts, variant="u") == -5.0
-    assert energy_distance(pts, pts, variant="v") == 0.0
-
-
-def test_v_statistic_zero_on_identical_sets():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(17, 3))
-    assert energy_distance(a, a.copy(), variant="v") == 0.0
-    assert energy_distance(a, a.copy(), variant="u") < 0.0
+    assert energy_distance(pts, pts) == -5.0
+    a = np.random.default_rng(1).normal(size=(17, 3))
+    assert energy_distance(a, a.copy()) < 0.0
 
 
 def test_exact_symmetry():
@@ -55,7 +47,6 @@ def test_exact_symmetry():
     a = rng.normal(size=(7, 2))
     b = rng.normal(loc=0.3, size=(9, 2))
     assert energy_distance(a, b) == energy_distance(b, a)
-    assert energy_distance(a, b, variant="v") == energy_distance(b, a, variant="v")
 
 
 def test_scale_equivariance():
@@ -95,8 +86,6 @@ def test_sample_validation():
         energy_distance(np.zeros((3, 1)), good)
     with pytest.raises(ShapeError):
         energy_distance(np.zeros((1, 2)), good)
-    with pytest.raises(ConfigurationError):
-        energy_distance(good, good, variant="w")
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +128,7 @@ def test_permutation_deterministic():
     assert r3.null_quantiles != r1.null_quantiles
 
 
-@pytest.mark.parametrize("variant", ["u", "v"])
-def test_null_matches_per_permutation_reference(variant):
+def test_null_matches_per_permutation_reference():
     # The reference recomputes the energy distance of every label split
     # drawn from the same seeded permutation stream.  The pooled size spans
     # more than one row block, so the blocked accumulation is exercised.
@@ -149,12 +137,12 @@ def test_null_matches_per_permutation_reference(variant):
     assert n + m > metrics._ROW_BLOCK
     pooled = np.concatenate([rng.normal(size=(n, 2)),
                              rng.normal(loc=0.3, size=(m, 2))])
-    null = metrics._permutation_null(pooled, n, 100, 9, variant)
+    null = metrics._permutation_null(pooled, n, 100, 9)
     perms = np.random.default_rng(9)
     for value in null:
         perm = perms.permutation(n + m)
         assert value == pytest.approx(
-            energy_distance(pooled[perm[:n]], pooled[perm[n:]], variant),
+            energy_distance(pooled[perm[:n]], pooled[perm[n:]]),
             rel=1e-12, abs=1e-12,
         )
 
@@ -233,8 +221,6 @@ def test_permutation_validation():
     b = np.ones((5, 1))
     with pytest.raises(ConfigurationError):
         permutation_test(a, b, n_perm=99)
-    with pytest.raises(ConfigurationError):
-        permutation_test(a, b, n_perm=100, variant="w")
 
 
 def test_custom_quantiles():

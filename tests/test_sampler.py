@@ -13,6 +13,7 @@ from guidance_lab import (
     Schedule,
     ShapeError,
     TargetPair,
+    TrajectoryRecord,
     batch_integrate,
     draw_initial_state,
     initial_states,
@@ -135,21 +136,21 @@ def test_batch_row_matches_single_trajectory():
 
     # A batch of one runs the exact same shapes as `integrate`, so it is
     # bit-identical to it.
-    solo = batch_integrate(1, pair, sch, gcfg, scfg, keep_states=True)
+    solo = batch_integrate(1, pair, sch, gcfg, scfg)
     rec0 = integrate(draw_initial_state(2, seed=11, index=0), pair, sch, gcfg, scfg)
     np.testing.assert_array_equal(solo.states[:, 0, :], rec0.states)
 
     # Larger batches hit different BLAS kernels (matrix-matrix instead of
     # matrix-vector), which may round differently by an ulp per step; the
     # trajectories still agree to fp-accumulation accuracy.
-    batch = batch_integrate(3, pair, sch, gcfg, scfg, keep_states=True)
+    batch = batch_integrate(3, pair, sch, gcfg, scfg)
     for j in range(3):
         x0 = draw_initial_state(2, seed=11, index=j)
         rec = integrate(x0, pair, sch, gcfg, scfg)
         np.testing.assert_array_equal(batch.states[0, j, :], x0)
         np.testing.assert_allclose(batch.states[:, j, :], rec.states,
                                    rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(batch.terminal[j], rec.terminal_state,
+        np.testing.assert_allclose(batch.terminal_state[j], rec.terminal_state,
                                    rtol=1e-12, atol=1e-13)
 
 
@@ -157,14 +158,12 @@ def test_batch_result_summary_shapes():
     pair = _pair()
     scfg = SamplerConfig(steps=8, seed=3)
     res = batch_integrate(5, pair, Schedule(), GuidanceConfig(), scfg)
-    assert res.count == 5
+    assert isinstance(res, TrajectoryRecord)
     assert res.times.shape == (9,)
-    assert res.mean_update_norm.shape == (8,)
-    assert res.mean_log_density_cond.shape == (9,)
-    assert res.stderr_log_density_cond.shape == (9,)
-    assert np.all(res.stderr_log_density_cond >= 0.0)
-    assert np.all(res.stderr_log_density_uncond >= 0.0)
-    assert res.states is None
+    assert res.states.shape == (9, 5, 2)
+    assert res.steps == 8 and res.dim == 2
+    assert res.terminal_state.shape == (5, 2)
+    np.testing.assert_array_equal(res.states[0], initial_states(5, 2, seed=3))
 
 
 # ---------------------------------------------------------------------------
