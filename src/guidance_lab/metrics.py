@@ -4,21 +4,27 @@ Energy distance is the workhorse: parameter-free, exact at small scale,
 and sensitive to any distributional difference.  It is the U-statistic
 (self-pairs excluded), which is unbiased and is what the permutation test
 resamples; unbiasedness means it can dip slightly below zero for samples
-from equal distributions.
+from equal distributions.  Pooled distances are rounded to a power-of-two
+grid ``h`` with at most ``52 - ceil(log2 N)`` bits below the bounding-box
+diagonal, so BLAS sums them exactly, with the same bits on any threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist
 
 from .errors import ConfigurationError, DomainError, ShapeError
 
-# Rows of the pooled distance matrix the permutation test holds at once.
-_ROW_BLOCK = 64
+# Rows and columns of the pooled distance matrix one block holds.
+_ROW_BLOCK = 256
+
+# Row sums, integers below 2**52 in h, are split as hi * 2**_SPLIT + lo.
+_SPLIT = 26
 
 DEFAULT_QUANTILES = (0.5, 0.9, 0.95, 0.99)
 
@@ -35,72 +41,72 @@ class TwoSampleResult:
     n_perm: int
 
 
-def _check_samples(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+def _pooled(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(
-            f"samples must be 2-d (n, dim) matrices, got {a.shape} and {b.shape}"
-        )
+        raise ShapeError(f"samples must be 2-d (n, dim) matrices, got "
+                         f"{a.shape} and {b.shape}")
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise ShapeError("each sample needs at least 2 points")
-    return a, b
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise DomainError("samples must be finite (no NaN or inf entries)")
+    return np.concatenate([a, b]), a.shape[0]
 
 
-def _pair_count(n):
-    """Ordered pairs a within-sample mean averages over, self-pairs
-    excluded."""
-    return n * (n - 1)
+def _split_energies(pooled, n, n_perm, seed):
+    """Energy distances of ``pooled[:n] | pooled[n:]`` and of the ``n_perm``
+    seeded permutation splits, from one pass over the grid distances ``K``.
 
-
-def _within_mean(sample):
-    total = 2.0 * float(np.sum(pdist(sample)))
-    return total / _pair_count(sample.shape[0])
+    Column ``z`` of ``labels`` marks a group ``a``; the last, all ones, gives
+    the row sums ``r``.  The within sums are ``z^T K z`` and ``sum(r) -
+    2 z^T r + z^T K z``, the between sum ``z^T r - z^T K z``.  ``K @ labels``
+    is built from the blocks on and above the diagonal.
+    """
+    size = pooled.shape[0]
+    diagonal = math.dist(pooled.max(axis=0), pooled.min(axis=0))
+    if not math.isfinite(2.0 * diagonal):
+        raise DomainError(f"twice the bounding-box diagonal {diagonal} overflows")
+    bits = 52 - (size - 1).bit_length()
+    exponent = (math.frexp(diagonal)[1] if diagonal > 0.0 else 0) - bits
+    points = np.ldexp(pooled, -exponent)  # exact: distances in units of h
+    labels = np.zeros((size, n_perm + 2))
+    labels[:n, 0] = labels[:, -1] = 1.0
+    rng = np.random.default_rng(seed)
+    for p in range(1, n_perm + 1):
+        labels[rng.permutation(size)[:n], p] = 1.0
+    kz = np.zeros_like(labels)
+    sums = np.zeros((2, 2, n_perm + 2))  # (z^T K z, z^T r) x (hi, lo)
+    for start in range(0, size, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        for col in range(start, size, _ROW_BLOCK):
+            cols = slice(col, col + _ROW_BLOCK)
+            block = np.rint(cdist(points[rows], points[cols]))
+            kz[rows] += block @ labels[cols]
+            if col > start:
+                kz[cols] += block.T @ labels[rows]
+        # Rows ``rows`` of ``kz`` are complete: fold them into the sums.
+        hi = np.floor(np.ldexp(kz[rows], -_SPLIT))
+        parts = np.stack([hi, kz[rows] - np.ldexp(hi, _SPLIT)])
+        sums[0] += np.einsum("ip,kip->kp", labels[rows], parts)
+        sums[1] += parts[:, :, -1] @ labels[rows]
+    in_a, from_a, total = sums[0, :, :-1], sums[1, :, :-1], sums[0, :, -1:]
+    pairs = np.stack([in_a, from_a - in_a, total - 2.0 * from_a + in_a])
+    sum_a, sum_ab, sum_b = np.ldexp(pairs[:, 0], _SPLIT) + pairs[:, 1]
+    m = size - n  # the bracket makes the value symmetric in a and b
+    units = 2.0 * sum_ab / (n * m) - (sum_a / (n * n - n) + sum_b / (m * m - m))
+    return np.ldexp(units, exponent)
 
 
 def energy_distance(a, b):
     """Energy distance ``2 E|A-B| - E|A-A'| - E|B-B'|`` between samples.
 
     The within terms exclude self-pairs (the U-statistic: unbiased, may be
-    slightly negative for equal distributions).  Exactly symmetric in its
-    arguments: the pair is ordered canonically before any summation.
+    slightly negative for equal distributions).  On the pooled grid the
+    value is exactly symmetric.  Non-finite entries raise ``DomainError``.
     """
-    a, b = _check_samples(a, b)
-    if a.tobytes() > b.tobytes():
-        a, b = b, a
-    between = float(np.mean(cdist(a, b)))
-    return 2.0 * between - _within_mean(a) - _within_mean(b)
-
-
-def _permutation_null(pooled, n, n_perm, seed):
-    """Energy distance of each of ``n_perm`` seeded splits of ``pooled``.
-
-    Column ``p`` of the 0/1 matrix ``labels`` marks group ``a`` of split
-    ``p``.  With ``D`` the pooled distance matrix and ``r`` its row sums,
-    group ``a`` has within sum ``z^T D z``, the between sum is
-    ``z^T r - z^T D z`` and group ``b`` has within sum
-    ``sum(r) - 2 z^T r + z^T D z``.
-    """
-    size = pooled.shape[0]
-    m = size - n
-    rng = np.random.default_rng(seed)
-    labels = np.zeros((size, n_perm))
-    for p in range(n_perm):
-        labels[rng.permutation(size)[:n], p] = 1.0
-    row_sums = np.empty(size)
-    sum_a = np.zeros(n_perm)
-    for start in range(0, size, _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        block = cdist(pooled[rows], pooled)
-        row_sums[rows] = np.sum(block, axis=1)
-        sum_a += np.einsum("ip,ip->p", labels[rows],
-                           np.einsum("ij,jp->ip", block, labels))
-    from_a = np.einsum("i,ip->p", row_sums, labels)
-    between = (from_a - sum_a) / (n * m)
-    sum_b = float(np.sum(row_sums)) - 2.0 * from_a + sum_a
-    return 2.0 * between - sum_a / _pair_count(n) - sum_b / _pair_count(m)
+    return float(_split_energies(*_pooled(a, b), 0, 0)[0])
 
 
 def permutation_test(a, b, n_perm=1000, seed=0, quantiles=DEFAULT_QUANTILES):
@@ -108,22 +114,16 @@ def permutation_test(a, b, n_perm=1000, seed=0, quantiles=DEFAULT_QUANTILES):
 
     Deterministic per seed: permutation ``p`` is the ``p``-th draw of
     ``default_rng(seed).permutation(n + m)``, whose first ``n`` entries
-    label group ``a``.  One code path serves every size: all permutations
-    are contracted together against the pooled distance matrix, which is
-    built ``_ROW_BLOCK`` rows at a time and never held whole, so memory is
-    O(_ROW_BLOCK * (n + m) + (n + m) * n_perm) doubles.  The contractions
-    use ``np.einsum``, not a BLAS product whose summation order depends on
-    the BLAS thread count, so the null does not depend on it either.
+    label group ``a``.  The statistic (``energy_distance(a, b)`` bit for bit)
+    and the null come from one pass in O((n + m) * n_perm) memory whose BLAS
+    sums are exact: no value depends on BLAS threads or ``_ROW_BLOCK``.
     """
     if n_perm < MIN_PERMUTATIONS:
-        raise ConfigurationError(
-            f"n_perm must be >= {MIN_PERMUTATIONS}, got {n_perm}")
-    a, b = _check_samples(a, b)
-    statistic = energy_distance(a, b)
-    null = _permutation_null(np.concatenate([a, b], axis=0), a.shape[0],
-                             n_perm, seed)
-    qs = {float(q): float(np.quantile(null, q)) for q in quantiles}
-    return TwoSampleResult(statistic=statistic, null_quantiles=qs, n_perm=n_perm)
+        raise ConfigurationError(f"n_perm must be >= {MIN_PERMUTATIONS}, "
+                                 f"got {n_perm}")
+    energies = _split_energies(*_pooled(a, b), n_perm, seed)
+    qs = {float(q): float(np.quantile(energies[1:], q)) for q in quantiles}
+    return TwoSampleResult(float(energies[0]), qs, n_perm)
 
 
 def loglog_slope(xs, ys):

@@ -291,9 +291,11 @@ def _laplacian(target, alpha, sigma, x):
     pts, single = _as_batch(x, target.dim)
     terms = _evaluate(target, alpha, sigma, pts)
     comp, s = _scores(target, terms)
-    sq = np.einsum("knd,knd->nk", comp, comp)
+    dev = comp - s  # centred: sum_j r_j |u_j - s|^2 = sum_j r_j |u_j|^2 - |s|^2
+    sq = np.einsum("knd,knd->nk", dev, dev)
     inv_traces = (1.0 / terms.m).sum(axis=2).T  # (n|1, k)
-    vals = np.einsum("nk,nk->n", terms.resp, sq - inv_traces) - np.sum(s * s, axis=1)
+    # A row-wise sum reduces a batch row exactly as it reduces one point.
+    vals = np.sum(terms.resp * (sq - inv_traces), axis=1)
     return float(vals[0]) if single else vals
 
 
@@ -308,8 +310,8 @@ def _hessian(target, alpha, sigma, x):
     h = np.zeros((pts.shape[0], target.dim, target.dim))
     for q, scaled in zip(target._eigvecs, terms.resp.T[:, :, None] / terms.m):
         h -= (q * scaled[:, None, :]) @ q.T
-    h += np.einsum("nk,kni,knj->nij", terms.resp, comp, comp)
-    h -= s[:, :, None] * s[:, None, :]
+    dev = comp - s  # centred, as in _laplacian
+    h += np.einsum("nk,kni,knj->nij", terms.resp, dev, dev)
     return h[0] if single else h
 
 

@@ -1,6 +1,7 @@
 """Tests for energy distance, its permutation null, and slope fits."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -49,6 +50,19 @@ def test_exact_symmetry():
     assert energy_distance(a, b) == energy_distance(b, a)
 
 
+def test_statistic_is_energy_distance_bitwise():
+    # The statistic is the identity split of the null's pass; the pair sums
+    # are exact, so it equals energy_distance in either argument order.
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(300, 3))
+    b = rng.normal(loc=0.4, size=(340, 3))
+    assert a.shape[0] + b.shape[0] > 2 * metrics._ROW_BLOCK
+    stat = permutation_test(a, b, n_perm=100, seed=1).statistic
+    assert (np.float64(stat).tobytes()
+            == np.float64(energy_distance(a, b)).tobytes()
+            == np.float64(energy_distance(b, a)).tobytes())
+
+
 def test_scale_equivariance():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(12, 2))
@@ -86,6 +100,53 @@ def test_sample_validation():
         energy_distance(np.zeros((3, 1)), good)
     with pytest.raises(ShapeError):
         energy_distance(np.zeros((1, 2)), good)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_samples_raise(bad):
+    a = np.zeros((3, 2))
+    b = np.ones((4, 2))
+    b[2, 1] = bad
+    with pytest.raises(DomainError):
+        energy_distance(a, b)
+    with pytest.raises(DomainError):
+        permutation_test(b, a, n_perm=100)
+
+
+def test_overflowing_diagonal_raises():
+    # Finite points whose bounding box has no finite diagonal: the grid
+    # step, and so the statistic, would not be finite.
+    a = np.full((3, 2), -1e308)
+    b = np.full((3, 2), 1e308)
+    with pytest.raises(DomainError):
+        energy_distance(a, b)
+    with pytest.raises(DomainError):
+        permutation_test(a, b, n_perm=100)
+
+
+def test_huge_and_zero_diagonals():
+    # Squared coordinate gaps overflow at +-1e307, but the distances are
+    # taken on the grid's power-of-two scale, so the result is finite:
+    # twice the gap between the two point masses, to the grid step (2**-49
+    # of a power of two above the diagonal at 7 points).
+    a = np.full((3, 2), -1e307)
+    b = np.full((4, 2), 1e307)
+    assert energy_distance(a, b) == pytest.approx(2.0 * math.hypot(2e307, 2e307),
+                                                  rel=1e-14)
+    res = permutation_test(a, b, n_perm=100)
+    assert np.isfinite(res.statistic)
+    assert all(np.isfinite(list(res.null_quantiles.values())))
+    # Power-of-two scaling is exact on the grid.
+    rng = np.random.default_rng(13)
+    x, y = rng.normal(size=(20, 2)), rng.normal(size=(30, 2))
+    assert energy_distance(2.0**1000 * x, 2.0**1000 * y) == (
+        2.0**1000 * energy_distance(x, y))
+    # All points equal: a zero diagonal and an exactly zero statistic.
+    same = np.full((5, 3), 0.75)
+    assert energy_distance(same, same) == 0.0
+    res = permutation_test(same, same, n_perm=100)
+    assert res.statistic == 0.0
+    assert set(res.null_quantiles.values()) == {0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +198,7 @@ def test_null_matches_per_permutation_reference():
     assert n + m > metrics._ROW_BLOCK
     pooled = np.concatenate([rng.normal(size=(n, 2)),
                              rng.normal(loc=0.3, size=(m, 2))])
-    null = metrics._permutation_null(pooled, n, 100, 9)
+    null = metrics._split_energies(pooled, n, 100, 9)[1:]
     perms = np.random.default_rng(9)
     for value in null:
         perm = perms.permutation(n + m)
@@ -145,6 +206,16 @@ def test_null_matches_per_permutation_reference():
             energy_distance(pooled[perm[:n]], pooled[perm[n:]]),
             rel=1e-12, abs=1e-12,
         )
+
+
+def test_null_independent_of_row_block(monkeypatch):
+    # Every blocked sum is exact, so the block size cannot move a bit.
+    rng = np.random.default_rng(14)
+    pooled = rng.normal(size=(300, 2))
+    default = metrics._split_energies(pooled, 140, 100, 5)
+    monkeypatch.setattr(metrics, "_ROW_BLOCK", 7)
+    assert metrics._split_energies(pooled, 140, 100, 5).tobytes() == (
+        default.tobytes())
 
 
 def _outputs_at_blas_threads(script, *args):
@@ -164,8 +235,10 @@ def _outputs_at_blas_threads(script, *args):
 
 
 def test_null_independent_of_blas_threads():
-    # BLAS splits a product's sums differently per thread count; the null
-    # must not.  The quantiles at k/99 are the 100 sorted null values.
+    # BLAS splits a product's sums differently per thread count; the
+    # statistic and the null must not move.  The quantiles at k/99 are the
+    # 100 sorted null values.  The pooled size spans several row blocks.
+    assert 1200 > 4 * metrics._ROW_BLOCK
     script = (
         "import numpy as np\n"
         "from guidance_lab import permutation_test\n"
@@ -173,8 +246,8 @@ def test_null_independent_of_blas_threads():
         "a = rng.normal(size=(600, 2))\n"
         "b = rng.normal(loc=0.2, size=(600, 2))\n"
         "qs = [k / 99 for k in range(100)]\n"
-        "print(repr(permutation_test(a, b, n_perm=100, seed=3,\n"
-        "                            quantiles=qs).null_quantiles))\n"
+        "res = permutation_test(a, b, n_perm=100, seed=3, quantiles=qs)\n"
+        "print(repr(res.statistic), repr(res.null_quantiles))\n"
     )
     outputs = _outputs_at_blas_threads(script)
     assert outputs[0] == outputs[1]

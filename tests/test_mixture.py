@@ -295,6 +295,24 @@ def test_single_gaussian_hessian_is_minus_precision():
         )
 
 
+def test_sharp_gaussian_curvature_does_not_cancel_the_score():
+    # Late in time a sharp component has |score|^2 ~ 1e10 at a point off its
+    # mean, while its Laplacian is -2 / m ~ -1.7e5.  Forming the curvature
+    # as sum_j r_j |u_j|^2 - |score|^2 lost 1e-10 relative to that
+    # cancellation; the centred form keeps it to a few ulps.
+    g = GaussianMixture.isotropic([[4.0, 0.0]], [1.875e-3])
+    t = 0.99713
+    m = t * t * 1.875e-3 ** 2 + (1.0 - t) ** 2
+    x = np.array([[5.0, 1.0], [3.0, -1.0]])
+    sch = Schedule()
+    assert np.sum(mixture.score(g, sch, t, x) ** 2, axis=1).min() > 1e10
+    np.testing.assert_allclose(mixture.laplacian_log_density(g, sch, t, x),
+                               -2.0 / m, rtol=1e-14)
+    np.testing.assert_allclose(mixture.hessian_log_density(g, sch, t, x),
+                               np.broadcast_to(-np.eye(2) / m, (2, 2, 2)),
+                               rtol=1e-14, atol=0.0)
+
+
 def test_hessian_symmetric_and_trace_is_laplacian():
     rng = np.random.default_rng(404)
     target = _random_mixture(rng, 3, 4)
