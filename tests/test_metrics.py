@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist, pdist
 
 from guidance_lab import (
     ConfigurationError,
@@ -189,10 +190,30 @@ def test_permutation_deterministic():
     assert r3.null_quantiles != r1.null_quantiles
 
 
+def _reference_energy(a, b):
+    """The U-statistic energy distance on unrounded float distances."""
+    n, m = a.shape[0], b.shape[0]
+    return (2.0 * cdist(a, b).mean() - 2.0 * pdist(a).sum() / (n * (n - 1))
+            - 2.0 * pdist(b).sum() / (m * (m - 1)))
+
+
+def test_energy_distance_matches_float_reference():
+    # Several row blocks, so the off-diagonal transposed products, the
+    # hi/lo fold and the final bracket all enter; the grid rounding moves
+    # the value by far less than the bound.
+    rng = np.random.default_rng(15)
+    a = rng.normal(size=(400, 3))
+    b = rng.normal(loc=0.25, scale=1.5, size=(330, 3))
+    assert a.shape[0] + b.shape[0] > 2 * metrics._ROW_BLOCK
+    assert energy_distance(a, b) == pytest.approx(_reference_energy(a, b),
+                                                  rel=1e-12, abs=1e-12)
+
+
 def test_null_matches_per_permutation_reference():
     # The reference recomputes the energy distance of every label split
-    # drawn from the same seeded permutation stream.  The pooled size spans
-    # more than one row block, so the blocked accumulation is exercised.
+    # drawn from the same seeded permutation stream, on unrounded float
+    # distances.  The pooled size spans more than one row block, so the
+    # blocked accumulation is exercised.
     rng = np.random.default_rng(8)
     n, m = 150, 170
     assert n + m > metrics._ROW_BLOCK
@@ -203,7 +224,7 @@ def test_null_matches_per_permutation_reference():
     for value in null:
         perm = perms.permutation(n + m)
         assert value == pytest.approx(
-            energy_distance(pooled[perm[:n]], pooled[perm[n:]]),
+            _reference_energy(pooled[perm[:n]], pooled[perm[n:]]),
             rel=1e-12, abs=1e-12,
         )
 

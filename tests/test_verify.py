@@ -57,17 +57,25 @@ def test_guidance_identity_checks_pass_at_any_seed(seed):
         assert result.passed, (seed, result)
 
 
-def test_flux_check_fails_when_beta_is_squared(monkeypatch):
+@pytest.mark.parametrize("defect, floor", [
+    ({"parallel_scale": lambda c: c.parallel_scale ** 2}, 1.0),
+    ({"parallel_scale": lambda c: 1.0}, 0.5),
+    ({"normal_source": lambda c: guidance.NormalSource.UNCONDITIONAL}, 0.5),
+], ids=["beta_squared", "no_parallel_rescale", "unconditional_normal"])
+def test_flux_check_fails_on_injected_defect(monkeypatch, defect, floor):
+    # The gap is measured against scale * (1 + |beta - 1|) * |g| |score|,
+    # looser than sum |update_i| |score_i|; each defect still shows as a
+    # gap of order one, far above the 1e-8 gate.
     exact = guidance.apply_guidance
 
-    def squared(v_u, v_c, x, t, schedule, config):
+    def broken(v_u, v_c, x, t, schedule, config):
         return exact(v_u, v_c, x, t, schedule, dataclasses.replace(
-            config, parallel_scale=config.parallel_scale ** 2))
+            config, **{key: f(config) for key, f in defect.items()}))
 
-    monkeypatch.setattr(guidance, "apply_guidance", squared)
+    monkeypatch.setattr(guidance, "apply_guidance", broken)
     result = verify.check_parallel_flux_scaling(default_config("verify"))
     assert not result.passed
-    assert result.measured > 1.0
+    assert result.measured > floor
 
 
 # ---------------------------------------------------------------------------
