@@ -145,11 +145,10 @@ def run_sweep_beta(config):
     return 0
 
 
-def _terminal_run(config, rule, sampler_seed):
-    sampler_cfg = dataclasses.replace(config.sampler, seed=sampler_seed)
-    return smp.batch_integrate(
-        config.sample_count, config.pair, config.schedule, rule, sampler_cfg
-    )
+def _terminal_run(config, rule, x0s):
+    """Integrate a rule from initial states that every rule it is compared
+    with shares."""
+    return smp.integrate(x0s, config.pair, config.schedule, rule, config.sampler)
 
 
 def _mean_terminal_log_p(config, batch):
@@ -172,14 +171,15 @@ def run_sweep_omega(config):
     rows = []
     summary = {}
     for oi, omega in enumerate(config.omega_sweep):
-        sampler_seed = _child_seed(config.seed, 1, oi)
+        x0s = smp.initial_states(config.sample_count, config.pair.dim,
+                                 _child_seed(config.seed, 1, oi))
         oracle = _oracle_terminal_draws(
             config, config.sample_count, _child_seed(config.seed, 2, oi)
         )
         for ri, (rule_name, rule) in enumerate(
             [("cfg", _cfg_rule(omega)), ("projected", _projected(config, omega=omega))]
         ):
-            batch = _terminal_run(config, rule, sampler_seed)
+            batch = _terminal_run(config, rule, x0s)
             result = metrics.permutation_test(
                 batch.terminal_state, oracle, n_perm=config.n_perm,
                 seed=_child_seed(config.seed, 3, oi, ri),
@@ -226,10 +226,12 @@ def run_sample_compare(config):
     report = {"sample_count": config.sample_count,
               "guidance_scale": config.guidance.guidance_scale, "rules": {}}
     omega = config.guidance.guidance_scale
+    x0s = smp.initial_states(config.sample_count, config.pair.dim,
+                             config.sampler.seed)
     for ri, (rule_name, rule) in enumerate(
         [("cfg", _cfg_rule(omega)), ("projected", _projected(config))]
     ):
-        batch = _terminal_run(config, rule, config.sampler.seed)
+        batch = _terminal_run(config, rule, x0s)
         _write_table(
             _samples_table(batch.terminal_state),
             os.path.join(config.output_dir, f"samples_{rule_name}.csv"),

@@ -7,6 +7,9 @@ resamples; unbiasedness means it can dip slightly below zero for samples
 from equal distributions.  Pooled distances are rounded to a power-of-two
 grid ``h`` with at most ``52 - ceil(log2 N)`` bits below the bounding-box
 diagonal, so BLAS sums them exactly, with the same bits on any threads.
+The pass visits each distance block on or above the diagonal once, with
+one product: an off-diagonal block counts twice, which that grid leaves a
+spare bit for (see ``_split_energies``).
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from .errors import ConfigurationError, DomainError, ShapeError
 # Rows and columns of the pooled distance matrix one block holds.
 _ROW_BLOCK = 256
 
-# Row sums, integers below 2**52 in h, are split as hi * 2**_SPLIT + lo.
+# Row accumulators, integers of at most 2**53 in h, are split as
+# hi * 2**_SPLIT + lo, so their dots with the labels sum exactly.
 _SPLIT = 26
 
 DEFAULT_QUANTILES = (0.5, 0.9, 0.95, 0.99)
@@ -55,14 +59,26 @@ def _pooled(a, b):
     return np.concatenate([a, b]), a.shape[0]
 
 
+def _hi_lo(values):
+    """Exact split of integer-valued ``values`` as ``hi * 2**_SPLIT + lo``."""
+    hi = np.floor(np.ldexp(values, -_SPLIT))
+    return np.stack([hi, values - np.ldexp(hi, _SPLIT)])
+
+
 def _split_energies(pooled, n, n_perm, seed):
     """Energy distances of ``pooled[:n] | pooled[n:]`` and of the ``n_perm``
     seeded permutation splits, from one pass over the grid distances ``K``.
 
-    Column ``z`` of ``labels`` marks a group ``a``; the last, all ones, gives
-    the row sums ``r``.  The within sums are ``z^T K z`` and ``sum(r) -
-    2 z^T r + z^T K z``, the between sum ``z^T r - z^T K z``.  ``K @ labels``
-    is built from the blocks on and above the diagonal.
+    Column ``z`` of ``labels`` marks a group ``a``.  With ``r`` the row sums
+    of ``K``, the within sums are ``z^T K z`` and ``sum(r) - 2 z^T r +
+    z^T K z``, the between sum ``z^T r - z^T K z``.  Only the blocks on and
+    above the diagonal are visited, each with one product: row block ``I``
+    accumulates ``K_II z_I + 2 sum_{J>I} K_IJ z_J``, whose dot with ``z_I``
+    summed over ``I`` is ``z^T K z``.  Every grid distance is at most
+    ``2**bits`` with ``N * 2**bits <= 2**52``, so a row sum is at most
+    ``2**52`` and the doubled accumulator at most ``2**53``: every BLAS
+    partial sum is an exact integer.  ``r`` gathers exact block row and
+    column sums.
     """
     size = pooled.shape[0]
     diagonal = math.dist(pooled.max(axis=0), pooled.min(axis=0))
@@ -71,27 +87,30 @@ def _split_energies(pooled, n, n_perm, seed):
     bits = 52 - (size - 1).bit_length()
     exponent = (math.frexp(diagonal)[1] if diagonal > 0.0 else 0) - bits
     points = np.ldexp(pooled, -exponent)  # exact: distances in units of h
-    labels = np.zeros((size, n_perm + 2))
-    labels[:n, 0] = labels[:, -1] = 1.0
+    labels = np.zeros((size, n_perm + 1))
+    labels[:n, 0] = 1.0
     rng = np.random.default_rng(seed)
     for p in range(1, n_perm + 1):
         labels[rng.permutation(size)[:n], p] = 1.0
-    kz = np.zeros_like(labels)
-    sums = np.zeros((2, 2, n_perm + 2))  # (z^T K z, z^T r) x (hi, lo)
+    r = np.zeros(size)
+    sums = np.zeros((3, 2, n_perm + 1))  # (z^T K z, z^T r, sum(r)) x (hi, lo)
     for start in range(0, size, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        for col in range(start, size, _ROW_BLOCK):
+        block = np.rint(cdist(points[rows], points[rows]))
+        acc = block @ labels[rows]
+        r[rows] += block.sum(axis=1)
+        for col in range(start + _ROW_BLOCK, size, _ROW_BLOCK):
             cols = slice(col, col + _ROW_BLOCK)
             block = np.rint(cdist(points[rows], points[cols]))
-            kz[rows] += block @ labels[cols]
-            if col > start:
-                kz[cols] += block.T @ labels[rows]
-        # Rows ``rows`` of ``kz`` are complete: fold them into the sums.
-        hi = np.floor(np.ldexp(kz[rows], -_SPLIT))
-        parts = np.stack([hi, kz[rows] - np.ldexp(hi, _SPLIT)])
-        sums[0] += np.einsum("ip,kip->kp", labels[rows], parts)
-        sums[1] += parts[:, :, -1] @ labels[rows]
-    in_a, from_a, total = sums[0, :, :-1], sums[1, :, :-1], sums[0, :, -1:]
+            acc += 2.0 * (block @ labels[cols])
+            r[rows] += block.sum(axis=1)
+            r[cols] += block.sum(axis=0)
+        # Row block ``rows`` of ``acc`` and ``r`` is complete: fold it in.
+        row_parts = _hi_lo(r[rows])
+        sums[0] += np.einsum("ip,kip->kp", labels[rows], _hi_lo(acc))
+        sums[1] += row_parts @ labels[rows]
+        sums[2] += row_parts.sum(axis=1)[:, None]
+    in_a, from_a, total = sums
     pairs = np.stack([in_a, from_a - in_a, total - 2.0 * from_a + in_a])
     sum_a, sum_ab, sum_b = np.ldexp(pairs[:, 0], _SPLIT) + pairs[:, 1]
     m = size - n  # the bracket makes the value symmetric in a and b

@@ -23,6 +23,12 @@ Conventions used throughout:
   covariance's eigenvectors form a signed permutation, which rotates exactly;
 * points ``x`` may be a single vector of shape ``(dim,)`` or a batch of
   shape ``(n, dim)``; outputs match;
+* every rotation into or out of an eigenbasis is one stacked BLAS product
+  over the components.  One point rotates with matrix-vector products and a
+  batch with matrix-matrix ones, so a batch row equals the same point
+  evaluated alone bit for bit up to ``dim = 3`` and to roundoff above it
+  (at most 1.5e-13 relative in a Hessian and 7e-14 in a velocity at
+  ``dim = 64``);
 * the time ``t`` of a module-level oracle may be a scalar, shared by every
   point, or an ``(n,)`` array holding one time per point of the batch, so
   a whole trajectory is one call.  The path coefficients then become
@@ -132,9 +138,11 @@ class GaussianMixture:
         self._log_weights = np.log(weights)
         self._eigvals = eigvals  # (k, dim): lam_j
         self._eigvecs = eigvecs  # (k, dim, dim): columns of Q_j
+        self._eigvecs_t = np.ascontiguousarray(np.swapaxes(eigvecs, 1, 2))  # Q_j^T
         self._rotated_means = np.einsum("kij,ki->kj", eigvecs, means)  # Q_j^T mu_j
         for arr in (self.weights, self.means, self.covariances, self._chols,
-                    self._eigvals, self._eigvecs, self._rotated_means):
+                    self._eigvals, self._eigvecs, self._eigvecs_t,
+                    self._rotated_means):
             arr.setflags(write=False)
 
     # -- convenience constructors -------------------------------------------------
@@ -254,7 +262,7 @@ def _evaluate(target, alpha, sigma, pts):
     a, s = _column(alpha), _column(sigma)
     m = (a * a) * target._eigvals[:, None, :] + s * s
     delta = pts[None, :, :] - a * target.means[:, None, :]
-    resid = np.einsum("kij,kni->knj", target._eigvecs, delta)
+    resid = delta @ target._eigvecs  # rows Q_j^T (x - alpha mu_j)
     whitened = resid / m
     log_norms = target._log_weights[:, None] - 0.5 * (
         target.dim * _LOG_2PI + np.log(m).sum(axis=2)
@@ -271,7 +279,7 @@ def _evaluate(target, alpha, sigma, pts):
 def _scores(target, terms):
     """Per-component scores ``u_j = -Q_j w_j`` (k, n, dim) and the mixture
     score ``sum_j r_j u_j`` (n, dim)."""
-    comp = -np.einsum("kij,knj->kni", target._eigvecs, terms.whitened)
+    comp = -(terms.whitened @ target._eigvecs_t)
     return comp, np.einsum("nk,knd->nd", terms.resp, comp)
 
 
@@ -304,14 +312,19 @@ def _hessian(target, alpha, sigma, x):
     terms = _evaluate(target, alpha, sigma, pts)
     comp, s = _scores(target, terms)
     # sum_j r_j M_j^{-1} with M_j^{-1} = Q_j diag(1 / m_j) Q_j^T: one BLAS
-    # product per component, so no (k, n, dim, dim) stack is formed.  A
-    # three-operand einsum over the eigenbasis runs in numpy's C loop, about
-    # ten times slower than BLAS at dim = 512.
+    # product per component, so no (k, n, dim, dim) stack is formed.
     h = np.zeros((pts.shape[0], target.dim, target.dim))
     for q, scaled in zip(target._eigvecs, terms.resp.T[:, :, None] / terms.m):
         h -= (q * scaled[:, None, :]) @ q.T
+    # sum_j r_j dev_j dev_j^T as one (dim, k) @ (k, dim) BLAS product per
+    # point: its shape does not depend on n, so a batch row sums exactly as
+    # one point does.  A three-operand einsum runs in numpy's C loop, about
+    # ten times slower than BLAS at dim = 512.  The rotations that give
+    # dev are BLAS products too, so a whole batch row equals one point bit
+    # for bit up to dim = 3 and within 1.5e-13 relative at dim = 64.
     dev = comp - s  # centred, as in _laplacian
-    h += np.einsum("nk,kni,knj->nij", terms.resp, dev, dev)
+    weighted = np.transpose(dev, (1, 2, 0)) * terms.resp[:, None, :]  # (n, dim, k)
+    h += weighted @ np.swapaxes(dev, 0, 1)
     return h[0] if single else h
 
 
@@ -352,16 +365,14 @@ def posterior(target, schedule, t, x) -> PosteriorMoments:
     pts, single = _as_batch(x, target.dim)
     terms = _evaluate(target, alpha, sigma, pts)
     resp, m = terms.resp, terms.m
-    q, lam = target._eigvecs, target._eigvals[:, None, :]
+    lam = target._eigvals[:, None, :]
 
     a = _column(alpha)
     s = _column(sigma)
     sig2 = s * s
-    rotated = np.einsum("kij,ni->knj", q, pts)  # Q_j^T x
-    comp_means = np.einsum(
-        "kij,knj->kni", q,
-        (sig2 * target._rotated_means[:, None, :] + a * lam * rotated) / m,
-    )
+    rotated = pts @ target._eigvecs  # (k, n, dim) rows Q_j^T x
+    comp_means = ((sig2 * target._rotated_means[:, None, :] + a * lam * rotated)
+                  / m) @ target._eigvecs_t
     comp_traces = sig2 * np.sum(lam / m, axis=2).T  # (n|1, k)
 
     mean = np.einsum("nk,knd->nd", resp, comp_means)

@@ -72,9 +72,8 @@ class TrajectoryRecord:
     """Integrated trajectories: the time grid and the state at each time.
 
     ``states`` holds ``steps + 1`` entries, the initial states included,
-    one per entry of ``times``: each a ``(dim,)`` state for one trajectory
-    from ``integrate``, or a ``(count, dim)`` batch from
-    ``batch_integrate``.
+    one per entry of ``times``: each a ``(dim,)`` state for one trajectory,
+    or a ``(count, dim)`` batch when ``integrate`` started from a batch.
     """
 
     times: np.ndarray
@@ -138,22 +137,25 @@ def _euler(x0s, pair, schedule, guidance_config, sampler_config,
 
 def integrate(x0, pair, schedule, guidance_config, sampler_config,
               guidance_field=None):
-    """Integrate one trajectory from ``x0`` and return its record.
+    """Integrate from ``x0`` and return the record.
 
-    ``guidance_field``, when given, replaces the configured guidance rule
-    with an arbitrary vector field of ``(x, t)`` (the unconditional
-    velocity stays the base flow).  A single trajectory is bit-identical to
-    the corresponding row of a batch because both run the same vectorized
-    loop.
+    ``x0`` is one ``(dim,)`` initial state, whose record holds ``(dim,)``
+    states, or a ``(count, dim)`` batch, whose record holds ``(count,
+    dim)`` batches.  ``guidance_field``, when given, replaces the
+    configured guidance rule with an arbitrary vector field of ``(x, t)``
+    (the unconditional velocity stays the base flow).  A single trajectory
+    runs the same vectorized loop as a batch of one.
     """
     x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1 or x0.shape[0] != pair.dim:
-        raise ShapeError(f"x0 shape {x0.shape} does not match pair dim {pair.dim}")
+    if x0.ndim not in (1, 2) or x0.shape[-1] != pair.dim:
+        raise ShapeError(f"x0 shape {x0.shape} does not match pair dim {pair.dim}; "
+                         f"expected ({pair.dim},) or (count, {pair.dim})")
     times, states = _euler(
-        x0[None, :], pair, schedule, guidance_config, sampler_config,
+        np.atleast_2d(x0), pair, schedule, guidance_config, sampler_config,
         guidance_field=guidance_field,
     )
-    return TrajectoryRecord(times=times, states=states[:, 0, :])
+    return TrajectoryRecord(times=times,
+                            states=states if x0.ndim == 2 else states[:, 0, :])
 
 
 def draw_initial_state(dim, seed, index=0):
@@ -180,9 +182,6 @@ def batch_integrate(count, pair, schedule, guidance_config, sampler_config,
     seed, so trajectory ``j`` is identical no matter the batch size.  The
     record's ``states`` has shape ``(steps + 1, count, dim)``.
     """
-    x0s = initial_states(count, pair.dim, sampler_config.seed)
-    times, states = _euler(
-        x0s, pair, schedule, guidance_config, sampler_config,
-        guidance_field=guidance_field,
-    )
-    return TrajectoryRecord(times=times, states=states)
+    return integrate(initial_states(count, pair.dim, sampler_config.seed), pair,
+                     schedule, guidance_config, sampler_config,
+                     guidance_field=guidance_field)

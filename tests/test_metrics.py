@@ -198,9 +198,9 @@ def _reference_energy(a, b):
 
 
 def test_energy_distance_matches_float_reference():
-    # Several row blocks, so the off-diagonal transposed products, the
-    # hi/lo fold and the final bracket all enter; the grid rounding moves
-    # the value by far less than the bound.
+    # Several row blocks, so the doubled off-diagonal products, the block
+    # row and column sums, the hi/lo fold and the final bracket all enter;
+    # the grid rounding moves the value by far less than the bound.
     rng = np.random.default_rng(15)
     a = rng.normal(size=(400, 3))
     b = rng.normal(loc=0.25, scale=1.5, size=(330, 3))
@@ -227,6 +227,34 @@ def test_null_matches_per_permutation_reference():
             _reference_energy(pooled[perm[:n]], pooled[perm[n:]]),
             rel=1e-12, abs=1e-12,
         )
+
+
+@pytest.mark.parametrize("at_origin", [1, 1023])
+def test_null_exact_at_top_of_grid(monkeypatch, at_origin):
+    # Pooled points sit at two corners, the origin and x = 1 - 2**-42, so
+    # every cross distance is the grid's top, 2**41 at N = 2047 (just under
+    # a power of two; eight row blocks).  Row block I accumulates
+    # K_II z_I + 2 sum_{J>I} K_IJ z_J.  With half the points at each corner
+    # a row's accumulator peaks near 2**52; with a lone point at the origin
+    # and every other point in sample a, that row's nears 2**53.  One bit
+    # more of grid would round it, and the block size would then move the
+    # null.
+    size = 2047
+    pooled = np.zeros((size, 2))
+    pooled[at_origin:, 0] = 1.0 - 2.0**-42
+    n = size - 2
+    assert size > 4 * metrics._ROW_BLOCK
+    energies = metrics._split_energies(pooled, n, 20, 3)
+    perms = np.random.default_rng(3)
+    splits = [np.arange(size)] + [perms.permutation(size) for _ in range(20)]
+    for value, perm in zip(energies, splits):
+        assert value == pytest.approx(
+            _reference_energy(pooled[perm[:n]], pooled[perm[n:]]),
+            rel=1e-12, abs=1e-12,
+        )
+    monkeypatch.setattr(metrics, "_ROW_BLOCK", 7)
+    assert metrics._split_energies(pooled, n, 20, 3).tobytes() == (
+        energies.tobytes())
 
 
 def test_null_independent_of_row_block(monkeypatch):
@@ -307,6 +335,42 @@ def test_trace_divergence_independent_of_blas_threads(tmp_path):
     )
     outputs = _outputs_at_blas_threads(script, str(config), str(tmp_path / "out"))
     assert outputs[0].count("\n") == 63  # header + 61 states + print's newline
+    assert outputs[0] == outputs[1]
+
+
+def test_sample_compare_independent_of_blas_threads(tmp_path):
+    # Euler sampling rotates whole batches into d = 16 eigenbases with
+    # stacked matrix products, then the null runs on the terminal states;
+    # every artifact must come out byte-identical either way.
+    rng = np.random.default_rng(16)
+    dim, k = 16, 3
+    covs = []
+    for _ in range(k):
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        covs.append(q @ np.diag(rng.uniform(0.05, 0.3, dim) ** 2) @ q.T)
+    uncond = GaussianMixture(np.full(k, 1.0 / k), rng.normal(0.0, 2.0, (k, dim)),
+                             covs)
+    cond = GaussianMixture.single(uncond.means[0], 0.0625 * uncond.covariances[0])
+    config = tmp_path / "compare_d16_full.json"
+    config.write_text(json.dumps({
+        "kind": "sample_compare",
+        "targets": {"conditional": target_to_dict(cond),
+                    "unconditional": target_to_dict(uncond)},
+        "guidance": {"guidance_scale": 15.0},
+        "samples": {"count": 300, "n_perm": 100},
+    }))
+    script = (
+        "import contextlib, io, os, sys\n"
+        "from guidance_lab import cli\n"
+        "config, out = sys.argv[1:]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['sample_compare', '--config', config,\n"
+        "                     '--out', out]) == 0\n"
+        "for name in sorted(os.listdir(out)):\n"
+        "    print(name, open(os.path.join(out, name)).read())\n"
+    )
+    outputs = _outputs_at_blas_threads(script, str(config), str(tmp_path / "out"))
+    assert outputs[0].count("samples_") == 3
     assert outputs[0] == outputs[1]
 
 

@@ -86,11 +86,11 @@ def test_target_pair_validation():
 
 
 def test_integrate_rejects_bad_x0():
+    # One (dim,) state or a (count, dim) batch; nothing else.
     pair = _pair()
-    with pytest.raises(ShapeError):
-        integrate(np.zeros(3), pair, Schedule(), GuidanceConfig(), SamplerConfig())
-    with pytest.raises(ShapeError):
-        integrate(np.zeros((2, 2)), pair, Schedule(), GuidanceConfig(), SamplerConfig())
+    for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((1, 2, 2)), np.zeros(())):
+        with pytest.raises(ShapeError):
+            integrate(bad, pair, Schedule(), GuidanceConfig(), SamplerConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +140,16 @@ def test_batch_row_matches_single_trajectory():
     rec0 = integrate(draw_initial_state(2, seed=11, index=0), pair, sch, gcfg, scfg)
     np.testing.assert_array_equal(solo.states[:, 0, :], rec0.states)
 
-    # Larger batches hit different BLAS kernels (matrix-matrix instead of
-    # matrix-vector), which may round differently by an ulp per step; the
-    # trajectories still agree to fp-accumulation accuracy.
+    # Larger batches rotate into the eigenbases with matrix-matrix BLAS
+    # products instead of matrix-vector ones.  Up to dim 3 both round alike;
+    # above it a batch row differs from a single point by roundoff (at most
+    # 7e-14 relative in a d = 64 velocity), so the trajectories are compared
+    # to fp-accumulation accuracy.  A batch is `integrate` from the seeded
+    # initial states.
     batch = batch_integrate(3, pair, sch, gcfg, scfg)
+    np.testing.assert_array_equal(
+        integrate(initial_states(3, 2, seed=11), pair, sch, gcfg, scfg).states,
+        batch.states)
     for j in range(3):
         x0 = draw_initial_state(2, seed=11, index=j)
         rec = integrate(x0, pair, sch, gcfg, scfg)
