@@ -23,12 +23,12 @@ Conventions used throughout:
   covariance's eigenvectors form a signed permutation, which rotates exactly;
 * points ``x`` may be a single vector of shape ``(dim,)`` or a batch of
   shape ``(n, dim)``; outputs match;
-* every rotation into or out of an eigenbasis is one stacked BLAS product
-  over the components.  One point rotates with matrix-vector products and a
-  batch with matrix-matrix ones, so a batch row equals the same point
-  evaluated alone bit for bit up to ``dim = 3`` and to roundoff above it
-  (at most 1.5e-13 relative in a Hessian and 7e-14 in a velocity at
-  ``dim = 64``);
+* an oracle's every rotation into or out of an eigenbasis is one stacked
+  BLAS product over the components.  One point rotates with matrix-vector
+  products and a batch with matrix-matrix ones, so a batch row equals the
+  same point evaluated alone bit for bit up to ``dim = 3`` and to roundoff
+  above it (at most 1.5e-13 relative in a Hessian and 7e-14 in a velocity
+  at ``dim = 64``);
 * the time ``t`` of a module-level oracle may be a scalar, shared by every
   point, or an ``(n,)`` array holding one time per point of the batch, so
   a whole trajectory is one call.  The path coefficients then become
