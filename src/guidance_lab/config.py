@@ -7,7 +7,7 @@ The on-disk format is a single JSON object::
               | "sweep_omega" | "sample_compare",
       "seed": 0,
       "output_dir": "out",
-      "schedule":  {"kind": "linear", "t_min": 0.001, "t_max": 0.999},
+      "schedule":  {"t_min": 0.001, "t_max": 0.999},
       "targets":   {"conditional": TARGET, "unconditional": TARGET},
       "guidance":  {"guidance_scale": 5.0, "min_scale": 1.0,
                     "decay_power": 4.0, "parallel_scale": 0.1,
@@ -20,12 +20,15 @@ The on-disk format is a single JSON object::
 with TARGET = ``{"dim": D, "components": [{"weight": w, "mean": [...],
 "cov_diag": [...] | "cov_full": [[...]]}]}``.  Parsing then serializing a
 parsed config reproduces the dictionary exactly.  There is no guidance
-rule key: each experiment kind fixes the rules it compares (see ``cli``).
+rule key: each experiment kind fixes the rules it compares (see ``cli``),
+and no schedule kind: the path is always the linear one (see ``schedule``).
 
 Parsing is strict: every block rejects keys it does not know and values of
 the wrong JSON type with ``ConfigurationError``.  Integer fields take JSON
-integers only (not booleans or fractional numbers), and real fields take
-any JSON number.
+integers only (not booleans or fractional numbers), and real fields and
+arrays take finite JSON numbers only (not ``NaN`` or ``Infinity``).  Seeds
+must be non-negative, and the sampler grid must lie inside the schedule
+clamp, so a bad config fails before any artifact is written.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from . import metrics
 from . import mixture as mix
 from .errors import ConfigurationError
 from .guidance import GuidanceConfig, NormalSource
-from .sampler import SamplerConfig, TargetPair
-from .schedule import Schedule, ScheduleKind
+from .sampler import SamplerConfig, TargetPair, _check_grid
+from .schedule import Schedule
 from .tables import write_json
 
 KINDS = ("verify", "trace_divergence", "sweep_beta", "sweep_omega",
@@ -96,6 +99,9 @@ class ExperimentConfig:
             raise ConfigurationError(f"{self.kind} requires a non-empty beta_sweep")
         if self.kind == "sweep_omega" and not self.omega_sweep:
             raise ConfigurationError("sweep_omega requires a non-empty omega_sweep")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        _check_grid(self.schedule, self.sampler)
         if self.sample_count < 2:
             raise ConfigurationError(
                 f"samples.count must be >= 2, got {self.sample_count}"
@@ -138,7 +144,10 @@ def _real(block, key, default, where):
     value = _field(block, key, default, where)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not np.isfinite(value):
+        raise ConfigurationError(f"{where}.{key} must be finite, got {value!r}")
+    return value
 
 
 def _text(block, key, default, where):
@@ -169,6 +178,8 @@ def _real_array(block, key, default, where, ndim):
         raise ConfigurationError(
             f"{where}.{key} must be {ndim}-dimensional, got {value!r}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise ConfigurationError(f"{where}.{key} must be finite, got {value!r}")
     return arr
 
 
@@ -248,14 +259,8 @@ def _get_block(d, key, allowed):
 
 
 def _schedule_from_dict(d):
-    kind = _text(d, "kind", ScheduleKind.LINEAR.value, "schedule")
-    try:
-        sched_kind = ScheduleKind(kind)
-    except ValueError as exc:
-        raise ConfigurationError(f"unknown schedule kind {kind!r}") from exc
-    defaults = Schedule(kind=sched_kind)
+    defaults = Schedule()
     return Schedule(
-        kind=sched_kind,
         t_min=_real(d, "t_min", defaults.t_min, "schedule"),
         t_max=_real(d, "t_max", defaults.t_max, "schedule"),
     )
@@ -327,7 +332,7 @@ def config_from_dict(d):
         seed=_int(d, "seed", 0, "config"),
         output_dir=_text(d, "output_dir", "out", "config"),
         schedule=_schedule_from_dict(
-            _get_block(d, "schedule", ("kind", "t_min", "t_max"))),
+            _get_block(d, "schedule", ("t_min", "t_max"))),
         pair=pair,
         guidance=_guidance_from_dict(guidance_block),
         beta_sweep=_sweep(guidance_block, "beta_sweep", beta_fallback),
@@ -345,7 +350,6 @@ def config_to_dict(config):
         "seed": int(config.seed),
         "output_dir": config.output_dir,
         "schedule": {
-            "kind": config.schedule.kind.value,
             "t_min": float(config.schedule.t_min),
             "t_max": float(config.schedule.t_max),
         },
@@ -397,15 +401,10 @@ def default_config(kind, seed=0, output_dir="out"):
         "seed": seed,
         "output_dir": output_dir,
     }
-    if kind == "trace_divergence":
+    if kind in ("trace_divergence", "sweep_beta"):
         # A fine grid so the profile resolves the late-time divergence
         # spike, and a constant unit scale so the parallel_scale=1 row is
         # exactly the raw residual's divergence.
-        base["sampler"] = {"steps": 240}
-        base["guidance"] = {
-            "guidance_scale": 1.0, "min_scale": 1.0, "decay_power": 0.0,
-        }
-    elif kind == "sweep_beta":
         base["sampler"] = {"steps": 240}
         base["guidance"] = {
             "guidance_scale": 1.0, "min_scale": 1.0, "decay_power": 0.0,

@@ -1,21 +1,22 @@
 """Divergence of vector fields: exact, stochastic, and dense estimators.
 
-Three routes are provided, in decreasing order of privilege:
+The exact divergence of an oracle field is its own ``field.divergence(x,
+t)``, the analytic trace its constructor attached.  Two black-box
+references for it work on any field:
 
-* ``divergence_exact`` reads the analytic divergence a field constructor
-  attached (oracle fields only);
 * ``divergence_hutchinson`` is the matrix-free stochastic trace estimator
-  ``mean_k  xi_k . (J xi_k)`` with the directional derivative formed by a
-  central difference, usable on any black-box field;
+  ``mean_k  xi_k . (J xi_k)`` over Rademacher probes ``xi_k``, with the
+  directional derivative formed by a central difference;
 * ``divergence_fd_dense`` sums one central difference per axis and is the
   slow reference for low dimensions.
 
-``conservation_residual`` combines a divergence with the oracle score to
-measure ``div g + g . grad log p``, the quantity that vanishes exactly when
-adding ``g`` to the velocity leaves the evolving density untouched.
-``divergence_profile`` tabulates normalized exact divergences along a
-sampled trajectory; the stochastic and dense routes serve as independent
-references for the exact one.
+Both take central differences with the step ``FD_STEP * (1 + max|x_i|)``.
+
+``conservation_residual`` adds the exact divergence to the flux against
+the oracle score, ``div g + g . grad log p``, the quantity that vanishes
+exactly when adding ``g`` to the velocity leaves the evolving density
+untouched.  ``divergence_profile`` tabulates normalized exact divergences
+along a sampled trajectory.
 """
 
 from __future__ import annotations
@@ -28,35 +29,20 @@ from . import mixture as mix
 from .errors import CapabilityError, ConfigurationError, EstimationError
 from .tables import Table
 
-_FD_STEP_MIN = 1e-6
-_FD_STEP_MAX = 1e-2
+FD_STEP = 1e-4
 _DENSE_DIM_LIMIT = 64
-
-PROBE_DISTRIBUTIONS = ("rademacher", "gaussian")
 
 
 @dataclass(frozen=True)
 class HutchinsonConfig:
-    """Settings of the stochastic trace estimator."""
+    """Probe count and seed of the stochastic trace estimator."""
 
     probes: int = 256
-    probe_dist: str = "rademacher"
-    fd_step: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
         if not isinstance(self.probes, int) or self.probes < 1:
             raise ConfigurationError(f"probes must be a positive int: {self.probes!r}")
-        if self.probe_dist not in PROBE_DISTRIBUTIONS:
-            raise ConfigurationError(
-                f"probe_dist must be one of {PROBE_DISTRIBUTIONS}, "
-                f"got {self.probe_dist!r}"
-            )
-        if not (_FD_STEP_MIN <= self.fd_step <= _FD_STEP_MAX):
-            raise ConfigurationError(
-                f"fd_step must lie in [{_FD_STEP_MIN}, {_FD_STEP_MAX}], "
-                f"got {self.fd_step}"
-            )
 
 
 @dataclass(frozen=True)
@@ -65,33 +51,25 @@ class DivergenceEstimate:
 
     value: float
     stderr: float
-    probes_used: int
 
 
-def divergence_exact(field, t, x):
-    """Analytic divergence of an oracle field (CapabilityError otherwise)."""
-    return field.divergence(x, t)
-
-
-def _draw_probes(config, count, dim):
-    rng = np.random.default_rng(config.seed)
-    if config.probe_dist == "rademacher":
-        return rng.integers(0, 2, size=(count, dim)).astype(float) * 2.0 - 1.0
-    return rng.standard_normal((count, dim))
+def _fd_step(x):
+    return FD_STEP * (1.0 + float(np.max(np.abs(x))))
 
 
 def divergence_hutchinson(field, t, x, config: HutchinsonConfig):
     """Hutchinson trace estimate of the Jacobian of ``field`` at ``(x, t)``.
 
-    Directional derivatives use a central difference with step
-    ``fd_step * (1 + max|x_i|)``; the estimate is the probe mean and the
-    reported stderr is the sample standard deviation over probes divided
-    by sqrt(probes).  Deterministic for a fixed config.
+    Probes are Rademacher vectors; directional derivatives use a central
+    difference with step ``FD_STEP * (1 + max|x_i|)``.  The estimate is the
+    probe mean and the reported stderr is the sample standard deviation
+    over probes divided by sqrt(probes).  Deterministic for a fixed config.
     """
     x = np.asarray(x, dtype=float)
     dim = x.shape[-1]
-    probes = _draw_probes(config, config.probes, dim)
-    h = config.fd_step * (1.0 + float(np.max(np.abs(x))))
+    rng = np.random.default_rng(config.seed)
+    probes = rng.integers(0, 2, size=(config.probes, dim)).astype(float) * 2.0 - 1.0
+    h = _fd_step(x)
     forward = field(x[None, :] + h * probes, t)
     backward = field(x[None, :] - h * probes, t)
     deriv = (forward - backward) / (2.0 * h)
@@ -107,10 +85,10 @@ def divergence_hutchinson(field, t, x, config: HutchinsonConfig):
         stderr = float(np.std(per_probe, ddof=1) / np.sqrt(config.probes))
     else:
         stderr = 0.0
-    return DivergenceEstimate(value=value, stderr=stderr, probes_used=config.probes)
+    return DivergenceEstimate(value=value, stderr=stderr)
 
 
-def divergence_fd_dense(field, t, x, step=None):
+def divergence_fd_dense(field, t, x):
     """Dense central-difference divergence; reference path for dim <= 64."""
     x = np.asarray(x, dtype=float)
     dim = x.shape[-1]
@@ -119,8 +97,7 @@ def divergence_fd_dense(field, t, x, step=None):
             f"dense finite differences limited to dim <= {_DENSE_DIM_LIMIT}, "
             f"got {dim}"
         )
-    if step is None:
-        step = 1e-4 * (1.0 + float(np.max(np.abs(x))))
+    step = _fd_step(x)
     offsets = step * np.eye(dim)
     pts = np.concatenate([x[None, :] + offsets, x[None, :] - offsets], axis=0)
     vals = field(pts, t)
@@ -129,31 +106,16 @@ def divergence_fd_dense(field, t, x, step=None):
     return float(np.sum(diag_plus - diag_minus) / (2.0 * step))
 
 
-_DIV_METHODS = ("exact", "hutchinson", "fd")
+def conservation_residual(field, target, schedule, t, x):
+    """``div g + g . grad log p_t`` for oracle guidance field ``g`` against
+    ``target``, with the exact divergence.
 
-
-def _divergence_by_method(field, t, x, method, hutch_config):
-    if method == "exact":
-        return divergence_exact(field, t, x)
-    if method == "hutchinson":
-        cfg = hutch_config if hutch_config is not None else HutchinsonConfig()
-        return divergence_hutchinson(field, t, x, cfg).value
-    if method == "fd":
-        return divergence_fd_dense(field, t, x)
-    raise ConfigurationError(f"divergence method must be one of {_DIV_METHODS}")
-
-
-def conservation_residual(field, target, schedule, t, x, method="exact",
-                          hutch_config=None):
-    """``div g + g . grad log p_t`` for guidance field ``g`` against ``target``.
-
-    Zero (to estimator accuracy) exactly when transporting mass along
-    ``g`` preserves the marginal density of ``target``.
+    Zero (to roundoff) exactly when transporting mass along ``g`` preserves
+    the marginal density of ``target``.
     """
     x = np.asarray(x, dtype=float)
-    div = _divergence_by_method(field, t, x, method, hutch_config)
     flux = float(field(x, t) @ mix.score(target, schedule, t, x))
-    return div + flux
+    return field.divergence(x, t) + flux
 
 
 def divergence_profile(fields, trajectory):
@@ -174,7 +136,7 @@ def divergence_profile(fields, trajectory):
     labels = list(fields)
     columns = ["step", "t"] + [f"div_{lab}" for lab in labels]
     divs = np.column_stack([
-        np.abs(divergence_exact(fields[lab], times, states)) / fields[lab].dim
+        np.abs(fields[lab].divergence(states, times)) / fields[lab].dim
         for lab in labels
     ])
     rows = [[k, float(t)] + row

@@ -137,10 +137,6 @@ class VectorField:
     def __call__(self, x, t):
         return self.fn(np.asarray(x, dtype=float), float(t))
 
-    @property
-    def has_exact_divergence(self):
-        return self.div_fn is not None
-
     def divergence(self, x, t):
         if self.div_fn is None:
             raise CapabilityError(

@@ -104,6 +104,10 @@ class GaussianMixture:
                 f"covariances must have shape ({k}, {dim}, {dim}), "
                 f"got {covariances.shape}"
             )
+        for name, arr in (("weights", weights), ("means", means),
+                          ("covariances", covariances)):
+            if not np.all(np.isfinite(arr)):
+                raise ConfigurationError(f"mixture {name} must be finite")
         if np.any(weights <= 0.0):
             raise ConfigurationError("all mixture weights must be positive")
         if abs(weights.sum() - 1.0) > _WEIGHT_TOL:

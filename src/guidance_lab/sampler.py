@@ -46,6 +46,8 @@ class SamplerConfig:
             raise ConfigurationError(
                 f"need 0 <= t_start < t_end <= 1, got [{self.t_start}, {self.t_end}]"
             )
+        if self.seed < 0:
+            raise ConfigurationError(f"sampler seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -98,9 +100,6 @@ def _check_grid(schedule, sampler_config):
             f"sampler grid [{sampler_config.t_start}, {sampler_config.t_end}] "
             f"exceeds schedule clamps [{schedule.t_min}, {schedule.t_max}]"
         )
-    return np.linspace(
-        sampler_config.t_start, sampler_config.t_end, sampler_config.steps + 1
-    )
 
 
 def _euler(x0s, pair, schedule, guidance_config, sampler_config,
@@ -110,8 +109,9 @@ def _euler(x0s, pair, schedule, guidance_config, sampler_config,
     Returns ``(times, states)``: the grid and the ``(steps + 1, count,
     dim)`` states.
     """
-    times = _check_grid(schedule, sampler_config)
+    _check_grid(schedule, sampler_config)
     steps = sampler_config.steps
+    times = np.linspace(sampler_config.t_start, sampler_config.t_end, steps + 1)
     count, dim = x0s.shape
     states = np.empty((steps + 1, count, dim))
     states[0] = x0s
@@ -173,15 +173,3 @@ def initial_states(count, dim, seed):
         out[j] = draw_initial_state(dim, seed, j)
     return out
 
-
-def batch_integrate(count, pair, schedule, guidance_config, sampler_config,
-                    guidance_field=None):
-    """Integrate ``count`` seeded trajectories and return their record.
-
-    Initial states come from ``initial_states`` with the sampler config's
-    seed, so trajectory ``j`` is identical no matter the batch size.  The
-    record's ``states`` has shape ``(steps + 1, count, dim)``.
-    """
-    return integrate(initial_states(count, pair.dim, sampler_config.seed), pair,
-                     schedule, guidance_config, sampler_config,
-                     guidance_field=guidance_field)

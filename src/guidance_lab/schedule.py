@@ -2,9 +2,9 @@
 
 The noise-to-data path is ``x_t = alpha_t * x1 + sigma_t * x0`` with ``x0``
 standard normal noise at ``t = 0`` and ``x1`` a data sample at ``t = 1``.
-The only built-in schedule is the linear (rectified-flow) one,
-``alpha_t = t``, ``sigma_t = 1 - t``.  Time always runs from noise to data;
-there is no direction flag.
+The path is the linear (rectified-flow) one, ``alpha_t = t``,
+``sigma_t = 1 - t``; a ``Schedule`` holds only its evaluation clamp.  Time
+always runs from noise to data; there is no direction flag.
 
 Velocities and scores are interchangeable along the path:
 
@@ -28,7 +28,6 @@ the domain raises the same ``DomainError`` as that element would alone.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,12 +37,6 @@ from .errors import ConfigurationError, DomainError
 
 DEFAULT_T_MIN = 1e-3
 DEFAULT_T_MAX = 1.0 - 1e-3
-
-
-class ScheduleKind(enum.Enum):
-    """Supported interpolation paths."""
-
-    LINEAR = "linear"
 
 
 class SchedulePoint(NamedTuple):
@@ -68,15 +61,12 @@ class PathCoefficients(NamedTuple):
 
 @dataclass(frozen=True)
 class Schedule:
-    """An interpolation schedule together with its evaluation clamp."""
+    """The evaluation clamp of the linear interpolation path."""
 
-    kind: ScheduleKind = ScheduleKind.LINEAR
     t_min: float = DEFAULT_T_MIN
     t_max: float = DEFAULT_T_MAX
 
     def __post_init__(self):
-        if not isinstance(self.kind, ScheduleKind):
-            raise ConfigurationError(f"unknown schedule kind: {self.kind!r}")
         if not (0.0 < self.t_min < self.t_max < 1.0):
             raise ConfigurationError(
                 f"clamp must satisfy 0 < t_min < t_max < 1, "
@@ -107,19 +97,15 @@ def evaluate(schedule: Schedule, t) -> SchedulePoint:
     ``[t_min, t_max]``.
     """
     t = _times(t, schedule.t_min, schedule.t_max, "schedule clamp")
-    # Only the linear kind exists; keep the dispatch explicit so adding a
-    # schedule forces a decision here.
-    if schedule.kind is ScheduleKind.LINEAR:
-        one = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
-        return SchedulePoint(alpha=t, sigma=1.0 - t, d_alpha=one, d_sigma=-one)
-    raise ConfigurationError(f"unknown schedule kind: {schedule.kind!r}")
+    one = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
+    return SchedulePoint(alpha=t, sigma=1.0 - t, d_alpha=one, d_sigma=-one)
 
 
 def coefficients(schedule: Schedule, t) -> PathCoefficients:
     """Coefficients (state_coef, score_coef) of ``v = a*x - b*score`` at ``t``.
 
-    Computed from the generic schedule outputs so that any new kind
-    inherits the conversion for free; for the linear schedule
+    Computed from the generic path outputs (alpha, sigma and their
+    derivatives), the parameterisation-invariant form; for the linear path
     ``score_coef`` reduces to ``-sigma/alpha``.
     """
     alpha, sigma, d_alpha, d_sigma = evaluate(schedule, t)

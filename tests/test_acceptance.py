@@ -19,13 +19,13 @@ from guidance_lab import (
     Schedule,
     TargetPair,
     VectorField,
-    batch_integrate,
     conservation_residual,
     default_target_pair,
     divergence_hutchinson,
     divergence_profile,
     draw_initial_state,
     energy_distance,
+    initial_states,
     integrate,
     loglog_slope,
     mixture,
@@ -78,10 +78,11 @@ def test_criterion_01_conservation():
     pair = TargetPair(conditional=iso, unconditional=iso)
     zero = VectorField(fn=lambda x, t: np.zeros_like(x), dim=2)
     scfg = SamplerConfig(steps=30, seed=77)
-    guided = _log_density_summary(iso, sch, batch_integrate(
-        2000, pair, sch, GuidanceConfig(), scfg, guidance_field=rot))
-    plain = _log_density_summary(iso, sch, batch_integrate(
-        2000, pair, sch, GuidanceConfig(), scfg, guidance_field=zero))
+    x0s = initial_states(2000, 2, scfg.seed)
+    guided = _log_density_summary(iso, sch, integrate(
+        x0s, pair, sch, GuidanceConfig(), scfg, guidance_field=rot))
+    plain = _log_density_summary(iso, sch, integrate(
+        x0s, pair, sch, GuidanceConfig(), scfg, guidance_field=zero))
     gap = np.abs(guided[0] - plain[0])
     band = 2.0 * np.minimum(guided[1], plain[1])
     bad_steps = int(np.sum(gap > band))
@@ -456,11 +457,12 @@ def test_criterion_09_sample_quality():
         oracle = mixture.marginal_at(pair.conditional, sch, scfg.t_end).sample(
             n, seed=1000 + seed
         )
+        x0s = initial_states(n, pair.dim, scfg.seed)
         ed_cfg = energy_distance(
-            batch_integrate(n, pair, sch, cfg_rule, scfg).terminal_state, oracle
+            integrate(x0s, pair, sch, cfg_rule, scfg).terminal_state, oracle
         )
         ed_proj = energy_distance(
-            batch_integrate(n, pair, sch, proj_rule, scfg).terminal_state, oracle
+            integrate(x0s, pair, sch, proj_rule, scfg).terminal_state, oracle
         )
         if ed_proj <= ed_cfg:
             wins += 1

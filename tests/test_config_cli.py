@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -205,8 +207,6 @@ def test_config_validation_errors():
              "guidance": {"guidance_scale": 1.0, "min_scale": 2.0}}
         )
     with pytest.raises(ConfigurationError):
-        config_from_dict({"kind": "verify", "schedule": {"kind": "cosine"}})
-    with pytest.raises(ConfigurationError):
         config_from_dict({"kind": "trace_divergence",
                           "guidance": {"beta_sweep": []}})
     with pytest.raises(ConfigurationError):
@@ -222,6 +222,7 @@ def test_config_validation_errors():
         {"kind": "verify", "sampler": {"record_diagnostics": False}},
         {"kind": "verify", "guidance": {"rule": "cfg"}},
         {"kind": "verify", "hutchinson": {"probes": 64}},
+        {"kind": "verify", "schedule": {"kind": "linear"}},
         {"kind": "verify", "samples": {"n_perm": 99}},
         {"kind": "verify", "sampler": {"steps": 30.7}},
         {"kind": "verify", "samples": {"count": 2.9}},
@@ -262,6 +263,20 @@ def test_readme_config_example_loads():
     example = json.loads(blocks[0])
     config = config_from_dict(example)
     assert config_to_dict(config) == example
+
+
+def test_readme_library_example_runs():
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), flags=re.DOTALL)
+    assert len(blocks) == 1
+    path = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert np.isfinite(float(done.stdout))
 
 
 # ---------------------------------------------------------------------------
@@ -444,4 +459,42 @@ def test_cli_too_few_permutations_exits_2_before_any_artifact(tmp_path):
     })
     out = tmp_path / "out"
     assert cli.main(["sample_compare", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+_SMALL_COMPARE = {"kind": "sample_compare", "sampler": {"steps": 4},
+                  "samples": {"count": 20, "n_perm": 100}}
+_RING_TARGET = {"dim": 2, "components": [
+    {"weight": 1.0, "mean": [4.0, 0.0], "cov_diag": [1.0, 1.0]}]}
+
+
+def _with(block, **fields):
+    return {**_SMALL_COMPARE, block: {**_SMALL_COMPARE.get(block, {}), **fields}}
+
+
+def _with_component(**fields):
+    bad = {**_RING_TARGET,
+           "components": [{**_RING_TARGET["components"][0], **fields}]}
+    return {**_SMALL_COMPARE,
+            "targets": {"conditional": bad, "unconditional": _RING_TARGET}}
+
+
+@pytest.mark.parametrize("payload, flags", [
+    (_SMALL_COMPARE, ["--seed", "-1"]),
+    ({**_SMALL_COMPARE, "seed": -3}, []),
+    (_with("sampler", seed=-1), []),
+    (_with_component(weight=float("nan")), []),
+    (_with_component(cov_diag=[float("inf"), 1.0]), []),
+    (_with("guidance", omega_sweep=[1.0, float("nan")]), []),
+    (_with("schedule", t_min=0.01), []),
+], ids=["seed-flag", "seed", "sampler-seed", "nan-weight", "inf-cov",
+        "nan-sweep", "grid-outside-clamp"])
+def test_cli_invalid_config_exits_2_before_any_artifact(tmp_path, capsys,
+                                                         payload, flags):
+    # json.dumps writes NaN and Infinity, which json.load reads back.
+    cfg = _write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli.main(["sample_compare", "--config", cfg, "--out", str(out),
+                     *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()

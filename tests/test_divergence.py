@@ -15,7 +15,6 @@ from guidance_lab import (
     Schedule,
     VectorField,
     conservation_residual,
-    divergence_exact,
     divergence_fd_dense,
     divergence_hutchinson,
     divergence_profile,
@@ -62,7 +61,7 @@ def _quadratic_field(dim):
 
 def test_exact_divergence_reads_field_oracle():
     f = _linear_field(np.diag([1.0, 2.0, 3.0]))
-    assert divergence_exact(f, 0.5, np.zeros(3)) == 6.0
+    assert f.divergence(np.zeros(3), 0.5) == 6.0
 
 
 def test_dense_fd_on_identity_field():
@@ -103,7 +102,6 @@ def test_hutchinson_exact_for_diagonal_linear_field():
     )
     assert est.value == pytest.approx(-0.5, abs=1e-9)
     assert est.stderr <= 1e-10
-    assert est.probes_used == 64
 
 
 def test_hutchinson_zero_for_rotation():
@@ -120,14 +118,11 @@ def test_hutchinson_unbiased_on_quadratic_field():
     f = _quadratic_field(4)
     x = np.array([0.4, -1.1, 0.8, 0.3])
     exact = f.divergence(x, 0.5)
-    for dist in ("rademacher", "gaussian"):
-        est = divergence_hutchinson(
-            f, 0.5, x, HutchinsonConfig(probes=10_000, probe_dist=dist, seed=7)
-        )
-        assert est.stderr > 0.0
-        assert abs(est.value - exact) <= 4.0 * est.stderr, (
-            f"{dist}: {est.value} vs {exact} (stderr {est.stderr})"
-        )
+    est = divergence_hutchinson(f, 0.5, x, HutchinsonConfig(probes=10_000, seed=7))
+    assert est.stderr > 0.0
+    assert abs(est.value - exact) <= 4.0 * est.stderr, (
+        f"{est.value} vs {exact} (stderr {est.stderr})"
+    )
 
 
 def test_hutchinson_stderr_shrinks_with_probes():
@@ -140,22 +135,17 @@ def test_hutchinson_stderr_shrinks_with_probes():
 
 def test_hutchinson_deterministic():
     rng = np.random.default_rng(11)
-    target = GaussianMixture.isotropic(rng.normal(size=(3, 2)), np.full(3, 1.0))
+    # In dimension 2 there are only four distinct Rademacher probes, so two
+    # seeds can draw the same probe counts; dimension 6 has 64.
+    target = GaussianMixture.isotropic(rng.normal(size=(3, 6)), np.full(3, 1.0))
     f = velocity_field(target, Schedule())
-    x = rng.normal(size=2)
+    x = rng.normal(size=6)
     cfg = HutchinsonConfig(probes=128, seed=21)
     a = divergence_hutchinson(f, 0.6, x, cfg)
     b = divergence_hutchinson(f, 0.6, x, cfg)
     assert a.value == b.value and a.stderr == b.stderr
-    # In dim 2 there are only four distinct Rademacher probes, so two seeds
-    # can collide on the probe counts; Gaussian probes cannot collide.
-    g1 = divergence_hutchinson(
-        f, 0.6, x, HutchinsonConfig(probes=128, probe_dist="gaussian", seed=21)
-    )
-    g2 = divergence_hutchinson(
-        f, 0.6, x, HutchinsonConfig(probes=128, probe_dist="gaussian", seed=22)
-    )
-    assert g1.value != g2.value
+    other = divergence_hutchinson(f, 0.6, x, HutchinsonConfig(probes=128, seed=22))
+    assert other.value != a.value
 
 
 def test_hutchinson_nonfinite_raises_estimation_error():
@@ -176,12 +166,6 @@ def test_hutchinson_config_validation():
         HutchinsonConfig(probes=0)
     with pytest.raises(ConfigurationError):
         HutchinsonConfig(probes=2.5)
-    with pytest.raises(ConfigurationError):
-        HutchinsonConfig(probe_dist="uniform")
-    with pytest.raises(ConfigurationError):
-        HutchinsonConfig(fd_step=1e-7)
-    with pytest.raises(ConfigurationError):
-        HutchinsonConfig(fd_step=0.1)
 
 
 def test_three_estimators_agree_on_oracle_field():
@@ -191,7 +175,7 @@ def test_three_estimators_agree_on_oracle_field():
     )
     f = velocity_field(target, Schedule())
     t, x = 0.45, rng.normal(size=2)
-    exact = divergence_exact(f, t, x)
+    exact = f.divergence(x, t)
     fd = divergence_fd_dense(f, t, x)
     est = divergence_hutchinson(f, t, x, HutchinsonConfig(probes=8192, seed=3))
     assert fd == pytest.approx(exact, rel=1e-6, abs=1e-8)
@@ -209,12 +193,11 @@ def test_conservation_residual_of_rotated_score():
     f = score_rotation_field(target, sch, scale=0.5)
     t, x = 0.5, rng.normal(size=2)
     assert abs(conservation_residual(f, target, sch, t, x)) <= 1e-13
-    assert abs(conservation_residual(f, target, sch, t, x, method="fd")) <= 1e-6
-    hutch = conservation_residual(
-        f, target, sch, t, x, method="hutchinson",
-        hutch_config=HutchinsonConfig(probes=4096, seed=9),
-    )
-    assert abs(hutch) <= 5e-2
+    # The black-box references in place of the exact divergence.
+    flux = float(f(x, t) @ mixture.score(target, sch, t, x))
+    assert abs(divergence_fd_dense(f, t, x) + flux) <= 1e-6
+    hutch = divergence_hutchinson(f, t, x, HutchinsonConfig(probes=4096, seed=9))
+    assert abs(hutch.value + flux) <= 5e-2
 
 
 def test_conservation_residual_nonzero_for_plain_velocity():
@@ -306,11 +289,3 @@ def test_divergence_profile_shape_mismatch():
     traj = SimpleNamespace(times=np.array([0.1, 0.2]), states=np.zeros((3, 2)))
     with pytest.raises(ConfigurationError):
         divergence_profile({"f": f}, traj)
-
-
-def test_unknown_method_rejected():
-    target = GaussianMixture.single(np.zeros(2), 1.0)
-    sch = Schedule()
-    f = velocity_field(target, sch)
-    with pytest.raises(ConfigurationError):
-        conservation_residual(f, target, sch, 0.5, np.zeros(2), method="magic")

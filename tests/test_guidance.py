@@ -311,7 +311,6 @@ def test_guidance_config_validation():
 
 def test_vector_field_capability_errors():
     f = VectorField(fn=lambda x, t: x, dim=2, label="plain")
-    assert not f.has_exact_divergence
     with pytest.raises(CapabilityError):
         f.divergence(np.zeros(2), 0.5)
     with pytest.raises(CapabilityError):

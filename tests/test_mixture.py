@@ -534,6 +534,15 @@ def test_validation_errors():
     not_pd = np.array([[[1.0, 2.0], [2.0, 1.0]]])
     with pytest.raises(ConfigurationError):
         GaussianMixture(np.array([1.0]), np.zeros((1, 2)), not_pd)
+    for bad in (np.nan, np.inf):
+        cov = eye.copy()
+        cov[0, 1, 1] = bad
+        with pytest.raises(ConfigurationError):
+            GaussianMixture(np.array([bad]), np.zeros((1, 2)), eye)
+        with pytest.raises(ConfigurationError):
+            GaussianMixture(np.array([1.0]), np.array([[0.0, bad]]), eye)
+        with pytest.raises(ConfigurationError):
+            GaussianMixture(np.array([1.0]), np.zeros((1, 2)), cov)
 
 
 def test_arrays_are_read_only():

@@ -14,7 +14,6 @@ from guidance_lab import (
     ShapeError,
     TargetPair,
     TrajectoryRecord,
-    batch_integrate,
     draw_initial_state,
     initial_states,
     integrate,
@@ -134,9 +133,8 @@ def test_batch_row_matches_single_trajectory():
     gcfg = GuidanceConfig()
     scfg = SamplerConfig(steps=15, seed=11)
 
-    # A batch of one runs the exact same shapes as `integrate`, so it is
-    # bit-identical to it.
-    solo = batch_integrate(1, pair, sch, gcfg, scfg)
+    # A single state runs as a batch of one, so the two are bit-identical.
+    solo = integrate(initial_states(1, 2, seed=11), pair, sch, gcfg, scfg)
     rec0 = integrate(draw_initial_state(2, seed=11, index=0), pair, sch, gcfg, scfg)
     np.testing.assert_array_equal(solo.states[:, 0, :], rec0.states)
 
@@ -144,12 +142,8 @@ def test_batch_row_matches_single_trajectory():
     # products instead of matrix-vector ones.  Up to dim 3 both round alike;
     # above it a batch row differs from a single point by roundoff (at most
     # 7e-14 relative in a d = 64 velocity), so the trajectories are compared
-    # to fp-accumulation accuracy.  A batch is `integrate` from the seeded
-    # initial states.
-    batch = batch_integrate(3, pair, sch, gcfg, scfg)
-    np.testing.assert_array_equal(
-        integrate(initial_states(3, 2, seed=11), pair, sch, gcfg, scfg).states,
-        batch.states)
+    # to fp-accumulation accuracy.
+    batch = integrate(initial_states(3, 2, seed=11), pair, sch, gcfg, scfg)
     for j in range(3):
         x0 = draw_initial_state(2, seed=11, index=j)
         rec = integrate(x0, pair, sch, gcfg, scfg)
@@ -163,7 +157,8 @@ def test_batch_row_matches_single_trajectory():
 def test_batch_result_summary_shapes():
     pair = _pair()
     scfg = SamplerConfig(steps=8, seed=3)
-    res = batch_integrate(5, pair, Schedule(), GuidanceConfig(), scfg)
+    res = integrate(initial_states(5, 2, seed=3), pair, Schedule(),
+                    GuidanceConfig(), scfg)
     assert isinstance(res, TrajectoryRecord)
     assert res.times.shape == (9,)
     assert res.states.shape == (9, 5, 2)

@@ -10,7 +10,6 @@ from guidance_lab import (
     ConfigurationError,
     DomainError,
     Schedule,
-    ScheduleKind,
     coefficients,
     evaluate,
     guidance_scale_at,
@@ -88,12 +87,6 @@ def test_schedule_validation():
         Schedule(t_min=0.5, t_max=0.5)
     with pytest.raises(ConfigurationError):
         Schedule(t_max=1.0)
-    with pytest.raises(ConfigurationError):
-        Schedule(kind="linear")  # must be the enum, not its value
-
-
-def test_schedule_kind_enum_roundtrip():
-    assert ScheduleKind("linear") is ScheduleKind.LINEAR
 
 
 def test_guidance_scale_decay():
