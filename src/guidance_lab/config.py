@@ -26,8 +26,10 @@ and no schedule kind: the path is always the linear one (see ``schedule``).
 Parsing is strict: every block rejects keys it does not know and values of
 the wrong JSON type with ``ConfigurationError``.  Integer fields take JSON
 integers only (not booleans or fractional numbers), and real fields and
-arrays take finite JSON numbers only (not ``NaN`` or ``Infinity``).  Seeds
-must be non-negative, and the sampler grid must lie inside the schedule
+arrays take finite JSON numbers only (not ``NaN``, ``Infinity`` or an
+integer beyond the float range).  Seeds must be non-negative, the size
+fields are at most ``MAX_STEPS``, ``MAX_SAMPLE_COUNT`` and
+``MAX_PERMUTATIONS``, and the sampler grid must lie inside the schedule
 clamp, so a bad config fails before any artifact is written.
 """
 
@@ -62,6 +64,14 @@ DEFAULT_OMEGAS = (1.0, 3.0, 7.0, 15.0)
 RING_RADIUS = 4.0
 RING_SCALE = 7.5e-3
 CONDITIONAL_SCALE = 1.875e-3
+
+# Upper bounds on the size fields, checked when a config is parsed so that an
+# absurd value fails there and not inside numpy midway through a run.  With
+# the other fields at their defaults, each bound keeps a run's largest array
+# (the batch of states, or the permutation labels) near 320 MB.
+MAX_STEPS = 10_000
+MAX_SAMPLE_COUNT = 100_000
+MAX_PERMUTATIONS = 10_000
 
 
 def default_target_pair():
@@ -102,15 +112,15 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         _check_grid(self.schedule, self.sampler)
-        if self.sample_count < 2:
-            raise ConfigurationError(
-                f"samples.count must be >= 2, got {self.sample_count}"
-            )
-        if self.n_perm < metrics.MIN_PERMUTATIONS:
-            raise ConfigurationError(
-                f"samples.n_perm must be >= {metrics.MIN_PERMUTATIONS}, "
-                f"got {self.n_perm}"
-            )
+        _check_range("sampler.steps", self.sampler.steps, 1, MAX_STEPS)
+        _check_range("samples.count", self.sample_count, 2, MAX_SAMPLE_COUNT)
+        _check_range("samples.n_perm", self.n_perm, metrics.MIN_PERMUTATIONS,
+                     MAX_PERMUTATIONS)
+
+
+def _check_range(name, value, low, high):
+    if not low <= value <= high:
+        raise ConfigurationError(f"{name} must be in [{low}, {high}], got {value}")
 
 
 # -- typed field access --------------------------------------------------------------
@@ -144,7 +154,12 @@ def _real(block, key, default, where):
     value = _field(block, key, default, where)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{where}.{key} must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigurationError(
+            f"{where}.{key} must be finite, got an integer too large for "
+            f"a float") from exc
     if not np.isfinite(value):
         raise ConfigurationError(f"{where}.{key} must be finite, got {value!r}")
     return value
@@ -172,6 +187,10 @@ def _real_array(block, key, default, where, ndim):
         )
     try:
         arr = np.asarray(value, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigurationError(
+            f"{where}.{key} must be finite, got an integer too large for "
+            f"a float") from exc
     except ValueError as exc:  # ragged nesting
         raise ConfigurationError(f"{where}.{key} is ragged: {value!r}") from exc
     if arr.ndim != ndim:
@@ -385,7 +404,7 @@ def load_config(path):
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an over-long integer
         raise ConfigurationError(f"config {path!r} is not valid JSON: {exc}") from exc
     return config_from_dict(raw)
 

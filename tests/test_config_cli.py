@@ -28,7 +28,12 @@ from guidance_lab import (
     target_to_dict,
     verify,
 )
-from guidance_lab.config import KINDS
+from guidance_lab.config import (
+    KINDS,
+    MAX_PERMUTATIONS,
+    MAX_SAMPLE_COUNT,
+    MAX_STEPS,
+)
 from guidance_lab.tables import atomic_write
 
 
@@ -234,6 +239,14 @@ def test_config_validation_errors():
         with pytest.raises(ConfigurationError):
             config_from_dict(bad)
     base = target_to_dict(default_target_pair().conditional)
+    # The size caps are inclusive.
+    capped = config_from_dict({
+        "kind": "verify", "sampler": {"steps": MAX_STEPS},
+        "samples": {"count": MAX_SAMPLE_COUNT, "n_perm": MAX_PERMUTATIONS}})
+    assert (capped.sampler.steps, capped.sample_count, capped.n_perm) == (
+        MAX_STEPS, MAX_SAMPLE_COUNT, MAX_PERMUTATIONS)
+    with pytest.raises(ConfigurationError):
+        config_from_dict({"kind": "verify", "sampler": {"steps": MAX_STEPS + 1}})
     for key, value in (("dim", 2.0), ("colour", 1)):
         bad = json.loads(json.dumps(base))
         bad[key] = value
@@ -258,25 +271,70 @@ def test_default_pair_geometry():
 def test_readme_config_example_loads():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
-        blocks = re.findall(r"```json\n(.*?)```", fh.read(), flags=re.DOTALL)
+        text = fh.read()
+    for name, cap in (("MAX_STEPS", MAX_STEPS), ("MAX_SAMPLE_COUNT", MAX_SAMPLE_COUNT),
+                      ("MAX_PERMUTATIONS", MAX_PERMUTATIONS)):
+        assert f"`{name}` = {cap:,}" in text
+    blocks = re.findall(r"```json\n(.*?)```", text, flags=re.DOTALL)
     assert len(blocks) == 1
     example = json.loads(blocks[0])
     config = config_from_dict(example)
     assert config_to_dict(config) == example
 
 
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+
+def _fresh_python(source, *args):
+    """Run ``source`` in a new interpreter that imports the package from src/."""
+    path = os.pathsep.join(
+        p for p in (os.path.join(_ROOT, "src"), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", source, *args],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_readme_library_example_runs():
-    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+    with open(os.path.join(_ROOT, "README.md"), encoding="utf-8") as fh:
         blocks = re.findall(r"```python\n(.*?)```", fh.read(), flags=re.DOTALL)
     assert len(blocks) == 1
-    path = os.pathsep.join(
-        p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path),
-                          timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert np.isfinite(float(done.stdout))
+    assert np.isfinite(float(_fresh_python(blocks[0])))
+
+
+_SCIPY_AFTER_RUNS = """
+import contextlib, io, json, os, sys
+from guidance_lab import cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(list(argv))
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+out = sys.argv[1]
+status = [run(kind, "--out", os.path.join(out, kind))
+          for kind in ("trace_divergence", "sweep_beta", "verify")]
+before = scipy_modules()
+cfg = os.path.join(out, "compare.json")
+with open(cfg, "w") as fh:
+    json.dump({"kind": "sample_compare", "sampler": {"steps": 4},
+               "samples": {"count": 20, "n_perm": 100}}, fh)
+status.append(run("sample_compare", "--config", cfg,
+                  "--out", os.path.join(out, "sample_compare")))
+print(json.dumps({"status": status, "before": before, "after": scipy_modules()}))
+"""
+
+
+def test_only_the_energy_distance_imports_scipy(tmp_path):
+    # SciPy supplies only cdist, which the kinds without a two-sample test
+    # never call, so they start without importing it.
+    runs = json.loads(_fresh_python(_SCIPY_AFTER_RUNS, str(tmp_path)))
+    assert runs["status"] == [0, 0, 0, 0]
+    assert runs["before"] == []
+    assert "scipy.spatial" in runs["after"]
 
 
 # ---------------------------------------------------------------------------
@@ -487,14 +545,28 @@ def _with_component(**fields):
     (_with_component(cov_diag=[float("inf"), 1.0]), []),
     (_with("guidance", omega_sweep=[1.0, float("nan")]), []),
     (_with("schedule", t_min=0.01), []),
+    (_with("guidance", guidance_scale=10 ** 400), []),
+    (_with_component(mean=[10 ** 400, 0.0]), []),
+    (_with("sampler", steps=10 ** 400), []),
+    (_with("samples", count=MAX_SAMPLE_COUNT + 1), []),
+    (_with("samples", n_perm=MAX_PERMUTATIONS + 1), []),
+    (b'{"kind": "sample_compare", "seed": ' + b"1" * 5000 + b"}", []),
+    (b'{"kind": "sample_compare", "output_dir": "\xff"}', []),
 ], ids=["seed-flag", "seed", "sampler-seed", "nan-weight", "inf-cov",
-        "nan-sweep", "grid-outside-clamp"])
+        "nan-sweep", "grid-outside-clamp", "huge-int-scale", "huge-int-mean",
+        "huge-steps", "count-over-cap", "n-perm-over-cap", "over-long-integer",
+        "not-utf8"])
 def test_cli_invalid_config_exits_2_before_any_artifact(tmp_path, capsys,
                                                          payload, flags):
-    # json.dumps writes NaN and Infinity, which json.load reads back.
-    cfg = _write_config(tmp_path, payload)
+    # json.dumps writes NaN and Infinity, which json.load reads back; a bytes
+    # payload is written as it stands.
+    if isinstance(payload, bytes):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(payload)
+    else:
+        cfg = _write_config(tmp_path, payload)
     out = tmp_path / "out"
-    assert cli.main(["sample_compare", "--config", cfg, "--out", str(out),
+    assert cli.main(["sample_compare", "--config", str(cfg), "--out", str(out),
                      *flags]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
