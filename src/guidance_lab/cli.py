@@ -211,7 +211,7 @@ def _samples_table(matrix):
     dim = matrix.shape[1]
     return Table(
         columns=[f"x_{i}" for i in range(dim)],
-        rows=[[float(v) for v in row] for row in matrix],
+        rows=matrix.tolist(),
     )
 
 
@@ -290,13 +290,16 @@ def main(argv=None):
                     f"config kind {config.kind!r} does not match requested "
                     f"{args.kind!r}"
                 )
-        overrides = cfg_mod.config_to_dict(config)
-        if args.out is not None:
-            overrides["output_dir"] = args.out
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-            overrides["sampler"]["seed"] = args.seed
-        config = cfg_mod.config_from_dict(overrides)
+        if args.out is not None or args.seed is not None:
+            # Rebuilt through the parser, so an override is checked as a
+            # config file's value would be.
+            overrides = cfg_mod.config_to_dict(config)
+            if args.out is not None:
+                overrides["output_dir"] = args.out
+            if args.seed is not None:
+                overrides["seed"] = args.seed
+                overrides["sampler"]["seed"] = args.seed
+            config = cfg_mod.config_from_dict(overrides)
         try:
             os.makedirs(config.output_dir, exist_ok=True)
         except OSError as exc:

@@ -144,6 +144,7 @@ class GaussianMixture:
         self._eigvecs = eigvecs  # (k, dim, dim): columns of Q_j
         self._eigvecs_t = np.ascontiguousarray(np.swapaxes(eigvecs, 1, 2))  # Q_j^T
         self._rotated_means = np.einsum("kij,ki->kj", eigvecs, means)  # Q_j^T mu_j
+        self._slices = (slice(0, k),)  # one target: every component
         for arr in (self.weights, self.means, self.covariances, self._chols,
                     self._eigvals, self._eigvecs, self._eigvecs_t,
                     self._rotated_means):
@@ -184,7 +185,7 @@ class GaussianMixture:
     def responsibilities(self, x):
         """(n, k) posterior component weights at ``x`` (rows sum to one)."""
         pts, single = _as_batch(x, self.dim)
-        r = _evaluate(self, 1.0, 0.0, pts).resp
+        r, = _evaluate(self, 1.0, 0.0, pts).resp
         return r[0] if single else r
 
     def score(self, x):
@@ -236,11 +237,35 @@ def marginal_at(target: GaussianMixture, schedule: sched.Schedule, t: float):
     return GaussianMixture(target.weights, alpha * target.means, covs)
 
 
+class _Stack:
+    """The components of several targets in one stack, so that one oracle
+    pass evaluates every target at the same points and times.
+
+    It holds the arrays :func:`_evaluate` and :func:`_scores` read from a
+    ``GaussianMixture``, concatenated over the targets in order, and
+    ``_slices``, one slice of the component axis per target.  A
+    ``GaussianMixture`` is the one-target case: its ``_slices`` covers all
+    of its components.
+    """
+
+    def __init__(self, *targets):
+        if len({target.dim for target in targets}) != 1:
+            raise ShapeError("stacked targets must share one dimension")
+        self.dim = targets[0].dim
+        for name in ("means", "_log_weights", "_eigvals", "_eigvecs",
+                     "_eigvecs_t"):
+            arr = np.concatenate([getattr(target, name) for target in targets])
+            arr.setflags(write=False)
+            setattr(self, name, arr)
+        bounds = np.cumsum([0] + [target.n_components for target in targets]).tolist()
+        self._slices = tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+
+
 class _Terms(NamedTuple):
     m: np.ndarray  # (k, n|1, dim) eigenvalues of M_j = alpha^2 Sigma_j + sigma^2 I
     whitened: np.ndarray  # (k, n, dim) Q_j^T (x - alpha mu_j) / m_j
-    log_density: np.ndarray  # (n,)
-    resp: np.ndarray  # (n, k) responsibilities
+    log_density: tuple  # per target: (n,)
+    resp: tuple  # per target: (n, k_target) responsibilities
 
 
 def _column(c, trailing=1):
@@ -250,10 +275,18 @@ def _column(c, trailing=1):
     return c.reshape(c.shape + (1,) * trailing) if isinstance(c, np.ndarray) else c
 
 
-def _evaluate(target, alpha, sigma, pts):
-    """Terms of ``sum_j w_j Normal(alpha mu_j, M_j)`` at ``pts`` (n, dim).
+def _evaluate(stack, alpha, sigma, pts):
+    """Terms of each target ``sum_j w_j Normal(alpha mu_j, M_j)`` of
+    ``stack`` at ``pts`` (n, dim).
 
-    ``alpha`` and ``sigma`` are scalars, one time for every point, or
+    ``stack`` is a ``GaussianMixture``, one target, or a ``_Stack`` of
+    several, such as the two targets of a guided Euler step: one pass then
+    serves both.  The per-component terms are formed once over the whole
+    stack, and each component's arithmetic does not depend on what else
+    is stacked with it.  Each target then reduces over its own slice of
+    components: its own log-sum-exp, log density and responsibilities, so
+    a target's terms equal those of a pass over that target alone bit for
+    bit.  ``alpha`` and ``sigma`` are scalars, one time for every point, or
     ``(n,)`` arrays, one time per point.  A log-sum-exp row whose maximum
     is not finite is shifted by zero, so a point where every component
     underflows gets log density -inf, not NaN.
@@ -264,61 +297,75 @@ def _evaluate(target, alpha, sigma, pts):
             f"({pts.shape[0]},), one per point"
         )
     a, s = _column(alpha), _column(sigma)
-    m = (a * a) * target._eigvals[:, None, :] + s * s
-    delta = pts[None, :, :] - a * target.means[:, None, :]
-    resid = delta @ target._eigvecs  # rows Q_j^T (x - alpha mu_j)
+    m = (a * a) * stack._eigvals[:, None, :] + s * s
+    delta = pts[None, :, :] - a * stack.means[:, None, :]
+    resid = delta @ stack._eigvecs  # rows Q_j^T (x - alpha mu_j)
     whitened = resid / m
-    log_norms = target._log_weights[:, None] - 0.5 * (
-        target.dim * _LOG_2PI + np.log(m).sum(axis=2)
+    log_norms = stack._log_weights[:, None] - 0.5 * (
+        stack.dim * _LOG_2PI + np.log(m).sum(axis=2)
     )
     lp = log_norms.T - 0.5 * np.einsum("knd,knd->nk", resid, whitened)
-    top = lp.max(axis=1, keepdims=True)
-    top[~np.isfinite(top)] = 0.0
-    with np.errstate(divide="ignore"):
-        log_density = np.log(np.exp(lp - top).sum(axis=1)) + top[:, 0]
-    resp = np.exp(lp - log_density[:, None])
-    return _Terms(m=m, whitened=whitened, log_density=log_density, resp=resp)
+    log_density, resp = [], []
+    for part in (lp[:, components] for components in stack._slices):
+        top = part.max(axis=1, keepdims=True)
+        top[~np.isfinite(top)] = 0.0
+        with np.errstate(divide="ignore"):
+            log_density.append(np.log(np.exp(part - top).sum(axis=1)) + top[:, 0])
+        resp.append(np.exp(part - log_density[-1][:, None]))
+    return _Terms(m=m, whitened=whitened, log_density=tuple(log_density),
+                  resp=tuple(resp))
 
 
-def _scores(target, terms):
-    """Per-component scores ``u_j = -Q_j w_j`` (k, n, dim) and the mixture
-    score ``sum_j r_j u_j`` (n, dim)."""
-    comp = -(terms.whitened @ target._eigvecs_t)
-    return comp, np.einsum("nk,knd->nd", terms.resp, comp)
+def _scores(stack, terms):
+    """Per-component scores ``u_j = -Q_j w_j`` (k, n, dim) and, per target,
+    the mixture score ``sum_j r_j u_j`` (n, dim) over its components."""
+    comp = -(terms.whitened @ stack._eigvecs_t)
+    return comp, tuple(np.einsum("nk,knd->nd", r, comp[components])
+                       for r, components in zip(terms.resp, stack._slices))
 
 
 def _log_density(target, alpha, sigma, x):
     pts, single = _as_batch(x, target.dim)
-    vals = _evaluate(target, alpha, sigma, pts).log_density
+    vals, = _evaluate(target, alpha, sigma, pts).log_density
     return float(vals[0]) if single else vals
 
 
 def _score(target, alpha, sigma, x):
     pts, single = _as_batch(x, target.dim)
-    _, s = _scores(target, _evaluate(target, alpha, sigma, pts))
+    _, (s,) = _scores(target, _evaluate(target, alpha, sigma, pts))
     return s[0] if single else s
+
+
+def _velocities(stack, alpha, sigma, state_coef, score_coef, pts):
+    """Score-route velocities ``a_t * x - b_t * score`` of every target of
+    ``stack`` at ``pts`` (n, dim), from one :func:`_evaluate` pass."""
+    _, scores = _scores(stack, _evaluate(stack, alpha, sigma, pts))
+    a, b = _column(state_coef), _column(score_coef)
+    return tuple(a * pts - b * s for s in scores)
 
 
 def _laplacian(target, alpha, sigma, x):
     pts, single = _as_batch(x, target.dim)
     terms = _evaluate(target, alpha, sigma, pts)
-    comp, s = _scores(target, terms)
+    comp, (s,) = _scores(target, terms)
+    resp, = terms.resp
     dev = comp - s  # centred: sum_j r_j |u_j - s|^2 = sum_j r_j |u_j|^2 - |s|^2
     sq = np.einsum("knd,knd->nk", dev, dev)
     inv_traces = (1.0 / terms.m).sum(axis=2).T  # (n|1, k)
     # A row-wise sum reduces a batch row exactly as it reduces one point.
-    vals = np.sum(terms.resp * (sq - inv_traces), axis=1)
+    vals = np.sum(resp * (sq - inv_traces), axis=1)
     return float(vals[0]) if single else vals
 
 
 def _hessian(target, alpha, sigma, x):
     pts, single = _as_batch(x, target.dim)
     terms = _evaluate(target, alpha, sigma, pts)
-    comp, s = _scores(target, terms)
+    comp, (s,) = _scores(target, terms)
+    resp, = terms.resp
     # sum_j r_j M_j^{-1} with M_j^{-1} = Q_j diag(1 / m_j) Q_j^T: one BLAS
     # product per component, so no (k, n, dim, dim) stack is formed.
     h = np.zeros((pts.shape[0], target.dim, target.dim))
-    for q, scaled in zip(target._eigvecs, terms.resp.T[:, :, None] / terms.m):
+    for q, scaled in zip(target._eigvecs, resp.T[:, :, None] / terms.m):
         h -= (q * scaled[:, None, :]) @ q.T
     # sum_j r_j dev_j dev_j^T as one (dim, k) @ (k, dim) BLAS product per
     # point: its shape does not depend on n, so a batch row sums exactly as
@@ -327,7 +374,7 @@ def _hessian(target, alpha, sigma, x):
     # dev are BLAS products too, so a whole batch row equals one point bit
     # for bit up to dim = 3 and within 1.5e-13 relative at dim = 64.
     dev = comp - s  # centred, as in _laplacian
-    weighted = np.transpose(dev, (1, 2, 0)) * terms.resp[:, None, :]  # (n, dim, k)
+    weighted = np.transpose(dev, (1, 2, 0)) * resp[:, None, :]  # (n, dim, k)
     h += weighted @ np.swapaxes(dev, 0, 1)
     return h[0] if single else h
 
@@ -368,7 +415,7 @@ def posterior(target, schedule, t, x) -> PosteriorMoments:
     alpha, sigma = _path(schedule, t)
     pts, single = _as_batch(x, target.dim)
     terms = _evaluate(target, alpha, sigma, pts)
-    resp, m = terms.resp, terms.m
+    (resp,), m = terms.resp, terms.m
     lam = target._eigvals[:, None, :]
 
     a = _column(alpha)
@@ -404,9 +451,8 @@ def velocity(target, schedule, t, x, method="score"):
     """
     pts, single = _as_batch(x, target.dim)
     if method == "score":
-        s = _score(target, *_path(schedule, t), pts)
-        a, b = (_column(c) for c in sched.coefficients(schedule, t))
-        v = a * pts - b * s
+        v, = _velocities(target, *_path(schedule, t),
+                         *sched.coefficients(schedule, t), pts)
     elif method == "predictors":
         x1_hat = posterior(target, schedule, t, pts).mean
         alpha, sigma, d_alpha, d_sigma = (

@@ -3,10 +3,14 @@
 The integrator marches ``x_{k+1} = x_k + dt * (v_u(x_k, t_k) + update_k)``
 on a uniform time grid from the noise end to the data end, where
 ``update_k`` is whatever the configured guidance rule produces (or an
-arbitrary extra vector field, for conservation experiments).  Trajectories
-are deterministic given the initial state; batches draw initial states
-``x0 ~ N(0, I)`` with one child seed per trajectory index so that results
-do not depend on batch size or ordering.  A single trajectory and a batch
+arbitrary extra vector field, for conservation experiments).  Each guided
+step evaluates the conditional and the unconditional velocity in one
+oracle pass over the pair's stacked components (``mixture._Stack``, built
+once with the ``TargetPair``); the path coefficients of every step come
+from two schedule calls over the whole grid.  Trajectories are
+deterministic given the initial state; batches draw initial states ``x0 ~
+N(0, I)`` with one child seed per trajectory index so that results do not
+depend on batch size or ordering.  A single trajectory and a batch
 both come back as a ``TrajectoryRecord`` of the time grid and the states:
 the loop keeps only what it integrates, and callers evaluate whatever
 summary they report on those states.
@@ -18,7 +22,7 @@ by integrator order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,6 +60,9 @@ class TargetPair:
 
     conditional: mix.GaussianMixture
     unconditional: mix.GaussianMixture
+    # Both targets' components in one stack, conditional first, so that one
+    # oracle pass per Euler step evaluates both.
+    _stack: mix._Stack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.conditional.dim != self.unconditional.dim:
@@ -63,6 +70,8 @@ class TargetPair:
                 f"conditional dim {self.conditional.dim} != "
                 f"unconditional dim {self.unconditional.dim}"
             )
+        object.__setattr__(
+            self, "_stack", mix._Stack(self.conditional, self.unconditional))
 
     @property
     def dim(self):
@@ -107,22 +116,32 @@ def _euler(x0s, pair, schedule, guidance_config, sampler_config,
     """Vectorized Euler loop over a batch of initial states.
 
     Returns ``(times, states)``: the grid and the ``(steps + 1, count,
-    dim)`` states.
+    dim)`` states.  The path coefficients of every step come from two
+    schedule calls over the whole grid.  A guided step makes one oracle pass
+    over the pair's stacked components for both velocities; with an
+    explicit ``guidance_field`` only the unconditional velocity is
+    evaluated.
     """
     _check_grid(schedule, sampler_config)
     steps = sampler_config.steps
     times = np.linspace(sampler_config.t_start, sampler_config.t_end, steps + 1)
+    path = sched.evaluate(schedule, times)
+    alphas, sigmas = path.alpha.tolist(), path.sigma.tolist()
+    state_coefs, score_coefs = (
+        c.tolist() for c in sched.coefficients(schedule, times))
     count, dim = x0s.shape
     states = np.empty((steps + 1, count, dim))
     states[0] = x0s
     for k in range(steps):
         t = float(times[k])
         x = states[k]
-        v_u = mix.velocity(pair.unconditional, schedule, t, x)
         if guidance_field is None:
-            v_c = mix.velocity(pair.conditional, schedule, t, x)
+            v_c, v_u = mix._velocities(
+                pair._stack, alphas[k], sigmas[k], state_coefs[k],
+                score_coefs[k], x)
             update = apply_guidance(v_u, v_c, x, t, schedule, guidance_config)
         else:
+            v_u = mix.velocity(pair.unconditional, schedule, t, x)
             update = np.asarray(guidance_field(x, t), dtype=float)
             if update.shape != x.shape:
                 update = np.broadcast_to(update, x.shape)

@@ -7,6 +7,13 @@ produce byte-identical files.  Every artifact is written to a temporary
 file in its target directory and then moved over the target with
 ``os.replace``, so a run that fails midway leaves either the previous file
 or the complete new one, never a partial file.
+
+A CSV table picks one ``%`` format per column from the types of its
+cells: ``%d`` for a column of Python ints and bools, ``%.17g`` for a
+column of floats and numpy numbers, and ``%s`` over cells formatted one
+by one with ``format_value`` for any other column (strings, or mixed
+types).  The whole table is then formatted by a single ``%``, and every
+cell comes out as ``format_value`` writes it.
 """
 
 from __future__ import annotations
@@ -15,6 +22,9 @@ import json
 import os
 import uuid
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .errors import ConfigurationError, ShapeError
 
@@ -73,6 +83,20 @@ def format_value(value) -> str:
         return str(value)
 
 
+_FLOAT_TYPES = (float, np.integer, np.floating, np.bool_)
+
+
+def _column_format(cells):
+    """The ``%`` format that writes every one of ``cells`` as
+    ``format_value`` does, or None when no single format does."""
+    kinds = set(map(type, cells))
+    if kinds <= {bool, int}:
+        return "%d"
+    if all(issubclass(kind, _FLOAT_TYPES) for kind in kinds):
+        return "%.17g"
+    return None
+
+
 @dataclass
 class Table:
     """An ordered-column table of scalar values."""
@@ -81,12 +105,19 @@ class Table:
     rows: list
 
     def write_csv(self, path):
-        lines = [",".join(self.columns)]
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise ShapeError(
                     f"row has {len(row)} entries for {len(self.columns)} columns"
                 )
-            lines.append(",".join(format_value(v) for v in row))
-        text = "\n".join(lines) + "\n"
+        formats, columns = [], []
+        for cells in zip(*self.rows):
+            fmt = _column_format(cells)
+            if fmt is None:
+                fmt, cells = "%s", [format_value(v) for v in cells]
+            formats.append(fmt)
+            columns.append(cells)
+        line = ",".join(formats) + "\n"
+        body = (line * len(self.rows)) % tuple(chain.from_iterable(zip(*columns)))
+        text = ",".join(self.columns) + "\n" + body
         return atomic_write(path, lambda fh: fh.write(text))

@@ -61,6 +61,27 @@ def test_table_write_csv(tmp_path):
     assert path.read_text() == "a,b\n1,0.5\n2,1.5\n"
 
 
+def test_table_write_csv_matches_per_cell_format_value(tmp_path):
+    # One column per cell type, one of mixed types, and one of strings,
+    # which format_value reformats where they parse as floats ("1.50").
+    rows = [
+        [3, True, "cfg", np.float64(1.0 / 3.0), -0.0, 5e-324, 1e300,
+         np.int64(2**60), np.float32(0.1), np.bool_(False), 2**70, "1.50"],
+        [2**64 + 1, False, "projected", np.float64(-2.5), 0.5, -5e-324, -1e300,
+         np.int32(-7), np.float32(-3.0), np.bool_(True), 0.25, "nan"],
+    ]
+    columns = [f"c{i}" for i in range(len(rows[0]))]
+    path = tmp_path / "mixed.csv"
+    Table(columns=columns, rows=rows).write_csv(str(path))
+    want = "\n".join([",".join(columns)] + [
+        ",".join(format_value(v) for v in row) for row in rows]) + "\n"
+    assert path.read_bytes() == want.encode()
+    Table(columns=columns, rows=[]).write_csv(str(path))
+    assert path.read_text() == ",".join(columns) + "\n"
+    with pytest.raises(ShapeError):
+        Table(columns=columns, rows=rows + [rows[0][:-1]]).write_csv(str(path))
+
+
 def test_artifact_write_that_raises_midway_keeps_previous_file(tmp_path):
     path = tmp_path / "artifact.json"
     cli._write_json({"value": 1.0}, str(path))

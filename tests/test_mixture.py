@@ -17,6 +17,7 @@ from guidance_lab import (
     GaussianMixture,
     Schedule,
     ShapeError,
+    coefficients,
     mixture,
 )
 from guidance_lab.verify import _random_mixture
@@ -228,6 +229,60 @@ def test_per_point_times_are_checked():
         for oracle in _PER_POINT_ORACLES.values():
             with pytest.raises(ShapeError):
                 oracle(target, sch, wrong, pts)
+
+
+# ---------------------------------------------------------------------------
+# one oracle pass over the stacked components of several targets
+
+
+def _same_bits(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+# (conditional, unconditional) component counts.  A sum over 8 or more
+# elements (components here, dimensions at d = 8 and 16) takes the unrolled
+# branch of numpy's pairwise sum.
+@pytest.mark.parametrize("counts", [(1, 4), (3, 9), (12, 10)])
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
+def test_stacked_pass_matches_each_target_alone_bit_for_bit(dim, counts):
+    rng = np.random.default_rng([53, dim, *counts])
+    cond, uncond = (_random_mixture(rng, dim, k) for k in counts)
+    stack = mixture._Stack(cond, uncond)
+    sch = Schedule()
+    # Near the noise end every component carries weight, so the order of a
+    # target's sums over its components shows in the last bits.
+    times = np.concatenate([[sch.t_min, 0.3], rng.uniform(sch.t_min, sch.t_max, 4)])
+    pts = 1.5 * rng.normal(size=(6, dim))
+    cases = [(float(times[0]), pts[0]), (float(times[1]), pts),
+             (times[:1], pts[:1]), (times, pts)]
+    for t, x in cases:
+        batch = np.atleast_2d(x)
+        path = mixture._path(sch, t)
+        terms = mixture._evaluate(stack, *path, batch)
+        _, scores = mixture._scores(stack, terms)
+        velocities = mixture._velocities(
+            stack, *path, *coefficients(sch, t), batch)
+        for i, target in enumerate((cond, uncond)):
+            what = f"target {i} at t={t} for points of shape {np.shape(x)}"
+            alone = mixture._evaluate(target, *path, batch)
+            _same_bits(terms.log_density[i], alone.log_density[0], what)
+            _same_bits(terms.resp[i], alone.resp[0], what)
+            want_s = mixture.score(target, sch, t, x)
+            want_v = mixture.velocity(target, sch, t, x)
+            if np.ndim(x) == 1:
+                _same_bits(scores[i][0], want_s, what)
+                _same_bits(velocities[i][0], want_v, what)
+            else:
+                _same_bits(scores[i], want_s, what)
+                _same_bits(velocities[i], want_v, what)
+
+
+def test_stack_rejects_targets_of_different_dimensions():
+    with pytest.raises(ShapeError):
+        mixture._Stack(GaussianMixture.single(np.zeros(2), 1.0),
+                       GaussianMixture.single(np.zeros(3), 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,13 @@ from guidance_lab import (
     ShapeError,
     TargetPair,
     TrajectoryRecord,
+    apply_guidance,
     draw_initial_state,
     initial_states,
     integrate,
     mixture,
 )
+from guidance_lab.verify import _random_mixture
 
 
 def _pair(dim=2):
@@ -186,6 +188,58 @@ def test_zero_guidance_field_matches_manual_unconditional_euler():
         v = mixture.velocity(pair.unconditional, sch, t, x)
         x = x + (rec.times[k + 1] - rec.times[k]) * v
     np.testing.assert_array_equal(rec.states[-1], x[0])
+
+
+def _per_target_euler(x0s, pair, sch, rule, scfg):
+    """The guided Euler loop with one oracle pass per target and step."""
+    times = np.linspace(scfg.t_start, scfg.t_end, scfg.steps + 1)
+    x = x0s
+    for k in range(scfg.steps):
+        t = float(times[k])
+        v_u = mixture.velocity(pair.unconditional, sch, t, x)
+        v_c = mixture.velocity(pair.conditional, sch, t, x)
+        x = x + (times[k + 1] - times[k]) * (
+            v_u + apply_guidance(v_u, v_c, x, t, sch, rule))
+    return x
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_joint_pass_trajectory_matches_per_target_passes(dim):
+    rng = np.random.default_rng([61, dim])
+    pair = TargetPair(conditional=_random_mixture(rng, dim, 3),
+                      unconditional=_random_mixture(rng, dim, 10))
+    sch = Schedule()
+    scfg = SamplerConfig(steps=25, seed=5)
+    for rule in (GuidanceConfig(),
+                 GuidanceConfig(rule=GuidanceRule.CFG, guidance_scale=3.0,
+                                min_scale=0.0, decay_power=0.0)):
+        for x0s in (initial_states(1, dim, seed=5), initial_states(4, dim, seed=5)):
+            rec = integrate(x0s, pair, sch, rule, scfg)
+            want = _per_target_euler(x0s, pair, sch, rule, scfg)
+            assert rec.terminal_state.tobytes() == want.tobytes()
+
+
+def test_guided_step_makes_one_oracle_pass(monkeypatch):
+    pair = _pair()
+    sch = Schedule()
+    calls = []
+    evaluate = mixture._evaluate
+
+    def counting(*args):
+        calls.append((args[0], args[3].shape))
+        return evaluate(*args)
+
+    monkeypatch.setattr(mixture, "_evaluate", counting)
+    for steps in (4, 30):
+        for x0 in (np.zeros(2), initial_states(3, 2, seed=1)):
+            calls.clear()
+            integrate(x0, pair, sch, GuidanceConfig(), SamplerConfig(steps=steps))
+            assert calls == [(pair._stack, np.atleast_2d(x0).shape)] * steps
+    # An explicit field replaces the rule: only the unconditional target.
+    calls.clear()
+    integrate(np.zeros(2), pair, sch, GuidanceConfig(), SamplerConfig(steps=4),
+              guidance_field=lambda x, t: np.zeros_like(x))
+    assert calls == [(pair.unconditional, (1, 2))] * 4
 
 
 def test_projected_beta_one_reproduces_cfg_trajectory():
