@@ -23,7 +23,6 @@ import sys
 import numpy as np
 
 from . import config as cfg_mod
-from . import divergence as dvg
 from . import guidance as gd
 from . import metrics
 from . import mixture as mix
@@ -97,18 +96,23 @@ def run_verify(config):
 
 
 def run_trace_divergence(config):
+    """|div| / dim of both velocities and, from one evaluation of the pair
+    terms, of the projected update at every ``beta``."""
     pair, schedule = config.pair, config.schedule
     record = _reference_trajectory(config)
-    fields = {
-        "cond": gd.velocity_field(pair.conditional, schedule),
-        "uncond": gd.velocity_field(pair.unconditional, schedule),
-    }
+    times, states = record.times, record.states
+    columns = ["step", "t", "div_cond", "div_uncond"]
+    divs = [gd.velocity_field(target, schedule).divergence(states, times)
+            for target in (pair.conditional, pair.unconditional)]
+    terms = gd._pair_terms(pair._stack, schedule, times, states,
+                           config.guidance.normal_source)
     for beta in config.beta_sweep:
-        rule = _projected(config, beta=beta)
-        fields[f"g_beta_{beta:g}"] = gd.projected_update_field(
-            pair.conditional, pair.unconditional, schedule, rule
-        )
-    table = dvg.divergence_profile(fields, record)
+        columns.append(f"div_g_beta_{beta:g}")
+        divs.append(gd._update_divergence(
+            terms, _projected(config, beta=beta), times))
+    cells = [times] + [np.abs(div) / pair.dim for div in divs]
+    rows = [[k] + row for k, row in enumerate(np.column_stack(cells).tolist())]
+    table = Table(columns=columns, rows=rows)
     _write_table(table, os.path.join(config.output_dir, "trace_divergence.csv"))
     return 0
 

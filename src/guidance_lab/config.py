@@ -29,8 +29,10 @@ integers only (not booleans or fractional numbers), and real fields and
 arrays take finite JSON numbers only (not ``NaN``, ``Infinity`` or an
 integer beyond the float range).  Seeds must be non-negative, the size
 fields are at most ``MAX_STEPS``, ``MAX_SAMPLE_COUNT`` and
-``MAX_PERMUTATIONS``, and the sampler grid must lie inside the schedule
-clamp, so a bad config fails before any artifact is written.
+``MAX_PERMUTATIONS``, the sampler grid must lie inside the schedule
+clamp, and no two values of a sweep may be equal or share the ``:g`` label
+that names them in the artifacts, so a bad config fails before any
+artifact is written.
 """
 
 from __future__ import annotations
@@ -317,9 +319,16 @@ def _sampler_from_dict(d):
 
 
 def _sweep(d, key, fallback):
-    return tuple(
+    values = tuple(
         float(v) for v in _real_array(d, key, list(fallback), "guidance", ndim=1)
     )
+    # Artifacts name each value by its :g label: a repeat would overwrite.
+    labels = [f"{v:g}" for v in values]
+    if len(set(values)) < len(values) or len(set(labels)) < len(labels):
+        raise ConfigurationError(
+            f"guidance.{key} values must differ and have distinct labels, "
+            f"got {list(values)} labelled {labels}")
+    return values
 
 
 def config_from_dict(d):

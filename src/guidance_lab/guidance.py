@@ -275,22 +275,23 @@ class _PairTerms(NamedTuple):
     div_par: np.ndarray  # (n,) product-rule divergence of g_par
 
 
-def _pair_terms(conditional, unconditional, schedule, t, x, normal_source):
+def _pair_terms(stack, schedule, t, x, normal_source):
     """Exact Jacobians of ``g`` and ``g_par`` and the divergence of
-    ``g_par`` at every row of ``x`` (a point or a batch), from one Hessian
-    and one score per target.
+    ``g_par`` at every row of ``x`` (a point or a batch), from one oracle
+    pass over ``stack``, the conditional and unconditional target stacked
+    in that order, for both targets' scores and Hessians.
 
     With ``g = -b (s_c - s_u)``, ``n = b s_src`` and ``lam = <g, n> / ||n||^2``
     the parallel field ``g_par = lam n`` has Jacobian
     ``n grad_lam^T + lam J_n`` and divergence ``<n, grad_lam> + lam div n``.
+    No term depends on ``parallel_scale``, so one evaluation serves the
+    update of every ``beta`` (:func:`_update_jacobian`).
     Raises DegenerateNormalError if the normal vanishes at any row.
     """
-    pts = np.atleast_2d(x)
+    pts, _ = mix._as_batch(x, stack.dim)
     _, b = sched.coefficients(schedule, t)
-    h_c = mix.hessian_log_density(conditional, schedule, t, pts)
-    h_u = mix.hessian_log_density(unconditional, schedule, t, pts)
-    s_c = mix.score(conditional, schedule, t, pts)
-    s_u = mix.score(unconditional, schedule, t, pts)
+    terms = mix._evaluate(stack, *mix._path(schedule, t), pts)
+    (s_c, s_u), (h_c, h_u) = mix._hessians(stack, terms, pts)
     if normal_source is NormalSource.CONDITIONAL:
         h_src, s_src = h_c, s_c
     else:
@@ -315,6 +316,18 @@ def _pair_terms(conditional, unconditional, schedule, t, x, normal_source):
     return _PairTerms(jac_g=jac_g, jac_par=jac_par, div_par=div_par)
 
 
+def _update_jacobian(terms, config, t):
+    """``scale(t) * (J_g + (parallel_scale - 1) * J_par)`` per row of the
+    :func:`_pair_terms` ``terms``: the Jacobian of the projected update."""
+    scale = mix._column(sched.guidance_scale_at(config, t), 2)
+    return scale * (terms.jac_g + (config.parallel_scale - 1.0) * terms.jac_par)
+
+
+def _update_divergence(terms, config, t):
+    """The trace of :func:`_update_jacobian`, one divergence per row."""
+    return np.einsum("nii->n", _update_jacobian(terms, config, t))
+
+
 def _rows_of(x, values):
     """Per-row ``values`` for a batch ``x``; the single row for a point."""
     return values[0] if np.ndim(x) == 1 else values
@@ -332,6 +345,7 @@ def parallel_component_field(conditional, unconditional, schedule,
     """
     v_c = velocity_field(conditional, schedule)
     v_u = velocity_field(unconditional, schedule)
+    stack = mix._Stack(conditional, unconditional)
 
     def fn(x, t):
         x = np.asarray(x, dtype=float)
@@ -344,8 +358,7 @@ def parallel_component_field(conditional, unconditional, schedule,
         return par
 
     def terms(x, t):
-        return _pair_terms(conditional, unconditional, schedule, t, x,
-                           normal_source)
+        return _pair_terms(stack, schedule, t, x, normal_source)
 
     def div_fn(x, t):
         return _rows_of(x, terms(x, t).div_par)
@@ -370,23 +383,21 @@ def projected_update_field(conditional, unconditional, schedule, config,
         raise ConfigurationError("projected_update_field requires the projected rule")
     v_c = velocity_field(conditional, schedule)
     v_u = velocity_field(unconditional, schedule)
+    stack = mix._Stack(conditional, unconditional)
 
     def fn(x, t):
         x = np.asarray(x, dtype=float)
         vu, vc = v_u(x, t), v_c(x, t)
         return apply_guidance(vu, vc, x, t, schedule, config)
 
-    def batch_jacobian(x, t):
-        terms = _pair_terms(conditional, unconditional, schedule, t, x,
-                            config.normal_source)
-        scale = mix._column(sched.guidance_scale_at(config, t), 2)
-        return scale * (terms.jac_g + (config.parallel_scale - 1.0) * terms.jac_par)
+    def terms(x, t):
+        return _pair_terms(stack, schedule, t, x, config.normal_source)
 
     def jac_fn(x, t):
-        return _rows_of(x, batch_jacobian(x, t))
+        return _rows_of(x, _update_jacobian(terms(x, t), config, t))
 
     def div_fn(x, t):
-        return _rows_of(x, np.einsum("nii->n", batch_jacobian(x, t)))
+        return _rows_of(x, _update_divergence(terms(x, t), config, t))
 
     return VectorField(fn=fn, dim=conditional.dim, div_fn=div_fn, jac_fn=jac_fn,
                        label=label)

@@ -146,7 +146,8 @@ def permutation_test(a, b, n_perm=1000, seed=0, quantiles=DEFAULT_QUANTILES):
         raise ConfigurationError(f"n_perm must be >= {MIN_PERMUTATIONS}, "
                                  f"got {n_perm}")
     energies = _split_energies(*_pooled(a, b), n_perm, seed)
-    qs = {float(q): float(np.quantile(energies[1:], q)) for q in quantiles}
+    values = np.quantile(energies[1:], quantiles)
+    qs = {float(q): float(v) for q, v in zip(quantiles, values)}
     return TwoSampleResult(float(energies[0]), qs, n_perm)
 
 

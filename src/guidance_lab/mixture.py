@@ -33,7 +33,9 @@ Conventions used throughout:
   point, or an ``(n,)`` array holding one time per point of the batch, so
   a whole trajectory is one call.  The path coefficients then become
   ``(n, 1)`` columns and ``m_j`` one row of eigenvalues per point; a scalar
-  is the same computation with a single row that broadcasts.
+  is the same computation with a single row that broadcasts.  These
+  time-only terms (``_time_terms``) also take a whole time grid, built once
+  and sliced one row per Euler step.
 
 The posterior of the clean sample ``X1`` given ``X_t = x`` is conjugate per
 component:
@@ -145,6 +147,7 @@ class GaussianMixture:
         self._eigvecs_t = np.ascontiguousarray(np.swapaxes(eigvecs, 1, 2))  # Q_j^T
         self._rotated_means = np.einsum("kij,ki->kj", eigvecs, means)  # Q_j^T mu_j
         self._slices = (slice(0, k),)  # one target: every component
+        self._owner = np.zeros(k, dtype=np.intp)  # target of each component
         for arr in (self.weights, self.means, self.covariances, self._chols,
                     self._eigvals, self._eigvecs, self._eigvecs_t,
                     self._rotated_means):
@@ -242,10 +245,10 @@ class _Stack:
     pass evaluates every target at the same points and times.
 
     It holds the arrays :func:`_evaluate` and :func:`_scores` read from a
-    ``GaussianMixture``, concatenated over the targets in order, and
-    ``_slices``, one slice of the component axis per target.  A
-    ``GaussianMixture`` is the one-target case: its ``_slices`` covers all
-    of its components.
+    ``GaussianMixture``, concatenated over the targets in order,
+    ``_slices``, one slice of the component axis per target, and
+    ``_owner``, the target of each component.  A ``GaussianMixture`` is the
+    one-target case: its ``_slices`` covers all of its components.
     """
 
     def __init__(self, *targets):
@@ -259,6 +262,7 @@ class _Stack:
             setattr(self, name, arr)
         bounds = np.cumsum([0] + [target.n_components for target in targets]).tolist()
         self._slices = tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+        self._owner = np.repeat(np.arange(len(targets)), np.diff(bounds))
 
 
 class _Terms(NamedTuple):
@@ -275,45 +279,67 @@ def _column(c, trailing=1):
     return c.reshape(c.shape + (1,) * trailing) if isinstance(c, np.ndarray) else c
 
 
-def _evaluate(stack, alpha, sigma, pts):
-    """Terms of each target ``sum_j w_j Normal(alpha mu_j, M_j)`` of
-    ``stack`` at ``pts`` (n, dim).
+def _time_terms(stack, alpha, sigma):
+    """The time-only terms ``m_j``, log normalisers and ``alpha mu_j`` of
+    a pass, one row per time on axis 1: one row for scalar ``alpha`` and
+    ``sigma``, ``T`` rows for ``(T,)`` arrays such as a whole Euler grid."""
+    a, s = _column(alpha), _column(sigma)
+    m = (a * a) * stack._eigvals[:, None, :] + s * s
+    log_norms = stack._log_weights[:, None] - 0.5 * (
+        stack.dim * _LOG_2PI + np.log(m).sum(axis=2)
+    )
+    return m, log_norms, a * stack.means[:, None, :]
 
-    ``stack`` is a ``GaussianMixture``, one target, or a ``_Stack`` of
-    several, such as the two targets of a guided Euler step: one pass then
-    serves both.  The per-component terms are formed once over the whole
-    stack, and each component's arithmetic does not depend on what else
-    is stacked with it.  Each target then reduces over its own slice of
-    components: its own log-sum-exp, log density and responsibilities, so
-    a target's terms equal those of a pass over that target alone bit for
-    bit.  ``alpha`` and ``sigma`` are scalars, one time for every point, or
-    ``(n,)`` arrays, one time per point.  A log-sum-exp row whose maximum
-    is not finite is shifted by zero, so a point where every component
-    underflows gets log density -inf, not NaN.
-    """
+
+def _evaluate(stack, alpha, sigma, pts):
+    """:func:`_evaluate_at` over :func:`_time_terms`: ``alpha`` and
+    ``sigma`` are scalars, one time for every point, or ``(n,)`` arrays,
+    one time per point."""
     if isinstance(alpha, np.ndarray) and alpha.shape != (pts.shape[0],):
         raise ShapeError(
             f"times have shape {alpha.shape}; expected a scalar or "
             f"({pts.shape[0]},), one per point"
         )
-    a, s = _column(alpha), _column(sigma)
-    m = (a * a) * stack._eigvals[:, None, :] + s * s
-    delta = pts[None, :, :] - a * stack.means[:, None, :]
+    return _evaluate_at(stack, *_time_terms(stack, alpha, sigma), pts)
+
+
+def _evaluate_at(stack, m, log_norms, scaled_means, pts):
+    """Terms of each target ``sum_j w_j Normal(alpha mu_j, M_j)`` of
+    ``stack`` at ``pts`` (n, dim), given :func:`_time_terms` of one row (one
+    time) or of ``n`` rows (one time per point).
+
+    ``stack`` is a ``GaussianMixture``, one target, or a ``_Stack`` of
+    several, such as the two targets of a guided Euler step: one pass then
+    serves both.  Each component's arithmetic does not depend on what else
+    is stacked with it, and each target takes its log-sum-exp's maximum and
+    sum over its own slice of components (around one ``exp``, one ``log``
+    and one more ``exp`` over the stack), so a target's terms equal those
+    of a pass over that target alone bit for bit.  A log-sum-exp row whose
+    maximum is not finite is shifted by zero, so a point where every
+    component underflows gets log density -inf, not NaN.
+    """
+    delta = pts[None, :, :] - scaled_means
     resid = delta @ stack._eigvecs  # rows Q_j^T (x - alpha mu_j)
     whitened = resid / m
-    log_norms = stack._log_weights[:, None] - 0.5 * (
-        stack.dim * _LOG_2PI + np.log(m).sum(axis=2)
-    )
     lp = log_norms.T - 0.5 * np.einsum("knd,knd->nk", resid, whitened)
-    log_density, resp = [], []
-    for part in (lp[:, components] for components in stack._slices):
-        top = part.max(axis=1, keepdims=True)
-        top[~np.isfinite(top)] = 0.0
-        with np.errstate(divide="ignore"):
-            log_density.append(np.log(np.exp(part - top).sum(axis=1)) + top[:, 0])
-        resp.append(np.exp(part - log_density[-1][:, None]))
-    return _Terms(m=m, whitened=whitened, log_density=tuple(log_density),
-                  resp=tuple(resp))
+    # One max per target: np.maximum.reduceat costs about 45 ns a row (95 us
+    # at n = 2049).  Both exps run in place, in the gathers' buffers: with
+    # two more fresh (n, k) arrays a pass over 2049 points took 15% longer.
+    top = np.empty((lp.shape[0], len(stack._slices)))  # (n, targets)
+    for i, components in enumerate(stack._slices):
+        top[:, i] = lp[:, components].max(axis=1)
+    top[~np.isfinite(top)] = 0.0
+    shifted = top[:, stack._owner]
+    np.exp(np.subtract(lp, shifted, out=shifted), out=shifted)
+    sums = np.empty_like(top)
+    for i, components in enumerate(stack._slices):
+        sums[:, i] = shifted[:, components].sum(axis=1)
+    with np.errstate(divide="ignore"):
+        log_density = np.log(sums) + top
+    resp = log_density[:, stack._owner]
+    np.exp(np.subtract(lp, resp, out=resp), out=resp)
+    return _Terms(m=m, whitened=whitened, log_density=tuple(log_density.T),
+                  resp=tuple(resp[:, components] for components in stack._slices))
 
 
 def _scores(stack, terms):
@@ -322,6 +348,31 @@ def _scores(stack, terms):
     comp = -(terms.whitened @ stack._eigvecs_t)
     return comp, tuple(np.einsum("nk,knd->nd", r, comp[components])
                        for r, components in zip(terms.resp, stack._slices))
+
+
+def _hessians(stack, terms, pts):
+    """Per target of ``stack``, the mixture scores (n, dim) and the Hessians
+    ``sum_j r_j (dev_j dev_j^T - M_j^{-1})`` (n, dim, dim) at ``pts``, from
+    one pass's ``terms``."""
+    comp, scores = _scores(stack, terms)
+    hessians = []
+    for components, resp, s in zip(stack._slices, terms.resp, scores):
+        # sum_j r_j M_j^{-1} with M_j^{-1} = Q_j diag(1 / m_j) Q_j^T: one
+        # BLAS product per component, so no (k, n, dim, dim) stack is formed.
+        h = np.zeros((pts.shape[0], stack.dim, stack.dim))
+        for q, scaled in zip(stack._eigvecs[components],
+                             resp.T[:, :, None] / terms.m[components]):
+            h -= (q * scaled[:, None, :]) @ q.T
+        # sum_j r_j dev_j dev_j^T as one (dim, k) @ (k, dim) BLAS product per
+        # point, whose shape does not depend on n (a three-operand einsum is
+        # ten times slower at dim = 512).  With the BLAS rotations behind
+        # dev, a batch row equals one point bit for bit up to dim = 3 and
+        # within 1.5e-13 relative at dim = 64.
+        dev = comp[components] - s  # centred, as in _laplacian
+        weighted = np.transpose(dev, (1, 2, 0)) * resp[:, None, :]  # (n, dim, k)
+        h += weighted @ np.swapaxes(dev, 0, 1)
+        hessians.append(h)
+    return scores, tuple(hessians)
 
 
 def _log_density(target, alpha, sigma, x):
@@ -336,10 +387,10 @@ def _score(target, alpha, sigma, x):
     return s[0] if single else s
 
 
-def _velocities(stack, alpha, sigma, state_coef, score_coef, pts):
+def _velocities(stack, terms, state_coef, score_coef, pts):
     """Score-route velocities ``a_t * x - b_t * score`` of every target of
-    ``stack`` at ``pts`` (n, dim), from one :func:`_evaluate` pass."""
-    _, scores = _scores(stack, _evaluate(stack, alpha, sigma, pts))
+    ``stack`` at ``pts`` (n, dim), from one pass's ``terms``."""
+    _, scores = _scores(stack, terms)
     a, b = _column(state_coef), _column(score_coef)
     return tuple(a * pts - b * s for s in scores)
 
@@ -359,23 +410,7 @@ def _laplacian(target, alpha, sigma, x):
 
 def _hessian(target, alpha, sigma, x):
     pts, single = _as_batch(x, target.dim)
-    terms = _evaluate(target, alpha, sigma, pts)
-    comp, (s,) = _scores(target, terms)
-    resp, = terms.resp
-    # sum_j r_j M_j^{-1} with M_j^{-1} = Q_j diag(1 / m_j) Q_j^T: one BLAS
-    # product per component, so no (k, n, dim, dim) stack is formed.
-    h = np.zeros((pts.shape[0], target.dim, target.dim))
-    for q, scaled in zip(target._eigvecs, resp.T[:, :, None] / terms.m):
-        h -= (q * scaled[:, None, :]) @ q.T
-    # sum_j r_j dev_j dev_j^T as one (dim, k) @ (k, dim) BLAS product per
-    # point: its shape does not depend on n, so a batch row sums exactly as
-    # one point does.  A three-operand einsum runs in numpy's C loop, about
-    # ten times slower than BLAS at dim = 512.  The rotations that give
-    # dev are BLAS products too, so a whole batch row equals one point bit
-    # for bit up to dim = 3 and within 1.5e-13 relative at dim = 64.
-    dev = comp - s  # centred, as in _laplacian
-    weighted = np.transpose(dev, (1, 2, 0)) * resp[:, None, :]  # (n, dim, k)
-    h += weighted @ np.swapaxes(dev, 0, 1)
+    _, (h,) = _hessians(target, _evaluate(target, alpha, sigma, pts), pts)
     return h[0] if single else h
 
 
@@ -451,8 +486,8 @@ def velocity(target, schedule, t, x, method="score"):
     """
     pts, single = _as_batch(x, target.dim)
     if method == "score":
-        v, = _velocities(target, *_path(schedule, t),
-                         *sched.coefficients(schedule, t), pts)
+        terms = _evaluate(target, *_path(schedule, t), pts)
+        v, = _velocities(target, terms, *sched.coefficients(schedule, t), pts)
     elif method == "predictors":
         x1_hat = posterior(target, schedule, t, pts).mean
         alpha, sigma, d_alpha, d_sigma = (

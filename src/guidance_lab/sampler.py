@@ -7,7 +7,8 @@ arbitrary extra vector field, for conservation experiments).  Each guided
 step evaluates the conditional and the unconditional velocity in one
 oracle pass over the pair's stacked components (``mixture._Stack``, built
 once with the ``TargetPair``); the path coefficients of every step come
-from two schedule calls over the whole grid.  Trajectories are
+from two schedule calls over the whole grid, and the oracle's time-only
+terms from one ``mixture._time_terms`` call over it.  Trajectories are
 deterministic given the initial state; batches draw initial states ``x0 ~
 N(0, I)`` with one child seed per trajectory index so that results do not
 depend on batch size or ordering.  A single trajectory and a batch
@@ -117,35 +118,38 @@ def _euler(x0s, pair, schedule, guidance_config, sampler_config,
 
     Returns ``(times, states)``: the grid and the ``(steps + 1, count,
     dim)`` states.  The path coefficients of every step come from two
-    schedule calls over the whole grid.  A guided step makes one oracle pass
-    over the pair's stacked components for both velocities; with an
-    explicit ``guidance_field`` only the unconditional velocity is
-    evaluated.
+    schedule calls over the whole grid, and the oracle's time-only terms
+    (``mixture._time_terms``: eigenvalues ``m_j``, log normalisers and
+    ``alpha mu_j``) from one call over it, sliced per step.  A guided step
+    makes one oracle pass over the pair's stacked components for both
+    velocities; with an explicit ``guidance_field`` only the unconditional
+    target is evaluated.
     """
     _check_grid(schedule, sampler_config)
     steps = sampler_config.steps
     times = np.linspace(sampler_config.t_start, sampler_config.t_end, steps + 1)
     path = sched.evaluate(schedule, times)
-    alphas, sigmas = path.alpha.tolist(), path.sigma.tolist()
     state_coefs, score_coefs = (
         c.tolist() for c in sched.coefficients(schedule, times))
+    stack = pair._stack if guidance_field is None else pair.unconditional
+    grid = mix._time_terms(stack, path.alpha, path.sigma)
     count, dim = x0s.shape
     states = np.empty((steps + 1, count, dim))
     states[0] = x0s
-    for k in range(steps):
-        t = float(times[k])
+    for k, (t, dt) in enumerate(zip(times.tolist(), np.diff(times).tolist())):
         x = states[k]
+        terms = mix._evaluate_at(stack, *(c[:, k:k + 1] for c in grid), x)
+        velocities = mix._velocities(stack, terms, state_coefs[k],
+                                     score_coefs[k], x)
+        v_u = velocities[-1]
         if guidance_field is None:
-            v_c, v_u = mix._velocities(
-                pair._stack, alphas[k], sigmas[k], state_coefs[k],
-                score_coefs[k], x)
-            update = apply_guidance(v_u, v_c, x, t, schedule, guidance_config)
+            update = apply_guidance(v_u, velocities[0], x, t, schedule,
+                                    guidance_config)
         else:
-            v_u = mix.velocity(pair.unconditional, schedule, t, x)
             update = np.asarray(guidance_field(x, t), dtype=float)
             if update.shape != x.shape:
                 update = np.broadcast_to(update, x.shape)
-        nxt = x + (times[k + 1] - times[k]) * (v_u + update)
+        nxt = x + dt * (v_u + update)
         if not np.all(np.isfinite(nxt)):
             raise IntegrationError(
                 f"non-finite state produced by Euler step {k} at t={t}", k

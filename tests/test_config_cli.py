@@ -34,7 +34,9 @@ from guidance_lab.config import (
     MAX_SAMPLE_COUNT,
     MAX_STEPS,
 )
+from guidance_lab.guidance import projected_update_field, velocity_field
 from guidance_lab.tables import atomic_write
+from guidance_lab.verify import _random_mixture
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +389,39 @@ def test_cli_trace_divergence_smoke_and_rerun(tmp_path):
     assert len(text1.splitlines()) == 26  # header + 25 states
 
 
+@pytest.mark.parametrize("source", ["conditional", "unconditional"])
+def test_trace_divergence_columns_match_field_divergences(tmp_path, source):
+    rng = np.random.default_rng(71)
+    targets = {name: target_to_dict(_random_mixture(rng, 3, k))
+               for name, k in (("conditional", 2), ("unconditional", 9))}
+    betas = [0.0, 0.1, 0.5, 1.0, 3.0]
+    cfg = _write_config(tmp_path, {
+        "kind": "trace_divergence", "targets": targets,
+        "sampler": {"steps": 30, "seed": 4},
+        "guidance": {"normal_source": source, "beta_sweep": betas},
+    })
+    out = tmp_path / "out"
+    assert cli.main(["trace_divergence", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "trace_divergence.csv").read_text().splitlines()
+    columns = np.array([[float(v) for v in line.split(",")] for line in lines[1:]]).T
+    config = load_config(cfg)
+    pair, sch = config.pair, config.schedule
+    record = cli._reference_trajectory(config)
+    times, states = record.times, record.states
+    fields = [velocity_field(pair.conditional, sch),
+              velocity_field(pair.unconditional, sch)]
+    for beta in betas:
+        rule = cli._projected(config, beta=beta)
+        assert rule.parallel_scale == beta and rule.normal_source.value == source
+        fields.append(projected_update_field(pair.conditional, pair.unconditional,
+                                             sch, rule))
+    assert lines[0].split(",")[4:] == [f"div_g_beta_{b:g}" for b in betas]
+    assert columns[1].tobytes() == times.tobytes()
+    for column, field in zip(columns[2:], fields):
+        want = np.abs(field.divergence(states, times)) / 3
+        assert column.tobytes() == want.tobytes(), field.label
+
+
 def test_cli_seed_override_changes_trajectory(tmp_path):
     cfg = _write_config(tmp_path, {
         "kind": "trace_divergence",
@@ -573,10 +608,18 @@ def _with_component(**fields):
     (_with("samples", n_perm=MAX_PERMUTATIONS + 1), []),
     (b'{"kind": "sample_compare", "seed": ' + b"1" * 5000 + b"}", []),
     (b'{"kind": "sample_compare", "output_dir": "\xff"}', []),
+    # Sweep values whose artifact labels (``f"{value:g}"``) collide.
+    ({"kind": "trace_divergence",
+      "guidance": {"beta_sweep": [0.1, 0.1000001, 1.0]}}, []),
+    ({"kind": "sweep_beta", "guidance": {"beta_sweep": [0.1, 0.1000001]}}, []),
+    ({"kind": "sweep_omega", "guidance": {"omega_sweep": [3.0, 3.0000001]}}, []),
+    ({"kind": "sweep_beta", "guidance": {"beta_sweep": [0.5, 1.0, 0.5]}}, []),
+    ({"kind": "trace_divergence", "guidance": {"beta_sweep": [0.0, -0.0]}}, []),
 ], ids=["seed-flag", "seed", "sampler-seed", "nan-weight", "inf-cov",
         "nan-sweep", "grid-outside-clamp", "huge-int-scale", "huge-int-mean",
         "huge-steps", "count-over-cap", "n-perm-over-cap", "over-long-integer",
-        "not-utf8"])
+        "not-utf8", "trace-beta-labels", "sweep-beta-labels", "omega-labels",
+        "repeated-beta", "signed-zero-beta"])
 def test_cli_invalid_config_exits_2_before_any_artifact(tmp_path, capsys,
                                                          payload, flags):
     # json.dumps writes NaN and Infinity, which json.load reads back; a bytes
@@ -584,10 +627,12 @@ def test_cli_invalid_config_exits_2_before_any_artifact(tmp_path, capsys,
     if isinstance(payload, bytes):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(payload)
+        kind = "sample_compare"
     else:
         cfg = _write_config(tmp_path, payload)
+        kind = payload["kind"]
     out = tmp_path / "out"
-    assert cli.main(["sample_compare", "--config", str(cfg), "--out", str(out),
+    assert cli.main([kind, "--config", str(cfg), "--out", str(out),
                      *flags]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()

@@ -390,6 +390,25 @@ def test_custom_quantiles():
     assert res.null_quantiles[0.25] <= res.null_quantiles[0.75]
 
 
+def test_quantiles_match_one_call_per_quantile():
+    # One vectorised np.quantile call gives every reported quantile; each
+    # must equal the call for that quantile alone, bit for bit.
+    qs = metrics.DEFAULT_QUANTILES + (0.25, 1 / 3, 0.999) + tuple(
+        k / 99 for k in range(0, 100, 7))
+    for seed in range(4):
+        rng = np.random.default_rng([12, seed])
+        a = rng.normal(size=(30, 2))
+        b = rng.normal(loc=0.3, size=(40, 2))
+        res = permutation_test(a, b, n_perm=100 + 37 * seed, seed=seed,
+                               quantiles=qs)
+        energies = metrics._split_energies(*metrics._pooled(a, b),
+                                           100 + 37 * seed, seed)
+        assert res.statistic == energies[0]
+        for q in qs:
+            want = np.quantile(energies[1:], q)
+            assert np.float64(res.null_quantiles[q]).tobytes() == want.tobytes(), q
+
+
 # ---------------------------------------------------------------------------
 # log-log slope
 

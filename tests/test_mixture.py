@@ -263,7 +263,10 @@ def test_stacked_pass_matches_each_target_alone_bit_for_bit(dim, counts):
         terms = mixture._evaluate(stack, *path, batch)
         _, scores = mixture._scores(stack, terms)
         velocities = mixture._velocities(
-            stack, *path, *coefficients(sch, t), batch)
+            stack, terms, *coefficients(sch, t), batch)
+        # The pair terms of the guidance fields take both targets' scores
+        # and Hessians from this one stacked pass.
+        hessian_scores, hessians = mixture._hessians(stack, terms, batch)
         for i, target in enumerate((cond, uncond)):
             what = f"target {i} at t={t} for points of shape {np.shape(x)}"
             alone = mixture._evaluate(target, *path, batch)
@@ -271,12 +274,12 @@ def test_stacked_pass_matches_each_target_alone_bit_for_bit(dim, counts):
             _same_bits(terms.resp[i], alone.resp[0], what)
             want_s = mixture.score(target, sch, t, x)
             want_v = mixture.velocity(target, sch, t, x)
+            want_h = mixture.hessian_log_density(target, sch, t, x)
+            got = (scores[i], velocities[i], hessian_scores[i], hessians[i])
             if np.ndim(x) == 1:
-                _same_bits(scores[i][0], want_s, what)
-                _same_bits(velocities[i][0], want_v, what)
-            else:
-                _same_bits(scores[i], want_s, what)
-                _same_bits(velocities[i], want_v, what)
+                got = tuple(values[0] for values in got)
+            for values, want in zip(got, (want_s, want_v, want_s, want_h)):
+                _same_bits(values, want, what)
 
 
 def test_stack_rejects_targets_of_different_dimensions():

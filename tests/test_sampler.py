@@ -19,6 +19,7 @@ from guidance_lab import (
     initial_states,
     integrate,
     mixture,
+    schedule,
 )
 from guidance_lab.verify import _random_mixture
 
@@ -219,27 +220,72 @@ def test_joint_pass_trajectory_matches_per_target_passes(dim):
             assert rec.terminal_state.tobytes() == want.tobytes()
 
 
+def _scalar_time_euler(x0s, pair, sch, rule, scfg):
+    """The guided Euler loop with every time term built at its step's
+    scalar time: one stacked pass and ``apply_guidance`` per step."""
+    times = np.linspace(scfg.t_start, scfg.t_end, scfg.steps + 1)
+    states = [x0s]
+    for k in range(scfg.steps):
+        t, x = float(times[k]), states[-1]
+        point = schedule.evaluate(sch, t)
+        terms = mixture._evaluate(pair._stack, point.alpha, point.sigma, x)
+        v_c, v_u = mixture._velocities(pair._stack, terms,
+                                       *schedule.coefficients(sch, t), x)
+        states.append(x + (times[k + 1] - times[k]) * (
+            v_u + apply_guidance(v_u, v_c, x, t, sch, rule)))
+    return np.stack(states)
+
+
+# (conditional, unconditional) component counts; a target of 8 or more
+# components sums over them in the unrolled branch of numpy's pairwise sum.
+@pytest.mark.parametrize("counts", [(1, 4), (3, 12)])
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
+def test_grid_time_terms_match_scalar_time_steps(dim, counts):
+    rng = np.random.default_rng([67, dim, *counts])
+    pair = TargetPair(conditional=_random_mixture(rng, dim, counts[0]),
+                      unconditional=_random_mixture(rng, dim, counts[1]))
+    sch = Schedule()
+    scfg = SamplerConfig(steps=20, seed=3)
+    for rule in (GuidanceConfig(),
+                 GuidanceConfig(rule=GuidanceRule.CFG, guidance_scale=3.0,
+                                min_scale=0.0, decay_power=0.0)):
+        for x0s in (initial_states(1, dim, seed=3), initial_states(5, dim, seed=3)):
+            rec = integrate(x0s, pair, sch, rule, scfg)
+            want = _scalar_time_euler(x0s, pair, sch, rule, scfg)
+            assert rec.states.tobytes() == want.tobytes()
+
+
 def test_guided_step_makes_one_oracle_pass(monkeypatch):
     pair = _pair()
     sch = Schedule()
-    calls = []
-    evaluate = mixture._evaluate
+    calls, grids = [], []
+    evaluate_at, time_terms = mixture._evaluate_at, mixture._time_terms
 
     def counting(*args):
-        calls.append((args[0], args[3].shape))
-        return evaluate(*args)
+        calls.append((args[0], args[4].shape))
+        return evaluate_at(*args)
 
-    monkeypatch.setattr(mixture, "_evaluate", counting)
+    def counting_grids(stack, alpha, sigma):
+        grids.append((stack, np.shape(alpha)))
+        return time_terms(stack, alpha, sigma)
+
+    monkeypatch.setattr(mixture, "_evaluate_at", counting)
+    monkeypatch.setattr(mixture, "_time_terms", counting_grids)
     for steps in (4, 30):
         for x0 in (np.zeros(2), initial_states(3, 2, seed=1)):
             calls.clear()
+            grids.clear()
             integrate(x0, pair, sch, GuidanceConfig(), SamplerConfig(steps=steps))
             assert calls == [(pair._stack, np.atleast_2d(x0).shape)] * steps
+            # The time-only terms of the whole grid come from one call.
+            assert grids == [(pair._stack, (steps + 1,))]
     # An explicit field replaces the rule: only the unconditional target.
     calls.clear()
+    grids.clear()
     integrate(np.zeros(2), pair, sch, GuidanceConfig(), SamplerConfig(steps=4),
               guidance_field=lambda x, t: np.zeros_like(x))
     assert calls == [(pair.unconditional, (1, 2))] * 4
+    assert grids == [(pair.unconditional, (5,))]
 
 
 def test_projected_beta_one_reproduces_cfg_trajectory():
