@@ -4,6 +4,8 @@ Every error raised on purpose by this package derives from GuidanceLabError,
 so callers can catch the package's failures without swallowing genuine bugs.
 """
 
+import numbers
+
 
 class GuidanceLabError(Exception):
     """Base class for all errors raised by guidance_lab."""
@@ -57,3 +59,12 @@ class EstimationError(GuidanceLabError):
     def __init__(self, message, probe_index):
         super().__init__(message)
         self.probe_index = probe_index
+
+
+def require_int(name, value, least):
+    """``value`` as a Python int, if it is an integer (not a bool) of at
+    least ``least``; otherwise ConfigurationError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ConfigurationError(f"{name} must be an int >= {least}, got {value!r}")
+    return int(value)

@@ -177,6 +177,12 @@ def decompose(residual, normal, x):
     most ``degenerate_threshold(x)`` has no direction to project on, so its
     residual passes through whole as the orthogonal part.  Above the
     threshold the projection is scale-free in ``normal``.
+
+    The split runs on C-ordered ``(dim, n)`` columns, so each sum over
+    dimensions adds whole rows in the same order for any input layout; a
+    batch that is the transpose of a dimension-major array, as the Euler
+    loop passes it, needs no copy.  The parts come back as ``(n, dim)``
+    views of ``(dim, n)`` arrays.
     """
     g = np.asarray(residual, dtype=float)
     n = np.asarray(normal, dtype=float)
@@ -185,11 +191,12 @@ def decompose(residual, normal, x):
             f"residual, normal and state must be equal-shape points or "
             f"batches, got {g.shape}, {n.shape} and {np.shape(x)}"
         )
-    nn = np.sum(n * n, axis=-1)
+    g, n = np.ascontiguousarray(g.T), np.ascontiguousarray(n.T)
+    nn = np.sum(n * n, axis=0)
     ok = np.sqrt(nn) > degenerate_threshold(x)
-    coef = np.where(ok, np.divide(np.sum(g * n, axis=-1), np.where(ok, nn, 1.0)), 0.0)
-    par = coef[..., None] * n
-    return par, g - par
+    coef = np.where(ok, np.divide(np.sum(g * n, axis=0), np.where(ok, nn, 1.0)), 0.0)
+    par = coef * n
+    return par.T, (g - par).T
 
 
 def apply_guidance(v_uncond, v_cond, x, t, schedule, config):

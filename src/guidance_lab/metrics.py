@@ -20,7 +20,7 @@ from typing import Dict
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ShapeError
+from .errors import ConfigurationError, DomainError, ShapeError, require_int
 
 # Rows and columns of the pooled distance matrix one block holds.
 _ROW_BLOCK = 256
@@ -142,9 +142,16 @@ def permutation_test(a, b, n_perm=1000, seed=0, quantiles=DEFAULT_QUANTILES):
     and the null come from one pass in O((n + m) * n_perm) memory whose BLAS
     sums are exact: no value depends on BLAS threads or ``_ROW_BLOCK``.
     """
-    if n_perm < MIN_PERMUTATIONS:
-        raise ConfigurationError(f"n_perm must be >= {MIN_PERMUTATIONS}, "
-                                 f"got {n_perm}")
+    n_perm = require_int("n_perm", n_perm, MIN_PERMUTATIONS)
+    seed = require_int("seed", seed, 0)
+    try:
+        levels = np.asarray(quantiles, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"quantiles must be numbers, got {quantiles!r}") from exc
+    # NaN fails both comparisons.
+    if levels.ndim != 1 or not np.all((levels >= 0.0) & (levels <= 1.0)):
+        raise ConfigurationError(
+            f"quantiles must be a sequence of levels in [0, 1], got {quantiles!r}")
     energies = _split_energies(*_pooled(a, b), n_perm, seed)
     values = np.quantile(energies[1:], quantiles)
     qs = {float(q): float(v) for q, v in zip(quantiles, values)}
@@ -160,6 +167,11 @@ def loglog_slope(xs, ys):
                          f"{xs.shape} and {ys.shape}")
     if xs.shape[0] < 3:
         raise ShapeError(f"need at least 3 points for a slope, got {xs.shape[0]}")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise DomainError("loglog_slope requires finite entries")
     if np.any(xs <= 0.0) or np.any(ys <= 0.0):
         raise DomainError("loglog_slope requires strictly positive entries")
-    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+    log_xs = np.log(xs)
+    if np.unique(log_xs).size < 2:
+        raise DomainError("loglog_slope needs at least two distinct xs")
+    return float(np.polyfit(log_xs, np.log(ys), 1)[0])

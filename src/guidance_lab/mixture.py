@@ -23,19 +23,28 @@ Conventions used throughout:
   covariance's eigenvectors form a signed permutation, which rotates exactly;
 * points ``x`` may be a single vector of shape ``(dim,)`` or a batch of
   shape ``(n, dim)``; outputs match;
+* a pass runs dimension-major: it holds the points as ``(dim, n)`` and
+  each per-component array as ``(k, dim, n)``, so at small ``dim`` every
+  op's inner loop runs over the points, not over a few coordinates.
+  Batch outputs are ``(n, dim)`` views of ``(dim, n)`` arrays, and a
+  ``(n, dim)`` input that is the transpose of a C-ordered ``(dim, n)``
+  array, as the Euler loop passes its states, is used without a copy;
 * an oracle's every rotation into or out of an eigenbasis is one stacked
-  BLAS product over the components.  One point rotates with matrix-vector
-  products and a batch with matrix-matrix ones, so a batch row equals the
-  same point evaluated alone bit for bit up to ``dim = 3`` and to roundoff
-  above it (at most 1.5e-13 relative in a Hessian and 7e-14 in a velocity
-  at ``dim = 64``);
+  BLAS product over the components, the point-major product with its
+  operands swapped, so it rounds alike.  One point rotates with
+  matrix-vector products and a batch with matrix-matrix ones, and the sums
+  over components add in order for any batch size (``_sum_components``),
+  so a batch row equals the same point evaluated alone bit for bit up to
+  ``dim = 3``, with any number of components, and to roundoff above it (at
+  most 3e-13 of the row's largest entry in a velocity or a Hessian at
+  ``dim = 64``);
 * the time ``t`` of a module-level oracle may be a scalar, shared by every
   point, or an ``(n,)`` array holding one time per point of the batch, so
-  a whole trajectory is one call.  The path coefficients then become
-  ``(n, 1)`` columns and ``m_j`` one row of eigenvalues per point; a scalar
-  is the same computation with a single row that broadcasts.  These
-  time-only terms (``_time_terms``) also take a whole time grid, built once
-  and sliced one row per Euler step.
+  a whole trajectory is one call.  A per-point coefficient then scales the
+  ``(dim, n)`` columns as it is, and ``m_j`` holds one column of
+  eigenvalues per point; a scalar is the same computation with a single
+  column that broadcasts.  These time-only terms (``_time_terms``) also
+  take a whole time grid, built once and sliced one column per Euler step.
 
 The posterior of the clean sample ``X1`` given ``X_t = x`` is conjugate per
 component:
@@ -189,7 +198,7 @@ class GaussianMixture:
         """(n, k) posterior component weights at ``x`` (rows sum to one)."""
         pts, single = _as_batch(x, self.dim)
         r, = _evaluate(self, 1.0, 0.0, pts).resp
-        return r[0] if single else r
+        return r[:, 0] if single else r.T
 
     def score(self, x):
         """Gradient of the log density at ``x``."""
@@ -266,29 +275,53 @@ class _Stack:
 
 
 class _Terms(NamedTuple):
-    m: np.ndarray  # (k, n|1, dim) eigenvalues of M_j = alpha^2 Sigma_j + sigma^2 I
-    whitened: np.ndarray  # (k, n, dim) Q_j^T (x - alpha mu_j) / m_j
+    m: np.ndarray  # (k, dim, n|1) eigenvalues of M_j = alpha^2 Sigma_j + sigma^2 I
+    whitened: np.ndarray  # (k, dim, n) Q_j^T (x - alpha mu_j) / m_j
     log_density: tuple  # per target: (n,)
-    resp: tuple  # per target: (n, k_target) responsibilities
+    resp: tuple  # per target: (k_target, n) responsibilities
 
 
 def _column(c, trailing=1):
     """A per-point ``(n,)`` path coefficient with ``trailing`` unit axes
-    appended, so it scales per-point arrays such as ``(n, dim)`` rows; a
-    scalar is returned as is."""
+    appended, so it scales point-major arrays such as ``(T, dim)`` rows or
+    ``(n, dim, dim)`` Hessians; a scalar is returned as is."""
     return c.reshape(c.shape + (1,) * trailing) if isinstance(c, np.ndarray) else c
 
 
+def _sum_components(values):
+    """``values[0] + values[1] + ...``, added in that order whatever the
+    number of points on the trailing axis.
+
+    ``np.sum`` over the component axis adds in that order over fewer than
+    eight components, or over several points; over eight or more components
+    of one point it adds pairwise, so a batch row would not equal the point
+    alone.  Those are added one in-place add per component (``np.cumsum``
+    along axis 0 took ten times as long over a batch).
+    """
+    if len(values) < 8:
+        return values.sum(axis=0)
+    total = values[0].copy()
+    for row in values[1:]:
+        total += row
+    return total
+
+
 def _time_terms(stack, alpha, sigma):
-    """The time-only terms ``m_j``, log normalisers and ``alpha mu_j`` of
-    a pass, one row per time on axis 1: one row for scalar ``alpha`` and
-    ``sigma``, ``T`` rows for ``(T,)`` arrays such as a whole Euler grid."""
+    """The time-only terms ``m_j`` (k, dim, T), log normalisers (k, T) and
+    ``alpha mu_j`` (k, dim, T) of a pass, one time per entry of the last
+    axis: ``T = 1`` for scalar ``alpha`` and ``sigma``, ``T`` for ``(T,)``
+    arrays such as a whole Euler grid.
+
+    The log-determinants sum each time's eigenvalues along a contiguous
+    row, so a time's normaliser does not depend on ``T``.
+    """
     a, s = _column(alpha), _column(sigma)
-    m = (a * a) * stack._eigvals[:, None, :] + s * s
+    m = (a * a) * stack._eigvals[:, None, :] + s * s  # (k, T, dim)
     log_norms = stack._log_weights[:, None] - 0.5 * (
         stack.dim * _LOG_2PI + np.log(m).sum(axis=2)
     )
-    return m, log_norms, a * stack.means[:, None, :]
+    return (np.ascontiguousarray(np.swapaxes(m, 1, 2)), log_norms,
+            stack.means[:, :, None] * alpha)
 
 
 def _evaluate(stack, alpha, sigma, pts):
@@ -305,8 +338,16 @@ def _evaluate(stack, alpha, sigma, pts):
 
 def _evaluate_at(stack, m, log_norms, scaled_means, pts):
     """Terms of each target ``sum_j w_j Normal(alpha mu_j, M_j)`` of
-    ``stack`` at ``pts`` (n, dim), given :func:`_time_terms` of one row (one
-    time) or of ``n`` rows (one time per point).
+    ``stack`` at ``pts`` (n, dim), given :func:`_time_terms` of one time
+    or of ``n`` times (one per point).
+
+    The pass runs dimension-major: the points as ``(dim, n)``, taken
+    without a copy when ``pts`` is the transpose of a C-ordered ``(dim, n)``
+    array, as the Euler loop passes it, and every per-component array as
+    ``(k, dim, n)``.  So each op's inner loop runs over the ``n`` points,
+    and every sum over dimensions or components adds whole rows.  The
+    rotations are the BLAS calls of the point-major layout with their
+    operands swapped, so they round alike.
 
     ``stack`` is a ``GaussianMixture``, one target, or a ``_Stack`` of
     several, such as the two targets of a guided Euler step: one pass then
@@ -314,46 +355,48 @@ def _evaluate_at(stack, m, log_norms, scaled_means, pts):
     is stacked with it, and each target takes its log-sum-exp's maximum and
     sum over its own slice of components (around one ``exp``, one ``log``
     and one more ``exp`` over the stack), so a target's terms equal those
-    of a pass over that target alone bit for bit.  A log-sum-exp row whose
-    maximum is not finite is shifted by zero, so a point where every
+    of a pass over that target alone bit for bit.  A log-sum-exp column
+    whose maximum is not finite is shifted by zero, so a point where every
     component underflows gets log density -inf, not NaN.
     """
-    delta = pts[None, :, :] - scaled_means
-    resid = delta @ stack._eigvecs  # rows Q_j^T (x - alpha mu_j)
+    delta = np.ascontiguousarray(pts.T) - scaled_means
+    resid = stack._eigvecs.mT @ delta  # columns Q_j^T (x - alpha mu_j)
     whitened = resid / m
-    lp = log_norms.T - 0.5 * np.einsum("knd,knd->nk", resid, whitened)
-    # One max per target: np.maximum.reduceat costs about 45 ns a row (95 us
-    # at n = 2049).  Both exps run in place, in the gathers' buffers: with
-    # two more fresh (n, k) arrays a pass over 2049 points took 15% longer.
-    top = np.empty((lp.shape[0], len(stack._slices)))  # (n, targets)
+    lp = log_norms - 0.5 * (resid * whitened).sum(axis=1)  # (k, n)
+    # Both exps run in place, in the gathers' buffers: with two more fresh
+    # (k, n) arrays a pass over 2049 points took 15% longer.
+    top = np.empty((len(stack._slices), lp.shape[1]))  # (targets, n)
     for i, components in enumerate(stack._slices):
-        top[:, i] = lp[:, components].max(axis=1)
+        top[i] = lp[components].max(axis=0)
     top[~np.isfinite(top)] = 0.0
-    shifted = top[:, stack._owner]
+    shifted = top[stack._owner]
     np.exp(np.subtract(lp, shifted, out=shifted), out=shifted)
     sums = np.empty_like(top)
     for i, components in enumerate(stack._slices):
-        sums[:, i] = shifted[:, components].sum(axis=1)
+        sums[i] = _sum_components(shifted[components])
     with np.errstate(divide="ignore"):
         log_density = np.log(sums) + top
-    resp = log_density[:, stack._owner]
+    resp = log_density[stack._owner]
     np.exp(np.subtract(lp, resp, out=resp), out=resp)
-    return _Terms(m=m, whitened=whitened, log_density=tuple(log_density.T),
-                  resp=tuple(resp[:, components] for components in stack._slices))
+    return _Terms(m=m, whitened=whitened, log_density=tuple(log_density),
+                  resp=tuple(resp[components] for components in stack._slices))
 
 
 def _scores(stack, terms):
-    """Per-component scores ``u_j = -Q_j w_j`` (k, n, dim) and, per target,
-    the mixture score ``sum_j r_j u_j`` (n, dim) over its components."""
-    comp = -(terms.whitened @ stack._eigvecs_t)
-    return comp, tuple(np.einsum("nk,knd->nd", r, comp[components])
+    """Per-component scores ``u_j = -Q_j w_j`` (k, dim, n) and, per target,
+    the mixture score ``sum_j r_j u_j`` over its components: an
+    ``(n, dim)`` view of a ``(dim, n)`` array."""
+    comp = stack._eigvecs_t.mT @ terms.whitened
+    np.negative(comp, out=comp)
+    return comp, tuple(_sum_components(r[:, None, :] * comp[components]).T
                        for r, components in zip(terms.resp, stack._slices))
 
 
 def _hessians(stack, terms, pts):
     """Per target of ``stack``, the mixture scores (n, dim) and the Hessians
     ``sum_j r_j (dev_j dev_j^T - M_j^{-1})`` (n, dim, dim) at ``pts``, from
-    one pass's ``terms``."""
+    one pass's ``terms``.  A Hessian is point-major; its products take the
+    dimension-major factors as transposed views."""
     comp, scores = _scores(stack, terms)
     hessians = []
     for components, resp, s in zip(stack._slices, terms.resp, scores):
@@ -361,15 +404,14 @@ def _hessians(stack, terms, pts):
         # BLAS product per component, so no (k, n, dim, dim) stack is formed.
         h = np.zeros((pts.shape[0], stack.dim, stack.dim))
         for q, scaled in zip(stack._eigvecs[components],
-                             resp.T[:, :, None] / terms.m[components]):
-            h -= (q * scaled[:, None, :]) @ q.T
+                             resp[:, None, :] / terms.m[components]):
+            h -= (q * scaled.T[:, None, :]) @ q.T
         # sum_j r_j dev_j dev_j^T as one (dim, k) @ (k, dim) BLAS product per
         # point, whose shape does not depend on n (a three-operand einsum is
-        # ten times slower at dim = 512).  With the BLAS rotations behind
-        # dev, a batch row equals one point bit for bit up to dim = 3 and
-        # within 1.5e-13 relative at dim = 64.
-        dev = comp[components] - s  # centred, as in _laplacian
-        weighted = np.transpose(dev, (1, 2, 0)) * resp[:, None, :]  # (n, dim, k)
+        # ten times slower at dim = 512).  dev is copied to C-ordered
+        # (k, n, dim) rows, so each point's (k, dim) factor suits BLAS.
+        dev = np.ascontiguousarray(np.swapaxes(comp[components] - s.T, 1, 2))
+        weighted = np.transpose(dev, (1, 2, 0)) * resp.T[:, None, :]  # (n, dim, k)
         h += weighted @ np.swapaxes(dev, 0, 1)
         hessians.append(h)
     return scores, tuple(hessians)
@@ -389,10 +431,11 @@ def _score(target, alpha, sigma, x):
 
 def _velocities(stack, terms, state_coef, score_coef, pts):
     """Score-route velocities ``a_t * x - b_t * score`` of every target of
-    ``stack`` at ``pts`` (n, dim), from one pass's ``terms``."""
+    ``stack`` at ``pts`` (n, dim), from one pass's ``terms``: ``(n, dim)``
+    views of ``(dim, n)`` arrays.  A coefficient is a scalar or ``(n,)``,
+    one per point, and scales the dimension-major columns as it is."""
     _, scores = _scores(stack, terms)
-    a, b = _column(state_coef), _column(score_coef)
-    return tuple(a * pts - b * s for s in scores)
+    return tuple((state_coef * pts.T - score_coef * s.T).T for s in scores)
 
 
 def _laplacian(target, alpha, sigma, x):
@@ -400,11 +443,10 @@ def _laplacian(target, alpha, sigma, x):
     terms = _evaluate(target, alpha, sigma, pts)
     comp, (s,) = _scores(target, terms)
     resp, = terms.resp
-    dev = comp - s  # centred: sum_j r_j |u_j - s|^2 = sum_j r_j |u_j|^2 - |s|^2
-    sq = np.einsum("knd,knd->nk", dev, dev)
-    inv_traces = (1.0 / terms.m).sum(axis=2).T  # (n|1, k)
-    # A row-wise sum reduces a batch row exactly as it reduces one point.
-    vals = np.sum(resp * (sq - inv_traces), axis=1)
+    dev = comp - s.T  # centred: sum_j r_j |u_j - s|^2 = sum_j r_j |u_j|^2 - |s|^2
+    sq = (dev * dev).sum(axis=1)  # (k, n)
+    inv_traces = (1.0 / terms.m).sum(axis=1)  # (k, n|1)
+    vals = _sum_components(resp * (sq - inv_traces))
     return float(vals[0]) if single else vals
 
 
@@ -451,23 +493,21 @@ def posterior(target, schedule, t, x) -> PosteriorMoments:
     pts, single = _as_batch(x, target.dim)
     terms = _evaluate(target, alpha, sigma, pts)
     (resp,), m = terms.resp, terms.m
-    lam = target._eigvals[:, None, :]
+    lam = target._eigvals[:, :, None]
 
-    a = _column(alpha)
-    s = _column(sigma)
-    sig2 = s * s
-    rotated = pts @ target._eigvecs  # (k, n, dim) rows Q_j^T x
-    comp_means = ((sig2 * target._rotated_means[:, None, :] + a * lam * rotated)
-                  / m) @ target._eigvecs_t
-    comp_traces = sig2 * np.sum(lam / m, axis=2).T  # (n|1, k)
+    sig2 = sigma * sigma
+    rotated = target._eigvecs.mT @ np.ascontiguousarray(pts.T)  # Q_j^T x
+    comp_means = target._eigvecs_t.mT @ (
+        (sig2 * target._rotated_means[:, :, None] + alpha * lam * rotated) / m)
+    comp_traces = sig2 * np.sum(lam / m, axis=1)  # (k, n|1)
 
-    mean = np.einsum("nk,knd->nd", resp, comp_means)
-    diff = comp_means - mean[None, :, :]
-    spread = np.einsum("nk,knd,knd->n", resp, diff, diff)
-    cov_trace = np.einsum("nk,nk->n", resp, comp_traces) + spread
+    mean = _sum_components(resp[:, None, :] * comp_means)  # (dim, n)
+    diff = comp_means - mean
+    spread = _sum_components((resp[:, None, :] * diff * diff).sum(axis=1))
+    cov_trace = _sum_components(resp * comp_traces) + spread
     if single:
-        return PosteriorMoments(mean=mean[0], cov_trace=float(cov_trace[0]))
-    return PosteriorMoments(mean=mean, cov_trace=cov_trace)
+        return PosteriorMoments(mean=mean[:, 0], cov_trace=float(cov_trace[0]))
+    return PosteriorMoments(mean=mean.T, cov_trace=cov_trace)
 
 
 def velocity(target, schedule, t, x, method="score"):
@@ -489,11 +529,10 @@ def velocity(target, schedule, t, x, method="score"):
         terms = _evaluate(target, *_path(schedule, t), pts)
         v, = _velocities(target, terms, *sched.coefficients(schedule, t), pts)
     elif method == "predictors":
-        x1_hat = posterior(target, schedule, t, pts).mean
-        alpha, sigma, d_alpha, d_sigma = (
-            _column(c) for c in sched.evaluate(schedule, t))
-        x0_hat = (pts - alpha * x1_hat) / sigma
-        v = d_alpha * x1_hat + d_sigma * x0_hat
+        x1_hat = posterior(target, schedule, t, pts).mean.T
+        alpha, sigma, d_alpha, d_sigma = sched.evaluate(schedule, t)
+        x0_hat = (pts.T - alpha * x1_hat) / sigma
+        v = (d_alpha * x1_hat + d_sigma * x0_hat).T
     else:
         raise DomainError(f"unknown velocity method {method!r}")
     return v[0] if single else v

@@ -8,13 +8,17 @@ step evaluates the conditional and the unconditional velocity in one
 oracle pass over the pair's stacked components (``mixture._Stack``, built
 once with the ``TargetPair``); the path coefficients of every step come
 from two schedule calls over the whole grid, and the oracle's time-only
-terms from one ``mixture._time_terms`` call over it.  Trajectories are
+terms from one ``mixture._time_terms`` call over it.  The loop holds its
+states dimension-major, ``(steps + 1, dim, count)``, so at small ``dim``
+the oracle's, the guidance rule's and the step's elementwise ops run over
+the ``count`` trajectories in their inner loops.  Trajectories are
 deterministic given the initial state; batches draw initial states ``x0 ~
-N(0, I)`` with one child seed per trajectory index so that results do not
-depend on batch size or ordering.  A single trajectory and a batch
-both come back as a ``TrajectoryRecord`` of the time grid and the states:
-the loop keeps only what it integrates, and callers evaluate whatever
-summary they report on those states.
+N(0, I)`` with one child seed per trajectory index, ``default_rng([seed,
+j])``, so that results do not depend on batch size or ordering; the seeds
+of a whole batch are hashed in one vectorised pass.  A single trajectory
+and a batch both come back as a ``TrajectoryRecord`` of the time grid and
+the states: the loop keeps only what it integrates, and callers evaluate
+whatever summary they report on those states.
 
 Only the Euler scheme is provided: the laboratory studies guidance-rule
 effects, and a fixed first-order solver keeps those effects un-confounded
@@ -29,7 +33,8 @@ import numpy as np
 
 from . import mixture as mix
 from . import schedule as sched
-from .errors import ConfigurationError, IntegrationError, ShapeError
+from .errors import (ConfigurationError, IntegrationError, ShapeError,
+                     require_int)
 from .guidance import apply_guidance
 
 
@@ -86,6 +91,8 @@ class TrajectoryRecord:
     ``states`` holds ``steps + 1`` entries, the initial states included,
     one per entry of ``times``: each a ``(dim,)`` state for one trajectory,
     or a ``(count, dim)`` batch when ``integrate`` started from a batch.
+    A batch's ``states`` is a transposed view of the Euler loop's
+    dimension-major ``(steps + 1, dim, count)`` array.
     """
 
     times: np.ndarray
@@ -116,14 +123,19 @@ def _euler(x0s, pair, schedule, guidance_config, sampler_config,
            guidance_field=None):
     """Vectorized Euler loop over a batch of initial states.
 
-    Returns ``(times, states)``: the grid and the ``(steps + 1, count,
-    dim)`` states.  The path coefficients of every step come from two
-    schedule calls over the whole grid, and the oracle's time-only terms
+    Returns ``(times, states)``: the grid and the ``(steps + 1, dim,
+    count)`` states, dimension-major.  Each step hands the oracle, the
+    guidance rule and the field its ``(dim, count)`` state as a ``(count,
+    dim)`` transposed view, and gets the velocities and the update back as
+    such views, so every elementwise op and every sum over dimensions or
+    components runs over the ``count`` trajectories in its inner loop.
+    The path coefficients of every step come from two schedule calls over
+    the whole grid, and the oracle's time-only terms
     (``mixture._time_terms``: eigenvalues ``m_j``, log normalisers and
-    ``alpha mu_j``) from one call over it, sliced per step.  A guided step
-    makes one oracle pass over the pair's stacked components for both
-    velocities; with an explicit ``guidance_field`` only the unconditional
-    target is evaluated.
+    ``alpha mu_j``, time on the last axis) from one call over it, sliced
+    per step.  A guided step makes one oracle pass over the pair's stacked
+    components for both velocities; with an explicit ``guidance_field``
+    only the unconditional target is evaluated.
     """
     _check_grid(schedule, sampler_config)
     steps = sampler_config.steps
@@ -134,11 +146,11 @@ def _euler(x0s, pair, schedule, guidance_config, sampler_config,
     stack = pair._stack if guidance_field is None else pair.unconditional
     grid = mix._time_terms(stack, path.alpha, path.sigma)
     count, dim = x0s.shape
-    states = np.empty((steps + 1, count, dim))
-    states[0] = x0s
+    states = np.empty((steps + 1, dim, count))
+    states[0] = x0s.T
     for k, (t, dt) in enumerate(zip(times.tolist(), np.diff(times).tolist())):
-        x = states[k]
-        terms = mix._evaluate_at(stack, *(c[:, k:k + 1] for c in grid), x)
+        x = states[k].T
+        terms = mix._evaluate_at(stack, *(c[..., k:k + 1] for c in grid), x)
         velocities = mix._velocities(stack, terms, state_coefs[k],
                                      score_coefs[k], x)
         v_u = velocities[-1]
@@ -154,7 +166,7 @@ def _euler(x0s, pair, schedule, guidance_config, sampler_config,
             raise IntegrationError(
                 f"non-finite state produced by Euler step {k} at t={t}", k
             )
-        states[k + 1] = nxt
+        states[k + 1] = nxt.T
     return times, states
 
 
@@ -177,22 +189,112 @@ def integrate(x0, pair, schedule, guidance_config, sampler_config,
         np.atleast_2d(x0), pair, schedule, guidance_config, sampler_config,
         guidance_field=guidance_field,
     )
-    return TrajectoryRecord(times=times,
-                            states=states if x0.ndim == 2 else states[:, 0, :])
+    return TrajectoryRecord(times=times, states=np.swapaxes(states, 1, 2)
+                            if x0.ndim == 2 else states[:, :, 0])
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit LCG multiplier: what default_rng([seed, j]) runs to seed row j.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(value):
+    """The uint32 words SeedSequence splits a non-negative int into, lowest
+    first; 0 is one word."""
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return [np.array([word], dtype=np.uint32) for word in words]
+
+
+def _pcg64_seeds(entropy):
+    """PCG64 ``(state, inc)`` of ``default_rng(words)`` for every row of
+    ``entropy``, a list of uint32 word columns, each ``(1,)`` (shared by
+    every row) or ``(rows,)``.
+
+    SeedSequence's hash runs on all rows at once in wrapping uint32
+    arithmetic: its hash constants do not depend on the data, so every row
+    takes the same steps.  PCG64's 128-bit seeding then runs in Python ints.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, np.uint64): eight words, paired little-endian.
+    hash_const, words = _INIT_B, []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        (lo | (hi << 32)).tolist() for lo, hi in zip(words[::2], words[1::2]))
+    # PCG64's srandom: inc = 2 i + 1, then two LCG steps from state 0 with
+    # the seed s added between them, all mod 2**128.
+    seeds = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        seeds.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc)
+                      & _MASK128, inc))
+    return seeds
+
+
+def _normal_rows(dim, entropy):
+    """``default_rng(words).standard_normal(dim)`` for every row of the
+    word columns ``entropy`` (see :func:`_pcg64_seeds`), bit for bit: one
+    PCG64 is set to each row's seeded state in turn."""
+    seeds = _pcg64_seeds(entropy)
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    out = np.empty((len(seeds), dim))
+    for row, (state, inc) in zip(out, seeds):
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        generator.standard_normal(out=row)
+    return out
 
 
 def draw_initial_state(dim, seed, index=0):
-    """Standard-normal initial state, deterministic per ``(seed, index)``."""
-    rng = np.random.default_rng([seed, index])
-    return rng.standard_normal(dim)
+    """Standard-normal initial state, deterministic per ``(seed, index)``:
+    ``default_rng([seed, index]).standard_normal(dim)``, the one-row case
+    of :func:`initial_states`."""
+    words = (_words(require_int("seed", seed, 0))
+             + _words(require_int("index", index, 0)))
+    return _normal_rows(require_int("dim", dim, 1), words)[0]
 
 
 def initial_states(count, dim, seed):
-    """Seeded batch of N(0, I) draws; row ``j`` is draw ``(seed, j)``."""
-    if count < 1:
-        raise ConfigurationError(f"count must be >= 1, got {count}")
-    out = np.empty((count, dim))
-    for j in range(count):
-        out[j] = draw_initial_state(dim, seed, j)
-    return out
-
+    """Seeded batch of N(0, I) draws; row ``j`` is draw ``(seed, j)``,
+    ``default_rng([seed, j]).standard_normal(dim)`` bit for bit.  The seeds
+    of all rows are hashed in one vectorised pass (:func:`_pcg64_seeds`)."""
+    count = require_int("count", count, 1)
+    if count > 2**32:
+        raise ConfigurationError(f"count must be at most 2**32, got {count}")
+    words = _words(require_int("seed", seed, 0)) + [np.arange(count, dtype=np.uint32)]
+    return _normal_rows(require_int("dim", dim, 1), words)

@@ -381,6 +381,19 @@ def test_permutation_validation():
         permutation_test(a, b, n_perm=99)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"quantiles": (0.5, 1.5)}, {"quantiles": (-0.1,)},
+    {"quantiles": (0.5, math.nan)}, {"quantiles": 0.5},
+    {"quantiles": ("median",)}, {"n_perm": 100.5}, {"n_perm": True},
+    {"seed": -1}, {"seed": 1.5},
+])
+def test_permutation_rejects_bad_arguments(kwargs):
+    rng = np.random.default_rng(14)
+    a, b = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
+    with pytest.raises(ConfigurationError):
+        permutation_test(a, b, **{"n_perm": 100, **kwargs})
+
+
 def test_custom_quantiles():
     rng = np.random.default_rng(10)
     a = rng.normal(size=(25, 2))
@@ -444,3 +457,14 @@ def test_loglog_slope_validation():
         loglog_slope([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
     with pytest.raises(DomainError):
         loglog_slope([0.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("xs, ys", [
+    ([1.0, 2.0, math.nan], [1.0, 2.0, 3.0]),
+    ([1.0, 2.0, 3.0], [1.0, math.inf, 3.0]),
+    ([1.0, math.inf, 3.0], [1.0, 2.0, 3.0]),
+    ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
+])
+def test_loglog_slope_rejects_non_finite_and_repeated_xs(xs, ys):
+    with pytest.raises(DomainError):
+        loglog_slope(xs, ys)

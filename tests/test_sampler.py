@@ -130,6 +130,37 @@ def test_initial_states_rows_are_indexed_draws():
         initial_states(0, 3, seed=9)
 
 
+# Seeds of one, two and three SeedSequence words.
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70 + 1])
+def test_initial_states_match_default_rng_rows(seed):
+    for dim in (1, 2, 16):
+        for count in (1, 300):
+            want = np.array([np.random.default_rng([seed, j]).standard_normal(dim)
+                             for j in range(count)])
+            assert initial_states(count, dim, seed).tobytes() == want.tobytes()
+        for index in (0, 7, 2**32 + 5):
+            want = np.random.default_rng([seed, index]).standard_normal(dim)
+            assert draw_initial_state(dim, seed, index).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: initial_states(3, 2, -1),
+    lambda: initial_states(3, 2, 1.5),
+    lambda: initial_states(3, 2, True),
+    lambda: initial_states(3, 0, 1),
+    lambda: initial_states(0, 2, 1),
+    lambda: initial_states(2.0, 2, 1),
+    lambda: draw_initial_state(2, -1),
+    lambda: draw_initial_state(2, 1.5),
+    lambda: draw_initial_state(2, False),
+    lambda: draw_initial_state(0, 1),
+    lambda: draw_initial_state(2, 1, index=-1),
+])
+def test_initial_states_reject_bad_input(call):
+    with pytest.raises(ConfigurationError):
+        call()
+
+
 def test_batch_row_matches_single_trajectory():
     pair = _pair()
     sch = Schedule()
@@ -142,10 +173,11 @@ def test_batch_row_matches_single_trajectory():
     np.testing.assert_array_equal(solo.states[:, 0, :], rec0.states)
 
     # Larger batches rotate into the eigenbases with matrix-matrix BLAS
-    # products instead of matrix-vector ones.  Up to dim 3 both round alike;
-    # above it a batch row differs from a single point by roundoff (at most
-    # 7e-14 relative in a d = 64 velocity), so the trajectories are compared
-    # to fp-accumulation accuracy.
+    # products instead of matrix-vector ones.  Up to dim 3 both round alike
+    # (test_batch_rows_equal_single_runs_up_to_dim_3 checks that bit for
+    # bit); above it a batch row differs from a single point by roundoff (at
+    # most 3e-13 of the largest entry of a d = 64 velocity), so these
+    # trajectories are compared to fp-accumulation accuracy.
     batch = integrate(initial_states(3, 2, seed=11), pair, sch, gcfg, scfg)
     for j in range(3):
         x0 = draw_initial_state(2, seed=11, index=j)
@@ -155,6 +187,26 @@ def test_batch_row_matches_single_trajectory():
                                    rtol=1e-12, atol=1e-13)
         np.testing.assert_allclose(batch.terminal_state[j], rec.terminal_state,
                                    rtol=1e-12, atol=1e-13)
+
+
+# (conditional, unconditional) component counts: a target of 8 or more
+# components is where np.sum would add pairwise for one point.
+@pytest.mark.parametrize("counts", [(1, 4), (3, 9)])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_batch_rows_equal_single_runs_up_to_dim_3(dim, counts):
+    rng = np.random.default_rng([73, dim, *counts])
+    pair = TargetPair(conditional=_random_mixture(rng, dim, counts[0]),
+                      unconditional=_random_mixture(rng, dim, counts[1]))
+    sch = Schedule()
+    scfg = SamplerConfig(steps=20, seed=2)
+    x0s = initial_states(12, dim, seed=2)
+    for rule in (GuidanceConfig(),
+                 GuidanceConfig(rule=GuidanceRule.CFG, guidance_scale=3.0,
+                                min_scale=0.0, decay_power=0.0)):
+        batch = integrate(x0s, pair, sch, rule, scfg)
+        for j, x0 in enumerate(x0s):
+            one = integrate(x0, pair, sch, rule, scfg)
+            assert batch.states[:, j, :].tobytes() == one.states.tobytes(), j
 
 
 def test_batch_result_summary_shapes():
