@@ -163,10 +163,14 @@ def normal_direction(velocity_value, x, state_coef):
 
 
 def degenerate_threshold(x):
-    """Norm threshold below which the normal is treated as zero at ``x``."""
-    x = np.asarray(x, dtype=float)
-    dim = x.shape[-1]
-    return 1e-12 * np.sqrt(dim) * (1.0 + np.linalg.norm(x, axis=-1))
+    """Norm threshold below which the normal is treated as zero at ``x``.
+
+    The norms are sums over C-ordered ``(dim, n)`` columns, as in
+    ``decompose``, so a transposed dimension-major batch needs no copy.
+    """
+    columns = np.ascontiguousarray(np.asarray(x, dtype=float).T)
+    norms = np.sqrt(np.sum(columns * columns, axis=0))
+    return 1e-12 * np.sqrt(columns.shape[0]) * (1.0 + norms)
 
 
 def decompose(residual, normal, x):
@@ -194,7 +198,7 @@ def decompose(residual, normal, x):
     g, n = np.ascontiguousarray(g.T), np.ascontiguousarray(n.T)
     nn = np.sum(n * n, axis=0)
     ok = np.sqrt(nn) > degenerate_threshold(x)
-    coef = np.where(ok, np.divide(np.sum(g * n, axis=0), np.where(ok, nn, 1.0)), 0.0)
+    coef = np.divide(np.sum(g * n, axis=0), nn, out=np.zeros_like(nn), where=ok)
     par = coef * n
     return par.T, (g - par).T
 

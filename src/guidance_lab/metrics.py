@@ -10,11 +10,24 @@ diagonal, so BLAS sums them exactly, with the same bits on any threads.
 The pass visits each distance block on or above the diagonal once, with
 one product: an off-diagonal block counts twice, which that grid leaves a
 spare bit for (see ``_split_energies``).
+
+The pass's row strips run on every CPU the process may use (its affinity
+set): the calling thread and one helper thread per further CPU each take
+the next strip from one shared iterator.  Every partial a thread keeps,
+and every sum of them, is an integer below ``2**53``, so the values do not
+depend on the CPU count or on which thread ran a strip.  Helpers start on
+the first null that wants them and stay for later ones; each holds about
+2 MB of resident memory (2-core Xeon VM, OpenBLAS 0.3.31).  With a
+multi-threaded BLAS the threads' products contend for one BLAS thread
+pool, so the pass is fastest on one BLAS thread
+(``OPENBLAS_NUM_THREADS=1``).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Dict
 
@@ -59,9 +72,131 @@ def _pooled(a, b):
 
 
 def _hi_lo(values):
-    """Exact split of integer-valued ``values`` as ``hi * 2**_SPLIT + lo``."""
-    hi = np.floor(np.ldexp(values, -_SPLIT))
-    return np.stack([hi, values - np.ldexp(hi, _SPLIT)])
+    """Exact split of integer-valued ``values`` as ``hi * 2**_SPLIT + lo``.
+
+    Scaling by a power of two is exact here and, unlike ``np.ldexp``, runs
+    as one vectorised multiply.
+    """
+    hi = np.floor(values * 2.0**-_SPLIT)
+    return np.stack([hi, values - hi * 2.0**_SPLIT])
+
+
+def _cpu_count():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+class _Helper:
+    """A daemon thread that runs one submitted share of a null at a time.
+
+    Helpers start on the first null that wants them and serve every later
+    one, so the small nulls of ``sweep_omega`` do not each pay a thread start.
+    """
+
+    def __init__(self):
+        self._share = self._outcome = None
+        self._submitted = threading.Semaphore(0)
+        self._finished = threading.Semaphore(0)
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self._submitted.acquire()
+            try:
+                self._outcome = (self._share(), None)
+            except BaseException as exc:  # handed to the caller by ``wait``
+                self._outcome = (None, exc)
+            self._share = None
+            self._finished.release()
+
+    def submit(self, share):
+        self._share = share
+        self._submitted.release()
+
+    def wait(self):
+        """``(result, exception)`` of the submitted share, once it is done."""
+        self._finished.acquire()
+        outcome, self._outcome = self._outcome, None
+        return outcome
+
+
+_helpers = []
+_helpers_lock = threading.Lock()
+# A forked child has none of the parent's threads.
+os.register_at_fork(after_in_child=_helpers.clear)
+
+
+def _run_shares(share, threads):
+    """Results of ``share()`` run on the caller and on ``threads - 1``
+    helpers at once.  Every helper has finished before this returns or
+    raises; the first exception raised anywhere is re-raised."""
+    if threads == 1:
+        return [share()]
+    with _helpers_lock:
+        while len(_helpers) < threads - 1:
+            _helpers.append(_Helper())
+        helpers = _helpers[:threads - 1]
+        for helper in helpers:
+            helper.submit(share)
+        try:
+            results = [share()]
+        finally:
+            outcomes = [helper.wait() for helper in helpers]
+        for _, exc in outcomes:
+            if exc is not None:
+                raise exc
+    return results + [result for result, _ in outcomes]
+
+
+def _shaped(buffer, rows, cols):
+    """A C-contiguous ``(rows, cols)`` view of the head of a flat buffer."""
+    return buffer[:rows * cols].reshape(rows, cols)
+
+
+def _strip_sums(points, labels, starts, cdist):
+    """This thread's share of the pass: the row strips it takes from the
+    shared iterator ``starts``.
+
+    Returns the partial row sums ``r`` (every column sum of a visited block
+    lands in rows of a later strip) and the hi/lo parts of the strips'
+    ``z^T K z``.  The labels stay 0/1 bytes; each block of them is widened
+    into this thread's float buffer as a product needs it.
+    """
+    size, width = labels.shape
+    side = min(_ROW_BLOCK, size)
+    dist = np.empty(side * side)
+    acc, part, z_rows, z_cols = (np.empty(side * width) for _ in range(4))
+    r = np.zeros(size)
+    in_a = np.zeros((2, width))
+    # Each ``next`` on the shared range iterator runs under the GIL, so
+    # every strip goes to exactly one thread.
+    for start in starts:
+        rows = slice(start, start + _ROW_BLOCK)
+        height = min(_ROW_BLOCK, size - start)
+        z_i = _shaped(z_rows, height, width)
+        np.copyto(z_i, labels[rows])
+        block = _shaped(dist, height, height)
+        np.rint(cdist(points[rows], points[rows], out=block), out=block)
+        acc_i = np.matmul(block, z_i, out=_shaped(acc, height, width))
+        r[rows] += block.sum(axis=1)
+        for col in range(start + _ROW_BLOCK, size, _ROW_BLOCK):
+            cols = slice(col, col + _ROW_BLOCK)
+            breadth = min(_ROW_BLOCK, size - col)
+            z_j = _shaped(z_cols, breadth, width)
+            np.copyto(z_j, labels[cols])
+            block = _shaped(dist, height, breadth)
+            np.rint(cdist(points[rows], points[cols], out=block), out=block)
+            product = np.matmul(block, z_j, out=_shaped(part, height, width))
+            product *= 2.0
+            acc_i += product
+            r[rows] += block.sum(axis=1)
+            r[cols] += block.sum(axis=0)
+        # Row block ``rows`` of the accumulator is complete: fold it in.
+        in_a += np.einsum("ip,kip->kp", z_i, _hi_lo(acc_i))
+    return r, in_a
 
 
 def _split_energies(pooled, n, n_perm, seed):
@@ -78,6 +213,14 @@ def _split_energies(pooled, n, n_perm, seed):
     ``2**52`` and the doubled accumulator at most ``2**53``: every BLAS
     partial sum is an exact integer.  ``r`` gathers exact block row and
     column sums.
+
+    The row strips (row block ``I`` with every block right of it) run on
+    the calling thread and one helper per further CPU, each thread taking
+    the next strip as it finishes one.  Each thread keeps its own ``r`` and
+    hi/lo ``z^T K z``; the caller adds them and folds ``z^T r`` once ``r``
+    is complete.  Every partial and every sum of partials is an integer
+    below ``2**53``, so neither the order nor the thread a strip ran on can
+    move a bit.
     """
     # Imported here, not at module level: importing scipy.spatial takes about
     # 0.45 s and 30 MB of a fresh process (2-core Xeon VM, scipy 1.17), and
@@ -92,30 +235,24 @@ def _split_energies(pooled, n, n_perm, seed):
     bits = 52 - (size - 1).bit_length()
     exponent = (math.frexp(diagonal)[1] if diagonal > 0.0 else 0) - bits
     points = np.ldexp(pooled, -exponent)  # exact: distances in units of h
-    labels = np.zeros((size, n_perm + 1))
-    labels[:n, 0] = 1.0
+    labels = np.zeros((size, n_perm + 1), dtype=np.uint8)
+    labels[:n, 0] = 1
     rng = np.random.default_rng(seed)
     for p in range(1, n_perm + 1):
-        labels[rng.permutation(size)[:n], p] = 1.0
-    r = np.zeros(size)
-    sums = np.zeros((3, 2, n_perm + 1))  # (z^T K z, z^T r, sum(r)) x (hi, lo)
+        labels[rng.permutation(size)[:n], p] = 1
+    starts = iter(range(0, size, _ROW_BLOCK))
+    threads = min(_cpu_count(), -(-size // _ROW_BLOCK))
+    parts = _run_shares(lambda: _strip_sums(points, labels, starts, cdist), threads)
+    row_sums, in_a_parts = zip(*parts)
+    r, in_a = sum(row_sums), sum(in_a_parts)
+    from_a = np.zeros_like(in_a)
+    z = np.empty((min(_ROW_BLOCK, size), n_perm + 1))
     for start in range(0, size, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        block = np.rint(cdist(points[rows], points[rows]))
-        acc = block @ labels[rows]
-        r[rows] += block.sum(axis=1)
-        for col in range(start + _ROW_BLOCK, size, _ROW_BLOCK):
-            cols = slice(col, col + _ROW_BLOCK)
-            block = np.rint(cdist(points[rows], points[cols]))
-            acc += 2.0 * (block @ labels[cols])
-            r[rows] += block.sum(axis=1)
-            r[cols] += block.sum(axis=0)
-        # Row block ``rows`` of ``acc`` and ``r`` is complete: fold it in.
-        row_parts = _hi_lo(r[rows])
-        sums[0] += np.einsum("ip,kip->kp", labels[rows], _hi_lo(acc))
-        sums[1] += row_parts @ labels[rows]
-        sums[2] += row_parts.sum(axis=1)[:, None]
-    in_a, from_a, total = sums
+        z_i = z[:min(_ROW_BLOCK, size - start)]
+        np.copyto(z_i, labels[rows])
+        from_a += _hi_lo(r[rows]) @ z_i
+    total = _hi_lo(r).sum(axis=1)[:, None]
     pairs = np.stack([in_a, from_a - in_a, total - 2.0 * from_a + in_a])
     sum_a, sum_ab, sum_b = np.ldexp(pairs[:, 0], _SPLIT) + pairs[:, 1]
     m = size - n  # the bracket makes the value symmetric in a and b
@@ -139,8 +276,12 @@ def permutation_test(a, b, n_perm=1000, seed=0, quantiles=DEFAULT_QUANTILES):
     Deterministic per seed: permutation ``p`` is the ``p``-th draw of
     ``default_rng(seed).permutation(n + m)``, whose first ``n`` entries
     label group ``a``.  The statistic (``energy_distance(a, b)`` bit for bit)
-    and the null come from one pass in O((n + m) * n_perm) memory whose BLAS
-    sums are exact: no value depends on BLAS threads or ``_ROW_BLOCK``.
+    and the null come from one pass in O((n + m) * n_perm) bytes of labels
+    whose BLAS sums are exact.  The pass's row strips run on all the CPUs
+    the process may use, one thread each (a helper thread holds about 2 MB
+    and is kept for later calls); every per-thread partial is an exact
+    integer, so no value depends on the CPU count, the BLAS threads or
+    ``_ROW_BLOCK``.
     """
     n_perm = require_int("n_perm", n_perm, MIN_PERMUTATIONS)
     seed = require_int("seed", seed, 0)

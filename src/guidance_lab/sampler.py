@@ -56,8 +56,7 @@ class SamplerConfig:
             raise ConfigurationError(
                 f"need 0 <= t_start < t_end <= 1, got [{self.t_start}, {self.t_end}]"
             )
-        if self.seed < 0:
-            raise ConfigurationError(f"sampler seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", require_int("sampler seed", self.seed, 0))
 
 
 @dataclass(frozen=True)

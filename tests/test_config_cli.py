@@ -327,7 +327,7 @@ def test_readme_library_example_runs():
 
 
 _SCIPY_AFTER_RUNS = """
-import contextlib, io, json, os, sys
+import contextlib, io, json, os, sys, threading
 from guidance_lab import cli
 
 def run(*argv):
@@ -341,22 +341,29 @@ out = sys.argv[1]
 status = [run(kind, "--out", os.path.join(out, kind))
           for kind in ("trace_divergence", "sweep_beta", "verify")]
 before = scipy_modules()
+futures = "concurrent.futures" in sys.modules
+threads = threading.active_count()
 cfg = os.path.join(out, "compare.json")
 with open(cfg, "w") as fh:
     json.dump({"kind": "sample_compare", "sampler": {"steps": 4},
                "samples": {"count": 20, "n_perm": 100}}, fh)
 status.append(run("sample_compare", "--config", cfg,
                   "--out", os.path.join(out, "sample_compare")))
-print(json.dumps({"status": status, "before": before, "after": scipy_modules()}))
+print(json.dumps({"status": status, "before": before, "after": scipy_modules(),
+                  "futures": futures, "threads": threads}))
 """
 
 
 def test_only_the_energy_distance_imports_scipy(tmp_path):
     # SciPy supplies only cdist, which the kinds without a two-sample test
-    # never call, so they start without importing it.
+    # never call, so they start without importing it.  The null's helper
+    # threads start on the first null, so those kinds run on one thread and
+    # without concurrent.futures (importing it alone added 0.7 MB of RSS).
     runs = json.loads(_fresh_python(_SCIPY_AFTER_RUNS, str(tmp_path)))
     assert runs["status"] == [0, 0, 0, 0]
     assert runs["before"] == []
+    assert runs["futures"] is False
+    assert runs["threads"] == 1
     assert "scipy.spatial" in runs["after"]
 
 

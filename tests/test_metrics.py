@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -265,6 +267,107 @@ def test_null_independent_of_row_block(monkeypatch):
     monkeypatch.setattr(metrics, "_ROW_BLOCK", 7)
     assert metrics._split_energies(pooled, 140, 100, 5).tobytes() == (
         default.tobytes())
+
+
+def _at_cpus(monkeypatch, cpus):
+    """Make the null see ``cpus`` CPUs in this process's affinity set."""
+    monkeypatch.setattr(metrics.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+
+
+@pytest.mark.parametrize("size, row_block", [
+    (200, 256),   # one strip
+    (512, 256),   # two whole strips
+    (700, 256),   # three strips, the last one partial
+    (1300, 256),  # six strips: more than the four threads
+    (60, 7),      # nine strips of seven rows, the last one partial
+])
+@pytest.mark.parametrize("n_perm", [0, 100])
+def test_null_independent_of_cpu_count(monkeypatch, size, row_block, n_perm):
+    # Each thread's partials are exact integers, so neither which thread
+    # ran a strip nor the order they are added in can move a bit.
+    rng = np.random.default_rng(size)
+    pooled = rng.normal(size=(size, 3))
+    monkeypatch.setattr(metrics, "_ROW_BLOCK", row_block)
+    outputs = []
+    for cpus in (1, 2, 4):
+        _at_cpus(monkeypatch, cpus)
+        outputs.append(metrics._split_energies(pooled, size // 3, n_perm, 7).tobytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_null_strips_taken_once_under_thread_stress(monkeypatch):
+    # More threads than cores and a tiny switch interval: a strip taken by
+    # two threads, or by none, would move the sums.
+    pooled = np.random.default_rng(5).normal(size=(300, 2))
+    monkeypatch.setattr(metrics, "_ROW_BLOCK", 7)
+    _at_cpus(monkeypatch, 1)
+    expected = metrics._split_energies(pooled, 120, 100, 2).tobytes()
+    _at_cpus(monkeypatch, 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert metrics._split_energies(pooled, 120, 100, 2).tobytes() == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_cpu_starts_no_thread(monkeypatch):
+    _at_cpus(monkeypatch, 1)
+    monkeypatch.setattr(metrics, "_helpers", [])
+
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    pooled = np.random.default_rng(2).normal(size=(700, 2))
+    metrics._split_energies(pooled, 300, 100, 1)
+    assert metrics._helpers == []
+
+
+def test_helpers_are_reused_across_calls(monkeypatch):
+    _at_cpus(monkeypatch, 2)
+    pooled = np.random.default_rng(3).normal(size=(600, 2))
+    first = metrics._split_energies(pooled, 250, 100, 1)
+    helpers, threads = list(metrics._helpers), threading.active_count()
+    assert len(helpers) >= 1
+    second = metrics._split_energies(pooled, 250, 100, 1)
+    assert metrics._helpers == helpers and threading.active_count() == threads
+    assert second.tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_share_exception_reaches_the_caller(monkeypatch, failing):
+    # Whichever thread's share raises, the caller re-raises it, and only
+    # after every other thread's share of that call has finished.
+    _at_cpus(monkeypatch, 2)
+    pooled = np.random.default_rng(4).normal(size=(900, 2))
+    expected = metrics._split_energies(pooled, 400, 100, 1)
+    caller = threading.get_ident()
+    running = []
+    working = threading.Event()
+    original = metrics._strip_sums
+
+    def share(*args):
+        on_caller = threading.get_ident() == caller
+        running.append(on_caller)
+        try:
+            if on_caller == (failing == "caller"):
+                assert working.wait(timeout=10)
+                raise RuntimeError(f"{failing} share failed")
+            working.set()
+            time.sleep(0.05)  # still working when the other share raises
+            return original(*args)
+        finally:
+            running.remove(on_caller)
+
+    monkeypatch.setattr(metrics, "_strip_sums", share)
+    with pytest.raises(RuntimeError, match=f"{failing} share failed"):
+        metrics._split_energies(pooled, 400, 100, 1)
+    assert running == []
+    monkeypatch.setattr(metrics, "_strip_sums", original)
+    assert metrics._split_energies(pooled, 400, 100, 1).tobytes() == expected.tobytes()
 
 
 def _outputs_at_blas_threads(script, *args):

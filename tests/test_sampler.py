@@ -79,6 +79,17 @@ def test_sampler_config_validation():
         SamplerConfig(t_end=1.5)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_sampler_config_rejects_non_int_seeds(seed):
+    with pytest.raises(ConfigurationError, match="sampler seed"):
+        SamplerConfig(seed=seed)
+
+
+def test_sampler_config_accepts_numpy_int_seed():
+    cfg = SamplerConfig(seed=np.int64(3))
+    assert cfg.seed == 3 and type(cfg.seed) is int
+
+
 def test_target_pair_validation():
     a = GaussianMixture.single(np.zeros(2), 1.0)
     b = GaussianMixture.single(np.zeros(3), 1.0)
