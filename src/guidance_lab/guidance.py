@@ -163,14 +163,10 @@ def normal_direction(velocity_value, x, state_coef):
 
 
 def degenerate_threshold(x):
-    """Norm threshold below which the normal is treated as zero at ``x``.
-
-    The norms are sums over C-ordered ``(dim, n)`` columns, as in
-    ``decompose``, so a transposed dimension-major batch needs no copy.
-    """
-    columns = np.ascontiguousarray(np.asarray(x, dtype=float).T)
-    norms = np.sqrt(np.sum(columns * columns, axis=0))
-    return 1e-12 * np.sqrt(columns.shape[0]) * (1.0 + norms)
+    """Norm threshold below which the normal is treated as zero at ``x``."""
+    x = np.asarray(x, dtype=float)
+    dim = x.shape[-1]
+    return 1e-12 * np.sqrt(dim) * (1.0 + np.linalg.norm(x, axis=-1))
 
 
 def decompose(residual, normal, x):

@@ -11,22 +11,24 @@ The pass visits each distance block on or above the diagonal once, with
 one product: an off-diagonal block counts twice, which that grid leaves a
 spare bit for (see ``_split_energies``).
 
-The pass's row strips run on every CPU the process may use (its affinity
-set): the calling thread and one helper thread per further CPU each take
-the next strip from one shared iterator.  Every partial a thread keeps,
-and every sum of them, is an integer below ``2**53``, so the values do not
-depend on the CPU count or on which thread ran a strip.  Helpers start on
-the first null that wants them and stay for later ones; each holds about
-2 MB of resident memory (2-core Xeon VM, OpenBLAS 0.3.31).  With a
-multi-threaded BLAS the threads' products contend for one BLAS thread
-pool, so the pass is fastest on one BLAS thread
-(``OPENBLAS_NUM_THREADS=1``).
+With NumPy's OpenBLAS pinned to one thread (``OPENBLAS_NUM_THREADS=1``),
+the pass's row strips run on two threads where the process may use two
+CPUs (its affinity set): the calling thread and one helper thread each
+take the next strip from one shared iterator.  Every partial a thread
+keeps, and every sum of them, is an integer below ``2**53``, so the
+values do not depend on the thread count or on which thread ran a strip.
+The helper starts on the first null that wants it and stays for later
+ones, holding about 2 MB of resident memory (2-core Xeon VM, OpenBLAS
+0.3.31).  With a multi-threaded BLAS the two threads' products contend
+for one BLAS thread pool and the split pass was slower than one thread,
+so there the pass runs on the calling thread alone.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import queue
 import threading
 from dataclasses import dataclass
 from typing import Dict
@@ -46,6 +48,10 @@ DEFAULT_QUANTILES = (0.5, 0.9, 0.95, 0.99)
 
 # Fewest permutations whose null quantiles the test reports.
 MIN_PERMUTATIONS = 100
+
+# Most threads one null runs on: two beat one on a 2-core Xeon VM at one
+# BLAS thread; more were never measured.
+_MAX_THREADS = 2
 
 
 @dataclass(frozen=True)
@@ -89,38 +95,71 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
+def _blas_single_threaded():
+    """Whether the environment pins OpenBLAS to one thread.
+
+    OpenBLAS takes its thread count from the first of these variables that
+    holds a positive integer, and starts one thread per CPU if none does.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads == 1
+    return False
+
+
+def _null_threads(strips):
+    """Threads a pass of ``strips`` row strips runs on.
+
+    Two only with a one-thread BLAS: where the BLAS pool has a thread per
+    CPU, both threads' products queue on it and the split pass was slower
+    than one thread (an N = 4,000 null, 115 -> 138 ms, 2-core Xeon VM).
+    """
+    if not _blas_single_threaded():
+        return 1
+    return min(_cpu_count(), strips, _MAX_THREADS)
+
+
+class _Call:
+    """One share submitted to a helper and, once ``done`` is set, its
+    ``result`` or ``exception``."""
+
+    def __init__(self, share):
+        self.share = share
+        self.result = self.exception = None
+        self.done = threading.Event()
+
+
 class _Helper:
-    """A daemon thread that runs one submitted share of a null at a time.
+    """A daemon thread that runs submitted shares one after another.
 
     Helpers start on the first null that wants them and serve every later
-    one, so the small nulls of ``sweep_omega`` do not each pay a thread start.
+    one, so the small nulls of ``sweep_omega`` do not each pay a thread
+    start.  Each submission has its own ``_Call``: a caller whose wait is
+    interrupted leaves its call to finish unread, and the next call queues
+    behind it.
     """
 
     def __init__(self):
-        self._share = self._outcome = None
-        self._submitted = threading.Semaphore(0)
-        self._finished = threading.Semaphore(0)
+        self._calls = queue.SimpleQueue()
         threading.Thread(target=self._serve, daemon=True).start()
 
     def _serve(self):
         while True:
-            self._submitted.acquire()
+            call = self._calls.get()
             try:
-                self._outcome = (self._share(), None)
-            except BaseException as exc:  # handed to the caller by ``wait``
-                self._outcome = (None, exc)
-            self._share = None
-            self._finished.release()
+                call.result = call.share()
+            except BaseException as exc:  # re-raised by the caller
+                call.exception = exc
+            call.done.set()
 
     def submit(self, share):
-        self._share = share
-        self._submitted.release()
-
-    def wait(self):
-        """``(result, exception)`` of the submitted share, once it is done."""
-        self._finished.acquire()
-        outcome, self._outcome = self._outcome, None
-        return outcome
+        call = _Call(share)
+        self._calls.put(call)
+        return call
 
 
 _helpers = []
@@ -131,29 +170,39 @@ os.register_at_fork(after_in_child=_helpers.clear)
 
 def _run_shares(share, threads):
     """Results of ``share()`` run on the caller and on ``threads - 1``
-    helpers at once.  Every helper has finished before this returns or
-    raises; the first exception raised anywhere is re-raised."""
+    helpers at once.  Every helper has finished its share before this
+    returns or raises; the caller's exception, else the first helper's,
+    is re-raised."""
     if threads == 1:
         return [share()]
     with _helpers_lock:
         while len(_helpers) < threads - 1:
             _helpers.append(_Helper())
-        helpers = _helpers[:threads - 1]
-        for helper in helpers:
-            helper.submit(share)
+        calls = [helper.submit(share) for helper in _helpers[:threads - 1]]
         try:
             results = [share()]
         finally:
-            outcomes = [helper.wait() for helper in helpers]
-        for _, exc in outcomes:
-            if exc is not None:
-                raise exc
-    return results + [result for result, _ in outcomes]
+            for call in calls:
+                call.done.wait()
+        for call in calls:
+            if call.exception is not None:
+                raise call.exception
+    return results + [call.result for call in calls]
 
 
 def _shaped(buffer, rows, cols):
     """A C-contiguous ``(rows, cols)`` view of the head of a flat buffer."""
     return buffer[:rows * cols].reshape(rows, cols)
+
+
+def _as_float(labels, buffer):
+    """A block of 0/1 ``labels`` as float64: the block itself if it is
+    float, else widened into the head of ``buffer``."""
+    if labels.dtype == np.float64:
+        return labels
+    widened = _shaped(buffer, *labels.shape)
+    np.copyto(widened, labels)
+    return widened
 
 
 def _strip_sums(points, labels, starts, cdist):
@@ -162,8 +211,8 @@ def _strip_sums(points, labels, starts, cdist):
 
     Returns the partial row sums ``r`` (every column sum of a visited block
     lands in rows of a later strip) and the hi/lo parts of the strips'
-    ``z^T K z``.  The labels stay 0/1 bytes; each block of them is widened
-    into this thread's float buffer as a product needs it.
+    ``z^T K z``.  Byte labels are widened one block at a time into this
+    thread's float buffers as a product needs them.
     """
     size, width = labels.shape
     side = min(_ROW_BLOCK, size)
@@ -176,8 +225,7 @@ def _strip_sums(points, labels, starts, cdist):
     for start in starts:
         rows = slice(start, start + _ROW_BLOCK)
         height = min(_ROW_BLOCK, size - start)
-        z_i = _shaped(z_rows, height, width)
-        np.copyto(z_i, labels[rows])
+        z_i = _as_float(labels[rows], z_rows)
         block = _shaped(dist, height, height)
         np.rint(cdist(points[rows], points[rows], out=block), out=block)
         acc_i = np.matmul(block, z_i, out=_shaped(acc, height, width))
@@ -185,8 +233,7 @@ def _strip_sums(points, labels, starts, cdist):
         for col in range(start + _ROW_BLOCK, size, _ROW_BLOCK):
             cols = slice(col, col + _ROW_BLOCK)
             breadth = min(_ROW_BLOCK, size - col)
-            z_j = _shaped(z_cols, breadth, width)
-            np.copyto(z_j, labels[cols])
+            z_j = _as_float(labels[cols], z_cols)
             block = _shaped(dist, height, breadth)
             np.rint(cdist(points[rows], points[cols], out=block), out=block)
             product = np.matmul(block, z_j, out=_shaped(part, height, width))
@@ -215,8 +262,8 @@ def _split_energies(pooled, n, n_perm, seed):
     column sums.
 
     The row strips (row block ``I`` with every block right of it) run on
-    the calling thread and one helper per further CPU, each thread taking
-    the next strip as it finishes one.  Each thread keeps its own ``r`` and
+    ``_null_threads`` threads, the caller and its helpers, each taking the
+    next strip as it finishes one.  Each thread keeps its own ``r`` and
     hi/lo ``z^T K z``; the caller adds them and folds ``z^T r`` once ``r``
     is complete.  Every partial and every sum of partials is an integer
     below ``2**53``, so neither the order nor the thread a strip ran on can
@@ -235,23 +282,24 @@ def _split_energies(pooled, n, n_perm, seed):
     bits = 52 - (size - 1).bit_length()
     exponent = (math.frexp(diagonal)[1] if diagonal > 0.0 else 0) - bits
     points = np.ldexp(pooled, -exponent)  # exact: distances in units of h
-    labels = np.zeros((size, n_perm + 1), dtype=np.uint8)
+    threads = _null_threads(-(-size // _ROW_BLOCK))
+    # A split pass holds its labels as bytes, which makes room for the
+    # helper's memory; one thread keeps them float: at two BLAS threads the
+    # per-block widening made a one-thread pass about 15% slower.
+    labels = np.zeros((size, n_perm + 1), dtype=np.uint8 if threads > 1 else float)
     labels[:n, 0] = 1
     rng = np.random.default_rng(seed)
     for p in range(1, n_perm + 1):
         labels[rng.permutation(size)[:n], p] = 1
     starts = iter(range(0, size, _ROW_BLOCK))
-    threads = min(_cpu_count(), -(-size // _ROW_BLOCK))
     parts = _run_shares(lambda: _strip_sums(points, labels, starts, cdist), threads)
     row_sums, in_a_parts = zip(*parts)
     r, in_a = sum(row_sums), sum(in_a_parts)
     from_a = np.zeros_like(in_a)
-    z = np.empty((min(_ROW_BLOCK, size), n_perm + 1))
+    z = np.empty(min(_ROW_BLOCK, size) * (n_perm + 1))
     for start in range(0, size, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        z_i = z[:min(_ROW_BLOCK, size - start)]
-        np.copyto(z_i, labels[rows])
-        from_a += _hi_lo(r[rows]) @ z_i
+        from_a += _hi_lo(r[rows]) @ _as_float(labels[rows], z)
     total = _hi_lo(r).sum(axis=1)[:, None]
     pairs = np.stack([in_a, from_a - in_a, total - 2.0 * from_a + in_a])
     sum_a, sum_ab, sum_b = np.ldexp(pairs[:, 0], _SPLIT) + pairs[:, 1]
@@ -277,11 +325,11 @@ def permutation_test(a, b, n_perm=1000, seed=0, quantiles=DEFAULT_QUANTILES):
     ``default_rng(seed).permutation(n + m)``, whose first ``n`` entries
     label group ``a``.  The statistic (``energy_distance(a, b)`` bit for bit)
     and the null come from one pass in O((n + m) * n_perm) bytes of labels
-    whose BLAS sums are exact.  The pass's row strips run on all the CPUs
-    the process may use, one thread each (a helper thread holds about 2 MB
-    and is kept for later calls); every per-thread partial is an exact
-    integer, so no value depends on the CPU count, the BLAS threads or
-    ``_ROW_BLOCK``.
+    whose BLAS sums are exact.  With OpenBLAS on one thread the pass's row
+    strips run on two threads where the process may use two CPUs (the
+    helper thread holds about 2 MB and is kept for later calls); every
+    per-thread partial is an exact integer, so no value depends on the
+    thread or CPU count, the BLAS threads or ``_ROW_BLOCK``.
     """
     n_perm = require_int("n_perm", n_perm, MIN_PERMUTATIONS)
     seed = require_int("seed", seed, 0)

@@ -270,9 +270,38 @@ def test_null_independent_of_row_block(monkeypatch):
 
 
 def _at_cpus(monkeypatch, cpus):
-    """Make the null see ``cpus`` CPUs in this process's affinity set."""
+    """Make the null see ``cpus`` CPUs in this process's affinity set and a
+    one-thread BLAS, the setting it splits its strips at."""
     monkeypatch.setattr(metrics.os, "sched_getaffinity",
                         lambda pid: set(range(cpus)))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+@pytest.mark.parametrize("env, single", [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "2"}, False),
+    ({"OMP_NUM_THREADS": "1"}, True),
+    ({"GOTO_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "4"}, False),
+])
+def test_blas_thread_count_read_as_openblas_reads_it(monkeypatch, env, single):
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert metrics._blas_single_threaded() is single
+
+
+def test_null_threads_capped_and_gated_on_blas(monkeypatch):
+    _at_cpus(monkeypatch, 4)
+    assert metrics._null_threads(10) == metrics._MAX_THREADS == 2
+    assert metrics._null_threads(1) == 1
+    # A multi-threaded BLAS pool: the split pass measured slower there.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert metrics._null_threads(10) == 1
 
 
 @pytest.mark.parametrize("size, row_block", [
@@ -304,6 +333,7 @@ def test_null_strips_taken_once_under_thread_stress(monkeypatch):
     _at_cpus(monkeypatch, 1)
     expected = metrics._split_energies(pooled, 120, 100, 2).tobytes()
     _at_cpus(monkeypatch, 6)
+    monkeypatch.setattr(metrics, "_MAX_THREADS", 6)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -313,8 +343,10 @@ def test_null_strips_taken_once_under_thread_stress(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_one_cpu_starts_no_thread(monkeypatch):
-    _at_cpus(monkeypatch, 1)
+@pytest.mark.parametrize("cpus, blas_threads", [(1, "1"), (2, "2")])
+def test_one_thread_null_starts_no_thread(monkeypatch, cpus, blas_threads):
+    _at_cpus(monkeypatch, cpus)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
     monkeypatch.setattr(metrics, "_helpers", [])
 
     def refuse(self):
@@ -367,6 +399,54 @@ def test_share_exception_reaches_the_caller(monkeypatch, failing):
         metrics._split_energies(pooled, 400, 100, 1)
     assert running == []
     monkeypatch.setattr(metrics, "_strip_sums", original)
+    assert metrics._split_energies(pooled, 400, 100, 1).tobytes() == expected.tobytes()
+
+
+class _Interrupt(BaseException):
+    """Stands in for a KeyboardInterrupt."""
+
+
+def test_interrupted_wait_leaves_the_next_call_whole(monkeypatch):
+    # An interrupt while the caller waits for the helper leaves the helper
+    # at work on that call's share; the next call, of the same size, must
+    # still get its own outcome, not the abandoned one.
+    _at_cpus(monkeypatch, 1)
+    rng = np.random.default_rng(6)
+    abandoned, pooled = rng.normal(size=(900, 2)), rng.normal(size=(900, 2))
+    expected = metrics._split_energies(pooled, 400, 100, 1)
+    _at_cpus(monkeypatch, 2)
+    caller = threading.get_ident()
+    original_strips, original_call = metrics._strip_sums, metrics._Call.__init__
+    helper_took_a_strip = threading.Event()
+
+    def helper_lags(points, labels, starts, cdist):
+        # On the first call the helper takes one strip, then stays at work
+        # until well after the caller has taken the rest and begun to wait.
+        if threading.get_ident() == caller:
+            assert helper_took_a_strip.wait(timeout=10)
+        elif not helper_took_a_strip.is_set():
+            def lagging(starts=starts):
+                for start in starts:
+                    helper_took_a_strip.set()
+                    yield start
+                    time.sleep(0.2)
+            starts = lagging()
+        return original_strips(points, labels, starts, cdist)
+
+    class CutWait(threading.Event):
+        def wait(self, timeout=None):
+            raise _Interrupt
+
+    def cut_call(self, share):
+        original_call(self, share)
+        self.done = CutWait()
+
+    monkeypatch.setattr(metrics, "_strip_sums", helper_lags)
+    monkeypatch.setattr(metrics._Call, "__init__", cut_call)
+    with pytest.raises(_Interrupt):
+        metrics._split_energies(abandoned, 400, 100, 1)
+    monkeypatch.setattr(metrics._Call, "__init__", original_call)
+    assert metrics._split_energies(pooled, 400, 100, 1).tobytes() == expected.tobytes()
     assert metrics._split_energies(pooled, 400, 100, 1).tobytes() == expected.tobytes()
 
 
