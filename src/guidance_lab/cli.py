@@ -149,10 +149,13 @@ def run_sweep_beta(config):
     return 0
 
 
-def _terminal_run(config, rule, x0s):
-    """Integrate a rule from initial states that every rule it is compared
-    with shares."""
-    return smp.integrate(x0s, config.pair, config.schedule, rule, config.sampler)
+def _terminal_runs(config, rules, x0s):
+    """Integrate each rule of ``rules``, a list of ``(name, rule)``, from the
+    same initial states, all in one Euler batch; returns ``(name, record)``
+    pairs."""
+    records = smp.integrate_rules(x0s, config.pair, config.schedule,
+                                  [rule for _, rule in rules], config.sampler)
+    return [(name, record) for (name, _), record in zip(rules, records)]
 
 
 def _mean_terminal_log_p(config, batch):
@@ -180,10 +183,10 @@ def run_sweep_omega(config):
         oracle = _oracle_terminal_draws(
             config, config.sample_count, _child_seed(config.seed, 2, oi)
         )
-        for ri, (rule_name, rule) in enumerate(
-            [("cfg", _cfg_rule(omega)), ("projected", _projected(config, omega=omega))]
+        for ri, (rule_name, batch) in enumerate(_terminal_runs(
+            config, [("cfg", _cfg_rule(omega)),
+                     ("projected", _projected(config, omega=omega))], x0s)
         ):
-            batch = _terminal_run(config, rule, x0s)
             result = metrics.permutation_test(
                 batch.terminal_state, oracle, n_perm=config.n_perm,
                 seed=_child_seed(config.seed, 3, oi, ri),
@@ -232,10 +235,10 @@ def run_sample_compare(config):
     omega = config.guidance.guidance_scale
     x0s = smp.initial_states(config.sample_count, config.pair.dim,
                              config.sampler.seed)
-    for ri, (rule_name, rule) in enumerate(
-        [("cfg", _cfg_rule(omega)), ("projected", _projected(config))]
+    for ri, (rule_name, batch) in enumerate(_terminal_runs(
+        config, [("cfg", _cfg_rule(omega)), ("projected", _projected(config))],
+        x0s)
     ):
-        batch = _terminal_run(config, rule, x0s)
         _write_table(
             _samples_table(batch.terminal_state),
             os.path.join(config.output_dir, f"samples_{rule_name}.csv"),

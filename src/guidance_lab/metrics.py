@@ -9,7 +9,9 @@ grid ``h`` with at most ``52 - ceil(log2 N)`` bits below the bounding-box
 diagonal, so BLAS sums them exactly, with the same bits on any threads.
 The pass visits each distance block on or above the diagonal once, with
 one product: an off-diagonal block counts twice, which that grid leaves a
-spare bit for (see ``_split_energies``).
+spare bit for (see ``_split_energies``).  A block's grid distances are
+computed in NumPy, one coordinate at a time, and equal ``np.rint(cdist(...))``
+of SciPy bit for bit (see ``_grid_distances``), so no kind imports SciPy.
 
 With NumPy's OpenBLAS pinned to one thread (``OPENBLAS_NUM_THREADS=1``),
 the pass's row strips run on two threads where the process may use two
@@ -18,7 +20,7 @@ take the next strip from one shared iterator.  Every partial a thread
 keeps, and every sum of them, is an integer below ``2**53``, so the
 values do not depend on the thread count or on which thread ran a strip.
 The helper starts on the first null that wants it and stays for later
-ones, holding about 2 MB of resident memory (2-core Xeon VM, OpenBLAS
+ones, holding about 2.5 MB of resident memory (2-core Xeon VM, OpenBLAS
 0.3.31).  With a multi-threaded BLAS the two threads' products contend
 for one BLAS thread pool and the split pass was slower than one thread,
 so there the pass runs on the calling thread alone.
@@ -26,6 +28,7 @@ so there the pass runs on the calling thread alone.
 
 from __future__ import annotations
 
+import collections
 import math
 import os
 import queue
@@ -205,18 +208,54 @@ def _as_float(labels, buffer):
     return widened
 
 
-def _strip_sums(points, labels, starts, cdist):
+def _difference_factors(points):
+    """Per coordinate ``k``, the ``(size, 2)`` rows ``[x_k, 1]`` and the
+    ``(2, size)`` columns ``[1; -x_k]`` of ``points``: the product of rows
+    ``I`` and columns ``J`` is the matrix of differences ``x_ik - x_jk``.
+    Both of its terms are exact, so under any BLAS each difference is
+    rounded once, to ``fl(x_ik - x_jk)``."""
+    left = np.ones((points.shape[1], points.shape[0], 2))
+    left[:, :, 0] = points.T
+    right = np.ones((points.shape[1], 2, points.shape[0]))
+    np.negative(points.T, out=right[:, 1])
+    return left, right
+
+
+def _grid_distances(left, right, out, diff):
+    """The rounded distances between the points of ``left`` and of
+    ``right`` (:func:`_difference_factors` of two sets), into ``out``, with
+    ``diff`` as scratch: ``np.rint(cdist(...))`` of SciPy bit for bit.
+
+    SciPy's loop adds each pair's squared coordinate differences in
+    coordinate order, from the first, then takes the root; here every
+    addition is one whole-block add in that order.  A difference is one
+    k = 2 product, which beat ``np.subtract.outer`` (23 vs 69 us per 256 x
+    256 block, 2-core Xeon VM).
+    """
+    np.matmul(left[0], right[0], out=out)
+    np.multiply(out, out, out=out)
+    for k in range(1, len(left)):
+        np.matmul(left[k], right[k], out=diff)
+        np.multiply(diff, diff, out=diff)
+        out += diff
+    np.sqrt(out, out=out)
+    return np.rint(out, out=out)
+
+
+def _strip_sums(factors, labels, starts):
     """This thread's share of the pass: the row strips it takes from the
-    shared iterator ``starts``.
+    shared iterator ``starts``.  ``factors`` are the
+    :func:`_difference_factors` of the pooled points in grid units.
 
     Returns the partial row sums ``r`` (every column sum of a visited block
     lands in rows of a later strip) and the hi/lo parts of the strips'
     ``z^T K z``.  Byte labels are widened one block at a time into this
     thread's float buffers as a product needs them.
     """
+    left, right = factors
     size, width = labels.shape
     side = min(_ROW_BLOCK, size)
-    dist = np.empty(side * side)
+    dist, diff = np.empty(side * side), np.empty(side * side)
     acc, part, z_rows, z_cols = (np.empty(side * width) for _ in range(4))
     r = np.zeros(size)
     in_a = np.zeros((2, width))
@@ -226,16 +265,19 @@ def _strip_sums(points, labels, starts, cdist):
         rows = slice(start, start + _ROW_BLOCK)
         height = min(_ROW_BLOCK, size - start)
         z_i = _as_float(labels[rows], z_rows)
-        block = _shaped(dist, height, height)
-        np.rint(cdist(points[rows], points[rows], out=block), out=block)
+        left_i = left[:, rows]
+        block = _grid_distances(left_i, right[:, :, rows],
+                                _shaped(dist, height, height),
+                                _shaped(diff, height, height))
         acc_i = np.matmul(block, z_i, out=_shaped(acc, height, width))
         r[rows] += block.sum(axis=1)
         for col in range(start + _ROW_BLOCK, size, _ROW_BLOCK):
             cols = slice(col, col + _ROW_BLOCK)
             breadth = min(_ROW_BLOCK, size - col)
             z_j = _as_float(labels[cols], z_cols)
-            block = _shaped(dist, height, breadth)
-            np.rint(cdist(points[rows], points[cols], out=block), out=block)
+            block = _grid_distances(left_i, right[:, :, cols],
+                                    _shaped(dist, height, breadth),
+                                    _shaped(diff, height, breadth))
             product = np.matmul(block, z_j, out=_shaped(part, height, width))
             product *= 2.0
             acc_i += product
@@ -269,19 +311,14 @@ def _split_energies(pooled, n, n_perm, seed):
     below ``2**53``, so neither the order nor the thread a strip ran on can
     move a bit.
     """
-    # Imported here, not at module level: importing scipy.spatial takes about
-    # 0.45 s and 30 MB of a fresh process (2-core Xeon VM, scipy 1.17), and
-    # verify, trace_divergence and sweep_beta never compute a distance, so
-    # they start without it.
-    from scipy.spatial.distance import cdist
-
     size = pooled.shape[0]
     diagonal = math.dist(pooled.max(axis=0), pooled.min(axis=0))
     if not math.isfinite(2.0 * diagonal):
         raise DomainError(f"twice the bounding-box diagonal {diagonal} overflows")
     bits = 52 - (size - 1).bit_length()
     exponent = (math.frexp(diagonal)[1] if diagonal > 0.0 else 0) - bits
-    points = np.ldexp(pooled, -exponent)  # exact: distances in units of h
+    # Exact: distances in units of h.
+    factors = _difference_factors(np.ldexp(pooled, -exponent))
     threads = _null_threads(-(-size // _ROW_BLOCK))
     # A split pass holds its labels as bytes, which makes room for the
     # helper's memory; one thread keeps them float: at two BLAS threads the
@@ -292,7 +329,13 @@ def _split_energies(pooled, n, n_perm, seed):
     for p in range(1, n_perm + 1):
         labels[rng.permutation(size)[:n], p] = 1
     starts = iter(range(0, size, _ROW_BLOCK))
-    parts = _run_shares(lambda: _strip_sums(points, labels, starts, cdist), threads)
+    try:
+        parts = _run_shares(lambda: _strip_sums(factors, labels, starts), threads)
+    except BaseException:
+        # A helper still at work on this pass, after an interrupted wait,
+        # finds no strip left and stops after its current one.
+        collections.deque(starts, maxlen=0)
+        raise
     row_sums, in_a_parts = zip(*parts)
     r, in_a = sum(row_sums), sum(in_a_parts)
     from_a = np.zeros_like(in_a)
@@ -327,7 +370,7 @@ def permutation_test(a, b, n_perm=1000, seed=0, quantiles=DEFAULT_QUANTILES):
     and the null come from one pass in O((n + m) * n_perm) bytes of labels
     whose BLAS sums are exact.  With OpenBLAS on one thread the pass's row
     strips run on two threads where the process may use two CPUs (the
-    helper thread holds about 2 MB and is kept for later calls); every
+    helper thread holds about 2.5 MB and is kept for later calls); every
     per-thread partial is an exact integer, so no value depends on the
     thread or CPU count, the BLAS threads or ``_ROW_BLOCK``.
     """

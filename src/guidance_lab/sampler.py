@@ -18,7 +18,9 @@ j])``, so that results do not depend on batch size or ordering; the seeds
 of a whole batch are hashed in one vectorised pass.  A single trajectory
 and a batch both come back as a ``TrajectoryRecord`` of the time grid and
 the states: the loop keeps only what it integrates, and callers evaluate
-whatever summary they report on those states.
+whatever summary they report on those states.  ``integrate_rules`` runs
+several rules from the same initial states as one batch, each rule on its
+own rows, so that one oracle pass per step serves them all.
 
 Only the Euler scheme is provided: the laboratory studies guidance-rule
 effects, and a fixed first-order solver keeps those effects un-confounded
@@ -118,7 +120,7 @@ def _check_grid(schedule, sampler_config):
         )
 
 
-def _euler(x0s, pair, schedule, guidance_config, sampler_config,
+def _euler(x0s, pair, schedule, guidance_configs, sampler_config,
            guidance_field=None):
     """Vectorized Euler loop over a batch of initial states.
 
@@ -135,6 +137,13 @@ def _euler(x0s, pair, schedule, guidance_config, sampler_config,
     per step.  A guided step makes one oracle pass over the pair's stacked
     components for both velocities; with an explicit ``guidance_field``
     only the unconditional target is evaluated.
+
+    ``guidance_configs`` holds one rule, which guides every row, or several,
+    each guiding its own equal, consecutive share of the rows.  A share's
+    rule runs on its rows' views, its oracle rotations are BLAS products of
+    their own (``mixture._rotate``) and every other op of a step acts on
+    each row alone, so a share of two or more rows follows the trajectories
+    of a batch of its rows under that rule alone, bit for bit.
     """
     _check_grid(schedule, sampler_config)
     steps = sampler_config.steps
@@ -147,19 +156,31 @@ def _euler(x0s, pair, schedule, guidance_config, sampler_config,
     count, dim = x0s.shape
     states = np.empty((steps + 1, dim, count))
     states[0] = x0s.T
+    shares = None
+    if len(guidance_configs) > 1:
+        share = count // len(guidance_configs)
+        shares = tuple(slice(i * share, (i + 1) * share)
+                       for i in range(len(guidance_configs)))
+        shared_update = np.empty((dim, count)).T  # laid out as the states
     for k, (t, dt) in enumerate(zip(times.tolist(), np.diff(times).tolist())):
         x = states[k].T
-        terms = mix._evaluate_at(stack, *(c[..., k:k + 1] for c in grid), x)
+        terms = mix._evaluate_at(stack, *(c[..., k:k + 1] for c in grid), x,
+                                 shares)
         velocities = mix._velocities(stack, terms, state_coefs[k],
                                      score_coefs[k], x)
         v_u = velocities[-1]
-        if guidance_field is None:
-            update = apply_guidance(v_u, velocities[0], x, t, schedule,
-                                    guidance_config)
-        else:
+        if guidance_field is not None:
             update = np.asarray(guidance_field(x, t), dtype=float)
             if update.shape != x.shape:
                 update = np.broadcast_to(update, x.shape)
+        elif shares is None:
+            update = apply_guidance(v_u, velocities[0], x, t, schedule,
+                                    guidance_configs[0])
+        else:
+            update = shared_update
+            for rows, rule in zip(shares, guidance_configs):
+                update[rows] = apply_guidance(v_u[rows], velocities[0][rows],
+                                              x[rows], t, schedule, rule)
         nxt = x + dt * (v_u + update)
         if not np.all(np.isfinite(nxt)):
             raise IntegrationError(
@@ -185,11 +206,33 @@ def integrate(x0, pair, schedule, guidance_config, sampler_config,
         raise ShapeError(f"x0 shape {x0.shape} does not match pair dim {pair.dim}; "
                          f"expected ({pair.dim},) or (count, {pair.dim})")
     times, states = _euler(
-        np.atleast_2d(x0), pair, schedule, guidance_config, sampler_config,
+        np.atleast_2d(x0), pair, schedule, (guidance_config,), sampler_config,
         guidance_field=guidance_field,
     )
     return TrajectoryRecord(times=times, states=np.swapaxes(states, 1, 2)
                             if x0.ndim == 2 else states[:, :, 0])
+
+
+def integrate_rules(x0s, pair, schedule, guidance_configs, sampler_config):
+    """One record per rule of ``guidance_configs``, each integrated from the
+    same ``(count, dim)`` initial states ``x0s``: for ``count >= 2``, the
+    record ``integrate`` returns for that rule, bit for bit.
+
+    All rules run in one Euler batch, each on its own ``count`` rows, so a
+    step makes one oracle pass for all of them.
+    """
+    x0s = np.asarray(x0s, dtype=float)
+    if x0s.ndim != 2 or x0s.shape[1] != pair.dim:
+        raise ShapeError(f"x0s shape {x0s.shape} does not match pair dim "
+                         f"{pair.dim}; expected (count, {pair.dim})")
+    if not guidance_configs:
+        raise ConfigurationError("integrate_rules needs at least one rule")
+    count = x0s.shape[0]
+    times, states = _euler(np.concatenate([x0s] * len(guidance_configs)), pair,
+                           schedule, tuple(guidance_configs), sampler_config)
+    return [TrajectoryRecord(times=times, states=np.swapaxes(
+                states[:, :, i * count:(i + 1) * count], 1, 2))
+            for i in range(len(guidance_configs))]
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's

@@ -330,41 +330,44 @@ _SCIPY_AFTER_RUNS = """
 import contextlib, io, json, os, sys, threading
 from guidance_lab import cli
 
-def run(*argv):
+def run(kind, config=None):
+    argv = [kind, "--out", os.path.join(out, kind)]
+    if config is not None:
+        path = os.path.join(out, kind + ".json")
+        with open(path, "w") as fh:
+            json.dump(dict(config, kind=kind), fh)
+        argv += ["--config", path]
     with contextlib.redirect_stdout(io.StringIO()):
-        return cli.main(list(argv))
+        return cli.main(argv)
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 
 out = sys.argv[1]
-status = [run(kind, "--out", os.path.join(out, kind))
-          for kind in ("trace_divergence", "sweep_beta", "verify")]
-before = scipy_modules()
+samples = {"sampler": {"steps": 4}, "samples": {"count": 20, "n_perm": 100}}
+status = [run("trace_divergence", {"sampler": {"steps": 8}}),
+          run("sweep_beta", {"sampler": {"steps": 8}}),
+          run("verify")]
 futures = "concurrent.futures" in sys.modules
 threads = threading.active_count()
-cfg = os.path.join(out, "compare.json")
-with open(cfg, "w") as fh:
-    json.dump({"kind": "sample_compare", "sampler": {"steps": 4},
-               "samples": {"count": 20, "n_perm": 100}}, fh)
-status.append(run("sample_compare", "--config", cfg,
-                  "--out", os.path.join(out, "sample_compare")))
-print(json.dumps({"status": status, "before": before, "after": scipy_modules(),
+status += [run("sweep_omega", dict(samples, guidance={"omega_sweep": [1.0, 2.0]})),
+           run("sample_compare", samples)]
+print(json.dumps({"status": status, "scipy": scipy_modules(),
                   "futures": futures, "threads": threads}))
 """
 
 
-def test_only_the_energy_distance_imports_scipy(tmp_path):
-    # SciPy supplies only cdist, which the kinds without a two-sample test
-    # never call, so they start without importing it.  The null's helper
-    # threads start on the first null, so those kinds run on one thread and
-    # without concurrent.futures (importing it alone added 0.7 MB of RSS).
+def test_no_kind_imports_scipy(tmp_path):
+    # The energy distance computes its grid distances in NumPy, so no kind,
+    # the two-sample ones included, imports SciPy.  The null's helper
+    # threads start on the first null, so the kinds without one run on one
+    # thread and without concurrent.futures (importing it alone added 0.7 MB
+    # of RSS).
     runs = json.loads(_fresh_python(_SCIPY_AFTER_RUNS, str(tmp_path)))
-    assert runs["status"] == [0, 0, 0, 0]
-    assert runs["before"] == []
+    assert runs["status"] == [0, 0, 0, 0, 0]
+    assert runs["scipy"] == []
     assert runs["futures"] is False
     assert runs["threads"] == 1
-    assert "scipy.spatial" in runs["after"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for energy distance, its permutation null, and slope fits."""
 
+import itertools
 import json
 import math
 import os
@@ -259,6 +260,63 @@ def test_null_exact_at_top_of_grid(monkeypatch, at_origin):
         energies.tobytes())
 
 
+def _grid_block(a, b):
+    """``metrics._grid_distances`` between the point sets ``a`` and ``b``."""
+    left, _ = metrics._difference_factors(a)
+    _, right = metrics._difference_factors(b)
+    out, diff = np.empty((len(a), len(b))), np.empty((len(a), len(b)))
+    return metrics._grid_distances(left, right, out, diff)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16, 64])
+def test_grid_distances_equal_rounded_cdist(dim):
+    # The NumPy block adds squared differences in SciPy's order, so it must
+    # match np.rint(cdist) bit for bit at every scale the grid allows: point
+    # sets 2**20 to 2**45 grid units across, and points at the grid's top.
+    rng = np.random.default_rng(dim)
+    sets = []
+    for bits in (20, 33, 45):
+        side = 2.0**bits / math.sqrt(dim)  # the diagonal is 2**bits
+        sets.append(rng.uniform(0.0, side, size=(300, dim)))
+        sets.append(side / 2 + rng.normal(scale=side / 50, size=(300, dim)))
+    # Opposite corners of the box whose diagonal is the top of the grid at
+    # N = 2047 (2**41 units, as in test_null_exact_at_top_of_grid), and the
+    # point sets 2**45 units across at their corners.
+    for top in (2.0**41 - 0.5, 2.0**45 / math.sqrt(dim)):
+        sets.append(top * rng.integers(0, 2, size=(300, dim)).astype(float))
+    for points in sets:
+        for a, b in ((points[:256], points[256:]), (points[:37], points[:37]),
+                     (points[:256], points[:256]), (points[7:14], points[:300])):
+            want = np.rint(cdist(a, b))
+            assert _grid_block(a, b).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("top", [False, True])
+def test_pass_blocks_equal_rounded_cdist(monkeypatch, top):
+    # Every block the pass visits at _ROW_BLOCK = 7, diagonal, partial and
+    # off-diagonal ones, equals np.rint(cdist) of its points on the grid.
+    rng = np.random.default_rng(17)
+    if top:
+        # Two corners a grid's top apart: 1 - 2**-42 at N = 60, 2**46 - 16
+        # units.
+        pooled = np.zeros((60, 3))
+        pooled[rng.permutation(60)[:30], 0] = 1.0 - 2.0**-42
+    else:
+        pooled = rng.normal(size=(60, 3))
+    monkeypatch.setattr(metrics, "_ROW_BLOCK", 7)
+    original, checked = metrics._grid_distances, []
+
+    def against_cdist(left, right, out, diff):
+        want = np.rint(cdist(left[:, :, 0].T, -right[:, 1].T))
+        block = original(left, right, out, diff)
+        checked.append(block.tobytes() == want.tobytes())
+        return block
+
+    monkeypatch.setattr(metrics, "_grid_distances", against_cdist)
+    metrics._split_energies(pooled, 25, 100, 1)
+    assert len(checked) == 9 * 10 // 2 and all(checked)
+
+
 def test_null_independent_of_row_block(monkeypatch):
     # Every blocked sum is exact, so the block size cannot move a bit.
     rng = np.random.default_rng(14)
@@ -408,8 +466,9 @@ class _Interrupt(BaseException):
 
 def test_interrupted_wait_leaves_the_next_call_whole(monkeypatch):
     # An interrupt while the caller waits for the helper leaves the helper
-    # at work on that call's share; the next call, of the same size, must
-    # still get its own outcome, not the abandoned one.
+    # at work on that call's share.  The helper must take no strip of the
+    # abandoned call after the interrupt, and the next call, of the same
+    # size, must still get its own outcome, not the abandoned one.
     _at_cpus(monkeypatch, 1)
     rng = np.random.default_rng(6)
     abandoned, pooled = rng.normal(size=(900, 2)), rng.normal(size=(900, 2))
@@ -417,24 +476,31 @@ def test_interrupted_wait_leaves_the_next_call_whole(monkeypatch):
     _at_cpus(monkeypatch, 2)
     caller = threading.get_ident()
     original_strips, original_call = metrics._strip_sums, metrics._Call.__init__
-    helper_took_a_strip = threading.Event()
+    helper_took_a_strip, interrupted = threading.Event(), threading.Event()
+    late_strips = []
 
-    def helper_lags(points, labels, starts, cdist):
-        # On the first call the helper takes one strip, then stays at work
-        # until well after the caller has taken the rest and begun to wait.
+    def helper_lags(factors, labels, starts):
+        # On the first call the helper takes one strip, then pauses before
+        # each next one; the caller takes one strip of its own and begins
+        # to wait, leaving two of the four strips untaken.
         if threading.get_ident() == caller:
             assert helper_took_a_strip.wait(timeout=10)
+            if not interrupted.is_set():
+                starts = itertools.islice(starts, 1)
         elif not helper_took_a_strip.is_set():
             def lagging(starts=starts):
                 for start in starts:
+                    if interrupted.is_set():
+                        late_strips.append(start)
                     helper_took_a_strip.set()
                     yield start
                     time.sleep(0.2)
             starts = lagging()
-        return original_strips(points, labels, starts, cdist)
+        return original_strips(factors, labels, starts)
 
     class CutWait(threading.Event):
         def wait(self, timeout=None):
+            interrupted.set()
             raise _Interrupt
 
     def cut_call(self, share):
@@ -447,6 +513,8 @@ def test_interrupted_wait_leaves_the_next_call_whole(monkeypatch):
         metrics._split_energies(abandoned, 400, 100, 1)
     monkeypatch.setattr(metrics._Call, "__init__", original_call)
     assert metrics._split_energies(pooled, 400, 100, 1).tobytes() == expected.tobytes()
+    # The helper ran the abandoned share to its end before this call's.
+    assert late_strips == []
     assert metrics._split_energies(pooled, 400, 100, 1).tobytes() == expected.tobytes()
 
 
