@@ -283,17 +283,15 @@ class _Terms(NamedTuple):
 
 
 def _rotate(rotations, columns, shares):
-    """``rotations @ columns`` over ``(k, dim, n)`` columns; with
-    ``shares``, one product per slice of the ``n`` columns.
+    """``rotations @ columns`` over ``(k, dim, n)`` columns, one product
+    per slice in ``shares`` of the ``n`` columns.
 
     OpenBLAS may round a column by its position in the product and by the
     product's size: three d = 16 rotations of 2 x 2049 random columns
     differed in 51 entries from products over each half alone (one BLAS
-    thread).  Per share, a share of a batch rotates as a batch of its
-    points alone would.
+    thread).  With a product per share, each share rotates as a batch of
+    its points alone would.
     """
-    if shares is None:
-        return rotations @ columns
     out = np.empty(columns.shape)
     for points in shares:
         np.matmul(rotations, columns[..., points], out=out[..., points])
@@ -381,7 +379,9 @@ def _evaluate_at(stack, m, log_norms, scaled_means, pts, shares=None):
     component underflows gets log density -inf, not NaN.
     """
     delta = np.ascontiguousarray(pts.T) - scaled_means
-    resid = _rotate(stack._eigvecs.mT, delta, shares)  # Q_j^T (x - alpha mu_j)
+    # Columns Q_j^T (x - alpha mu_j).
+    resid = (stack._eigvecs.mT @ delta if shares is None
+             else _rotate(stack._eigvecs.mT, delta, shares))
     whitened = resid / m
     lp = log_norms - 0.5 * (resid * whitened).sum(axis=1)  # (k, n)
     # Both exps run in place, in the gathers' buffers: with two more fresh
@@ -408,7 +408,8 @@ def _scores(stack, terms):
     """Per-component scores ``u_j = -Q_j w_j`` (k, dim, n) and, per target,
     the mixture score ``sum_j r_j u_j`` over its components: an
     ``(n, dim)`` view of a ``(dim, n)`` array."""
-    comp = _rotate(stack._eigvecs_t.mT, terms.whitened, terms.shares)
+    comp = (stack._eigvecs_t.mT @ terms.whitened if terms.shares is None
+            else _rotate(stack._eigvecs_t.mT, terms.whitened, terms.shares))
     np.negative(comp, out=comp)
     return comp, tuple(_sum_components(r[:, None, :] * comp[components]).T
                        for r, components in zip(terms.resp, stack._slices))
