@@ -229,8 +229,8 @@ def _grid_distances(left, right, out, diff):
     SciPy's loop adds each pair's squared coordinate differences in
     coordinate order, from the first, then takes the root; here every
     addition is one whole-block add in that order.  A difference is one
-    k = 2 product, which beat ``np.subtract.outer`` (23 vs 69 us per 256 x
-    256 block, 2-core Xeon VM).
+    k = 2 product, which beat ``np.subtract.outer`` (24 vs 92 us per 256 x
+    256 block, 2-core Xeon VM, one BLAS thread).
     """
     np.matmul(left[0], right[0], out=out)
     np.multiply(out, out, out=out)
