@@ -61,6 +61,7 @@ and the trace ``sigma^2 sum(lam_j / m_j)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -154,12 +155,14 @@ class GaussianMixture:
         self._eigvals = eigvals  # (k, dim): lam_j
         self._eigvecs = eigvecs  # (k, dim, dim): columns of Q_j
         self._eigvecs_t = np.ascontiguousarray(np.swapaxes(eigvecs, 1, 2))  # Q_j^T
+        self._neg_eigvecs = np.negative(self._eigvecs_t).mT  # -Q_j, laid out as Q_j
         self._rotated_means = np.einsum("kij,ki->kj", eigvecs, means)  # Q_j^T mu_j
         self._slices = (slice(0, k),)  # one target: every component
+        self._starts = np.zeros(1, dtype=np.intp)  # first component of each target
         self._owner = np.zeros(k, dtype=np.intp)  # target of each component
         for arr in (self.weights, self.means, self.covariances, self._chols,
                     self._eigvals, self._eigvecs, self._eigvecs_t,
-                    self._rotated_means):
+                    self._neg_eigvecs, self._rotated_means):
             arr.setflags(write=False)
 
     # -- convenience constructors -------------------------------------------------
@@ -197,7 +200,7 @@ class GaussianMixture:
     def responsibilities(self, x):
         """(n, k) posterior component weights at ``x`` (rows sum to one)."""
         pts, single = _as_batch(x, self.dim)
-        r, = _evaluate(self, 1.0, 0.0, pts).resp
+        r = _evaluate(self, 1.0, 0.0, pts).resp
         return r[:, 0] if single else r.T
 
     def score(self, x):
@@ -255,9 +258,10 @@ class _Stack:
 
     It holds the arrays :func:`_evaluate` and :func:`_scores` read from a
     ``GaussianMixture``, concatenated over the targets in order,
-    ``_slices``, one slice of the component axis per target, and
-    ``_owner``, the target of each component.  A ``GaussianMixture`` is the
-    one-target case: its ``_slices`` covers all of its components.
+    ``_slices``, one slice of the component axis per target, ``_starts``,
+    their first components, and ``_owner``, the target of each component.
+    A ``GaussianMixture`` is the one-target case: its ``_slices`` covers all
+    of its components.
     """
 
     def __init__(self, *targets):
@@ -269,16 +273,19 @@ class _Stack:
             arr = np.concatenate([getattr(target, name) for target in targets])
             arr.setflags(write=False)
             setattr(self, name, arr)
+        self._neg_eigvecs = np.negative(self._eigvecs_t).mT
+        self._neg_eigvecs.setflags(write=False)
         bounds = np.cumsum([0] + [target.n_components for target in targets]).tolist()
         self._slices = tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+        self._starts = np.array(bounds[:-1], dtype=np.intp)
         self._owner = np.repeat(np.arange(len(targets)), np.diff(bounds))
 
 
 class _Terms(NamedTuple):
     m: np.ndarray  # (k, dim, n|1) eigenvalues of M_j = alpha^2 Sigma_j + sigma^2 I
     whitened: np.ndarray  # (k, dim, n) Q_j^T (x - alpha mu_j) / m_j
-    log_density: tuple  # per target: (n,)
-    resp: tuple  # per target: (k_target, n) responsibilities
+    log_density: np.ndarray  # (targets, n)
+    resp: np.ndarray  # (k, n) responsibilities, target i's in rows _slices[i]
     shares: tuple = None  # slices of the n points, each rotated on its own
 
 
@@ -316,7 +323,7 @@ def _sum_components(values):
     along axis 0 took ten times as long over a batch).
     """
     if len(values) < 8:
-        return values.sum(axis=0)
+        return np.add.reduce(values, axis=0)
     total = values[0].copy()
     for row in values[1:]:
         total += row
@@ -374,45 +381,52 @@ def _evaluate_at(stack, m, log_norms, scaled_means, pts, shares=None):
     is stacked with it, and each target takes its log-sum-exp's maximum and
     sum over its own slice of components (around one ``exp``, one ``log``
     and one more ``exp`` over the stack), so a target's terms equal those
-    of a pass over that target alone bit for bit.  A log-sum-exp column
-    whose maximum is not finite is shifted by zero, so a point where every
-    component underflows gets log density -inf, not NaN.
+    of a pass over that target alone bit for bit.  A finite maximum leaves
+    an ``exp(0) = 1`` term in its sum, so ``log`` never sees zero; only a
+    column whose maximum is not finite is shifted by zero, under
+    ``errstate(divide="ignore")``, so a point where every component
+    underflows gets log density -inf, not NaN.
     """
     delta = np.ascontiguousarray(pts.T) - scaled_means
     # Columns Q_j^T (x - alpha mu_j).
     resid = (stack._eigvecs.mT @ delta if shares is None
              else _rotate(stack._eigvecs.mT, delta, shares))
     whitened = resid / m
-    lp = log_norms - 0.5 * (resid * whitened).sum(axis=1)  # (k, n)
+    lp = log_norms - 0.5 * np.add.reduce(resid * whitened, axis=1)  # (k, n)
     # Both exps run in place, in the gathers' buffers: with two more fresh
     # (k, n) arrays a pass over 2049 points took 15% longer.
-    top = np.empty((len(stack._slices), lp.shape[1]))  # (targets, n)
-    for i, components in enumerate(stack._slices):
-        top[i] = lp[components].max(axis=0)
-    top[~np.isfinite(top)] = 0.0
-    shifted = top[stack._owner]
+    top = np.maximum.reduceat(lp, stack._starts, axis=0)  # (targets, n)
+    # A finite total has finite terms (an overflow just takes the guard).
+    finite = math.isfinite(np.add.reduce(top, axis=None))
+    if not finite:
+        top[~np.isfinite(top)] = 0.0
+    shifted = top.take(stack._owner, axis=0)
     np.exp(np.subtract(lp, shifted, out=shifted), out=shifted)
     sums = np.empty_like(top)
     for i, components in enumerate(stack._slices):
         sums[i] = _sum_components(shifted[components])
-    with np.errstate(divide="ignore"):
-        log_density = np.log(sums) + top
-    resp = log_density[stack._owner]
+    if finite:
+        log_density = np.log(sums)
+    else:
+        with np.errstate(divide="ignore"):
+            log_density = np.log(sums)
+    log_density += top
+    resp = log_density.take(stack._owner, axis=0)
     np.exp(np.subtract(lp, resp, out=resp), out=resp)
-    return _Terms(m=m, whitened=whitened, log_density=tuple(log_density),
-                  resp=tuple(resp[components] for components in stack._slices),
-                  shares=shares)
+    return _Terms(m, whitened, log_density, resp, shares)
 
 
 def _scores(stack, terms):
     """Per-component scores ``u_j = -Q_j w_j`` (k, dim, n) and, per target,
     the mixture score ``sum_j r_j u_j`` over its components: an
-    ``(n, dim)`` view of a ``(dim, n)`` array."""
-    comp = (stack._eigvecs_t.mT @ terms.whitened if terms.shares is None
-            else _rotate(stack._eigvecs_t.mT, terms.whitened, terms.shares))
-    np.negative(comp, out=comp)
-    return comp, tuple(_sum_components(r[:, None, :] * comp[components]).T
-                       for r, components in zip(terms.resp, stack._slices))
+    ``(n, dim)`` view of a ``(dim, n)`` array.  The rotation takes the
+    stored ``-Q_j``, laid out as ``Q_j``, so it equals ``-(Q_j w_j)`` bit
+    for bit, save that an exact zero comes out +0, not -0."""
+    comp = (stack._neg_eigvecs @ terms.whitened if terms.shares is None
+            else _rotate(stack._neg_eigvecs, terms.whitened, terms.shares))
+    weighted = terms.resp[:, None, :] * comp
+    return comp, tuple(_sum_components(weighted[components]).T
+                       for components in stack._slices)
 
 
 def _hessians(stack, terms, pts):
@@ -422,7 +436,8 @@ def _hessians(stack, terms, pts):
     dimension-major factors as transposed views."""
     comp, scores = _scores(stack, terms)
     hessians = []
-    for components, resp, s in zip(stack._slices, terms.resp, scores):
+    for components, s in zip(stack._slices, scores):
+        resp = terms.resp[components]
         # sum_j r_j M_j^{-1} with M_j^{-1} = Q_j diag(1 / m_j) Q_j^T: one
         # BLAS product per component, so no (k, n, dim, dim) stack is formed.
         h = np.zeros((pts.shape[0], stack.dim, stack.dim))
@@ -458,14 +473,15 @@ def _velocities(stack, terms, state_coef, score_coef, pts):
     views of ``(dim, n)`` arrays.  A coefficient is a scalar or ``(n,)``,
     one per point, and scales the dimension-major columns as it is."""
     _, scores = _scores(stack, terms)
-    return tuple((state_coef * pts.T - score_coef * s.T).T for s in scores)
+    drift = state_coef * pts.T
+    return tuple((drift - score_coef * s.T).T for s in scores)
 
 
 def _laplacian(target, alpha, sigma, x):
     pts, single = _as_batch(x, target.dim)
     terms = _evaluate(target, alpha, sigma, pts)
     comp, (s,) = _scores(target, terms)
-    resp, = terms.resp
+    resp = terms.resp
     dev = comp - s.T  # centred: sum_j r_j |u_j - s|^2 = sum_j r_j |u_j|^2 - |s|^2
     sq = (dev * dev).sum(axis=1)  # (k, n)
     inv_traces = (1.0 / terms.m).sum(axis=1)  # (k, n|1)
@@ -515,7 +531,7 @@ def posterior(target, schedule, t, x) -> PosteriorMoments:
     alpha, sigma = _path(schedule, t)
     pts, single = _as_batch(x, target.dim)
     terms = _evaluate(target, alpha, sigma, pts)
-    (resp,), m = terms.resp, terms.m
+    resp, m = terms.resp, terms.m
     lam = target._eigvals[:, :, None]
 
     sig2 = sigma * sigma

@@ -50,8 +50,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.steps, int) or self.steps < 1:
-            raise ConfigurationError(f"steps must be a positive int: {self.steps!r}")
+        object.__setattr__(self, "steps", require_int("steps", self.steps, 1))
         if not (np.isfinite(self.t_start) and np.isfinite(self.t_end)):
             raise ConfigurationError("t_start and t_end must be finite")
         if not (0.0 <= self.t_start < self.t_end <= 1.0):
@@ -152,7 +151,7 @@ def _euler(x0s, pair, schedule, guidance_configs, sampler_config,
     state_coefs, score_coefs = (
         c.tolist() for c in sched.coefficients(schedule, times))
     stack = pair._stack if guidance_field is None else pair.unconditional
-    grid = mix._time_terms(stack, path.alpha, path.sigma)
+    m_grid, norms_grid, means_grid = mix._time_terms(stack, path.alpha, path.sigma)
     count, dim = x0s.shape
     states = np.empty((steps + 1, dim, count))
     states[0] = x0s.T
@@ -163,9 +162,10 @@ def _euler(x0s, pair, schedule, guidance_configs, sampler_config,
                        for i in range(len(guidance_configs)))
         shared_update = np.empty((dim, count)).T  # laid out as the states
     for k, (t, dt) in enumerate(zip(times.tolist(), np.diff(times).tolist())):
-        x = states[k].T
-        terms = mix._evaluate_at(stack, *(c[..., k:k + 1] for c in grid), x,
-                                 shares)
+        x, nxt = states[k].T, states[k + 1].T
+        terms = mix._evaluate_at(stack, m_grid[..., k:k + 1],
+                                 norms_grid[..., k:k + 1],
+                                 means_grid[..., k:k + 1], x, shares)
         velocities = mix._velocities(stack, terms, state_coefs[k],
                                      score_coefs[k], x)
         v_u = velocities[-1]
@@ -181,12 +181,11 @@ def _euler(x0s, pair, schedule, guidance_configs, sampler_config,
             for rows, rule in zip(shares, guidance_configs):
                 update[rows] = apply_guidance(v_u[rows], velocities[0][rows],
                                               x[rows], t, schedule, rule)
-        nxt = x + dt * (v_u + update)
-        if not np.all(np.isfinite(nxt)):
+        np.add(x, dt * (v_u + update), out=nxt)
+        if not np.isfinite(nxt).all():
             raise IntegrationError(
                 f"non-finite state produced by Euler step {k} at t={t}", k
             )
-        states[k + 1] = nxt.T
     return times, states
 
 

@@ -83,15 +83,26 @@ def test_log_density_shapes():
 def test_log_density_far_point_is_minus_infinity():
     # Every component's quadratic form overflows at this point; the
     # log-sum-exp must give -inf there, not the NaN of (-inf) - (-inf).
+    # Only that column's log runs under errstate(divide="ignore"): a
+    # raising divide outside shows that the guard still covers it.
     far = np.array([1e200, 0.0])
+    batch = np.array([[0.3, -0.2], far, [1.0, 2.0]])
     rng = np.random.default_rng(7)
     for target in (
         GaussianMixture.isotropic(np.array([[1.0, 0.0], [0.0, 1.0]]), [0.5, 0.7]),
         _random_mixture(rng, 2, 3),
     ):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="raise"):
             assert target.log_density(far) == -math.inf
             assert mixture.log_density(target, Schedule(), 0.5, far) == -math.inf
+            for vals, alone in (
+                (target.log_density(batch), target.log_density),
+                (mixture.log_density(target, Schedule(), 0.5, batch),
+                 lambda x: mixture.log_density(target, Schedule(), 0.5, x)),
+            ):
+                assert vals[1] == -math.inf
+                for row in (0, 2):
+                    assert np.isfinite(vals[row]) and vals[row] == alone(batch[row])
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +282,7 @@ def test_stacked_pass_matches_each_target_alone_bit_for_bit(dim, counts):
             what = f"target {i} at t={t} for points of shape {np.shape(x)}"
             alone = mixture._evaluate(target, *path, batch)
             _same_bits(terms.log_density[i], alone.log_density[0], what)
-            _same_bits(terms.resp[i], alone.resp[0], what)
+            _same_bits(terms.resp[stack._slices[i]], alone.resp, what)
             want_s = mixture.score(target, sch, t, x)
             want_v = mixture.velocity(target, sch, t, x)
             want_h = mixture.hessian_log_density(target, sch, t, x)
@@ -280,6 +291,33 @@ def test_stacked_pass_matches_each_target_alone_bit_for_bit(dim, counts):
                 got = tuple(values[0] for values in got)
             for values, want in zip(got, (want_s, want_v, want_s, want_h)):
                 _same_bits(values, want, what)
+
+
+def _negated_scores(stack, terms):
+    """The score route that negates ``Q_j w_j`` after the rotation and
+    weights each target's components on their own."""
+    comp = np.negative(stack._eigvecs_t.mT @ terms.whitened)
+    return comp, tuple(
+        mixture._sum_components(terms.resp[c][:, None, :] * comp[c]).T
+        for c in stack._slices)
+
+
+# n = 1 rotates with matrix-vector BLAS products, n = 2049 with
+# matrix-matrix ones.
+@pytest.mark.parametrize("count", [1, 2049])
+@pytest.mark.parametrize("dim", [2, 8, 16])
+def test_stored_negated_eigenvectors_match_negating_after(dim, count, monkeypatch):
+    rng = np.random.default_rng([59, dim, count])
+    stack = mixture._Stack(_random_mixture(rng, dim, 2), _random_mixture(rng, dim, 3))
+    pts = 1.5 * rng.normal(size=(count, dim))
+    terms = mixture._evaluate(stack, 0.4, 0.6, pts)
+    got = mixture._scores(stack, terms), mixture._hessians(stack, terms, pts)
+    monkeypatch.setattr(mixture, "_scores", _negated_scores)
+    want = _negated_scores(stack, terms), mixture._hessians(stack, terms, pts)
+    for (got_first, got_rest), (want_first, want_rest) in zip(got, want):
+        _same_bits(got_first, want_first, "component scores")
+        for values, expected in zip(got_rest, want_rest):
+            _same_bits(values, expected, "per-target scores or Hessians")
 
 
 def test_stack_rejects_targets_of_different_dimensions():

@@ -15,6 +15,7 @@ from guidance_lab import (
     TargetPair,
     TrajectoryRecord,
     apply_guidance,
+    default_config,
     draw_initial_state,
     initial_states,
     integrate,
@@ -67,11 +68,25 @@ def test_grid_outside_schedule_clamp_rejected():
         integrate(np.zeros(2), pair, Schedule(), GuidanceConfig(), cfg)
 
 
+def test_default_batch_raises_no_floating_point_error():
+    # A component far from a state underflows in the log-sum-exp's exp by
+    # design; every other floating-point error must not happen.
+    cfg = default_config("sample_compare")
+    x0s = initial_states(50, cfg.pair.dim, seed=cfg.sampler.seed)
+    with np.errstate(all="raise", under="ignore"):
+        rec = integrate(x0s, cfg.pair, cfg.schedule, cfg.guidance, cfg.sampler)
+    assert np.isfinite(rec.states).all()
+
+
 def test_sampler_config_validation():
     with pytest.raises(ConfigurationError):
         SamplerConfig(steps=0)
     with pytest.raises(ConfigurationError):
         SamplerConfig(steps=2.0)
+    with pytest.raises(ConfigurationError, match="steps"):
+        SamplerConfig(steps=True)
+    cfg = SamplerConfig(steps=np.int64(30))
+    assert cfg.steps == 30 and type(cfg.steps) is int
     with pytest.raises(ConfigurationError):
         SamplerConfig(t_start=0.6, t_end=0.4)
     with pytest.raises(ConfigurationError):
