@@ -45,7 +45,7 @@ import numpy as np
 
 from . import metrics
 from . import mixture as mix
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_real
 from .guidance import GuidanceConfig, NormalSource
 from .sampler import SamplerConfig, TargetPair, _check_grid
 from .schedule import Schedule
@@ -153,18 +153,7 @@ def _int(block, key, default, where):
 
 
 def _real(block, key, default, where):
-    value = _field(block, key, default, where)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{where}.{key} must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError as exc:  # an integer beyond the float range
-        raise ConfigurationError(
-            f"{where}.{key} must be finite, got an integer too large for "
-            f"a float") from exc
-    if not np.isfinite(value):
-        raise ConfigurationError(f"{where}.{key} must be finite, got {value!r}")
-    return value
+    return require_real(f"{where}.{key}", _field(block, key, default, where))
 
 
 def _text(block, key, default, where):

@@ -4,6 +4,7 @@ Every error raised on purpose by this package derives from GuidanceLabError,
 so callers can catch the package's failures without swallowing genuine bugs.
 """
 
+import math
 import numbers
 
 
@@ -68,3 +69,19 @@ def require_int(name, value, least):
             or value < least):
         raise ConfigurationError(f"{name} must be an int >= {least}, got {value!r}")
     return int(value)
+
+
+def require_real(name, value):
+    """``value`` as a Python float, if it is a finite real number (not a
+    bool); otherwise ConfigurationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigurationError(
+            f"{name} must be finite, got an integer too large for a float"
+        ) from exc
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{name} must be finite, got {value!r}")
+    return number

@@ -206,11 +206,11 @@ def apply_guidance(v_uncond, v_cond, x, t, schedule, config):
     the update is ``guidance_scale * residual``; for the projected rule it
     is ``scale(t) * (residual + (parallel_scale - 1) * parallel)``.
     """
+    if config.rule is GuidanceRule.CFG:
+        return float(config.guidance_scale) * np.subtract(v_cond, v_uncond, dtype=float)
     v_u = np.asarray(v_uncond, dtype=float)
     v_c = np.asarray(v_cond, dtype=float)
     g = v_c - v_u
-    if config.rule is GuidanceRule.CFG:
-        return float(config.guidance_scale) * g
     x = np.asarray(x, dtype=float)
     state_coef, _ = sched.coefficients(schedule, t)
     src = v_c if config.normal_source is NormalSource.CONDITIONAL else v_u

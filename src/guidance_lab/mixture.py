@@ -44,7 +44,11 @@ Conventions used throughout:
   ``(dim, n)`` columns as it is, and ``m_j`` holds one column of
   eigenvalues per point; a scalar is the same computation with a single
   column that broadcasts.  These time-only terms (``_time_terms``) also
-  take a whole time grid, built once and sliced one column per Euler step.
+  take a whole time grid, built once; the Euler loop lays them out
+  step-major and takes one ``(k, ..., 1)`` entry per step;
+* a pass over several stacked targets returns their scores and velocities
+  as one ``(targets, n, dim)`` array (``_scores``, ``_velocities``), each
+  target's sum over its components written into its own row.
 
 The posterior of the clean sample ``X1`` given ``X_t = x`` is conjugate per
 component:
@@ -312,9 +316,9 @@ def _column(c, trailing=1):
     return c.reshape(c.shape + (1,) * trailing) if isinstance(c, np.ndarray) else c
 
 
-def _sum_components(values):
+def _sum_components(values, out=None):
     """``values[0] + values[1] + ...``, added in that order whatever the
-    number of points on the trailing axis.
+    number of points on the trailing axis, into ``out`` if given.
 
     ``np.sum`` over the component axis adds in that order over fewer than
     eight components, or over several points; over eight or more components
@@ -323,11 +327,13 @@ def _sum_components(values):
     along axis 0 took ten times as long over a batch).
     """
     if len(values) < 8:
-        return np.add.reduce(values, axis=0)
-    total = values[0].copy()
+        return np.add.reduce(values, axis=0, out=out)
+    if out is None:
+        out = np.empty(values.shape[1:])
+    np.copyto(out, values[0])
     for row in values[1:]:
-        total += row
-    return total
+        out += row
+    return out
 
 
 def _time_terms(stack, alpha, sigma):
@@ -404,7 +410,7 @@ def _evaluate_at(stack, m, log_norms, scaled_means, pts, shares=None):
     np.exp(np.subtract(lp, shifted, out=shifted), out=shifted)
     sums = np.empty_like(top)
     for i, components in enumerate(stack._slices):
-        sums[i] = _sum_components(shifted[components])
+        _sum_components(shifted[components], out=sums[i])
     if finite:
         log_density = np.log(sums)
     else:
@@ -417,16 +423,20 @@ def _evaluate_at(stack, m, log_norms, scaled_means, pts, shares=None):
 
 
 def _scores(stack, terms):
-    """Per-component scores ``u_j = -Q_j w_j`` (k, dim, n) and, per target,
-    the mixture score ``sum_j r_j u_j`` over its components: an
-    ``(n, dim)`` view of a ``(dim, n)`` array.  The rotation takes the
-    stored ``-Q_j``, laid out as ``Q_j``, so it equals ``-(Q_j w_j)`` bit
-    for bit, save that an exact zero comes out +0, not -0."""
+    """Per-component scores ``u_j = -Q_j w_j`` (k, dim, n) and every
+    target's mixture score ``sum_j r_j u_j`` over its components, as one
+    ``(targets, n, dim)`` view of a ``(targets, dim, n)`` array: each
+    target's sum is written into its row in component order, so target
+    ``i``'s ``(n, dim)`` score is ``[i]``.  The rotation takes the stored
+    ``-Q_j``, laid out as ``Q_j``, so it equals ``-(Q_j w_j)`` bit for bit,
+    save that an exact zero comes out +0, not -0."""
     comp = (stack._neg_eigvecs @ terms.whitened if terms.shares is None
             else _rotate(stack._neg_eigvecs, terms.whitened, terms.shares))
     weighted = terms.resp[:, None, :] * comp
-    return comp, tuple(_sum_components(weighted[components]).T
-                       for components in stack._slices)
+    scores = np.empty((len(stack._slices),) + comp.shape[1:])
+    for i, components in enumerate(stack._slices):
+        _sum_components(weighted[components], out=scores[i])
+    return comp, scores.mT
 
 
 def _hessians(stack, terms, pts):
@@ -469,12 +479,13 @@ def _score(target, alpha, sigma, x):
 
 def _velocities(stack, terms, state_coef, score_coef, pts):
     """Score-route velocities ``a_t * x - b_t * score`` of every target of
-    ``stack`` at ``pts`` (n, dim), from one pass's ``terms``: ``(n, dim)``
-    views of ``(dim, n)`` arrays.  A coefficient is a scalar or ``(n,)``,
-    one per point, and scales the dimension-major columns as it is."""
+    ``stack`` at ``pts`` (n, dim), from one pass's ``terms``: one
+    ``(targets, n, dim)`` view of a ``(targets, dim, n)`` array, formed for
+    all targets with one multiply and one subtract over the stacked scores
+    of :func:`_scores`.  A coefficient is a scalar or ``(n,)``, one per
+    point, and scales the dimension-major columns as it is."""
     _, scores = _scores(stack, terms)
-    drift = state_coef * pts.T
-    return tuple((drift - score_coef * s.T).T for s in scores)
+    return (state_coef * pts.T - score_coef * scores.mT).mT
 
 
 def _laplacian(target, alpha, sigma, x):

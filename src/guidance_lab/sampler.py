@@ -8,10 +8,11 @@ step evaluates the conditional and the unconditional velocity in one
 oracle pass over the pair's stacked components (``mixture._Stack``, built
 once with the ``TargetPair``); the path coefficients of every step come
 from two schedule calls over the whole grid, and the oracle's time-only
-terms from one ``mixture._time_terms`` call over it.  The loop holds its
-states dimension-major, ``(steps + 1, dim, count)``, so at small ``dim``
-the oracle's, the guidance rule's and the step's elementwise ops run over
-the ``count`` trajectories in their inner loops.  Trajectories are
+terms from one ``mixture._time_terms`` call over it, laid out step-major
+once per grid.  The loop holds its states dimension-major, ``(steps + 1,
+dim, count)``, so at small ``dim`` the oracle's, the guidance rule's and
+the step's elementwise ops run over the ``count`` trajectories in their
+inner loops.  Trajectories are
 deterministic given the initial state; batches draw initial states ``x0 ~
 N(0, I)`` with one child seed per trajectory index, ``default_rng([seed,
 j])``, so that results do not depend on batch size or ordering; the seeds
@@ -29,6 +30,7 @@ by integrator order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +38,7 @@ import numpy as np
 from . import mixture as mix
 from . import schedule as sched
 from .errors import (ConfigurationError, IntegrationError, ShapeError,
-                     require_int)
+                     require_int, require_real)
 from .guidance import apply_guidance
 
 
@@ -51,8 +53,8 @@ class SamplerConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", require_int("steps", self.steps, 1))
-        if not (np.isfinite(self.t_start) and np.isfinite(self.t_end)):
-            raise ConfigurationError("t_start and t_end must be finite")
+        for name in ("t_start", "t_end"):
+            object.__setattr__(self, name, require_real(name, getattr(self, name)))
         if not (0.0 <= self.t_start < self.t_end <= 1.0):
             raise ConfigurationError(
                 f"need 0 <= t_start < t_end <= 1, got [{self.t_start}, {self.t_end}]"
@@ -132,10 +134,14 @@ def _euler(x0s, pair, schedule, guidance_configs, sampler_config,
     The path coefficients of every step come from two schedule calls over
     the whole grid, and the oracle's time-only terms
     (``mixture._time_terms``: eigenvalues ``m_j``, log normalisers and
-    ``alpha mu_j``, time on the last axis) from one call over it, sliced
-    per step.  A guided step makes one oracle pass over the pair's stacked
-    components for both velocities; with an explicit ``guidance_field``
-    only the unconditional target is evaluated.
+    ``alpha mu_j``, time on the last axis) from one call over it, laid out
+    step-major once, contiguous ``(steps + 1, components, ..., 1)``, so
+    that step ``k`` indexes ``[k]`` of each.  A guided step makes one oracle pass
+    over the pair's stacked components for both velocities, which come
+    back stacked, conditional first; with an explicit ``guidance_field``
+    only the unconditional target is evaluated.  A step checks its new
+    state with ``math.isfinite`` of the state's sum, and entry by entry
+    only when that sum is not finite.
 
     ``guidance_configs`` holds one rule, which guides every row, or several,
     each guiding its own equal, consecutive share of the rows.  A share's
@@ -151,7 +157,10 @@ def _euler(x0s, pair, schedule, guidance_configs, sampler_config,
     state_coefs, score_coefs = (
         c.tolist() for c in sched.coefficients(schedule, times))
     stack = pair._stack if guidance_field is None else pair.unconditional
-    m_grid, norms_grid, means_grid = mix._time_terms(stack, path.alpha, path.sigma)
+    # Step-major: [k] of each holds step k's (components, ..., 1) terms.
+    m_steps, norms_steps, means_steps = (
+        np.ascontiguousarray(np.moveaxis(grid, -1, 0)[..., None])
+        for grid in mix._time_terms(stack, path.alpha, path.sigma))
     count, dim = x0s.shape
     states = np.empty((steps + 1, dim, count))
     states[0] = x0s.T
@@ -163,9 +172,8 @@ def _euler(x0s, pair, schedule, guidance_configs, sampler_config,
         shared_update = np.empty((dim, count)).T  # laid out as the states
     for k, (t, dt) in enumerate(zip(times.tolist(), np.diff(times).tolist())):
         x, nxt = states[k].T, states[k + 1].T
-        terms = mix._evaluate_at(stack, m_grid[..., k:k + 1],
-                                 norms_grid[..., k:k + 1],
-                                 means_grid[..., k:k + 1], x, shares)
+        terms = mix._evaluate_at(stack, m_steps[k], norms_steps[k],
+                                 means_steps[k], x, shares)
         velocities = mix._velocities(stack, terms, state_coefs[k],
                                      score_coefs[k], x)
         v_u = velocities[-1]
@@ -182,7 +190,11 @@ def _euler(x0s, pair, schedule, guidance_configs, sampler_config,
                 update[rows] = apply_guidance(v_u[rows], velocities[0][rows],
                                               x[rows], t, schedule, rule)
         np.add(x, dt * (v_u + update), out=nxt)
-        if not np.isfinite(nxt).all():
+        # A non-finite entry makes the sum non-finite; a sum of finite
+        # entries that overflows (NumPy warns of it) only takes the exact
+        # check.
+        if not (math.isfinite(np.add.reduce(nxt, axis=None))
+                or np.isfinite(nxt).all()):
             raise IntegrationError(
                 f"non-finite state produced by Euler step {k} at t={t}", k
             )

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, require_real
 
 DEFAULT_T_MIN = 1e-3
 DEFAULT_T_MAX = 1.0 - 1e-3
@@ -67,6 +67,8 @@ class Schedule:
     t_max: float = DEFAULT_T_MAX
 
     def __post_init__(self):
+        for name in ("t_min", "t_max"):
+            object.__setattr__(self, name, require_real(name, getattr(self, name)))
         if not (0.0 < self.t_min < self.t_max < 1.0):
             raise ConfigurationError(
                 f"clamp must satisfy 0 < t_min < t_max < 1, "

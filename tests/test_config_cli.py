@@ -343,6 +343,10 @@ def run(kind, config=None):
 def scipy_modules():
     return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 
+def masked_modules():
+    return sorted(m for m in sys.modules
+                  if m == "numpy.ma" or m.startswith("numpy.ma."))
+
 out = sys.argv[1]
 samples = {"sampler": {"steps": 4}, "samples": {"count": 20, "n_perm": 100}}
 status = [run("trace_divergence", {"sampler": {"steps": 8}}),
@@ -353,7 +357,8 @@ threads = threading.active_count()
 status += [run("sweep_omega", dict(samples, guidance={"omega_sweep": [1.0, 2.0]})),
            run("sample_compare", samples)]
 print(json.dumps({"status": status, "scipy": scipy_modules(),
-                  "futures": futures, "threads": threads}))
+                  "masked": masked_modules(), "futures": futures,
+                  "threads": threads}))
 """
 
 
@@ -362,10 +367,14 @@ def test_no_kind_imports_scipy(tmp_path):
     # the two-sample ones included, imports SciPy.  The null's helper
     # threads start on the first null, so the kinds without one run on one
     # thread and without concurrent.futures (importing it alone added 0.7 MB
-    # of RSS).
+    # of RSS).  Nor does any kind load numpy.ma (12-20 ms and about 1.5 MB
+    # in a fresh process), which np.quantile, np.unique and np.median import
+    # lazily: the null quantiles, loglog_slope's distinct-x check and
+    # verify's median avoid them.
     runs = json.loads(_fresh_python(_SCIPY_AFTER_RUNS, str(tmp_path)))
     assert runs["status"] == [0, 0, 0, 0, 0]
     assert runs["scipy"] == []
+    assert runs["masked"] == []
     assert runs["futures"] is False
     assert runs["threads"] == 1
 

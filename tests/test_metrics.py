@@ -655,10 +655,25 @@ def test_custom_quantiles():
 
 
 def test_quantiles_match_one_call_per_quantile():
-    # One vectorised np.quantile call gives every reported quantile; each
-    # must equal the call for that quantile alone, bit for bit.
+    # One in-house quantile call gives every reported quantile; each must
+    # equal np.quantile for that quantile alone, bit for bit.
     qs = metrics.DEFAULT_QUANTILES + (0.25, 1 / 3, 0.999) + tuple(
         k / 99 for k in range(0, 100, 7))
+    levels = np.array((0.0, 1.0, 1 / 3, 0.25, 0.5, 0.999, 1e-300)
+                      + metrics.DEFAULT_QUANTILES + qs)
+    rng = np.random.default_rng(13)
+    for n in (2, 3, 100, 101, 1000):
+        # Zeros of both signs compare equal, so which one a quantile takes
+        # depends on where the partition leaves each: a sorting replica
+        # picks the other zero now and then.
+        for values in (rng.normal(size=n),
+                       rng.choice([-0.0, 0.0], size=n),
+                       rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=n),
+                       np.round(rng.normal(size=n), 1)):
+            before = values.copy()
+            got = metrics._quantiles(values, levels)
+            assert got.tobytes() == np.quantile(values, levels).tobytes(), n
+            assert values.tobytes() == before.tobytes()  # partitions a copy
     for seed in range(4):
         rng = np.random.default_rng([12, seed])
         a = rng.normal(size=(30, 2))
@@ -697,6 +712,11 @@ def test_loglog_slope_halving_error():
     steps = np.array([32.0, 64.0, 128.0])
     errors = 1.0 / steps
     assert loglog_slope(steps, errors) == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_loglog_slope_two_distinct_xs_of_three():
+    assert loglog_slope([1.0, 1.0, 2.0], [1.0, 3.0, 8.0]) == pytest.approx(
+        math.log(8.0 / math.sqrt(3.0)) / math.log(2.0), abs=1e-12)
 
 
 def test_loglog_slope_validation():

@@ -93,6 +93,12 @@ def test_sampler_config_validation():
         SamplerConfig(t_start=float("nan"))
     with pytest.raises(ConfigurationError):
         SamplerConfig(t_end=1.5)
+    for name in ("t_start", "t_end"):
+        for bad in (True, "0.1", None, float("inf"), 10**400):
+            with pytest.raises(ConfigurationError, match=name):
+                SamplerConfig(**{name: bad})
+    cfg = SamplerConfig(t_start=np.float64(0.5))
+    assert cfg.t_start == 0.5 and type(cfg.t_start) is float
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
@@ -435,3 +441,37 @@ def test_integration_error_reports_last_valid_step():
         integrate(np.zeros(2), pair, Schedule(), GuidanceConfig(), scfg,
                   guidance_field=poison)
     assert err.value.last_valid_step == 1
+
+
+# One entry of one row goes bad; +inf and -inf together sum to NaN, which
+# NumPy's sum reports as an invalid value.
+@pytest.mark.filterwarnings("ignore:invalid value encountered in reduce")
+@pytest.mark.parametrize("bad", [[np.inf, 0.0], [np.nan, 0.0], [-np.inf, np.inf]])
+@pytest.mark.parametrize("count", [1, 3])
+def test_non_finite_entry_raises_at_its_step(bad, count):
+    pair, scfg = _pair(), SamplerConfig(steps=5)
+
+    def poison(x, t):
+        update = np.zeros_like(x)
+        if t > 0.5:
+            update[-1] = bad
+        return update
+
+    with pytest.raises(IntegrationError, match=r"Euler step 3 at t=0\.599") as err:
+        integrate(initial_states(count, 2, seed=2), pair, Schedule(),
+                  GuidanceConfig(), scfg, guidance_field=poison)
+    assert err.value.last_valid_step == 3
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in reduce")
+def test_finite_state_whose_sum_overflows_does_not_raise():
+    # The step checks the state's sum first; a sum of finite entries that
+    # overflows (NumPy warns of it) takes the exact entrywise check, which
+    # passes.
+    scfg = SamplerConfig(steps=1)
+    dt = scfg.t_end - scfg.t_start
+    rec = integrate(np.zeros(2), _pair(), Schedule(), GuidanceConfig(), scfg,
+                    guidance_field=lambda x, t: np.full_like(x, 1.7e308 / dt))
+    assert np.all(np.isfinite(rec.terminal_state))
+    with np.errstate(over="ignore"):
+        assert rec.terminal_state.sum() == np.inf

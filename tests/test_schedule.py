@@ -87,6 +87,12 @@ def test_schedule_validation():
         Schedule(t_min=0.5, t_max=0.5)
     with pytest.raises(ConfigurationError):
         Schedule(t_max=1.0)
+    for name, bad in (("t_max", "0.9"), ("t_min", None), ("t_min", True),
+                      ("t_max", math.nan), ("t_min", 10**5000)):
+        with pytest.raises(ConfigurationError, match=name):
+            Schedule(**{name: bad})
+    sch = Schedule(t_min=np.float64(0.5))
+    assert sch.t_min == 0.5 and type(sch.t_min) is float
 
 
 def test_guidance_scale_decay():

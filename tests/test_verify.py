@@ -38,6 +38,22 @@ def test_density_mass_fails_when_density_is_scaled(monkeypatch, shift):
 
 
 # ---------------------------------------------------------------------------
+# the median of check_parallel_ratio_trend
+
+
+def test_median_equals_numpy_median_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for size in (1, 2, 3, 16, 17):
+        for values in (rng.exponential(size=size),
+                       rng.choice([0.0, 0.5, 1.0 / 3.0, 2.0], size=size)):
+            for sample in (values, values.tolist()):
+                want = np.float64(np.median(sample))
+                assert np.float64(verify._median(sample)).tobytes() == want.tobytes()
+        with_nan = np.append(rng.exponential(size=size), np.nan)
+        assert np.isnan(verify._median(with_nan)) and np.isnan(np.median(with_nan))
+
+
+# ---------------------------------------------------------------------------
 # guidance identities over many seeds
 
 
