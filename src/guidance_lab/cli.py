@@ -151,11 +151,11 @@ def run_sweep_beta(config):
 
 def _terminal_runs(config, rules, x0s):
     """Integrate each rule of ``rules``, a list of ``(name, rule)``, from the
-    same initial states, all in one Euler batch; returns ``(name, record)``
-    pairs."""
-    records = smp.integrate_rules(x0s, config.pair, config.schedule,
-                                  [rule for _, rule in rules], config.sampler)
-    return [(name, record) for (name, _), record in zip(rules, records)]
+    same initial states ``x0s``, one ``integrate`` call per rule; yields
+    ``(name, record)`` pairs."""
+    for name, rule in rules:
+        yield name, smp.integrate(x0s, config.pair, config.schedule, rule,
+                                  config.sampler)
 
 
 def _mean_terminal_log_p(config, batch):

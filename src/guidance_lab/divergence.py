@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mixture as mix
-from .errors import CapabilityError, ConfigurationError, EstimationError
+from .errors import (CapabilityError, ConfigurationError, EstimationError,
+                     require_int)
 from .tables import Table
 
 FD_STEP = 1e-4
@@ -41,8 +42,8 @@ class HutchinsonConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.probes, int) or self.probes < 1:
-            raise ConfigurationError(f"probes must be a positive int: {self.probes!r}")
+        object.__setattr__(self, "probes", require_int("probes", self.probes, 1))
+        object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ from .errors import (
     ConfigurationError,
     DegenerateNormalError,
     ShapeError,
+    require_real,
 )
 
 
@@ -82,14 +83,9 @@ class GuidanceConfig:
             raise ConfigurationError(f"unknown guidance rule {self.rule!r}")
         if not isinstance(self.normal_source, NormalSource):
             raise ConfigurationError(f"unknown normal source {self.normal_source!r}")
-        vals = (
-            self.guidance_scale,
-            self.min_scale,
-            self.decay_power,
-            self.parallel_scale,
-        )
-        if not all(np.isfinite(v) for v in vals):
-            raise ConfigurationError(f"guidance parameters must be finite: {vals}")
+        for name in ("guidance_scale", "min_scale", "decay_power",
+                     "parallel_scale"):
+            object.__setattr__(self, name, require_real(name, getattr(self, name)))
         if self.guidance_scale <= 0.0:
             raise ConfigurationError(
                 f"guidance_scale must be positive, got {self.guidance_scale}"

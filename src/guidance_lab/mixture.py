@@ -290,23 +290,6 @@ class _Terms(NamedTuple):
     whitened: np.ndarray  # (k, dim, n) Q_j^T (x - alpha mu_j) / m_j
     log_density: np.ndarray  # (targets, n)
     resp: np.ndarray  # (k, n) responsibilities, target i's in rows _slices[i]
-    shares: tuple = None  # slices of the n points, each rotated on its own
-
-
-def _rotate(rotations, columns, shares):
-    """``rotations @ columns`` over ``(k, dim, n)`` columns, one product
-    per slice in ``shares`` of the ``n`` columns.
-
-    OpenBLAS may round a column by its position in the product and by the
-    product's size: three d = 16 rotations of 2 x 2049 random columns
-    differed in 51 entries from products over each half alone (one BLAS
-    thread).  With a product per share, each share rotates as a batch of
-    its points alone would.
-    """
-    out = np.empty(columns.shape)
-    for points in shares:
-        np.matmul(rotations, columns[..., points], out=out[..., points])
-    return out
 
 
 def _column(c, trailing=1):
@@ -366,12 +349,10 @@ def _evaluate(stack, alpha, sigma, pts):
     return _evaluate_at(stack, *_time_terms(stack, alpha, sigma), pts)
 
 
-def _evaluate_at(stack, m, log_norms, scaled_means, pts, shares=None):
+def _evaluate_at(stack, m, log_norms, scaled_means, pts):
     """Terms of each target ``sum_j w_j Normal(alpha mu_j, M_j)`` of
     ``stack`` at ``pts`` (n, dim), given :func:`_time_terms` of one time
-    or of ``n`` times (one per point).  ``shares``, slices of the points,
-    makes these terms and their scores rotate each slice in its own BLAS
-    product (:func:`_rotate`).
+    or of ``n`` times (one per point).
 
     The pass runs dimension-major: the points as ``(dim, n)``, taken
     without a copy when ``pts`` is the transpose of a C-ordered ``(dim, n)``
@@ -395,8 +376,7 @@ def _evaluate_at(stack, m, log_norms, scaled_means, pts, shares=None):
     """
     delta = np.ascontiguousarray(pts.T) - scaled_means
     # Columns Q_j^T (x - alpha mu_j).
-    resid = (stack._eigvecs.mT @ delta if shares is None
-             else _rotate(stack._eigvecs.mT, delta, shares))
+    resid = stack._eigvecs.mT @ delta
     whitened = resid / m
     lp = log_norms - 0.5 * np.add.reduce(resid * whitened, axis=1)  # (k, n)
     # Both exps run in place, in the gathers' buffers: with two more fresh
@@ -419,7 +399,7 @@ def _evaluate_at(stack, m, log_norms, scaled_means, pts, shares=None):
     log_density += top
     resp = log_density.take(stack._owner, axis=0)
     np.exp(np.subtract(lp, resp, out=resp), out=resp)
-    return _Terms(m, whitened, log_density, resp, shares)
+    return _Terms(m, whitened, log_density, resp)
 
 
 def _scores(stack, terms):
@@ -430,8 +410,7 @@ def _scores(stack, terms):
     ``i``'s ``(n, dim)`` score is ``[i]``.  The rotation takes the stored
     ``-Q_j``, laid out as ``Q_j``, so it equals ``-(Q_j w_j)`` bit for bit,
     save that an exact zero comes out +0, not -0."""
-    comp = (stack._neg_eigvecs @ terms.whitened if terms.shares is None
-            else _rotate(stack._neg_eigvecs, terms.whitened, terms.shares))
+    comp = stack._neg_eigvecs @ terms.whitened
     weighted = terms.resp[:, None, :] * comp
     scores = np.empty((len(stack._slices),) + comp.shape[1:])
     for i, components in enumerate(stack._slices):

@@ -19,9 +19,8 @@ j])``, so that results do not depend on batch size or ordering; the seeds
 of a whole batch are hashed in one vectorised pass.  A single trajectory
 and a batch both come back as a ``TrajectoryRecord`` of the time grid and
 the states: the loop keeps only what it integrates, and callers evaluate
-whatever summary they report on those states.  ``integrate_rules`` runs
-several rules from the same initial states as one batch, each rule on its
-own rows, so that one oracle pass per step serves them all.
+whatever summary they report on those states.  Experiments that compare
+rules integrate each rule from the same initial states.
 
 Only the Euler scheme is provided: the laboratory studies guidance-rule
 effects, and a fixed first-order solver keeps those effects un-confounded
@@ -121,7 +120,7 @@ def _check_grid(schedule, sampler_config):
         )
 
 
-def _euler(x0s, pair, schedule, guidance_configs, sampler_config,
+def _euler(x0s, pair, schedule, guidance_config, sampler_config,
            guidance_field=None):
     """Vectorized Euler loop over a batch of initial states.
 
@@ -142,13 +141,6 @@ def _euler(x0s, pair, schedule, guidance_configs, sampler_config,
     only the unconditional target is evaluated.  A step checks its new
     state with ``math.isfinite`` of the state's sum, and entry by entry
     only when that sum is not finite.
-
-    ``guidance_configs`` holds one rule, which guides every row, or several,
-    each guiding its own equal, consecutive share of the rows.  A share's
-    rule runs on its rows' views, its oracle rotations are BLAS products of
-    their own (``mixture._rotate``) and every other op of a step acts on
-    each row alone, so a share of two or more rows follows the trajectories
-    of a batch of its rows under that rule alone, bit for bit.
     """
     _check_grid(schedule, sampler_config)
     steps = sampler_config.steps
@@ -164,16 +156,10 @@ def _euler(x0s, pair, schedule, guidance_configs, sampler_config,
     count, dim = x0s.shape
     states = np.empty((steps + 1, dim, count))
     states[0] = x0s.T
-    shares = None
-    if len(guidance_configs) > 1:
-        share = count // len(guidance_configs)
-        shares = tuple(slice(i * share, (i + 1) * share)
-                       for i in range(len(guidance_configs)))
-        shared_update = np.empty((dim, count)).T  # laid out as the states
     for k, (t, dt) in enumerate(zip(times.tolist(), np.diff(times).tolist())):
         x, nxt = states[k].T, states[k + 1].T
         terms = mix._evaluate_at(stack, m_steps[k], norms_steps[k],
-                                 means_steps[k], x, shares)
+                                 means_steps[k], x)
         velocities = mix._velocities(stack, terms, state_coefs[k],
                                      score_coefs[k], x)
         v_u = velocities[-1]
@@ -181,14 +167,9 @@ def _euler(x0s, pair, schedule, guidance_configs, sampler_config,
             update = np.asarray(guidance_field(x, t), dtype=float)
             if update.shape != x.shape:
                 update = np.broadcast_to(update, x.shape)
-        elif shares is None:
-            update = apply_guidance(v_u, velocities[0], x, t, schedule,
-                                    guidance_configs[0])
         else:
-            update = shared_update
-            for rows, rule in zip(shares, guidance_configs):
-                update[rows] = apply_guidance(v_u[rows], velocities[0][rows],
-                                              x[rows], t, schedule, rule)
+            update = apply_guidance(v_u, velocities[0], x, t, schedule,
+                                    guidance_config)
         np.add(x, dt * (v_u + update), out=nxt)
         # A non-finite entry makes the sum non-finite; a sum of finite
         # entries that overflows (NumPy warns of it) only takes the exact
@@ -217,33 +198,11 @@ def integrate(x0, pair, schedule, guidance_config, sampler_config,
         raise ShapeError(f"x0 shape {x0.shape} does not match pair dim {pair.dim}; "
                          f"expected ({pair.dim},) or (count, {pair.dim})")
     times, states = _euler(
-        np.atleast_2d(x0), pair, schedule, (guidance_config,), sampler_config,
+        np.atleast_2d(x0), pair, schedule, guidance_config, sampler_config,
         guidance_field=guidance_field,
     )
     return TrajectoryRecord(times=times, states=np.swapaxes(states, 1, 2)
                             if x0.ndim == 2 else states[:, :, 0])
-
-
-def integrate_rules(x0s, pair, schedule, guidance_configs, sampler_config):
-    """One record per rule of ``guidance_configs``, each integrated from the
-    same ``(count, dim)`` initial states ``x0s``: for ``count >= 2``, the
-    record ``integrate`` returns for that rule, bit for bit.
-
-    All rules run in one Euler batch, each on its own ``count`` rows, so a
-    step makes one oracle pass for all of them.
-    """
-    x0s = np.asarray(x0s, dtype=float)
-    if x0s.ndim != 2 or x0s.shape[1] != pair.dim:
-        raise ShapeError(f"x0s shape {x0s.shape} does not match pair dim "
-                         f"{pair.dim}; expected (count, {pair.dim})")
-    if not guidance_configs:
-        raise ConfigurationError("integrate_rules needs at least one rule")
-    count = x0s.shape[0]
-    times, states = _euler(np.concatenate([x0s] * len(guidance_configs)), pair,
-                           schedule, tuple(guidance_configs), sampler_config)
-    return [TrajectoryRecord(times=times, states=np.swapaxes(
-                states[:, :, i * count:(i + 1) * count], 1, 2))
-            for i in range(len(guidance_configs))]
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
@@ -335,11 +294,12 @@ def _normal_rows(dim, entropy):
 
 def draw_initial_state(dim, seed, index=0):
     """Standard-normal initial state, deterministic per ``(seed, index)``:
-    ``default_rng([seed, index]).standard_normal(dim)``, the one-row case
-    of :func:`initial_states`."""
-    words = (_words(require_int("seed", seed, 0))
-             + _words(require_int("index", index, 0)))
-    return _normal_rows(require_int("dim", dim, 1), words)[0]
+    ``default_rng([seed, index]).standard_normal(dim)``, row ``index`` of
+    :func:`initial_states`."""
+    dim = require_int("dim", dim, 1)
+    seed = require_int("seed", seed, 0)
+    index = require_int("index", index, 0)
+    return np.random.default_rng([seed, index]).standard_normal(dim)
 
 
 def initial_states(count, dim, seed):

@@ -1,5 +1,6 @@
 """Tests for config round-tripping, table formatting, and the CLI runners."""
 
+import ast
 import json
 import os
 import re
@@ -37,6 +38,25 @@ from guidance_lab.config import (
 from guidance_lab.guidance import projected_update_field, velocity_field
 from guidance_lab.tables import atomic_write
 from guidance_lab.verify import _random_mixture
+
+
+# ---------------------------------------------------------------------------
+# package exports
+
+
+def test_package_exports_match_its_imports():
+    import guidance_lab
+
+    with open(guidance_lab.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = {alias.asname or alias.name
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    public = {name for name in imported if not name.startswith("_")}
+    assert len(set(guidance_lab.__all__)) == len(guidance_lab.__all__)
+    assert public <= set(guidance_lab.__all__)
+    for name in guidance_lab.__all__:
+        getattr(guidance_lab, name)
 
 
 # ---------------------------------------------------------------------------

@@ -164,8 +164,12 @@ def test_hutchinson_nonfinite_raises_estimation_error():
 def test_hutchinson_config_validation():
     with pytest.raises(ConfigurationError):
         HutchinsonConfig(probes=0)
-    with pytest.raises(ConfigurationError):
-        HutchinsonConfig(probes=2.5)
+    for bad in ({"probes": 2.5}, {"probes": True}, {"probes": "8"},
+                {"seed": -1}, {"seed": 1.5}, {"seed": "a"}, {"seed": True}):
+        with pytest.raises(ConfigurationError):
+            HutchinsonConfig(**bad)
+    cfg = HutchinsonConfig(probes=np.int64(8), seed=np.int64(3))
+    assert (type(cfg.probes), type(cfg.seed)) == (int, int)
 
 
 def test_three_estimators_agree_on_oracle_field():

@@ -303,6 +303,18 @@ def test_guidance_config_validation():
         GuidanceConfig(parallel_scale=-0.1)
     with pytest.raises(ConfigurationError):
         GuidanceConfig(guidance_scale=float("nan"))
+    for bad in ({"guidance_scale": "5"}, {"guidance_scale": True},
+                {"min_scale": False}, {"guidance_scale": True, "min_scale": False},
+                {"decay_power": 10**400}, {"decay_power": None},
+                {"parallel_scale": None}, {"parallel_scale": float("inf")}):
+        with pytest.raises(ConfigurationError):
+            GuidanceConfig(**bad)
+    cfg = GuidanceConfig(guidance_scale=np.float64(3), min_scale=1,
+                         decay_power=np.int64(2), parallel_scale=0)
+    values = (cfg.guidance_scale, cfg.min_scale, cfg.decay_power,
+              cfg.parallel_scale)
+    assert values == (3.0, 1.0, 2.0, 0.0)
+    assert all(type(value) is float for value in values)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from guidance_lab import (
     draw_initial_state,
     initial_states,
     integrate,
-    integrate_rules,
     mixture,
     schedule,
 )
@@ -303,45 +302,6 @@ def test_joint_pass_trajectory_matches_per_target_passes(dim):
             rec = integrate(x0s, pair, sch, rule, scfg)
             want = _per_target_euler(x0s, pair, sch, rule, scfg)
             assert rec.terminal_state.tobytes() == want.tobytes()
-
-
-# Odd counts: with a BLAS product over the whole batch, OpenBLAS rounded
-# some rows of the second share unlike a product over that share alone (a
-# d = 16 rotation at 2049 points and one BLAS thread; d = 64 at 401 points
-# at one and at two BLAS threads).
-@pytest.mark.parametrize("dim, covariance, count", [
-    (2, "iso", 1001), (16, "full", 2049), (64, "full", 401)])
-def test_shared_batch_rows_equal_separate_runs(dim, covariance, count):
-    rng = np.random.default_rng([79, dim])
-    if covariance == "iso":
-        means = rng.normal(0.0, 2.0, (4, dim))
-        pair = TargetPair(
-            conditional=GaussianMixture.isotropic(means[:1], np.array([0.3])),
-            unconditional=GaussianMixture.isotropic(means, rng.uniform(0.3, 0.9, 4)))
-    else:
-        pair = TargetPair(conditional=_random_mixture(rng, dim, 2),
-                          unconditional=_random_mixture(rng, dim, 3))
-    sch = Schedule()
-    scfg = SamplerConfig(steps=12, seed=4)
-    rules = [GuidanceConfig(rule=GuidanceRule.CFG, guidance_scale=5.0,
-                            min_scale=0.0, decay_power=0.0),
-             GuidanceConfig(guidance_scale=5.0, parallel_scale=0.3)]
-    x0s = initial_states(count, dim, seed=4)
-    records = integrate_rules(x0s, pair, sch, rules, scfg)
-    assert len(records) == 2
-    for record, rule in zip(records, rules):
-        alone = integrate(x0s, pair, sch, rule, scfg)
-        assert record.times.tobytes() == alone.times.tobytes()
-        assert record.states.shape == (scfg.steps + 1, count, dim)
-        assert record.states.tobytes() == alone.states.tobytes()
-
-
-def test_integrate_rules_rejects_bad_input():
-    pair, sch, scfg = _pair(), Schedule(), SamplerConfig(steps=4)
-    with pytest.raises(ShapeError):
-        integrate_rules(np.zeros(2), pair, sch, [GuidanceConfig()], scfg)
-    with pytest.raises(ConfigurationError):
-        integrate_rules(np.zeros((3, 2)), pair, sch, [], scfg)
 
 
 def _scalar_time_euler(x0s, pair, sch, rule, scfg):
