@@ -19,11 +19,11 @@ CPUs (its affinity set): the calling thread and one helper thread each
 take the next strip from one shared iterator.  Every partial a thread
 keeps, and every sum of them, is an integer below ``2**53``, so the
 values do not depend on the thread count or on which thread ran a strip.
-The helper starts on the first null that wants it and stays for later
-ones, holding about 2.5 MB of resident memory (2-core Xeon VM, OpenBLAS
-0.3.31).  With a multi-threaded BLAS the two threads' products contend
-for one BLAS thread pool and the split pass was slower than one thread,
-so there the pass runs on the calling thread alone.
+Each such null starts its helper thread itself and joins it before it
+returns or raises, so no thread outlives the call.  With a
+multi-threaded BLAS the two threads' products contend for one BLAS
+thread pool and the split pass was slower than one thread, so there the
+pass runs on the calling thread alone.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import collections
 import math
 import os
-import queue
 import threading
 from dataclasses import dataclass
 from typing import Dict
@@ -119,78 +118,42 @@ def _null_threads(strips):
 
     Two only with a one-thread BLAS: where the BLAS pool has a thread per
     CPU, both threads' products queue on it and the split pass was slower
-    than one thread (an N = 4,000 null, 115 -> 138 ms, 2-core Xeon VM).
+    than one thread (an N = 4,000, ``n_perm`` = 200 null at an unset BLAS
+    thread count: 76-80 -> 87-88 ms, medians of 15 and 21 alternating
+    runs; default ``sweep_omega`` 0.83 -> 1.02 s, 2-core Xeon VM).
     """
     if not _blas_single_threaded():
         return 1
     return min(_cpu_count(), strips, _MAX_THREADS)
 
 
-class _Call:
-    """One share submitted to a helper and, once ``done`` is set, its
-    ``result`` or ``exception``."""
-
-    def __init__(self, share):
-        self.share = share
-        self.result = self.exception = None
-        self.done = threading.Event()
-
-
-class _Helper:
-    """A daemon thread that runs submitted shares one after another.
-
-    Helpers start on the first null that wants them and serve every later
-    one, so the small nulls of ``sweep_omega`` do not each pay a thread
-    start.  Each submission has its own ``_Call``: a caller whose wait is
-    interrupted leaves its call to finish unread, and the next call queues
-    behind it.
-    """
-
-    def __init__(self):
-        self._calls = queue.SimpleQueue()
-        threading.Thread(target=self._serve, daemon=True).start()
-
-    def _serve(self):
-        while True:
-            call = self._calls.get()
-            try:
-                call.result = call.share()
-            except BaseException as exc:  # re-raised by the caller
-                call.exception = exc
-            call.done.set()
-
-    def submit(self, share):
-        call = _Call(share)
-        self._calls.put(call)
-        return call
-
-
-_helpers = []
-_helpers_lock = threading.Lock()
-# A forked child has none of the parent's threads.
-os.register_at_fork(after_in_child=_helpers.clear)
-
-
 def _run_shares(share, threads):
-    """Results of ``share()`` run on the caller and on ``threads - 1``
-    helpers at once.  Every helper has finished its share before this
-    returns or raises; the caller's exception, else the first helper's,
-    is re-raised."""
-    if threads == 1:
-        return [share()]
-    with _helpers_lock:
-        while len(_helpers) < threads - 1:
-            _helpers.append(_Helper())
-        calls = [helper.submit(share) for helper in _helpers[:threads - 1]]
+    """Results of ``share()`` run at once on the caller and on ``threads -
+    1`` helper threads started for this call.  Every helper is joined
+    before this returns or raises; the caller's exception, else the first
+    helper's, is re-raised.  No helper outlives its call, so no call can
+    read another's outcome or wait behind another's share."""
+    outcomes = [None] * (threads - 1)
+
+    def serve(index):
         try:
-            results = [share()]
-        finally:
-            for call in calls:
-                call.done.wait()
-        for call in calls:
-            if call.exception is not None:
-                raise call.exception
-    return results + [call.result for call in calls]
+            outcomes[index] = share(), None
+        except BaseException as exc:  # re-raised by the caller
+            outcomes[index] = None, exc
+
+    helpers = [threading.Thread(target=serve, args=(index,))
+               for index in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        results = [share()]
+    finally:
+        for helper in helpers:
+            helper.join()
+    for _, exc in outcomes:
+        if exc is not None:
+            raise exc
+    return results + [result for result, _ in outcomes]
 
 
 def _shaped(buffer, rows, cols):
@@ -332,7 +295,7 @@ def _split_energies(pooled, n, n_perm, seed):
     try:
         parts = _run_shares(lambda: _strip_sums(factors, labels, starts), threads)
     except BaseException:
-        # A helper still at work on this pass, after an interrupted wait,
+        # A helper still at work on this pass, after an interrupted join,
         # finds no strip left and stops after its current one.
         collections.deque(starts, maxlen=0)
         raise
@@ -400,7 +363,7 @@ def permutation_test(a, b, n_perm=1000, seed=0, quantiles=DEFAULT_QUANTILES):
     and the null come from one pass in O((n + m) * n_perm) bytes of labels
     whose BLAS sums are exact.  With OpenBLAS on one thread the pass's row
     strips run on two threads where the process may use two CPUs (the
-    helper thread holds about 2.5 MB and is kept for later calls); every
+    helper thread is started and joined within the call); every
     per-thread partial is an exact integer, so no value depends on the
     thread or CPU count, the BLAS threads or ``_ROW_BLOCK``.  The null
     quantiles are ``np.quantile``'s default linear ones, bit for bit, from

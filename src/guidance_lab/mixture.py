@@ -184,12 +184,18 @@ class GaussianMixture:
 
     @classmethod
     def isotropic(cls, means, scales, weights=None):
-        """Mixture of isotropic components; ``scales`` are standard deviations."""
+        """Mixture of isotropic components; ``scales`` are standard
+        deviations, each positive."""
         means = np.asarray(means, dtype=float)
         if means.ndim == 1:
             means = means[None, :]
         k, dim = means.shape
         scales = np.broadcast_to(np.asarray(scales, dtype=float), (k,))
+        # NaN fails the comparison too.
+        if not np.all(scales > 0.0):
+            raise ConfigurationError(
+                f"isotropic scales must be positive standard deviations, "
+                f"got {scales.tolist()}")
         if weights is None:
             weights = np.full(k, 1.0 / k)
         covs = np.stack([(s * s) * np.eye(dim) for s in scales])

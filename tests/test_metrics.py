@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -405,7 +406,6 @@ def test_null_strips_taken_once_under_thread_stress(monkeypatch):
 def test_one_thread_null_starts_no_thread(monkeypatch, cpus, blas_threads):
     _at_cpus(monkeypatch, cpus)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
-    monkeypatch.setattr(metrics, "_helpers", [])
 
     def refuse(self):
         raise AssertionError("a thread was started")
@@ -413,18 +413,68 @@ def test_one_thread_null_starts_no_thread(monkeypatch, cpus, blas_threads):
     monkeypatch.setattr(threading.Thread, "start", refuse)
     pooled = np.random.default_rng(2).normal(size=(700, 2))
     metrics._split_energies(pooled, 300, 100, 1)
-    assert metrics._helpers == []
 
 
-def test_helpers_are_reused_across_calls(monkeypatch):
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+def test_split_null_leaves_no_thread_behind(monkeypatch, raises):
+    # The helper is started for the call and joined before it returns or
+    # raises, so the thread count is back where it was.
     _at_cpus(monkeypatch, 2)
-    pooled = np.random.default_rng(3).normal(size=(600, 2))
-    first = metrics._split_energies(pooled, 250, 100, 1)
-    helpers, threads = list(metrics._helpers), threading.active_count()
-    assert len(helpers) >= 1
-    second = metrics._split_energies(pooled, 250, 100, 1)
-    assert metrics._helpers == helpers and threading.active_count() == threads
-    assert second.tobytes() == first.tobytes()
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(300, 2)), rng.normal(size=(300, 2))
+    started = []
+    original_start = threading.Thread.start
+
+    def start(self):
+        started.append(self)
+        original_start(self)
+
+    def fail(*args):
+        raise RuntimeError("share failed")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    threads = threading.active_count()
+    if raises:
+        monkeypatch.setattr(metrics, "_strip_sums", fail)
+        with pytest.raises(RuntimeError, match="share failed"):
+            permutation_test(a, b, n_perm=100, seed=1)
+    else:
+        permutation_test(a, b, n_perm=100, seed=1)
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == threads
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_gets_the_parents_bytes(monkeypatch):
+    # A child forked after a split null runs its own split null in full:
+    # no thread of the parent's is left for it to wait on.
+    _at_cpus(monkeypatch, 2)
+    pooled = np.random.default_rng(9).normal(size=(700, 2))
+    expected = metrics._split_energies(pooled, 300, 100, 1).tobytes()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            os.write(write_end, metrics._split_energies(pooled, 300, 100, 1).tobytes())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    # The 808 bytes fit in the pipe's buffer, so the child exits unread.
+    deadline = time.monotonic() + 60.0
+    while (waited := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_end)
+            pytest.fail("the forked child's null did not finish in 60 s")
+        time.sleep(0.01)
+    with os.fdopen(read_end, "rb") as child:
+        received = child.read()
+    assert os.waitstatus_to_exitcode(waited[1]) == 0
+    assert received == expected
 
 
 @pytest.mark.parametrize("failing", ["helper", "caller"])
@@ -465,8 +515,8 @@ class _Interrupt(BaseException):
 
 
 def test_interrupted_wait_leaves_the_next_call_whole(monkeypatch):
-    # An interrupt while the caller waits for the helper leaves the helper
-    # at work on that call's share.  The helper must take no strip of the
+    # An interrupt while the caller joins the helper leaves the helper at
+    # work on that call's share.  The helper must take no strip of the
     # abandoned call after the interrupt, and the next call, of the same
     # size, must still get its own outcome, not the abandoned one.
     _at_cpus(monkeypatch, 1)
@@ -475,14 +525,14 @@ def test_interrupted_wait_leaves_the_next_call_whole(monkeypatch):
     expected = metrics._split_energies(pooled, 400, 100, 1)
     _at_cpus(monkeypatch, 2)
     caller = threading.get_ident()
-    original_strips, original_call = metrics._strip_sums, metrics._Call.__init__
+    original_strips, original_join = metrics._strip_sums, threading.Thread.join
     helper_took_a_strip, interrupted = threading.Event(), threading.Event()
-    late_strips = []
+    late_strips, left_running = [], []
 
     def helper_lags(factors, labels, starts):
         # On the first call the helper takes one strip, then pauses before
         # each next one; the caller takes one strip of its own and begins
-        # to wait, leaving two of the four strips untaken.
+        # to join, leaving two of the four strips untaken.
         if threading.get_ident() == caller:
             assert helper_took_a_strip.wait(timeout=10)
             if not interrupted.is_set():
@@ -498,22 +548,20 @@ def test_interrupted_wait_leaves_the_next_call_whole(monkeypatch):
             starts = lagging()
         return original_strips(factors, labels, starts)
 
-    class CutWait(threading.Event):
-        def wait(self, timeout=None):
-            interrupted.set()
-            raise _Interrupt
-
-    def cut_call(self, share):
-        original_call(self, share)
-        self.done = CutWait()
+    def cut_join(self, timeout=None):
+        left_running.append(self)
+        interrupted.set()
+        raise _Interrupt
 
     monkeypatch.setattr(metrics, "_strip_sums", helper_lags)
-    monkeypatch.setattr(metrics._Call, "__init__", cut_call)
+    monkeypatch.setattr(threading.Thread, "join", cut_join)
     with pytest.raises(_Interrupt):
         metrics._split_energies(abandoned, 400, 100, 1)
-    monkeypatch.setattr(metrics._Call, "__init__", original_call)
+    monkeypatch.setattr(threading.Thread, "join", original_join)
     assert metrics._split_energies(pooled, 400, 100, 1).tobytes() == expected.tobytes()
-    # The helper ran the abandoned share to its end before this call's.
+    # The abandoned helper finishes its strip and takes no other.
+    left_running[0].join(timeout=10)
+    assert not left_running[0].is_alive()
     assert late_strips == []
     assert metrics._split_energies(pooled, 400, 100, 1).tobytes() == expected.tobytes()
 

@@ -614,6 +614,14 @@ def test_isotropic_constructor():
     np.testing.assert_allclose(g.weights, [0.5, 0.5])
 
 
+@pytest.mark.parametrize("scales", [[-0.5], [0.0], [np.nan], [0.5, -2.0]])
+def test_isotropic_rejects_non_positive_scales(scales):
+    # A negative standard deviation was once squared into a valid variance.
+    means = np.zeros((len(scales), 2))
+    with pytest.raises(ConfigurationError, match="scales must be positive"):
+        GaussianMixture.isotropic(means, scales)
+
+
 def test_validation_errors():
     eye = np.stack([np.eye(2)])
     with pytest.raises(ConfigurationError):

@@ -94,6 +94,18 @@ def test_flux_check_fails_on_injected_defect(monkeypatch, defect, floor):
     assert result.measured > floor
 
 
+def test_cfg_recovery_fails_when_every_update_is_scaled(monkeypatch):
+    # The reference is the literal omega * (v_c - v_u), so a defect that
+    # scales every update apply_guidance returns, for either rule, shows
+    # as a gap of about 1e-7 * 2**52 ulps.
+    exact = guidance.apply_guidance
+    monkeypatch.setattr(guidance, "apply_guidance",
+                        lambda *args: exact(*args) * (1.0 + 1e-7))
+    result = verify.check_cfg_recovery(default_config("verify"))
+    assert not result.passed
+    assert result.measured > 1e8
+
+
 # ---------------------------------------------------------------------------
 # benchmark contract: the generated jobs run and pass their checks
 
