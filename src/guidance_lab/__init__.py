@@ -26,7 +26,6 @@ from .divergence import (
     conservation_residual,
     divergence_fd_dense,
     divergence_hutchinson,
-    divergence_profile,
 )
 from .errors import (
     CapabilityError,
@@ -134,7 +133,6 @@ __all__ = [
     "degenerate_threshold",
     "divergence_fd_dense",
     "divergence_hutchinson",
-    "divergence_profile",
     "draw_initial_state",
     "energy_distance",
     "evaluate",

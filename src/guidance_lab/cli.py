@@ -8,9 +8,11 @@ with ``kind`` one of ``verify``, ``trace_divergence``, ``sweep_beta``,
 ``sweep_omega``, ``sample_compare``.  Without ``--config`` the built-in
 default configuration for the kind is used.  All artifacts are CSV/JSON
 files in the output directory; runs are deterministic per (config, seed),
-so re-running a config reproduces its outputs byte for byte.  Exit status
-0 means every check in the run passed (for ``verify``) or the run
-completed (for the experiment kinds); configuration problems exit 2.
+so re-running a config reproduces its outputs byte for byte.
+``trace_divergence`` and ``sweep_beta`` take every column from one oracle
+pass over the reference trajectory's states.  Exit status 0 means every
+check in the run passed (for ``verify``) or the run completed (for the
+experiment kinds); configuration problems exit 2.
 """
 
 from __future__ import annotations
@@ -95,58 +97,59 @@ def run_verify(config):
     return 0 if report["passed"] else 1
 
 
-def run_trace_divergence(config):
-    """|div| / dim of both velocities and, from one evaluation of the pair
-    terms, of the projected update at every ``beta``."""
+def _write_profile(config, name, profile):
+    """Write ``<name>.csv``: step, time and ``|div| / dim`` of each column
+    ``profile(times, (a, b), terms)`` maps to its signed divergences, given
+    the reference trajectory's times, the path coefficients at them and one
+    :func:`guidance._pair_terms` pass over all its states."""
     pair, schedule = config.pair, config.schedule
     record = _reference_trajectory(config)
-    times, states = record.times, record.states
-    columns = ["step", "t", "div_cond", "div_uncond"]
-    divs = [gd.velocity_field(target, schedule).divergence(states, times)
-            for target in (pair.conditional, pair.unconditional)]
-    terms = gd._pair_terms(pair._stack, schedule, times, states,
+    times = record.times
+    terms = gd._pair_terms(pair._stack, schedule, times, record.states,
                            config.guidance.normal_source)
-    for beta in config.beta_sweep:
-        columns.append(f"div_g_beta_{beta:g}")
-        divs.append(gd._update_divergence(
-            terms, _projected(config, beta=beta), times))
-    cells = [times] + [np.abs(div) / pair.dim for div in divs]
+    divs = profile(times, sched.coefficients(schedule, times), terms)
+    cells = [times] + [np.abs(div) / pair.dim for div in divs.values()]
     rows = [[k] + row for k, row in enumerate(np.column_stack(cells).tolist())]
-    table = Table(columns=columns, rows=rows)
-    _write_table(table, os.path.join(config.output_dir, "trace_divergence.csv"))
+    _write_table(Table(columns=["step", "t", *divs], rows=rows),
+                 os.path.join(config.output_dir, f"{name}.csv"))
     return 0
+
+
+def run_trace_divergence(config):
+    """|div| / dim of both velocities, ``dim * a - b * lap``, and of the
+    projected update at every ``beta``."""
+
+    def profile(times, coefficients, terms):
+        a, b = coefficients
+        divs = {f"div_{name}": config.pair.dim * a - b * lap
+                for name, lap in zip(("cond", "uncond"), terms.lap)}
+        for beta in config.beta_sweep:
+            divs[f"div_g_beta_{beta:g}"] = gd._update_divergence(
+                terms, _projected(config, beta=beta), times)
+        return divs
+
+    return _write_profile(config, "trace_divergence", profile)
 
 
 def run_sweep_beta(config):
-    pair, schedule = config.pair, config.schedule
-    record = _reference_trajectory(config)
-    g_field = gd.residual_field(pair.conditional, pair.unconditional, schedule)
-    par_field = gd.parallel_component_field(
-        pair.conditional, pair.unconditional, schedule,
-        normal_source=config.guidance.normal_source,
-    )
-    betas = list(config.beta_sweep)
-    columns = ["step", "t", "div_g", "div_g_par", "div_g_perp"]
-    for beta in betas:
-        tag = f"{beta:g}"
-        columns += [f"div_update_beta_{tag}", f"div_update_par_beta_{tag}",
-                    f"div_update_perp_beta_{tag}"]
-    dim = pair.dim
-    times, states = record.times, record.states
-    div_g = g_field.divergence(states, times)
-    div_par = par_field.divergence(states, times)
-    div_perp = div_g - div_par
-    omega = sched.guidance_scale_at(_projected(config), times)
-    cells = [times, np.abs(div_g) / dim, np.abs(div_par) / dim,
-             np.abs(div_perp) / dim]
-    for beta in betas:
-        total = omega * (div_g - (1.0 - beta) * div_par)
-        cells += [np.abs(total) / dim, np.abs(omega * beta * div_par) / dim,
-                  np.abs(omega * div_perp) / dim]
-    rows = [[k] + row for k, row in enumerate(np.column_stack(cells).tolist())]
-    table = Table(columns=columns, rows=rows)
-    _write_table(table, os.path.join(config.output_dir, "sweep_beta.csv"))
-    return 0
+    """|div| / dim of the residual, ``-b * (lap_c - lap_u)``, of its parallel
+    and orthogonal parts, and of the update's three parts at every ``beta``."""
+
+    def profile(times, coefficients, terms):
+        lap_c, lap_u = terms.lap
+        div_g = -coefficients[1] * (lap_c - lap_u)
+        div_par, div_perp = terms.div_par, div_g - terms.div_par
+        omega = sched.guidance_scale_at(_projected(config), times)
+        divs = {"div_g": div_g, "div_g_par": div_par, "div_g_perp": div_perp}
+        for beta in config.beta_sweep:
+            tag = f"{beta:g}"
+            divs[f"div_update_beta_{tag}"] = omega * (
+                div_g - (1.0 - beta) * div_par)
+            divs[f"div_update_par_beta_{tag}"] = omega * beta * div_par
+            divs[f"div_update_perp_beta_{tag}"] = omega * div_perp
+        return divs
+
+    return _write_profile(config, "sweep_beta", profile)
 
 
 def _terminal_runs(config, rules, x0s):

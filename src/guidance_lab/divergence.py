@@ -15,8 +15,9 @@ Both take central differences with the step ``FD_STEP * (1 + max|x_i|)``.
 ``conservation_residual`` adds the exact divergence to the flux against
 the oracle score, ``div g + g . grad log p``, the quantity that vanishes
 exactly when adding ``g`` to the velocity leaves the evolving density
-untouched.  ``divergence_profile`` tabulates normalized exact divergences
-along a sampled trajectory.
+untouched.  All three take one ``(field.dim,)`` point and raise
+ShapeError for anything else; a trajectory's exact divergences are one
+``field.divergence(states, times)`` call.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mixture as mix
-from .errors import (CapabilityError, ConfigurationError, EstimationError,
-                     require_int)
-from .tables import Table
+from .errors import CapabilityError, EstimationError, ShapeError, require_int
 
 FD_STEP = 1e-4
 _DENSE_DIM_LIMIT = 64
@@ -58,6 +57,15 @@ def _fd_step(x):
     return FD_STEP * (1.0 + float(np.max(np.abs(x))))
 
 
+def _point(field, x):
+    """``x`` as one ``(field.dim,)`` point; ShapeError for anything else."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (field.dim,):
+        raise ShapeError(
+            f"x must be one point of shape ({field.dim},), got shape {x.shape}")
+    return x
+
+
 def divergence_hutchinson(field, t, x, config: HutchinsonConfig):
     """Hutchinson trace estimate of the Jacobian of ``field`` at ``(x, t)``.
 
@@ -66,10 +74,9 @@ def divergence_hutchinson(field, t, x, config: HutchinsonConfig):
     probe mean and the reported stderr is the sample standard deviation
     over probes divided by sqrt(probes).  Deterministic for a fixed config.
     """
-    x = np.asarray(x, dtype=float)
-    dim = x.shape[-1]
+    x = _point(field, x)
     rng = np.random.default_rng(config.seed)
-    probes = rng.integers(0, 2, size=(config.probes, dim)).astype(float) * 2.0 - 1.0
+    probes = rng.integers(0, 2, size=(config.probes, field.dim)) * 2.0 - 1.0
     h = _fd_step(x)
     forward = field(x[None, :] + h * probes, t)
     backward = field(x[None, :] - h * probes, t)
@@ -91,8 +98,8 @@ def divergence_hutchinson(field, t, x, config: HutchinsonConfig):
 
 def divergence_fd_dense(field, t, x):
     """Dense central-difference divergence; reference path for dim <= 64."""
-    x = np.asarray(x, dtype=float)
-    dim = x.shape[-1]
+    x = _point(field, x)
+    dim = field.dim
     if dim > _DENSE_DIM_LIMIT:
         raise CapabilityError(
             f"dense finite differences limited to dim <= {_DENSE_DIM_LIMIT}, "
@@ -114,32 +121,6 @@ def conservation_residual(field, target, schedule, t, x):
     Zero (to roundoff) exactly when transporting mass along ``g`` preserves
     the marginal density of ``target``.
     """
-    x = np.asarray(x, dtype=float)
+    x = _point(field, x)
     flux = float(field(x, t) @ mix.score(target, schedule, t, x))
     return field.divergence(x, t) + flux
-
-
-def divergence_profile(fields, trajectory):
-    """Normalized |exact divergence| of each labeled field along a trajectory.
-
-    ``fields`` maps column labels to oracle vector fields; ``trajectory`` is
-    any object with ``times`` and ``states`` arrays (a TrajectoryRecord).
-    The output table has columns ``step`` and ``t`` followed by
-    ``div_<label>`` holding ``|div field| / dim`` at every state.  Each
-    field is evaluated once, on all states and their times.
-    """
-    times = np.asarray(trajectory.times, dtype=float)
-    states = np.asarray(trajectory.states, dtype=float)
-    if states.ndim != 2 or states.shape[0] != times.shape[0]:
-        raise ConfigurationError(
-            f"states {states.shape} do not match times {times.shape}"
-        )
-    labels = list(fields)
-    columns = ["step", "t"] + [f"div_{lab}" for lab in labels]
-    divs = np.column_stack([
-        np.abs(fields[lab].divergence(states, times)) / fields[lab].dim
-        for lab in labels
-    ])
-    rows = [[k, float(t)] + row
-            for k, (t, row) in enumerate(zip(times, divs.tolist()))]
-    return Table(columns=columns, rows=rows)

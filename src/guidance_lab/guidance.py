@@ -26,6 +26,10 @@ is what lets stochastic divergence estimators be calibrated against truth:
 * residual:    ``div g = -b_t * (lap log p_c - lap log p_u)``
 * parallel:    product rule on ``g_par = lam(x) n(x)`` with
                ``lam = <g, n> / ||n||^2`` and exact mixture Hessians.
+
+The pair fields (residual, parallel, projected update) stack their two
+targets once and make one oracle pass over the stack per value (both
+velocities), divergence or Jacobian (both scores, Hessians, Laplacians).
 """
 
 from __future__ import annotations
@@ -238,6 +242,27 @@ def velocity_field(target, schedule, label="velocity"):
                        label=label)
 
 
+def _pass(stack, schedule, t, x):
+    """One oracle pass over ``stack`` at the rows of ``x``: the points, the
+    terms and the scores ``mixture._hessians`` and ``_laplacians`` reduce."""
+    pts, _ = mix._as_batch(x, stack.dim)
+    terms = mix._evaluate(stack, *mix._path(schedule, t), pts)
+    return pts, terms, mix._scores(stack, terms)
+
+
+def _pair_velocities(stack, schedule, t, x):
+    """Both targets' velocities, each shaped as ``x``, from one pass."""
+    pts, _ = mix._as_batch(x, stack.dim)
+    terms = mix._evaluate(stack, *mix._path(schedule, t), pts)
+    v = mix._velocities(stack, terms, *sched.coefficients(schedule, t), pts)
+    return v[:, 0] if np.ndim(x) == 1 else v
+
+
+def _rows_of(x, values):
+    """Per-row ``values`` for a batch ``x``; the single row for a point."""
+    return values[0] if np.ndim(x) == 1 else values
+
+
 def residual_field(conditional, unconditional, schedule, label="residual"):
     """Unit guidance residual ``v_c - v_u`` with exact divergence/Jacobian.
 
@@ -246,27 +271,22 @@ def residual_field(conditional, unconditional, schedule, label="residual"):
     mixture Hessians.  Those two come from different identities, which the
     test-suite exploits.
     """
-    if conditional.dim != unconditional.dim:
-        raise ShapeError("conditional and unconditional targets must share dim")
+    stack = mix._Stack(conditional, unconditional)
 
     def fn(x, t):
-        return mix.velocity(conditional, schedule, t, x) - mix.velocity(
-            unconditional, schedule, t, x
-        )
+        return np.subtract(*_pair_velocities(stack, schedule, t, x))
 
     def div_fn(x, t):
+        _, terms, scored = _pass(stack, schedule, t, x)
+        lap_c, lap_u = mix._laplacians(stack, terms, scored)
         _, b = sched.coefficients(schedule, t)
-        gap = mix.laplacian_log_density(
-            conditional, schedule, t, x
-        ) - mix.laplacian_log_density(unconditional, schedule, t, x)
-        return -b * gap
+        return _rows_of(x, -b * (lap_c - lap_u))
 
     def jac_fn(x, t):
+        pts, terms, scored = _pass(stack, schedule, t, x)
+        h_c, h_u = mix._hessians(stack, terms, scored, pts)
         _, b = sched.coefficients(schedule, t)
-        return -mix._column(b, 2) * (
-            mix.hessian_log_density(conditional, schedule, t, x)
-            - mix.hessian_log_density(unconditional, schedule, t, x)
-        )
+        return _rows_of(x, -mix._column(b, 2) * (h_c - h_u))
 
     return VectorField(fn=fn, dim=conditional.dim, div_fn=div_fn, jac_fn=jac_fn,
                        label=label)
@@ -276,13 +296,14 @@ class _PairTerms(NamedTuple):
     jac_g: np.ndarray  # (n, dim, dim) Jacobian of the residual g
     jac_par: np.ndarray  # (n, dim, dim) Jacobian of g_par
     div_par: np.ndarray  # (n,) product-rule divergence of g_par
+    lap: np.ndarray  # (2, n) Laplacians of log p_c and log p_u
 
 
 def _pair_terms(stack, schedule, t, x, normal_source):
-    """Exact Jacobians of ``g`` and ``g_par`` and the divergence of
-    ``g_par`` at every row of ``x`` (a point or a batch), from one oracle
-    pass over ``stack``, the conditional and unconditional target stacked
-    in that order, for both targets' scores and Hessians.
+    """Exact Jacobians of ``g`` and ``g_par``, the divergence of ``g_par``
+    and both targets' Laplacians at every row of ``x`` (a point or a
+    batch), from one oracle pass (:func:`_pass`) over ``stack``, the
+    conditional and unconditional target stacked in that order.
 
     With ``g = -b (s_c - s_u)``, ``n = b s_src`` and ``lam = <g, n> / ||n||^2``
     the parallel field ``g_par = lam n`` has Jacobian
@@ -291,19 +312,16 @@ def _pair_terms(stack, schedule, t, x, normal_source):
     update of every ``beta`` (:func:`_update_jacobian`).
     Raises DegenerateNormalError if the normal vanishes at any row.
     """
-    pts, _ = mix._as_batch(x, stack.dim)
+    pts, terms, scored = _pass(stack, schedule, t, x)
     _, b = sched.coefficients(schedule, t)
-    terms = mix._evaluate(stack, *mix._path(schedule, t), pts)
-    (s_c, s_u), (h_c, h_u) = mix._hessians(stack, terms, pts)
-    if normal_source is NormalSource.CONDITIONAL:
-        h_src, s_src = h_c, s_c
-    else:
-        h_src, s_src = h_u, s_u
-    g = -mix._column(b, 1) * (s_c - s_u)
-    n = mix._column(b, 1) * s_src
-    jac_g = -mix._column(b, 2) * (h_c - h_u)
-    jac_n = mix._column(b, 2) * h_src
-    div_n = b * np.einsum("nii->n", h_src)
+    _, scores = scored
+    hessians = mix._hessians(stack, terms, scored, pts)
+    src = 0 if normal_source is NormalSource.CONDITIONAL else 1
+    g = -mix._column(b, 1) * (scores[0] - scores[1])
+    n = mix._column(b, 1) * scores[src]
+    jac_g = -mix._column(b, 2) * (hessians[0] - hessians[1])
+    jac_n = mix._column(b, 2) * hessians[src]
+    div_n = b * np.einsum("nii->n", hessians[src])
     nn = np.sum(n * n, axis=1)
     if np.any(nn == 0.0):
         row = int(np.argmax(nn == 0.0))
@@ -316,7 +334,7 @@ def _pair_terms(stack, schedule, t, x, normal_source):
         "nji,nj->ni", jac_n, n)
     jac_par = n[:, :, None] * grad_lam[:, None, :] + lam[:, None, None] * jac_n
     div_par = np.sum(n * grad_lam, axis=1) + lam * div_n
-    return _PairTerms(jac_g=jac_g, jac_par=jac_par, div_par=div_par)
+    return _PairTerms(jac_g, jac_par, div_par, mix._laplacians(stack, terms, scored))
 
 
 def _update_jacobian(terms, config, t):
@@ -331,11 +349,6 @@ def _update_divergence(terms, config, t):
     return np.einsum("nii->n", _update_jacobian(terms, config, t))
 
 
-def _rows_of(x, values):
-    """Per-row ``values`` for a batch ``x``; the single row for a point."""
-    return values[0] if np.ndim(x) == 1 else values
-
-
 def parallel_component_field(conditional, unconditional, schedule,
                              normal_source=NormalSource.CONDITIONAL,
                              label="parallel"):
@@ -346,19 +359,13 @@ def parallel_component_field(conditional, unconditional, schedule,
     ``trace(jacobian)`` therefore reaches the same number through different
     arithmetic.
     """
-    v_c = velocity_field(conditional, schedule)
-    v_u = velocity_field(unconditional, schedule)
     stack = mix._Stack(conditional, unconditional)
 
     def fn(x, t):
-        x = np.asarray(x, dtype=float)
-        vc, vu = v_c(x, t), v_u(x, t)
-        g = vc - vu
+        v_c, v_u = _pair_velocities(stack, schedule, t, x)
         state_coef, _ = sched.coefficients(schedule, t)
-        src = vc if normal_source is NormalSource.CONDITIONAL else vu
-        n = normal_direction(src, x, state_coef)
-        par, _ = decompose(g, n, x)
-        return par
+        src = v_c if normal_source is NormalSource.CONDITIONAL else v_u
+        return decompose(v_c - v_u, normal_direction(src, x, state_coef), x)[0]
 
     def terms(x, t):
         return _pair_terms(stack, schedule, t, x, normal_source)
@@ -384,14 +391,11 @@ def projected_update_field(conditional, unconditional, schedule, config,
     """
     if config.rule is not GuidanceRule.PROJECTED:
         raise ConfigurationError("projected_update_field requires the projected rule")
-    v_c = velocity_field(conditional, schedule)
-    v_u = velocity_field(unconditional, schedule)
     stack = mix._Stack(conditional, unconditional)
 
     def fn(x, t):
-        x = np.asarray(x, dtype=float)
-        vu, vc = v_u(x, t), v_c(x, t)
-        return apply_guidance(vu, vc, x, t, schedule, config)
+        v_c, v_u = _pair_velocities(stack, schedule, t, x)
+        return apply_guidance(v_u, v_c, x, t, schedule, config)
 
     def terms(x, t):
         return _pair_terms(stack, schedule, t, x, config.normal_source)

@@ -47,8 +47,9 @@ Conventions used throughout:
   take a whole time grid, built once; the Euler loop lays them out
   step-major and takes one ``(k, ..., 1)`` entry per step;
 * a pass over several stacked targets returns their scores and velocities
-  as one ``(targets, n, dim)`` array (``_scores``, ``_velocities``), each
-  target's sum over its components written into its own row.
+  as one ``(targets, n, dim)`` array (``_scores``, ``_velocities``) and
+  their Laplacians (``_laplacians``, from the scores, as ``_hessians``) as
+  one ``(targets, n)``, each target's sum written into its own row.
 
 The posterior of the clean sample ``X1`` given ``X_t = x`` is conjugate per
 component:
@@ -424,12 +425,12 @@ def _scores(stack, terms):
     return comp, scores.mT
 
 
-def _hessians(stack, terms, pts):
-    """Per target of ``stack``, the mixture scores (n, dim) and the Hessians
-    ``sum_j r_j (dev_j dev_j^T - M_j^{-1})`` (n, dim, dim) at ``pts``, from
-    one pass's ``terms``.  A Hessian is point-major; its products take the
-    dimension-major factors as transposed views."""
-    comp, scores = _scores(stack, terms)
+def _hessians(stack, terms, scored, pts):
+    """Per target of ``stack``, the Hessian ``sum_j r_j (dev_j dev_j^T -
+    M_j^{-1})`` (n, dim, dim) at ``pts``, from one pass's ``terms`` and its
+    :func:`_scores` ``scored``.  A Hessian is point-major; its products take
+    the dimension-major factors as transposed views."""
+    comp, scores = scored
     hessians = []
     for components, s in zip(stack._slices, scores):
         resp = terms.resp[components]
@@ -447,7 +448,7 @@ def _hessians(stack, terms, pts):
         weighted = np.transpose(dev, (1, 2, 0)) * resp.T[:, None, :]  # (n, dim, k)
         h += weighted @ np.swapaxes(dev, 0, 1)
         hessians.append(h)
-    return scores, tuple(hessians)
+    return tuple(hessians)
 
 
 def _log_density(target, alpha, sigma, x):
@@ -473,21 +474,32 @@ def _velocities(stack, terms, state_coef, score_coef, pts):
     return (state_coef * pts.T - score_coef * scores.mT).mT
 
 
+def _laplacians(stack, terms, scored):
+    """Per target of ``stack``, the Laplacian ``sum_j r_j (|u_j - s|^2 -
+    tr M_j^{-1})``, centred, from one pass's ``terms`` and its
+    :func:`_scores` ``scored``: row ``i`` of a ``(targets, n)`` array."""
+    comp, scores = scored
+    laplacians = np.empty(terms.log_density.shape)
+    for i, (components, s) in enumerate(zip(stack._slices, scores)):
+        dev = comp[components] - s.T
+        sq = (dev * dev).sum(axis=1)  # (k, n)
+        inv_traces = (1.0 / terms.m[components]).sum(axis=1)  # (k, n|1)
+        _sum_components(terms.resp[components] * (sq - inv_traces),
+                        out=laplacians[i])
+    return laplacians
+
+
 def _laplacian(target, alpha, sigma, x):
     pts, single = _as_batch(x, target.dim)
     terms = _evaluate(target, alpha, sigma, pts)
-    comp, (s,) = _scores(target, terms)
-    resp = terms.resp
-    dev = comp - s.T  # centred: sum_j r_j |u_j - s|^2 = sum_j r_j |u_j|^2 - |s|^2
-    sq = (dev * dev).sum(axis=1)  # (k, n)
-    inv_traces = (1.0 / terms.m).sum(axis=1)  # (k, n|1)
-    vals = _sum_components(resp * (sq - inv_traces))
+    vals, = _laplacians(target, terms, _scores(target, terms))
     return float(vals[0]) if single else vals
 
 
 def _hessian(target, alpha, sigma, x):
     pts, single = _as_batch(x, target.dim)
-    _, (h,) = _hessians(target, _evaluate(target, alpha, sigma, pts), pts)
+    terms = _evaluate(target, alpha, sigma, pts)
+    h, = _hessians(target, terms, _scores(target, terms), pts)
     return h[0] if single else h
 
 

@@ -166,7 +166,11 @@ def _euler(x0s, pair, schedule, guidance_config, sampler_config,
         if guidance_field is not None:
             update = np.asarray(guidance_field(x, t), dtype=float)
             if update.shape != x.shape:
-                update = np.broadcast_to(update, x.shape)
+                try:
+                    update = np.broadcast_to(update, x.shape)
+                except ValueError:
+                    raise ShapeError(f"guidance field value of shape {update.shape} "
+                                     f"does not broadcast to {x.shape}") from None
         else:
             update = apply_guidance(v_u, velocities[0], x, t, schedule,
                                     guidance_config)
@@ -190,7 +194,8 @@ def integrate(x0, pair, schedule, guidance_config, sampler_config,
     states, or a ``(count, dim)`` batch, whose record holds ``(count,
     dim)`` batches.  ``guidance_field``, when given, replaces the
     configured guidance rule with an arbitrary vector field of ``(x, t)``
-    (the unconditional velocity stays the base flow).  A single trajectory
+    (the unconditional velocity stays the base flow); a value of it that
+    does not broadcast to the batch raises ShapeError.  A single trajectory
     runs the same vectorized loop as a batch of one.
     """
     x0 = np.asarray(x0, dtype=float)

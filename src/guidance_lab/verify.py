@@ -571,24 +571,22 @@ def check_beta_affinity(config):
     """div(update_beta) / scale(t) is affine in parallel_scale, with slope
     div g_par and intercept div g - div g_par.
 
-    Each value comes from the assembled Jacobian of the update field at one
-    beta; the line is fitted across the beta grid, so an update whose
-    divergence moved other than linearly in beta fails even where it
-    matches the scalar identity at beta = 0 and 1.
+    Each value is the assembled update Jacobian's trace at one beta, from
+    one pair-terms pass for all; the line is fitted across the beta grid, so
+    an update whose divergence moved other than linearly in beta fails even
+    where it matches the scalar identity at beta = 0 and 1.
     """
     tol = 1e-8
     pair, schedule = config.pair, config.schedule
     rng = _rng(config.seed, 13)
-    g_field = gd.residual_field(pair.conditional, pair.unconditional, schedule)
-    par_field = gd.parallel_component_field(
-        pair.conditional, pair.unconditional, schedule
-    )
     times, points = [], []
     for _ in range(8):
         t = rng.uniform(0.1, schedule.t_max)
         times.append(t)
         points.append(_random_points(rng, pair.unconditional, schedule, t, 1)[0])
     times, points = np.array(times), np.array(points)
+    terms = gd._pair_terms(pair._stack, schedule, times, points,
+                           gd.NormalSource.CONDITIONAL)
     columns = []
     for beta in _BETA_GRID:
         cfg = gd.GuidanceConfig(
@@ -596,15 +594,13 @@ def check_beta_affinity(config):
             guidance_scale=5.0, min_scale=1.0, decay_power=4.0,
             parallel_scale=beta,
         )
-        upd = gd.projected_update_field(
-            pair.conditional, pair.unconditional, schedule, cfg
-        )
-        columns.append(
-            upd.divergence(points, times) / sched.guidance_scale_at(cfg, times))
+        columns.append(gd._update_divergence(terms, cfg, times)
+                       / sched.guidance_scale_at(cfg, times))
     values = np.column_stack(columns)
     slope, intercept, line = _affine_fit(_BETA_GRID, values)
-    div_g = g_field.divergence(points, times)
-    div_par = par_field.divergence(points, times)
+    lap_c, lap_u = terms.lap
+    div_g = -sched.coefficients(schedule, times)[1] * (lap_c - lap_u)
+    div_par = terms.div_par
     measured = float(max(
         np.max(_relative_gap(values, line)),
         np.max(_relative_gap(slope, div_par)),

@@ -20,9 +20,10 @@ from guidance_lab import (
     TargetPair,
     VectorField,
     conservation_residual,
+    cli,
+    default_config,
     default_target_pair,
     divergence_hutchinson,
-    divergence_profile,
     draw_initial_state,
     energy_distance,
     initial_states,
@@ -33,6 +34,7 @@ from guidance_lab import (
     projected_update_field,
     residual_field,
     score_rotation_field,
+    target_to_dict,
 )
 from guidance_lab.schedule import evaluate, guidance_scale_at
 from guidance_lab.verify import _random_mixture, _separated_gaussian_pair
@@ -380,33 +382,37 @@ def test_criterion_07_cfg_recovery():
 # criterion 8: divergence profile shape and per-step identity
 
 
-def test_criterion_08_divergence_profile():
+def test_criterion_08_divergence_profile(tmp_path):
     t0 = time.perf_counter()
     sch = Schedule()
     pair = default_target_pair()
+    betas = (0.0, 0.1, 0.5, 1.0)
+    # The trace_divergence kind's default config is this criterion's setup:
+    # the default pair, 240 steps from seed 0, and omega(t) = 1.
+    config = default_config("trace_divergence")
+    assert config.beta_sweep == betas and config.schedule == sch
+    assert (config.sampler.steps, config.sampler.seed) == (240, 0)
+    assert (config.guidance.guidance_scale, config.guidance.min_scale,
+            config.guidance.decay_power) == (1.0, 1.0, 0.0)
+    for name in ("conditional", "unconditional"):
+        assert target_to_dict(getattr(config.pair, name)) == target_to_dict(
+            getattr(pair, name))
+    assert cli.main(["trace_divergence", "--out", str(tmp_path)]) == 0
+    header, *lines = (tmp_path / "trace_divergence.csv").read_text().splitlines()
+    columns = header.split(",")
+    table = np.array([[float(v) for v in line.split(",")] for line in lines])
+
     scfg = SamplerConfig(steps=240, seed=0)
     reference_rule = GuidanceConfig(rule=GuidanceRule.CFG, guidance_scale=1.0,
                                     min_scale=0.0, decay_power=0.0,
                                     parallel_scale=1.0)
     record = integrate(draw_initial_state(2, 0), pair, sch, reference_rule, scfg)
-
-    betas = (0.0, 0.1, 0.5, 1.0)
-    base = dict(rule=GuidanceRule.PROJECTED, guidance_scale=1.0, min_scale=1.0,
-                decay_power=0.0)
-    fields = {
-        f"b{bi}": projected_update_field(
-            pair.conditional, pair.unconditional, sch,
-            GuidanceConfig(parallel_scale=beta, **base),
-        )
-        for bi, beta in enumerate(betas)
-    }
-    table = divergence_profile(fields, record)
+    assert np.array_equal(table[:, columns.index("t")], record.times)
 
     # Shape: the raw-residual row (beta = 1) must spike late; its largest
     # value over the first 80% of steps is at most a tenth of its largest
     # value over the last 10%.
-    col = table.columns.index("div_b3")
-    vals = np.array([row[col] for row in table.rows])
+    vals = table[:, columns.index("div_g_beta_1")]
     early_max = float(np.max(vals[: int(0.8 * 240)]))
     late_max = float(np.max(vals[int(0.9 * 240):]))
     shape_ok = early_max <= 0.1 * late_max
@@ -416,13 +422,13 @@ def test_criterion_08_divergence_profile():
     par_field = parallel_component_field(pair.conditional, pair.unconditional,
                                          sch)
     worst = 0.0
-    for k, row in enumerate(table.rows):
-        t = float(row[1])
+    for k, row in enumerate(table):
+        t = float(row[columns.index("t")])
         x = record.states[k]
         div_g = g_field.divergence(x, t)
         div_par = par_field.divergence(x, t)
-        for bi, beta in enumerate(betas):
-            got = row[table.columns.index(f"div_b{bi}")]
+        for beta in betas:
+            got = row[columns.index(f"div_g_beta_{beta:g}")]
             expect = abs(div_g + (beta - 1.0) * div_par) / 2.0  # omega(t) = 1
             rel = abs(got - expect) / max(abs(expect), 1.0)
             worst = max(worst, rel)

@@ -24,6 +24,7 @@ from guidance_lab import (
     default_target_pair,
     format_value,
     load_config,
+    mixture,
     save_config,
     target_from_dict,
     target_to_dict,
@@ -35,7 +36,10 @@ from guidance_lab.config import (
     MAX_SAMPLE_COUNT,
     MAX_STEPS,
 )
-from guidance_lab.guidance import projected_update_field, velocity_field
+from guidance_lab.guidance import (parallel_component_field,
+                                   projected_update_field, residual_field,
+                                   velocity_field)
+from guidance_lab.schedule import guidance_scale_at
 from guidance_lab.tables import atomic_write
 from guidance_lab.verify import _random_mixture
 
@@ -459,6 +463,64 @@ def test_trace_divergence_columns_match_field_divergences(tmp_path, source):
     for column, field in zip(columns[2:], fields):
         want = np.abs(field.divergence(states, times)) / 3
         assert column.tobytes() == want.tobytes(), field.label
+
+
+@pytest.mark.parametrize("source", ["conditional", "unconditional"])
+def test_sweep_beta_columns_match_field_divergences(tmp_path, source):
+    rng = np.random.default_rng(73)
+    targets = {name: target_to_dict(_random_mixture(rng, 3, k))
+               for name, k in (("conditional", 2), ("unconditional", 9))}
+    betas = [0.0, 0.1, 0.5, 1.0, 3.0]
+    cfg = _write_config(tmp_path, {
+        "kind": "sweep_beta", "targets": targets,
+        "sampler": {"steps": 30, "seed": 4},
+        "guidance": {"normal_source": source, "beta_sweep": betas},
+    })
+    out = tmp_path / "out"
+    assert cli.main(["sweep_beta", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "sweep_beta.csv").read_text().splitlines()
+    columns = np.array([[float(v) for v in line.split(",")] for line in lines[1:]]).T
+    config = load_config(cfg)
+    pair, sch = config.pair, config.schedule
+    record = cli._reference_trajectory(config)
+    times, states = record.times, record.states
+    div_g = residual_field(pair.conditional, pair.unconditional, sch).divergence(
+        states, times)
+    div_par = parallel_component_field(
+        pair.conditional, pair.unconditional, sch,
+        normal_source=config.guidance.normal_source).divergence(states, times)
+    div_perp = div_g - div_par
+    # The default projected rule decays, so omega(t) varies along the grid.
+    omega = guidance_scale_at(cli._projected(config), times)
+    wants = [div_g, div_par, div_perp]
+    for beta in betas:
+        wants += [omega * (div_g - (1.0 - beta) * div_par),
+                  omega * beta * div_par, omega * div_perp]
+    header = lines[0].split(",")
+    assert header[5::3] == [f"div_update_beta_{b:g}" for b in betas]
+    assert columns.shape[0] == 2 + len(wants)
+    assert columns[1].tobytes() == times.tobytes()
+    for label, column, want in zip(header[2:], columns[2:], wants):
+        assert column.tobytes() == (np.abs(want) / 3).tobytes(), label
+
+
+@pytest.mark.parametrize("kind", ["trace_divergence", "sweep_beta"])
+def test_trace_kind_makes_one_oracle_pass_after_the_euler_loop(tmp_path, kind,
+                                                               monkeypatch):
+    # The Euler loop evaluates its time terms with mixture._evaluate_at;
+    # every column of the table then comes from one pass over the states.
+    steps = 12
+    cfg = _write_config(tmp_path, {"kind": kind, "sampler": {"steps": steps}})
+    calls = []
+    evaluate = mixture._evaluate
+
+    def counting(*args):
+        calls.append(args[3].shape[0])
+        return evaluate(*args)
+
+    monkeypatch.setattr(mixture, "_evaluate", counting)
+    assert cli.main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [steps + 1]
 
 
 def test_cli_seed_override_changes_trajectory(tmp_path):

@@ -13,11 +13,11 @@ from guidance_lab import (
     GuidanceConfig,
     HutchinsonConfig,
     Schedule,
+    ShapeError,
     VectorField,
     conservation_residual,
     divergence_fd_dense,
     divergence_hutchinson,
-    divergence_profile,
     mixture,
     parallel_component_field,
     projected_update_field,
@@ -213,25 +213,6 @@ def test_conservation_residual_nonzero_for_plain_velocity():
     assert abs(conservation_residual(f, target, sch, 0.3, np.array([1.0, 0.5]))) > 0.1
 
 
-def test_divergence_profile_table():
-    target = GaussianMixture.isotropic(
-        np.array([[0.0, 0.0], [2.0, 1.0]]), np.array([1.0, 0.6])
-    )
-    sch = Schedule()
-    f = velocity_field(target, sch, label="v")
-    times = np.array([0.2, 0.5, 0.8])
-    states = np.array([[0.1, 0.2], [0.3, -0.1], [0.5, 0.4]])
-    traj = SimpleNamespace(times=times, states=states)
-    table = divergence_profile({"v": f}, traj)
-    assert table.columns == ["step", "t", "div_v"]
-    assert len(table.rows) == 3
-    for k, row in enumerate(table.rows):
-        assert row[0] == k
-        assert row[1] == pytest.approx(times[k])
-        expect = abs(f.divergence(states[k], times[k])) / 2.0
-        assert row[2] == pytest.approx(expect, rel=1e-12)
-
-
 def _profile_fields(sch):
     rng = np.random.default_rng(61)
     cond, uncond = _random_mixture(rng, 3, 2), _random_mixture(rng, 3, 3)
@@ -255,20 +236,21 @@ def _trajectory(steps, sch):
 
 
 def test_exact_profile_matches_per_state_reference():
+    # One divergence call over a whole trajectory, one time per state,
+    # equals the per-state divergence for every field type.
     sch = Schedule()
     fields = _profile_fields(sch)
     traj = _trajectory(40, sch)
-    table = divergence_profile(fields, traj)
-    assert table.columns == ["step", "t"] + [f"div_{lab}" for lab in fields]
-    for k, row in enumerate(table.rows):
-        t, x = float(traj.times[k]), traj.states[k]
-        assert row[:2] == [k, t] and isinstance(row[0], int)
-        for value, field in zip(row[2:], fields.values()):
-            expect = abs(field.divergence(x, t)) / field.dim
-            assert value == pytest.approx(expect, rel=1e-13, abs=1e-13)
+    for label, field in fields.items():
+        divs = field.divergence(traj.states, traj.times)
+        assert divs.shape == (41,), label
+        for k, (t, x) in enumerate(zip(traj.times.tolist(), traj.states)):
+            assert divs[k] == pytest.approx(field.divergence(x, t),
+                                            rel=1e-13, abs=1e-13), label
 
 
 def test_exact_profile_oracle_passes_do_not_grow_with_length(monkeypatch):
+    # Each field's divergence is one oracle pass over a whole trajectory.
     sch = Schedule()
     fields = _profile_fields(sch)
     calls = []
@@ -279,17 +261,30 @@ def test_exact_profile_oracle_passes_do_not_grow_with_length(monkeypatch):
         return evaluate(*args)
 
     monkeypatch.setattr(mixture, "_evaluate", counting)
-    counts = []
     for steps in (4, 60):
-        calls.clear()
-        divergence_profile(fields, _trajectory(steps, sch))
-        assert set(calls) == {steps + 1}
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+        traj = _trajectory(steps, sch)
+        for label, field in fields.items():
+            calls.clear()
+            field.divergence(traj.states, traj.times)
+            assert calls == [steps + 1], label
 
 
-def test_divergence_profile_shape_mismatch():
-    f = VectorField(fn=lambda x, t: np.asarray(x, dtype=float), dim=2)
-    traj = SimpleNamespace(times=np.array([0.1, 0.2]), states=np.zeros((3, 2)))
-    with pytest.raises(ConfigurationError):
-        divergence_profile({"f": f}, traj)
+# ---------------------------------------------------------------------------
+# the point estimators take one point
+
+
+def test_point_estimators_reject_a_batch():
+    target = GaussianMixture.isotropic(np.zeros((1, 6)), np.ones(1))
+    sch = Schedule()
+    f = score_rotation_field(target, sch, scale=0.4)
+    batch = np.random.default_rng(63).normal(size=(6, 6))
+    for x in (batch, batch[:, :5], np.zeros(5), np.zeros((1, 6)), 0.5):
+        for probes in (5, 6):
+            with pytest.raises(ShapeError, match=r"\(6,\)"):
+                divergence_hutchinson(f, 0.5, x, HutchinsonConfig(probes=probes))
+        with pytest.raises(ShapeError, match=r"\(6,\)"):
+            divergence_fd_dense(f, 0.5, x)
+        with pytest.raises(ShapeError, match=r"\(6,\)"):
+            conservation_residual(f, target, sch, 0.5, x)
+    # One point still works.
+    assert abs(conservation_residual(f, target, sch, 0.5, batch[0])) <= 1e-12

@@ -456,6 +456,63 @@ def test_projected_update_field_matches_apply_guidance():
     np.testing.assert_allclose(f(x, t), expect, rtol=1e-13)
 
 
+def test_pair_fields_make_one_oracle_pass_per_quantity(monkeypatch):
+    rng = np.random.default_rng(96)
+    sch = Schedule()
+    cond, uncond = _pair(rng, dim=3)
+    config = GuidanceConfig(parallel_scale=0.3, guidance_scale=4.0,
+                            min_scale=1.0, decay_power=2.0)
+    fields = [residual_field(cond, uncond, sch),
+              parallel_component_field(cond, uncond, sch),
+              parallel_component_field(cond, uncond, sch,
+                                       normal_source=NormalSource.UNCONDITIONAL),
+              projected_update_field(cond, uncond, sch, config)]
+    times = rng.uniform(sch.t_min, sch.t_max, size=5)
+    xs = rng.normal(size=(5, 3))
+    calls = []
+    evaluate = mixture._evaluate
+
+    def counting(*args):
+        calls.append(args[3].shape[0])
+        return evaluate(*args)
+
+    monkeypatch.setattr(mixture, "_evaluate", counting)
+    for field in fields:
+        for x, t, n in ((xs[0], float(times[0]), 1), (xs, 0.4, 5)):
+            for quantity in (field, field.divergence, field.jacobian):
+                calls.clear()
+                quantity(x, t)
+                assert calls == [n], (field.label, quantity)
+        calls.clear()
+        field.divergence(xs, times)
+        field.jacobian(xs, times)
+        assert calls == [5, 5], field.label
+
+
+def test_residual_field_equals_the_per_target_oracles_bit_for_bit():
+    rng = np.random.default_rng(97)
+    sch = Schedule()
+    cond, uncond = _pair(rng, dim=3)
+    f = residual_field(cond, uncond, sch)
+    times = rng.uniform(sch.t_min, sch.t_max, size=6)
+    xs = rng.normal(size=(6, 3))
+    for x, t in ((xs[0], float(times[0])), (xs, 0.4), (xs, times)):
+        _, b = coefficients(sch, t)
+        want_div = -b * (mixture.laplacian_log_density(cond, sch, t, x)
+                         - mixture.laplacian_log_density(uncond, sch, t, x))
+        want_jac = -mixture._column(b, 2) * (
+            mixture.hessian_log_density(cond, sch, t, x)
+            - mixture.hessian_log_density(uncond, sch, t, x))
+        got = [f.divergence(x, t), f.jacobian(x, t)]
+        want = [want_div, want_jac]
+        if np.ndim(t) == 0:
+            got.append(f(x, t))
+            want.append(mixture.velocity(cond, sch, t, x)
+                        - mixture.velocity(uncond, sch, t, x))
+        for values, expected in zip(got, want):
+            assert np.asarray(values).tobytes() == np.asarray(expected).tobytes()
+
+
 def test_projected_update_field_requires_projected_rule():
     rng = np.random.default_rng(94)
     cond, uncond = _pair(rng)

@@ -253,10 +253,10 @@ def _same_bits(got, want, what):
 
 
 # (conditional, unconditional) component counts.  A sum over 8 or more
-# elements (components here, dimensions at d = 8 and 16) takes the unrolled
-# branch of numpy's pairwise sum.
+# elements (components here, dimensions at d = 8, 16 and 64) takes the
+# unrolled branch of numpy's pairwise sum.
 @pytest.mark.parametrize("counts", [(1, 4), (3, 9), (12, 10)])
-@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16, 64])
 def test_stacked_pass_matches_each_target_alone_bit_for_bit(dim, counts):
     rng = np.random.default_rng([53, dim, *counts])
     cond, uncond = (_random_mixture(rng, dim, k) for k in counts)
@@ -272,25 +272,27 @@ def test_stacked_pass_matches_each_target_alone_bit_for_bit(dim, counts):
         batch = np.atleast_2d(x)
         path = mixture._path(sch, t)
         terms = mixture._evaluate(stack, *path, batch)
-        _, scores = mixture._scores(stack, terms)
+        scored = mixture._scores(stack, terms)
         velocities = mixture._velocities(
             stack, terms, *coefficients(sch, t), batch)
-        # The pair terms of the guidance fields take both targets' scores
-        # and Hessians from this one stacked pass.
-        hessian_scores, hessians = mixture._hessians(stack, terms, batch)
+        # The guidance pair fields take both targets' scores, Hessians and
+        # Laplacians from this one stacked pass.
+        hessians = mixture._hessians(stack, terms, scored, batch)
+        laplacians = mixture._laplacians(stack, terms, scored)
         for i, target in enumerate((cond, uncond)):
             what = f"target {i} at t={t} for points of shape {np.shape(x)}"
             alone = mixture._evaluate(target, *path, batch)
             _same_bits(terms.log_density[i], alone.log_density[0], what)
             _same_bits(terms.resp[stack._slices[i]], alone.resp, what)
-            want_s = mixture.score(target, sch, t, x)
-            want_v = mixture.velocity(target, sch, t, x)
-            want_h = mixture.hessian_log_density(target, sch, t, x)
-            got = (scores[i], velocities[i], hessian_scores[i], hessians[i])
+            want = (mixture.score(target, sch, t, x),
+                    mixture.velocity(target, sch, t, x),
+                    mixture.hessian_log_density(target, sch, t, x),
+                    mixture.laplacian_log_density(target, sch, t, x))
+            got = (scored[1][i], velocities[i], hessians[i], laplacians[i])
             if np.ndim(x) == 1:
                 got = tuple(values[0] for values in got)
-            for values, want in zip(got, (want_s, want_v, want_s, want_h)):
-                _same_bits(values, want, what)
+            for values, expected in zip(got, want):
+                _same_bits(values, expected, what)
 
 
 def _negated_scores(stack, terms):
@@ -306,18 +308,18 @@ def _negated_scores(stack, terms):
 # matrix-matrix ones.
 @pytest.mark.parametrize("count", [1, 2049])
 @pytest.mark.parametrize("dim", [2, 8, 16])
-def test_stored_negated_eigenvectors_match_negating_after(dim, count, monkeypatch):
+def test_stored_negated_eigenvectors_match_negating_after(dim, count):
     rng = np.random.default_rng([59, dim, count])
     stack = mixture._Stack(_random_mixture(rng, dim, 2), _random_mixture(rng, dim, 3))
     pts = 1.5 * rng.normal(size=(count, dim))
     terms = mixture._evaluate(stack, 0.4, 0.6, pts)
-    got = mixture._scores(stack, terms), mixture._hessians(stack, terms, pts)
-    monkeypatch.setattr(mixture, "_scores", _negated_scores)
-    want = _negated_scores(stack, terms), mixture._hessians(stack, terms, pts)
-    for (got_first, got_rest), (want_first, want_rest) in zip(got, want):
-        _same_bits(got_first, want_first, "component scores")
-        for values, expected in zip(got_rest, want_rest):
-            _same_bits(values, expected, "per-target scores or Hessians")
+    got, want = mixture._scores(stack, terms), _negated_scores(stack, terms)
+    _same_bits(got[0], want[0], "component scores")
+    for reduce in (lambda scored: scored[1],
+                   lambda scored: mixture._hessians(stack, terms, scored, pts),
+                   lambda scored: mixture._laplacians(stack, terms, scored)):
+        for values, expected in zip(reduce(got), reduce(want)):
+            _same_bits(values, expected, "per-target reduction")
 
 
 def test_stack_rejects_targets_of_different_dimensions():

@@ -275,6 +275,23 @@ def test_zero_guidance_field_matches_manual_unconditional_euler():
     np.testing.assert_array_equal(rec.states[-1], x[0])
 
 
+def test_guidance_field_value_must_broadcast_to_the_batch():
+    pair = _pair()
+    x0s = initial_states(4, 2, seed=3)
+    scfg = SamplerConfig(steps=3)
+    for shape in ((3,), (5, 2)):
+        with pytest.raises(ShapeError) as err:
+            integrate(x0s, pair, Schedule(), GuidanceConfig(), scfg,
+                      guidance_field=lambda x, t, shape=shape: np.zeros(shape))
+        assert str(shape) in str(err.value) and "(4, 2)" in str(err.value)
+    # A value that broadcasts, one row shared by every state, is integrated.
+    shared = integrate(x0s, pair, Schedule(), GuidanceConfig(), scfg,
+                       guidance_field=lambda x, t: np.zeros(2))
+    zero = integrate(x0s, pair, Schedule(), GuidanceConfig(), scfg,
+                     guidance_field=lambda x, t: np.zeros_like(x))
+    np.testing.assert_array_equal(shared.states, zero.states)
+
+
 def _per_target_euler(x0s, pair, sch, rule, scfg):
     """The guided Euler loop with one oracle pass per target and step."""
     times = np.linspace(scfg.t_start, scfg.t_end, scfg.steps + 1)
