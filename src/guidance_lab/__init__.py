@@ -16,7 +16,6 @@ from .config import (
     default_config,
     default_target_pair,
     load_config,
-    save_config,
     target_from_dict,
     target_to_dict,
 )
@@ -154,7 +153,6 @@ __all__ = [
     "report_dict",
     "residual_field",
     "run_all_checks",
-    "save_config",
     "score",
     "score_rotation_field",
     "target_from_dict",

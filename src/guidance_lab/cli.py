@@ -10,15 +10,19 @@ default configuration for the kind is used.  All artifacts are CSV/JSON
 files in the output directory; runs are deterministic per (config, seed),
 so re-running a config reproduces its outputs byte for byte.
 ``trace_divergence`` and ``sweep_beta`` take every column from one oracle
-pass over the reference trajectory's states.  Exit status 0 means every
-check in the run passed (for ``verify``) or the run completed (for the
-experiment kinds); configuration problems exit 2.
+pass over the reference trajectory's states, and write nothing if a cell
+is not finite.  ``sweep_omega`` and ``sample_compare`` both compare CFG
+with the projected rule through one routine, ``_compare_rules``, each at
+its own seeds.  Exit status 0 means every check in the run passed (for
+``verify``) or the run completed (for the experiment kinds); configuration
+problems and non-finite profiles exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -31,7 +35,7 @@ from . import mixture as mix
 from . import sampler as smp
 from . import schedule as sched
 from . import verify
-from .errors import ConfigurationError, GuidanceLabError
+from .errors import ConfigurationError, DomainError, GuidanceLabError
 from .tables import Table, write_json
 
 
@@ -56,26 +60,19 @@ def _reference_trajectory(config):
     so that sweep values are compared at identical points; conditional
     sampling (CFG at scale 1) defines those states.
     """
-    reference_rule = gd.GuidanceConfig(
-        rule=gd.GuidanceRule.CFG, guidance_scale=1.0, min_scale=0.0,
-        decay_power=0.0, parallel_scale=1.0,
-    )
     x0 = smp.draw_initial_state(config.pair.dim, config.sampler.seed)
-    return smp.integrate(
-        x0, config.pair, config.schedule, reference_rule, config.sampler
-    )
+    return smp.integrate(x0, config.pair, config.schedule, _cfg_rule(1.0),
+                         config.sampler)
 
 
 def _projected(config, beta=None, omega=None):
     """The configured guidance forced to the projected rule, with overrides."""
     base = config.guidance
+    omega = base.guidance_scale if omega is None else float(omega)
     return dataclasses.replace(
-        base,
-        rule=gd.GuidanceRule.PROJECTED,
+        base, rule=gd.GuidanceRule.PROJECTED, guidance_scale=omega,
         parallel_scale=base.parallel_scale if beta is None else float(beta),
-        guidance_scale=base.guidance_scale if omega is None else float(omega),
-        min_scale=min(base.min_scale, base.guidance_scale if omega is None
-                      else float(omega)),
+        min_scale=min(base.min_scale, omega),
     )
 
 
@@ -101,16 +98,25 @@ def _write_profile(config, name, profile):
     """Write ``<name>.csv``: step, time and ``|div| / dim`` of each column
     ``profile(times, (a, b), terms)`` maps to its signed divergences, given
     the reference trajectory's times, the path coefficients at them and one
-    :func:`guidance._pair_terms` pass over all its states."""
+    :func:`guidance._pair_terms` pass over all its states.  A non-finite
+    cell raises DomainError, naming its column and step, before anything is
+    written."""
     pair, schedule = config.pair, config.schedule
     record = _reference_trajectory(config)
     times = record.times
     terms = gd._pair_terms(pair._stack, schedule, times, record.states,
                            config.guidance.normal_source)
     divs = profile(times, sched.coefficients(schedule, times), terms)
-    cells = [times] + [np.abs(div) / pair.dim for div in divs.values()]
-    rows = [[k] + row for k, row in enumerate(np.column_stack(cells).tolist())]
-    _write_table(Table(columns=["step", "t", *divs], rows=rows),
+    columns = ["t", *divs]
+    matrix = np.column_stack([times] + [np.abs(div) / pair.dim
+                                        for div in divs.values()])
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        step, column = np.argwhere(~finite)[0]
+        raise DomainError(f"{name}: column {columns[column]} is not finite "
+                          f"at step {step}")
+    rows = [[k] + row for k, row in enumerate(matrix.tolist())]
+    _write_table(Table(columns=["step", *columns], rows=rows),
                  os.path.join(config.output_dir, f"{name}.csv"))
     return 0
 
@@ -152,29 +158,33 @@ def run_sweep_beta(config):
     return _write_profile(config, "sweep_beta", profile)
 
 
-def _terminal_runs(config, rules, x0s):
-    """Integrate each rule of ``rules``, a list of ``(name, rule)``, from the
-    same initial states ``x0s``, one ``integrate`` call per rule; yields
-    ``(name, record)`` pairs."""
-    for name, rule in rules:
-        yield name, smp.integrate(x0s, config.pair, config.schedule, rule,
-                                  config.sampler)
+def _oracle_terminal_draws(config, seed):
+    """``sample_count`` draws of the conditional target's marginal at the
+    grid's last time."""
+    marg = mix.marginal_at(config.pair.conditional, config.schedule,
+                           config.sampler.t_end)
+    return marg.sample(config.sample_count, seed=seed)
 
 
-def _mean_terminal_log_p(config, batch):
-    """Mean log density of a batch's terminal states under the conditional
-    target's marginal at the final grid time."""
-    t = float(batch.times[-1])
-    return float(mix.log_density(
-        config.pair.conditional, config.schedule, t, batch.terminal_state
-    ).mean())
-
-
-def _oracle_terminal_draws(config, count, seed):
-    marg = mix.marginal_at(
-        config.pair.conditional, config.schedule, config.sampler.t_end
-    )
-    return marg.sample(count, seed=seed)
+def _compare_rules(config, omega, x0s, oracle, null_seed):
+    """CFG at ``omega``, then the projected rule at ``omega``, each
+    integrated from the same initial states ``x0s`` and tested against the
+    draws ``oracle`` with the permutation null seeded ``null_seed(i)`` for
+    rule ``i``.  Yields, per rule, its name, its terminal states, the
+    ``TwoSampleResult`` and the mean of ``log p_c`` over the terminal
+    states at the grid's last time, ``t_end``."""
+    rules = (("cfg", _cfg_rule(omega)),
+             ("projected", _projected(config, omega=omega)))
+    for index, (name, rule) in enumerate(rules):
+        # A copy, so that the trajectory is freed here: a view of it would
+        # stay alive in the caller's loop through the next rule's run.
+        terminal = smp.integrate(x0s, config.pair, config.schedule, rule,
+                                 config.sampler).terminal_state.copy()
+        result = metrics.permutation_test(terminal, oracle, n_perm=config.n_perm,
+                                          seed=null_seed(index))
+        log_p = mix.log_density(config.pair.conditional, config.schedule,
+                                config.sampler.t_end, terminal)
+        yield name, terminal, result, float(log_p.mean())
 
 
 def run_sweep_omega(config):
@@ -183,28 +193,16 @@ def run_sweep_omega(config):
     for oi, omega in enumerate(config.omega_sweep):
         x0s = smp.initial_states(config.sample_count, config.pair.dim,
                                  _child_seed(config.seed, 1, oi))
-        oracle = _oracle_terminal_draws(
-            config, config.sample_count, _child_seed(config.seed, 2, oi)
-        )
-        for ri, (rule_name, batch) in enumerate(_terminal_runs(
-            config, [("cfg", _cfg_rule(omega)),
-                     ("projected", _projected(config, omega=omega))], x0s)
-        ):
-            result = metrics.permutation_test(
-                batch.terminal_state, oracle, n_perm=config.n_perm,
-                seed=_child_seed(config.seed, 3, oi, ri),
-            )
-            rows.append([
-                rule_name, float(omega), result.statistic,
-                result.null_quantiles[0.95], _mean_terminal_log_p(config, batch),
-            ])
-            summary[f"{rule_name}_omega_{omega:g}"] = result.statistic
-    table = Table(
-        columns=["rule", "omega", "energy_distance", "null_q95",
-                 "mean_log_p_cond"],
-        rows=rows,
-    )
-    _write_table(table, os.path.join(config.output_dir, "sweep_omega.csv"))
+        oracle = _oracle_terminal_draws(config, _child_seed(config.seed, 2, oi))
+        for name, _, result, log_p in _compare_rules(
+                config, omega, x0s, oracle,
+                functools.partial(_child_seed, config.seed, 3, oi)):
+            rows.append([name, float(omega), result.statistic,
+                         result.null_quantiles[0.95], log_p])
+            summary[f"{name}_omega_{omega:g}"] = result.statistic
+    columns = ["rule", "omega", "energy_distance", "null_q95", "mean_log_p_cond"]
+    _write_table(Table(columns=columns, rows=rows),
+                 os.path.join(config.output_dir, "sweep_omega.csv"))
     top = max(config.omega_sweep)
     report = {
         "energy_distances": summary,
@@ -217,45 +215,30 @@ def run_sweep_omega(config):
     return 0
 
 
-def _samples_table(matrix):
-    dim = matrix.shape[1]
-    return Table(
-        columns=[f"x_{i}" for i in range(dim)],
-        rows=matrix.tolist(),
-    )
+def _write_samples(config, name, matrix):
+    table = Table(columns=[f"x_{i}" for i in range(matrix.shape[1])],
+                  rows=matrix.tolist())
+    _write_table(table, os.path.join(config.output_dir, f"samples_{name}.csv"))
 
 
 def run_sample_compare(config):
-    oracle = _oracle_terminal_draws(
-        config, config.sample_count, _child_seed(config.seed, 4)
-    )
-    _write_table(
-        _samples_table(oracle),
-        os.path.join(config.output_dir, "samples_oracle.csv"),
-    )
-    report = {"sample_count": config.sample_count,
-              "guidance_scale": config.guidance.guidance_scale, "rules": {}}
     omega = config.guidance.guidance_scale
+    oracle = _oracle_terminal_draws(config, _child_seed(config.seed, 4))
+    _write_samples(config, "oracle", oracle)
+    report = {"sample_count": config.sample_count, "guidance_scale": omega,
+              "rules": {}}
     x0s = smp.initial_states(config.sample_count, config.pair.dim,
                              config.sampler.seed)
-    for ri, (rule_name, batch) in enumerate(_terminal_runs(
-        config, [("cfg", _cfg_rule(omega)), ("projected", _projected(config))],
-        x0s)
-    ):
-        _write_table(
-            _samples_table(batch.terminal_state),
-            os.path.join(config.output_dir, f"samples_{rule_name}.csv"),
-        )
-        result = metrics.permutation_test(
-            batch.terminal_state, oracle, n_perm=config.n_perm,
-            seed=_child_seed(config.seed, 5, ri),
-        )
-        report["rules"][rule_name] = {
+    for name, terminal, result, log_p in _compare_rules(
+            config, omega, x0s, oracle,
+            functools.partial(_child_seed, config.seed, 5)):
+        _write_samples(config, name, terminal)
+        report["rules"][name] = {
             "energy_distance": result.statistic,
             "null_quantiles": {repr(q): v
                                for q, v in result.null_quantiles.items()},
             "n_perm": result.n_perm,
-            "mean_terminal_log_p_cond": _mean_terminal_log_p(config, batch),
+            "mean_terminal_log_p_cond": log_p,
         }
     _write_json(report, os.path.join(config.output_dir,
                                      "sample_compare_report.json"))

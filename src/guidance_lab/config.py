@@ -49,7 +49,6 @@ from .errors import ConfigurationError, require_real
 from .guidance import GuidanceConfig, NormalSource
 from .sampler import SamplerConfig, TargetPair, _check_grid
 from .schedule import Schedule
-from .tables import write_json
 
 KINDS = ("verify", "trace_divergence", "sweep_beta", "sweep_omega",
          "sample_compare")
@@ -407,17 +406,9 @@ def load_config(path):
     return config_from_dict(raw)
 
 
-def save_config(config, path):
-    write_json(config_to_dict(config), path)
-
-
-def default_config(kind, seed=0, output_dir="out"):
+def default_config(kind):
     """Fully-populated default configuration for an experiment kind."""
-    base = {
-        "kind": kind,
-        "seed": seed,
-        "output_dir": output_dir,
-    }
+    base = {"kind": kind}
     if kind in ("trace_divergence", "sweep_beta"):
         # A fine grid so the profile resolves the late-time divergence
         # spike, and a constant unit scale so the parallel_scale=1 row is

@@ -117,25 +117,27 @@ class GuidanceConfig:
 class VectorField:
     """A time-dependent vector field ``(x, t) -> R^dim``.
 
-    ``fn`` must accept a single point ``(dim,)`` or a batch ``(n, dim)``
-    at one float time and return the matching shape.  ``div_fn`` and
-    ``jac_fn`` are optional callables providing the exact divergence and
-    Jacobian.  They take ``x`` of shape ``(dim,)`` or ``(n, dim)`` and
-    ``t`` a float or an ``(n,)`` array (one time per point), and return a
-    float or ``(n,)`` divergences, a ``(dim, dim)`` or ``(n, dim, dim)``
-    Jacobian: a single point is a batch of one, so a whole trajectory is
-    one call.  Fields without them can still be differentiated
-    numerically.
+    ``fn``, the value, and the optional callables ``div_fn`` and ``jac_fn``,
+    the exact divergence and Jacobian, all take ``x`` of shape ``(dim,)``
+    or ``(n, dim)`` and ``t`` a float or an ``(n,)`` array (one time per
+    point), so a whole trajectory is one call.  The value matches the shape
+    of ``x``; the divergence is a float or ``(n,)``, the Jacobian
+    ``(dim, dim)`` or ``(n, dim, dim)``.  Calling the field converts a
+    scalar time to a float and passes an array through; the oracle fields
+    raise ShapeError for times of the wrong length.  Fields without
+    ``div_fn`` or ``jac_fn`` can still be differentiated numerically;
+    ``label`` names the field in error messages.
     """
 
-    fn: Callable[[np.ndarray, float], np.ndarray]
+    fn: Callable[[np.ndarray, object], np.ndarray]
     dim: int
     div_fn: Optional[Callable] = None
     jac_fn: Optional[Callable] = None
     label: str = field(default="")
 
     def __call__(self, x, t):
-        return self.fn(np.asarray(x, dtype=float), float(t))
+        t = float(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
+        return self.fn(np.asarray(x, dtype=float), t)
 
     def divergence(self, x, t):
         if self.div_fn is None:
@@ -200,7 +202,8 @@ def decompose(residual, normal, x):
 
 
 def apply_guidance(v_uncond, v_cond, x, t, schedule, config):
-    """The configured guidance rule's update at one state (or a batch).
+    """The configured guidance rule's update at one state (or a batch),
+    at one time ``t`` or one time per row.
 
     The sampler integrates ``v_uncond + update``.  For ``GuidanceRule.CFG``
     the update is ``guidance_scale * residual``; for the projected rule it
@@ -212,17 +215,17 @@ def apply_guidance(v_uncond, v_cond, x, t, schedule, config):
     v_c = np.asarray(v_cond, dtype=float)
     g = v_c - v_u
     x = np.asarray(x, dtype=float)
-    state_coef, _ = sched.coefficients(schedule, t)
+    state_coef = mix._column(sched.coefficients(schedule, t).state_coef)
     src = v_c if config.normal_source is NormalSource.CONDITIONAL else v_u
     par, _ = decompose(g, normal_direction(src, x, state_coef), x)
-    scale = sched.guidance_scale_at(config, t)
+    scale = mix._column(sched.guidance_scale_at(config, t))
     return scale * (g + (config.parallel_scale - 1.0) * par)
 
 
 # -- exact oracle fields -----------------------------------------------------------
 
 
-def velocity_field(target, schedule, label="velocity"):
+def velocity_field(target, schedule):
     """Exact marginal velocity of ``target`` as a VectorField."""
 
     def fn(x, t):
@@ -238,8 +241,7 @@ def velocity_field(target, schedule, label="velocity"):
             target, schedule, t, x
         )
 
-    return VectorField(fn=fn, dim=target.dim, div_fn=div_fn, jac_fn=jac_fn,
-                       label=label)
+    return VectorField(fn, target.dim, div_fn, jac_fn, "velocity")
 
 
 def _pass(stack, schedule, t, x):
@@ -263,7 +265,7 @@ def _rows_of(x, values):
     return values[0] if np.ndim(x) == 1 else values
 
 
-def residual_field(conditional, unconditional, schedule, label="residual"):
+def residual_field(conditional, unconditional, schedule):
     """Unit guidance residual ``v_c - v_u`` with exact divergence/Jacobian.
 
     The exact divergence uses the Laplacian route
@@ -288,8 +290,7 @@ def residual_field(conditional, unconditional, schedule, label="residual"):
         _, b = sched.coefficients(schedule, t)
         return _rows_of(x, -mix._column(b, 2) * (h_c - h_u))
 
-    return VectorField(fn=fn, dim=conditional.dim, div_fn=div_fn, jac_fn=jac_fn,
-                       label=label)
+    return VectorField(fn, conditional.dim, div_fn, jac_fn, "residual")
 
 
 class _PairTerms(NamedTuple):
@@ -350,8 +351,7 @@ def _update_divergence(terms, config, t):
 
 
 def parallel_component_field(conditional, unconditional, schedule,
-                             normal_source=NormalSource.CONDITIONAL,
-                             label="parallel"):
+                             normal_source=NormalSource.CONDITIONAL):
     """Score-parallel part of the residual, with exact divergence/Jacobian.
 
     The exact divergence comes from the product rule on ``lam(x) n(x)``
@@ -363,7 +363,7 @@ def parallel_component_field(conditional, unconditional, schedule,
 
     def fn(x, t):
         v_c, v_u = _pair_velocities(stack, schedule, t, x)
-        state_coef, _ = sched.coefficients(schedule, t)
+        state_coef = mix._column(sched.coefficients(schedule, t).state_coef)
         src = v_c if normal_source is NormalSource.CONDITIONAL else v_u
         return decompose(v_c - v_u, normal_direction(src, x, state_coef), x)[0]
 
@@ -376,12 +376,10 @@ def parallel_component_field(conditional, unconditional, schedule,
     def jac_fn(x, t):
         return _rows_of(x, terms(x, t).jac_par)
 
-    return VectorField(fn=fn, dim=conditional.dim, div_fn=div_fn, jac_fn=jac_fn,
-                       label=label)
+    return VectorField(fn, conditional.dim, div_fn, jac_fn, "parallel")
 
 
-def projected_update_field(conditional, unconditional, schedule, config,
-                           label="projected-update"):
+def projected_update_field(conditional, unconditional, schedule, config):
     """The projected rule's update vector as a field of ``(x, t)``.
 
     The exact divergence is the trace of the assembled exact Jacobian
@@ -406,12 +404,10 @@ def projected_update_field(conditional, unconditional, schedule, config,
     def div_fn(x, t):
         return _rows_of(x, _update_divergence(terms(x, t), config, t))
 
-    return VectorField(fn=fn, dim=conditional.dim, div_fn=div_fn, jac_fn=jac_fn,
-                       label=label)
+    return VectorField(fn, conditional.dim, div_fn, jac_fn, "projected-update")
 
 
-def score_rotation_field(target, schedule, scale=1.0, axes=(0, 1),
-                         label="rotated-score"):
+def score_rotation_field(target, schedule, scale=1.0, axes=(0, 1)):
     """``scale * R @ score`` with ``R`` an antisymmetric plane generator.
 
     For any target the field is divergence-free in combination with the
@@ -438,4 +434,4 @@ def score_rotation_field(target, schedule, scale=1.0, axes=(0, 1),
         h = mix.hessian_log_density(target, schedule, t, x)
         return scale * (rot @ h)
 
-    return VectorField(fn=fn, dim=dim, div_fn=div_fn, jac_fn=jac_fn, label=label)
+    return VectorField(fn, dim, div_fn, jac_fn, "rotated-score")

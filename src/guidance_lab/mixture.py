@@ -73,7 +73,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import schedule as sched
-from .errors import ConfigurationError, DomainError, ShapeError
+from .errors import ConfigurationError, ShapeError
 
 _WEIGHT_TOL = 1e-12
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -207,12 +207,6 @@ class GaussianMixture:
     def log_density(self, x):
         """Log density of the mixture at ``x``."""
         return _log_density(self, 1.0, 0.0, x)
-
-    def responsibilities(self, x):
-        """(n, k) posterior component weights at ``x`` (rows sum to one)."""
-        pts, single = _as_batch(x, self.dim)
-        r = _evaluate(self, 1.0, 0.0, pts).resp
-        return r[:, 0] if single else r.T
 
     def score(self, x):
         """Gradient of the log density at ``x``."""
@@ -557,29 +551,24 @@ def posterior(target, schedule, t, x) -> PosteriorMoments:
     return PosteriorMoments(mean=mean.T, cov_trace=cov_trace)
 
 
-def velocity(target, schedule, t, x, method="score"):
-    """Exact probability-flow velocity of the time-``t`` marginal at ``x``.
-
-    Two algebraically equivalent routes are implemented:
-
-    * ``"score"``: ``a_t * x - b_t * score_t(x)`` with the conversion
-      coefficients from the schedule;
-    * ``"predictors"``: ``d_alpha * x1_hat + d_sigma * x0_hat`` where
-      ``x1_hat`` is the posterior mean and ``x0_hat = (x - alpha*x1_hat)/sigma``.
-
-    They share no code beyond the per-component marginal terms (log
-    densities, responsibilities and eigenvalues of :func:`_evaluate`), so
-    their agreement is a meaningful consistency check.
-    """
+def velocity(target, schedule, t, x):
+    """Exact probability-flow velocity ``a_t * x - b_t * score_t(x)`` of the
+    time-``t`` marginal at ``x``; :func:`_predictor_velocity` is the
+    reference route the tests compare it with."""
     pts, single = _as_batch(x, target.dim)
-    if method == "score":
-        terms = _evaluate(target, *_path(schedule, t), pts)
-        v, = _velocities(target, terms, *sched.coefficients(schedule, t), pts)
-    elif method == "predictors":
-        x1_hat = posterior(target, schedule, t, pts).mean.T
-        alpha, sigma, d_alpha, d_sigma = sched.evaluate(schedule, t)
-        x0_hat = (pts.T - alpha * x1_hat) / sigma
-        v = (d_alpha * x1_hat + d_sigma * x0_hat).T
-    else:
-        raise DomainError(f"unknown velocity method {method!r}")
+    terms = _evaluate(target, *_path(schedule, t), pts)
+    v, = _velocities(target, terms, *sched.coefficients(schedule, t), pts)
+    return v[0] if single else v
+
+
+def _predictor_velocity(target, schedule, t, x):
+    """The velocity ``d_alpha * x1_hat + d_sigma * x0_hat``, with ``x1_hat``
+    the posterior mean and ``x0_hat = (x - alpha * x1_hat) / sigma``.  It
+    shares no code with :func:`velocity` beyond the per-component marginal
+    terms of :func:`_evaluate`, so their agreement is a meaningful check."""
+    pts, single = _as_batch(x, target.dim)
+    x1_hat = posterior(target, schedule, t, pts).mean.T
+    alpha, sigma, d_alpha, d_sigma = sched.evaluate(schedule, t)
+    x0_hat = (pts.T - alpha * x1_hat) / sigma
+    v = (d_alpha * x1_hat + d_sigma * x0_hat).T
     return v[0] if single else v

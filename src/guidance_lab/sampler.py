@@ -100,14 +100,6 @@ class TrajectoryRecord:
     states: np.ndarray
 
     @property
-    def steps(self):
-        return self.states.shape[0] - 1
-
-    @property
-    def dim(self):
-        return self.states.shape[-1]
-
-    @property
     def terminal_state(self):
         return self.states[-1]
 

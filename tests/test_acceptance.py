@@ -271,9 +271,8 @@ def test_criterion_05_velocity_and_tweedie():
                 t = float(t)
                 xs = rng.normal(0.0, 1.5, size=(21, dim))
                 count += xs.shape[0]
-                via_score = mixture.velocity(target, sch, t, xs, method="score")
-                via_pred = mixture.velocity(target, sch, t, xs,
-                                            method="predictors")
+                via_score = mixture.velocity(target, sch, t, xs)
+                via_pred = mixture._predictor_velocity(target, sch, t, xs)
                 scale = max(1.0, float(np.max(np.abs(via_score))))
                 worst_v = max(worst_v,
                               float(np.max(np.abs(via_score - via_pred))) / scale)

@@ -1,6 +1,7 @@
 """Tests for config round-tripping, table formatting, and the CLI runners."""
 
 import ast
+import dataclasses
 import json
 import os
 import re
@@ -23,9 +24,12 @@ from guidance_lab import (
     default_config,
     default_target_pair,
     format_value,
+    initial_states,
+    integrate,
     load_config,
+    marginal_at,
     mixture,
-    save_config,
+    permutation_test,
     target_from_dict,
     target_to_dict,
     verify,
@@ -36,11 +40,12 @@ from guidance_lab.config import (
     MAX_SAMPLE_COUNT,
     MAX_STEPS,
 )
-from guidance_lab.guidance import (parallel_component_field,
+from guidance_lab.guidance import (GuidanceConfig, GuidanceRule,
+                                   parallel_component_field,
                                    projected_update_field, residual_field,
                                    velocity_field)
 from guidance_lab.schedule import guidance_scale_at
-from guidance_lab.tables import atomic_write
+from guidance_lab.tables import atomic_write, write_json
 from guidance_lab.verify import _random_mixture
 
 
@@ -61,6 +66,8 @@ def test_package_exports_match_its_imports():
     assert public <= set(guidance_lab.__all__)
     for name in guidance_lab.__all__:
         getattr(guidance_lab, name)
+    # Config files are written as write_json(config_to_dict(config), path).
+    assert not hasattr(guidance_lab, "save_config")
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +230,15 @@ def test_default_config_every_kind():
 
 def test_config_dict_round_trip_is_exact():
     for kind in KINDS:
-        d = config_to_dict(default_config(kind, seed=3, output_dir="artifacts"))
+        d = config_to_dict(dataclasses.replace(
+            default_config(kind), seed=3, output_dir="artifacts"))
         assert config_to_dict(config_from_dict(d)) == d
 
 
 def test_config_file_round_trip(tmp_path):
-    config = default_config("sweep_omega", seed=11)
+    config = dataclasses.replace(default_config("sweep_omega"), seed=11)
     path = tmp_path / "cfg.json"
-    save_config(config, str(path))
+    write_json(config_to_dict(config), str(path))
     loaded = load_config(str(path))
     assert config_to_dict(loaded) == config_to_dict(config)
 
@@ -604,6 +612,115 @@ def test_cli_sample_compare_smoke(tmp_path):
     for rule in report["rules"].values():
         assert rule["n_perm"] == 100
         assert "0.95" in rule["null_quantiles"]
+
+
+def _derived_seed(*entropy):
+    # The child seed each sampling kind derives from its config seed.
+    return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
+
+
+def _rules_at(config, omega):
+    cfg = GuidanceConfig(rule=GuidanceRule.CFG, guidance_scale=omega,
+                         min_scale=0.0, decay_power=0.0, parallel_scale=1.0)
+    projected = dataclasses.replace(
+        config.guidance, rule=GuidanceRule.PROJECTED, guidance_scale=omega,
+        min_scale=min(config.guidance.min_scale, omega))
+    return {"cfg": cfg, "projected": projected}
+
+
+def _recomputed(config, omega, x0_seed, oracle_seed, null_seed):
+    """Per rule: terminal states, permutation test and mean log p_c, from
+    the public API alone; and the oracle draws."""
+    x0s = initial_states(config.sample_count, config.pair.dim, x0_seed)
+    oracle = marginal_at(config.pair.conditional, config.schedule,
+                         config.sampler.t_end).sample(config.sample_count,
+                                                      seed=oracle_seed)
+    out = {}
+    for index, (name, rule) in enumerate(_rules_at(config, omega).items()):
+        record = integrate(x0s, config.pair, config.schedule, rule,
+                           config.sampler)
+        result = permutation_test(record.terminal_state, oracle,
+                                  n_perm=config.n_perm, seed=null_seed(index))
+        log_p = mixture.log_density(config.pair.conditional, config.schedule,
+                                    float(record.times[-1]),
+                                    record.terminal_state)
+        out[name] = (record.terminal_state, result, float(log_p.mean()))
+    return oracle, out
+
+
+_SAMPLING = {"seed": 7, "sampler": {"steps": 12, "seed": 11},
+             "samples": {"count": 60, "n_perm": 100}}
+
+
+def test_sweep_omega_values_match_the_public_api_bit_for_bit(tmp_path):
+    payload = {**_SAMPLING, "kind": "sweep_omega",
+               "guidance": {"omega_sweep": [2.0, 5.0]}}
+    config = config_from_dict(payload)
+    out = tmp_path / "out"
+    assert cli.main(["sweep_omega", "--config", _write_config(tmp_path, payload),
+                     "--out", str(out)]) == 0
+    header, *lines = (out / "sweep_omega.csv").read_text().splitlines()
+    assert header == "rule,omega,energy_distance,null_q95,mean_log_p_cond"
+    report = json.loads((out / "sweep_omega_report.json").read_text())
+    rows = iter(line.split(",") for line in lines)
+    for oi, omega in enumerate(config.omega_sweep):
+        _, rules = _recomputed(
+            config, omega, _derived_seed(7, 1, oi), _derived_seed(7, 2, oi),
+            lambda ri: _derived_seed(7, 3, oi, ri))
+        for name, (_, result, log_p) in rules.items():
+            rule, *values = next(rows)
+            assert rule == name
+            assert [float(v) for v in values] == [
+                omega, result.statistic, result.null_quantiles[0.95], log_p]
+            assert report["energy_distances"][f"{name}_omega_{omega:g}"] == (
+                result.statistic)
+    assert next(rows, None) is None
+
+
+def test_sample_compare_values_match_the_public_api_bit_for_bit(tmp_path):
+    payload = {**_SAMPLING, "kind": "sample_compare",
+               "guidance": {"guidance_scale": 15.0}}
+    config = config_from_dict(payload)
+    out = tmp_path / "out"
+    assert cli.main(["sample_compare", "--config",
+                     _write_config(tmp_path, payload), "--out", str(out)]) == 0
+    oracle, rules = _recomputed(config, 15.0, 11, _derived_seed(7, 4),
+                                lambda ri: _derived_seed(7, 5, ri))
+    report = json.loads((out / "sample_compare_report.json").read_text())
+    assert (report["sample_count"], report["guidance_scale"]) == (60, 15.0)
+    assert list(report["rules"]) == list(rules)
+
+    def samples(name):
+        _, *lines = (out / f"samples_{name}.csv").read_text().splitlines()
+        return np.array([[float(v) for v in line.split(",")] for line in lines])
+
+    np.testing.assert_array_equal(samples("oracle"), oracle)
+    for name, (terminal, result, log_p) in rules.items():
+        np.testing.assert_array_equal(samples(name), terminal)
+        assert report["rules"][name] == {
+            "energy_distance": result.statistic,
+            "null_quantiles": {repr(q): v
+                               for q, v in result.null_quantiles.items()},
+            "n_perm": 100,
+            "mean_terminal_log_p_cond": log_p,
+        }
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind, column", [("trace_divergence", "div_g_beta_0"),
+                                          ("sweep_beta", "div_g_par")])
+def test_trace_kind_with_a_non_finite_cell_exits_2_before_writing(
+        tmp_path, capsys, kind, column):
+    # At t = 1e-300, |b_t| = sigma / alpha is near 1e300, so the squared
+    # norm of the split's normal overflows.
+    cfg = _write_config(tmp_path, {"kind": kind, "schedule": {"t_min": 1e-300},
+                                   "sampler": {"t_start": 1e-300}})
+    out = tmp_path / "out"
+    assert cli.main([kind, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"column {column} is not finite at step 0" in err
+    assert list(out.iterdir()) == []
 
 
 def test_cli_verify_smoke(tmp_path):

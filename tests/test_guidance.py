@@ -503,14 +503,35 @@ def test_residual_field_equals_the_per_target_oracles_bit_for_bit():
         want_jac = -mixture._column(b, 2) * (
             mixture.hessian_log_density(cond, sch, t, x)
             - mixture.hessian_log_density(uncond, sch, t, x))
-        got = [f.divergence(x, t), f.jacobian(x, t)]
-        want = [want_div, want_jac]
-        if np.ndim(t) == 0:
-            got.append(f(x, t))
-            want.append(mixture.velocity(cond, sch, t, x)
-                        - mixture.velocity(uncond, sch, t, x))
+        got = [f.divergence(x, t), f.jacobian(x, t), f(x, t)]
+        want = [want_div, want_jac, mixture.velocity(cond, sch, t, x)
+                - mixture.velocity(uncond, sch, t, x)]
         for values, expected in zip(got, want):
             assert np.asarray(values).tobytes() == np.asarray(expected).tobytes()
+
+
+def test_field_values_along_a_trajectory_match_each_row_bit_for_bit():
+    rng = np.random.default_rng(98)
+    sch = Schedule()
+    cond, uncond = _pair(rng, dim=2)
+    fields = [
+        velocity_field(uncond, sch),
+        residual_field(cond, uncond, sch),
+        parallel_component_field(cond, uncond, sch,
+                                 normal_source=NormalSource.UNCONDITIONAL),
+        projected_update_field(cond, uncond, sch, GuidanceConfig()),
+        score_rotation_field(cond, sch, scale=0.7),
+    ]
+    times = rng.uniform(sch.t_min, sch.t_max, size=5)
+    xs = rng.normal(size=(5, 2))
+    for field in fields:
+        got = field(xs, times)
+        want = np.array([field(x, float(t)) for x, t in zip(xs, times)])
+        assert got.shape == (5, 2), field.label
+        assert got.tobytes() == want.tobytes(), field.label
+        for wrong in (times[:4], np.append(times, 0.5)):
+            with pytest.raises(ShapeError):
+                field(xs, wrong)
 
 
 def test_projected_update_field_requires_projected_rule():

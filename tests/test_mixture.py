@@ -197,7 +197,7 @@ _PER_POINT_ORACLES = {
     "posterior_mean": lambda *args: mixture.posterior(*args).mean,
     "posterior_trace": lambda *args: mixture.posterior(*args).cov_trace,
     "velocity": mixture.velocity,
-    "velocity_predictors": lambda *args: mixture.velocity(*args, method="predictors"),
+    "velocity_predictors": mixture._predictor_velocity,
 }
 
 
@@ -423,18 +423,6 @@ def test_hessian_symmetric_and_trace_is_laplacian():
         )
 
 
-def test_responsibilities():
-    g = GaussianMixture.isotropic(
-        np.array([[-4.0, 0.0], [4.0, 0.0]]), np.array([1.0, 1.0])
-    )
-    r = g.responsibilities(np.array([4.0, 0.0]))
-    assert r.shape == (2,)
-    assert r.sum() == pytest.approx(1.0, abs=1e-12)
-    assert r[1] > 0.999999
-    batch = g.responsibilities(np.zeros((3, 2)))
-    np.testing.assert_allclose(batch.sum(axis=1), 1.0, atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -552,8 +540,8 @@ def test_velocity_methods_agree():
         target = _random_mixture(rng, dim, k)
         xs = rng.normal(0.0, 1.5, size=(8, dim))
         for t in (sch.t_min, 0.3, 0.7, sch.t_max):
-            via_score = mixture.velocity(target, sch, t, xs, method="score")
-            via_pred = mixture.velocity(target, sch, t, xs, method="predictors")
+            via_score = mixture.velocity(target, sch, t, xs)
+            via_pred = mixture._predictor_velocity(target, sch, t, xs)
             scale = max(1.0, float(np.max(np.abs(via_score))))
             assert np.max(np.abs(via_score - via_pred)) <= 1e-10 * scale
 
@@ -584,12 +572,6 @@ def test_velocity_near_deterministic_target_is_straight_line():
         expect = mu - (x - t * mu) / (1 - t)
         got = mixture.velocity(target, sch, t, x)
         np.testing.assert_allclose(got, expect, rtol=1e-8, atol=1e-8)
-
-
-def test_velocity_unknown_method():
-    target = GaussianMixture.single(np.zeros(2), 1.0)
-    with pytest.raises(DomainError):
-        mixture.velocity(target, Schedule(), 0.5, np.zeros(2), method="spline")
 
 
 # ---------------------------------------------------------------------------

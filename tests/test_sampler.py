@@ -46,8 +46,6 @@ def test_time_grid_endpoints_and_shape():
     assert rec.times[0] == 0.05
     assert rec.times[-1] == 0.95
     np.testing.assert_allclose(np.diff(rec.times), 0.9 / 12, rtol=1e-12)
-    assert rec.steps == 12
-    assert rec.dim == 2
     np.testing.assert_array_equal(rec.terminal_state, rec.states[-1])
 
 
@@ -249,7 +247,6 @@ def test_batch_result_summary_shapes():
     assert isinstance(res, TrajectoryRecord)
     assert res.times.shape == (9,)
     assert res.states.shape == (9, 5, 2)
-    assert res.steps == 8 and res.dim == 2
     assert res.terminal_state.shape == (5, 2)
     np.testing.assert_array_equal(res.states[0], initial_states(5, 2, seed=3))
 
