@@ -63,8 +63,8 @@ from .mixture import (
     hessian_log_density,
     laplacian_log_density,
     log_density,
-    marginal_at,
     posterior,
+    sample,
     score,
     velocity,
 )
@@ -144,7 +144,6 @@ __all__ = [
     "load_config",
     "log_density",
     "loglog_slope",
-    "marginal_at",
     "normal_direction",
     "parallel_component_field",
     "permutation_test",
@@ -153,6 +152,7 @@ __all__ = [
     "report_dict",
     "residual_field",
     "run_all_checks",
+    "sample",
     "score",
     "score_rotation_field",
     "target_from_dict",

@@ -161,9 +161,8 @@ def run_sweep_beta(config):
 def _oracle_terminal_draws(config, seed):
     """``sample_count`` draws of the conditional target's marginal at the
     grid's last time."""
-    marg = mix.marginal_at(config.pair.conditional, config.schedule,
-                           config.sampler.t_end)
-    return marg.sample(config.sample_count, seed=seed)
+    return mix.sample(config.pair.conditional, config.schedule,
+                      config.sampler.t_end, config.sample_count, seed)
 
 
 def _compare_rules(config, omega, x0s, oracle, null_seed):

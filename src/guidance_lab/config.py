@@ -29,10 +29,10 @@ integers only (not booleans or fractional numbers), and real fields and
 arrays take finite JSON numbers only (not ``NaN``, ``Infinity`` or an
 integer beyond the float range).  Seeds must be non-negative, the size
 fields are at most ``MAX_STEPS``, ``MAX_SAMPLE_COUNT`` and
-``MAX_PERMUTATIONS``, the sampler grid must lie inside the schedule
-clamp, and no two values of a sweep may be equal or share the ``:g`` label
-that names them in the artifacts, so a bad config fails before any
-artifact is written.
+``MAX_PERMUTATIONS``, a target's ``dim`` is in [1, ``MAX_DIM``], the
+sampler grid must lie inside the schedule clamp, and no two values of a
+sweep may be equal or share the ``:g`` label that names them in the
+artifacts, so a bad config fails before any artifact is written.
 """
 
 from __future__ import annotations
@@ -73,6 +73,11 @@ CONDITIONAL_SCALE = 1.875e-3
 MAX_STEPS = 10_000
 MAX_SAMPLE_COUNT = 100_000
 MAX_PERMUTATIONS = 10_000
+# A target's dimension, the largest ``verify`` uses.  At it, with the other
+# fields at their defaults, the largest array is the (31, 512, 2000) states of
+# ``sample_compare`` and ``sweep_omega`` (254 MB), the (31, 512, 512) Hessians
+# of the trace kinds (65 MB) and an (8, 512, 512) one of ``verify`` (17 MB).
+MAX_DIM = 512
 
 
 def default_target_pair():
@@ -209,6 +214,7 @@ def target_from_dict(d):
     where = "target"
     _check_keys(_object(d, where), _TARGET_KEYS, where)
     dim = _int(d, "dim", _MISSING, where)
+    _check_range(f"{where}.dim", dim, 1, MAX_DIM)
     components = _field(d, "components", _MISSING, where)
     if not isinstance(components, list):
         raise ConfigurationError(f"{where}.components must be a list")

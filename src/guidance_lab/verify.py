@@ -65,8 +65,7 @@ def _random_mixture(rng, dim, components):
 
 def _random_points(rng, target, schedule, t, count):
     """In-distribution evaluation points: marginal draws plus jitter."""
-    marg = mix.marginal_at(target, schedule, t)
-    pts = marg.sample(count, seed=int(rng.integers(2**31)))
+    pts = mix.sample(target, schedule, t, count, int(rng.integers(2**31)))
     return pts + 0.1 * rng.normal(size=pts.shape)
 
 
@@ -188,25 +187,20 @@ def check_density_mass(config):
     rng = _rng(config.seed, 4)
     target_1d = _random_mixture(rng, 1, 2)
     for t in (0.3, 0.7):
-        marg = mix.marginal_at(target_1d, schedule, t)
-        lo = float(np.min(marg.means)) - 10.0 * float(
-            np.sqrt(np.max(marg.covariances))
-        )
-        hi = float(np.max(marg.means)) + 10.0 * float(
-            np.sqrt(np.max(marg.covariances))
-        )
-        u, w = _gauss_legendre(lo, hi)
+        means, covs = mix._marginal_moments(target_1d, *mix._path(schedule, t))
+        half = 10.0 * float(np.sqrt(np.max(covs)))
+        u, w = _gauss_legendre(float(np.min(means)) - half,
+                               float(np.max(means)) + half)
         density = np.exp(mix.log_density(target_1d, schedule, t, u[:, None]))
         masses.append(float(w @ density))
     for target in (config.pair.conditional, config.pair.unconditional):
         if target.dim != 2:
             continue
         t = 0.5
-        marg = mix.marginal_at(target, schedule, t)
-        spread = 9.0 * float(np.sqrt(np.max([np.trace(c) for c in marg.covariances])))
-        lo = float(np.min(marg.means)) - spread
-        hi = float(np.max(marg.means)) + spread
-        u, w = _gauss_legendre(lo, hi)
+        means, covs = mix._marginal_moments(target, *mix._path(schedule, t))
+        spread = 9.0 * float(np.sqrt(np.max([np.trace(c) for c in covs])))
+        u, w = _gauss_legendre(float(np.min(means)) - spread,
+                               float(np.max(means)) + spread)
         grid = np.stack(np.meshgrid(u, u, indexing="ij"), axis=-1).reshape(-1, 2)
         density = np.exp(mix.log_density(target, schedule, t, grid))
         masses.append(float(w @ density.reshape(_MASS_NODES, _MASS_NODES) @ w))
@@ -521,8 +515,7 @@ def check_parallel_ratio_trend(config):
         cond = mix.GaussianMixture.single(
             15.0 * direction, 0.995**2 * np.eye(dim)
         )
-        marg_c = mix.marginal_at(cond, schedule, t)
-        points = marg_c.sample(16, seed=int(rng.integers(2**31)))
+        points = mix.sample(cond, schedule, t, 16, int(rng.integers(2**31)))
         g_field = gd.residual_field(cond, uncond, schedule)
         par_field = gd.parallel_component_field(cond, uncond, schedule)
         ratios = []

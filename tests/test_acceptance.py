@@ -155,7 +155,7 @@ def test_criterion_03_laplacian_vs_stencil():
         target = _random_mixture(rng, dim, int(rng.integers(1, 4)))
         t = float(rng.uniform(0.05, 0.95))
         # evaluate near the mass of the marginal so the Laplacian is O(1)
-        x = mixture.marginal_at(target, sch, t).sample(1, seed=i)[0]
+        x = mixture.sample(target, sch, t, 1, i)[0]
         x = x + 0.1 * rng.normal(size=dim)
         exact = mixture.laplacian_log_density(target, sch, t, x)
         stencil = 0.0
@@ -234,7 +234,7 @@ def test_criterion_04_projected_divergence_structure():
         g_field = residual_field(cond, uncond, sch)
         par_field = parallel_component_field(cond, uncond, sch)
         t = 0.5
-        pts = mixture.marginal_at(cond, sch, t).sample(16, seed=900 + d_i)
+        pts = mixture.sample(cond, sch, t, 16, 900 + d_i)
         ratios = []
         for x in pts:
             div_g = g_field.divergence(x, t)
@@ -279,7 +279,7 @@ def test_criterion_05_velocity_and_tweedie():
 
                 alpha, sigma, _, _ = evaluate(sch, t)
                 post = mixture.posterior(target, sch, t, xs)
-                s = mixture.marginal_at(target, sch, t).score(xs)
+                s = mixture.score(target, sch, t, xs)
                 x_back = alpha * post.mean - sigma * sigma * s
                 xscale = max(1.0, float(np.max(np.abs(xs))))
                 worst_tw = max(worst_tw,
@@ -459,9 +459,7 @@ def test_criterion_09_sample_quality():
     details = []
     for seed in range(10):
         scfg = SamplerConfig(steps=30, seed=seed)
-        oracle = mixture.marginal_at(pair.conditional, sch, scfg.t_end).sample(
-            n, seed=1000 + seed
-        )
+        oracle = mixture.sample(pair.conditional, sch, scfg.t_end, n, 1000 + seed)
         x0s = initial_states(n, pair.dim, scfg.seed)
         ed_cfg = energy_distance(
             integrate(x0s, pair, sch, cfg_rule, scfg).terminal_state, oracle

@@ -27,7 +27,6 @@ from guidance_lab import (
     initial_states,
     integrate,
     load_config,
-    marginal_at,
     mixture,
     permutation_test,
     target_from_dict,
@@ -36,6 +35,7 @@ from guidance_lab import (
 )
 from guidance_lab.config import (
     KINDS,
+    MAX_DIM,
     MAX_PERMUTATIONS,
     MAX_SAMPLE_COUNT,
     MAX_STEPS,
@@ -302,6 +302,9 @@ def test_config_validation_errors():
         MAX_STEPS, MAX_SAMPLE_COUNT, MAX_PERMUTATIONS)
     with pytest.raises(ConfigurationError):
         config_from_dict({"kind": "verify", "sampler": {"steps": MAX_STEPS + 1}})
+    wide = target_from_dict({"dim": MAX_DIM, "components": [
+        {"weight": 1.0, "mean": [0.0] * MAX_DIM, "cov_diag": [1.0] * MAX_DIM}]})
+    assert wide.dim == MAX_DIM
     for key, value in (("dim", 2.0), ("colour", 1)):
         bad = json.loads(json.dumps(base))
         bad[key] = value
@@ -328,7 +331,7 @@ def test_readme_config_example_loads():
     with open(readme, encoding="utf-8") as fh:
         text = fh.read()
     for name, cap in (("MAX_STEPS", MAX_STEPS), ("MAX_SAMPLE_COUNT", MAX_SAMPLE_COUNT),
-                      ("MAX_PERMUTATIONS", MAX_PERMUTATIONS)):
+                      ("MAX_PERMUTATIONS", MAX_PERMUTATIONS), ("MAX_DIM", MAX_DIM)):
         assert f"`{name}` = {cap:,}" in text
     blocks = re.findall(r"```json\n(.*?)```", text, flags=re.DOTALL)
     assert len(blocks) == 1
@@ -632,9 +635,9 @@ def _recomputed(config, omega, x0_seed, oracle_seed, null_seed):
     """Per rule: terminal states, permutation test and mean log p_c, from
     the public API alone; and the oracle draws."""
     x0s = initial_states(config.sample_count, config.pair.dim, x0_seed)
-    oracle = marginal_at(config.pair.conditional, config.schedule,
-                         config.sampler.t_end).sample(config.sample_count,
-                                                      seed=oracle_seed)
+    oracle = mixture.sample(config.pair.conditional, config.schedule,
+                            config.sampler.t_end, config.sample_count,
+                            oracle_seed)
     out = {}
     for index, (name, rule) in enumerate(_rules_at(config, omega).items()):
         record = integrate(x0s, config.pair, config.schedule, rule,
@@ -811,6 +814,14 @@ def _with_component(**fields):
             "targets": {"conditional": bad, "unconditional": _RING_TARGET}}
 
 
+def _with_dim(dim):
+    """Both targets of dimension ``dim``, each list of length ``dim``."""
+    target = {"dim": dim, "components": [
+        {"weight": 1.0, "mean": [0.0] * dim, "cov_diag": [1.0] * dim}]}
+    return {**_SMALL_COMPARE,
+            "targets": {"conditional": target, "unconditional": target}}
+
+
 @pytest.mark.parametrize("payload, flags", [
     (_SMALL_COMPARE, ["--seed", "-1"]),
     ({**_SMALL_COMPARE, "seed": -3}, []),
@@ -824,6 +835,8 @@ def _with_component(**fields):
     (_with("sampler", steps=10 ** 400), []),
     (_with("samples", count=MAX_SAMPLE_COUNT + 1), []),
     (_with("samples", n_perm=MAX_PERMUTATIONS + 1), []),
+    (_with_dim(0), []),
+    (_with_dim(MAX_DIM + 1), []),
     (b'{"kind": "sample_compare", "seed": ' + b"1" * 5000 + b"}", []),
     (b'{"kind": "sample_compare", "output_dir": "\xff"}', []),
     # Sweep values whose artifact labels (``f"{value:g}"``) collide.
@@ -835,7 +848,8 @@ def _with_component(**fields):
     ({"kind": "trace_divergence", "guidance": {"beta_sweep": [0.0, -0.0]}}, []),
 ], ids=["seed-flag", "seed", "sampler-seed", "nan-weight", "inf-cov",
         "nan-sweep", "grid-outside-clamp", "huge-int-scale", "huge-int-mean",
-        "huge-steps", "count-over-cap", "n-perm-over-cap", "over-long-integer",
+        "huge-steps", "count-over-cap", "n-perm-over-cap", "dim-0",
+        "dim-over-cap", "over-long-integer",
         "not-utf8", "trace-beta-labels", "sweep-beta-labels", "omega-labels",
         "repeated-beta", "signed-zero-beta"])
 def test_cli_invalid_config_exits_2_before_any_artifact(tmp_path, capsys,

@@ -42,17 +42,20 @@ def test_two_component_log_density_frozen_value():
 
 
 def test_standard_normal_log_density():
-    g1 = mixture.GaussianMixture.single(np.zeros(1), 1.0)
-    assert g1.log_density(np.zeros(1)) == pytest.approx(
+    # At t = 0.5 the marginal of N(0, 3 I) is N(0, 0.25 * 3 I + 0.25 I),
+    # the standard normal, with no rounding in its variance.
+    sch = Schedule()
+    g1 = mixture.GaussianMixture.single(np.zeros(1), 3.0)
+    assert mixture.log_density(g1, sch, 0.5, np.zeros(1)) == pytest.approx(
         -0.5 * math.log(2 * math.pi), abs=1e-14
     )
-    g2 = mixture.GaussianMixture.single(np.zeros(2), 1.0)
-    assert g2.log_density(np.zeros(2)) == pytest.approx(
+    g2 = mixture.GaussianMixture.single(np.zeros(2), 3.0)
+    assert mixture.log_density(g2, sch, 0.5, np.zeros(2)) == pytest.approx(
         -math.log(2 * math.pi), abs=1e-14
     )
     x = np.array([0.3, -1.2])
     expect = -math.log(2 * math.pi) - 0.5 * float(x @ x)
-    assert g2.log_density(x) == pytest.approx(expect, rel=1e-14)
+    assert mixture.log_density(g2, sch, 0.5, x) == pytest.approx(expect, rel=1e-14)
 
 
 def test_marginal_of_standard_normal():
@@ -62,22 +65,24 @@ def test_marginal_of_standard_normal():
     sch = Schedule()
     for t in (0.1, 0.5, 0.9):
         var = t * t + (1.0 - t) ** 2
-        marg = mixture.marginal_at(target, sch, t)
-        np.testing.assert_allclose(marg.covariances[0], var * np.eye(3), rtol=1e-14)
+        _, covs = mixture._marginal_moments(target, t, 1.0 - t)
+        np.testing.assert_allclose(covs[0], var * np.eye(3), rtol=1e-14)
         x = np.array([0.4, -0.2, 1.1])
         expect = -1.5 * math.log(2 * math.pi * var) - 0.5 * float(x @ x) / var
-        assert marg.log_density(x) == pytest.approx(expect, rel=1e-13)
+        assert mixture.log_density(target, sch, t, x) == pytest.approx(
+            expect, rel=1e-13)
 
 
 def test_log_density_shapes():
     g = GaussianMixture.single(np.zeros(2), 1.0)
-    assert isinstance(g.log_density(np.zeros(2)), float)
-    batch = g.log_density(np.zeros((5, 2)))
+    sch = Schedule()
+    assert isinstance(mixture.log_density(g, sch, 0.5, np.zeros(2)), float)
+    batch = mixture.log_density(g, sch, 0.5, np.zeros((5, 2)))
     assert batch.shape == (5,)
     with pytest.raises(ShapeError):
-        g.log_density(np.zeros(3))
+        mixture.log_density(g, sch, 0.5, np.zeros(3))
     with pytest.raises(ShapeError):
-        g.log_density(np.zeros((4, 3)))
+        mixture.log_density(g, sch, 0.5, np.zeros((4, 3)))
 
 
 def test_log_density_far_point_is_minus_infinity():
@@ -88,21 +93,19 @@ def test_log_density_far_point_is_minus_infinity():
     far = np.array([1e200, 0.0])
     batch = np.array([[0.3, -0.2], far, [1.0, 2.0]])
     rng = np.random.default_rng(7)
+    sch = Schedule()
     for target in (
         GaussianMixture.isotropic(np.array([[1.0, 0.0], [0.0, 1.0]]), [0.5, 0.7]),
         _random_mixture(rng, 2, 3),
     ):
-        with np.errstate(over="ignore", invalid="ignore", divide="raise"):
-            assert target.log_density(far) == -math.inf
-            assert mixture.log_density(target, Schedule(), 0.5, far) == -math.inf
-            for vals, alone in (
-                (target.log_density(batch), target.log_density),
-                (mixture.log_density(target, Schedule(), 0.5, batch),
-                 lambda x: mixture.log_density(target, Schedule(), 0.5, x)),
-            ):
+        for t in (0.5, sch.t_max):
+            with np.errstate(over="ignore", invalid="ignore", divide="raise"):
+                assert mixture.log_density(target, sch, t, far) == -math.inf
+                vals = mixture.log_density(target, sch, t, batch)
                 assert vals[1] == -math.inf
                 for row in (0, 2):
-                    assert np.isfinite(vals[row]) and vals[row] == alone(batch[row])
+                    alone = mixture.log_density(target, sch, t, batch[row])
+                    assert np.isfinite(vals[row]) and vals[row] == alone
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +171,7 @@ def test_time_t_oracles_match_dense_reference(form, t):
     rng = np.random.default_rng([31, sorted(_FORMS).index(form)])
     target = _FORMS[form](rng)
     sch = Schedule()
-    marg = mixture.marginal_at(target, sch, t)
-    pts = marg.sample(4, seed=3) + 0.3 * rng.normal(size=(4, target.dim))
+    pts = mixture.sample(target, sch, t, 4, 3) + 0.3 * rng.normal(size=(4, target.dim))
     log_p = mixture.log_density(target, sch, t, pts)
     score = mixture.score(target, sch, t, pts)
     post = mixture.posterior(target, sch, t, pts)
@@ -222,10 +224,13 @@ def test_per_point_times_match_single_point_loop(form):
 def test_batched_hessian_method_matches_single_points():
     target = _random_mixture(np.random.default_rng(48), 3, 4)
     xs = np.random.default_rng(49).normal(size=(5, 3))
-    batch = target.hessian_log_density(xs)
-    assert batch.shape == (5, 3, 3)
-    for i in range(5):
-        np.testing.assert_array_equal(batch[i], target.hessian_log_density(xs[i]))
+    sch = Schedule()
+    for t in (0.5, sch.t_max):
+        batch = mixture.hessian_log_density(target, sch, t, xs)
+        assert batch.shape == (5, 3, 3)
+        for i in range(5):
+            np.testing.assert_array_equal(
+                batch[i], mixture.hessian_log_density(target, sch, t, xs[i]))
 
 
 def test_per_point_times_are_checked():
@@ -379,18 +384,22 @@ def test_laplacian_matches_stencil():
 
 def test_single_gaussian_hessian_is_minus_precision():
     # With one component the responsibilities are constant, so the Hessian
-    # of the log density is exactly -Sigma^{-1} at every point.
+    # of the time-t log density is exactly -(alpha^2 Sigma + sigma^2 I)^{-1}
+    # at every point.
     rng = np.random.default_rng(303)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     cov = q @ np.diag([0.5, 1.0, 2.0]) @ q.T
     g = GaussianMixture.single(rng.normal(size=3), cov)
-    for _ in range(3):
-        x = rng.normal(0.0, 2.0, size=3)
-        h = g.hessian_log_density(x)
-        np.testing.assert_allclose(h, -np.linalg.inv(cov), rtol=1e-12, atol=1e-12)
-        assert g.laplacian_log_density(x) == pytest.approx(
-            -np.trace(np.linalg.inv(cov)), rel=1e-12
-        )
+    sch = Schedule()
+    for t in (sch.t_min, 0.5, sch.t_max):
+        precision = np.linalg.inv(t * t * cov + (1.0 - t) ** 2 * np.eye(3))
+        for _ in range(3):
+            x = rng.normal(0.0, 2.0, size=3)
+            h = mixture.hessian_log_density(g, sch, t, x)
+            np.testing.assert_allclose(h, -precision, rtol=1e-12, atol=1e-12)
+            assert mixture.laplacian_log_density(g, sch, t, x) == pytest.approx(
+                -np.trace(precision), rel=1e-12
+            )
 
 
 def test_sharp_gaussian_curvature_does_not_cancel_the_score():
@@ -414,13 +423,16 @@ def test_sharp_gaussian_curvature_does_not_cancel_the_score():
 def test_hessian_symmetric_and_trace_is_laplacian():
     rng = np.random.default_rng(404)
     target = _random_mixture(rng, 3, 4)
-    for _ in range(5):
-        x = rng.normal(0.0, 1.5, size=3)
-        h = target.hessian_log_density(x)
-        np.testing.assert_allclose(h, h.T, atol=1e-14)
-        assert np.trace(h) == pytest.approx(
-            target.laplacian_log_density(x), rel=1e-11, abs=1e-12
-        )
+    sch = Schedule()
+    for t in (sch.t_min, 0.5, sch.t_max):
+        for _ in range(5):
+            x = rng.normal(0.0, 1.5, size=3)
+            h = mixture.hessian_log_density(target, sch, t, x)
+            np.testing.assert_allclose(h, h.T, atol=1e-14)
+            assert np.trace(h) == pytest.approx(
+                mixture.laplacian_log_density(target, sch, t, x),
+                rel=1e-11, abs=1e-12
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +440,17 @@ def test_hessian_symmetric_and_trace_is_laplacian():
 
 
 def test_sample_moments_match_mixture():
+    # The time-t marginal's component j is N(alpha mu_j, alpha^2 Sigma_j +
+    # sigma^2 I).
     weights = np.array([0.3, 0.7])
-    means = np.array([[-2.0, 0.0], [2.0, 1.0]])
-    covs = np.stack([0.5 * np.eye(2), np.array([[1.0, 0.3], [0.3, 0.8]])])
-    g = GaussianMixture(weights, means, covs)
+    base_means = np.array([[-2.0, 0.0], [2.0, 1.0]])
+    base_covs = np.stack([0.5 * np.eye(2), np.array([[1.0, 0.3], [0.3, 0.8]])])
+    g = GaussianMixture(weights, base_means, base_covs)
+    t = 0.7
+    means = t * base_means
+    covs = t * t * base_covs + (1.0 - t) ** 2 * np.eye(2)
     n = 100_000
-    xs = g.sample(n, seed=5)
+    xs = mixture.sample(g, Schedule(), t, n, 5)
     assert xs.shape == (n, 2)
 
     mean = weights @ means
@@ -458,11 +475,36 @@ def test_sample_moments_match_mixture():
 
 def test_sample_deterministic():
     g = GaussianMixture.isotropic(np.array([[0.0], [3.0]]), np.array([1.0, 0.5]))
-    a = g.sample(64, seed=9)
-    b = g.sample(64, seed=9)
+    sch = Schedule()
+    a = mixture.sample(g, sch, 0.5, 64, 9)
+    b = mixture.sample(g, sch, 0.5, 64, 9)
     np.testing.assert_array_equal(a, b)
-    c = g.sample(64, seed=10)
+    c = mixture.sample(g, sch, 0.5, 64, 10)
     assert not np.array_equal(a, c)
+    # One time for every draw: per-draw times would broadcast over the
+    # coordinates.
+    with pytest.raises(ShapeError):
+        mixture.sample(g, sch, np.full(2, 0.5), 64, 9)
+
+
+@pytest.mark.parametrize("t", [Schedule().t_min, 0.5, Schedule().t_max])
+@pytest.mark.parametrize("form", sorted(_FORMS))
+def test_sample_matches_explicit_draw_stream(form, t):
+    # The draws keep the stream of a Cholesky factor gathered per draw from
+    # the explicitly formed alpha^2 Sigma_j + sigma^2 I, bit for bit.
+    rng = np.random.default_rng([67, sorted(_FORMS).index(form)])
+    target = _FORMS[form](rng)
+    count, seed = 50, 11
+    got = mixture.sample(target, Schedule(), t, count, seed)
+    alpha, sigma = t, 1.0 - t
+    draws = np.random.default_rng(seed)
+    idx = draws.choice(target.n_components, size=count, p=target.weights)
+    z = draws.standard_normal((count, target.dim))
+    eye = np.eye(target.dim)
+    chols = np.linalg.cholesky((alpha * alpha) * target.covariances
+                               + (sigma * sigma) * eye)
+    want = alpha * target.means[idx] + np.einsum("nij,nj->ni", chols[idx], z)
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +640,11 @@ def test_isotropic_constructor():
     np.testing.assert_allclose(g.weights, [0.5, 0.5])
 
 
+def test_isotropic_rejects_a_wrong_number_of_scales():
+    with pytest.raises(ShapeError, match="2 isotropic scales for 3 components"):
+        GaussianMixture.isotropic(np.zeros((3, 2)), [1.0, 2.0])
+
+
 @pytest.mark.parametrize("scales", [[-0.5], [0.0], [np.nan], [0.5, -2.0]])
 def test_isotropic_rejects_non_positive_scales(scales):
     # A negative standard deviation was once squared into a valid variance.
@@ -616,6 +663,8 @@ def test_validation_errors():
         GaussianMixture(np.array([1.0]), np.zeros((2, 2)), eye)
     with pytest.raises(ShapeError):
         GaussianMixture(np.array([1.0]), np.zeros((1, 2)), np.stack([np.eye(3)]))
+    with pytest.raises(ShapeError, match="dim >= 1"):
+        GaussianMixture(np.array([1.0]), np.zeros((1, 0)), np.zeros((1, 0, 0)))
     asym = np.array([[[1.0, 0.5], [-0.5, 1.0]]])
     with pytest.raises(ConfigurationError):
         GaussianMixture(np.array([1.0]), np.zeros((1, 2)), asym)
