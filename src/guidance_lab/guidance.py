@@ -311,7 +311,9 @@ def _pair_terms(stack, schedule, t, x, normal_source):
     ``n grad_lam^T + lam J_n`` and divergence ``<n, grad_lam> + lam div n``.
     No term depends on ``parallel_scale``, so one evaluation serves the
     update of every ``beta`` (:func:`_update_jacobian`).
-    Raises DegenerateNormalError if the normal vanishes at any row.
+    Raises DegenerateNormalError at any row whose normal has norm at most
+    ``degenerate_threshold``, where :func:`decompose` passes the residual
+    through whole and ``g_par`` has no derivative to report.
     """
     pts, terms, scored = _pass(stack, schedule, t, x)
     _, b = sched.coefficients(schedule, t)
@@ -324,8 +326,9 @@ def _pair_terms(stack, schedule, t, x, normal_source):
     jac_n = mix._column(b, 2) * hessians[src]
     div_n = b * np.einsum("nii->n", hessians[src])
     nn = np.sum(n * n, axis=1)
-    if np.any(nn == 0.0):
-        row = int(np.argmax(nn == 0.0))
+    degenerate = np.sqrt(nn) <= degenerate_threshold(pts)
+    if np.any(degenerate):
+        row = int(np.argmax(degenerate))
         raise DegenerateNormalError(f"normal direction vanished at row {row}")
     gn = np.sum(g * n, axis=1)
     lam = gn / nn

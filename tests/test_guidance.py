@@ -415,6 +415,26 @@ def test_batched_split_raises_when_any_normal_vanishes():
             field.jacobian(xs, times)
 
 
+def test_fields_raise_where_the_split_passes_the_residual_through():
+    # 1e-13 from alpha_t * mean the conditional normal is nonzero but
+    # below degenerate_threshold, so decompose passes the residual through
+    # and the parallel part is zero; a derivative there would be of a value
+    # the field does not compute.
+    sch = Schedule()
+    cond = GaussianMixture.single([1.0, 0.5], 0.2 * np.eye(2))
+    uncond = GaussianMixture.isotropic([[0.0, 0.0], [2.0, 1.0]], [0.7, 0.9])
+    t = 0.5
+    x = t * cond.means[0] + np.array([1e-13, 0.0])
+    parallel = parallel_component_field(cond, uncond, sch)
+    np.testing.assert_array_equal(parallel(x, t), [0.0, 0.0])
+    for field in (parallel, projected_update_field(cond, uncond, sch,
+                                                   GuidanceConfig())):
+        with pytest.raises(DegenerateNormalError):
+            field.divergence(x, t)
+        with pytest.raises(DegenerateNormalError):
+            field.jacobian(x, t)
+
+
 def test_residual_divergence_uses_laplacian_gap():
     rng = np.random.default_rng(91)
     sch = Schedule()

@@ -68,7 +68,9 @@ def test_guidance_identity_checks_pass_at_any_seed(seed):
     config = dataclasses.replace(default_config("verify"), seed=seed)
     for check in (verify.check_parallel_flux_scaling,
                   verify.check_projected_divergence_identity,
-                  verify.check_beta_affinity):
+                  verify.check_beta_affinity,
+                  verify.check_cfg_recovery,
+                  verify.check_blowup_identity):
         result = check(config)
         assert result.passed, (seed, result)
 
@@ -104,6 +106,77 @@ def test_cfg_recovery_fails_when_every_update_is_scaled(monkeypatch):
     result = verify.check_cfg_recovery(default_config("verify"))
     assert not result.passed
     assert result.measured > 1e8
+
+
+def _nan_at_first_entry(value):
+    if isinstance(value, mixture.PosteriorMoments):
+        return mixture.PosteriorMoments(value.mean,
+                                        _nan_at_first_entry(value.cov_trace))
+    value = np.array(value, dtype=float)
+    value.flat[0] = np.nan
+    return value
+
+
+@pytest.mark.parametrize("name, oracle", [
+    ("tweedie_consistency", "score"),
+    ("laplacian_posterior_lemma", "laplacian_log_density"),
+    ("parallel_flux_scaling", "score"),
+    ("blowup_identity", "posterior"),
+])
+def test_check_fails_when_a_route_returns_nan(monkeypatch, name, oracle):
+    # Every gap enters one np.max, so a NaN row fails the check; Python's
+    # max(worst, gap) would skip it and report the largest finite gap.
+    exact = getattr(mixture, oracle)
+    monkeypatch.setattr(mixture, oracle,
+                        lambda *args: _nan_at_first_entry(exact(*args)))
+    result = getattr(verify, f"check_{name}")(default_config("verify"))
+    assert not result.passed
+    assert np.isnan(result.measured)
+
+
+# ---------------------------------------------------------------------------
+# oracle passes
+
+
+def _oracle_passes(monkeypatch, run):
+    """How many times ``run()`` calls ``mixture._evaluate``, the oracle pass."""
+    calls = []
+    exact = mixture._evaluate
+
+    def counting(*args):
+        calls.append(None)
+        return exact(*args)
+
+    monkeypatch.setattr(mixture, "_evaluate", counting)
+    run()
+    return len(calls)
+
+
+@pytest.mark.parametrize("name, passes", [
+    ("tweedie_consistency", 10),  # 5 targets x (posterior, score)
+    ("laplacian_posterior_lemma", 10),  # 5 targets x (Laplacian, posterior)
+    ("projected_divergence_identity", 15),  # 5 betas x 3 fields
+    ("parallel_flux_scaling", 15),  # 5 betas x (2 velocities, score)
+    ("cfg_recovery", 2),  # 2 velocities
+    ("blowup_identity", 12),  # 4 pairs x (divergence, 2 posteriors)
+    ("blowup_rate", 1),
+])
+def test_batched_checks_make_one_oracle_pass_per_route(monkeypatch, name, passes):
+    # Each route evaluates the check's whole sample in one call, one time
+    # per point.
+    check = getattr(verify, f"check_{name}")
+    config = default_config("verify")
+    assert _oracle_passes(monkeypatch, lambda: check(config)) == passes
+
+
+def test_default_verify_makes_at_most_372_oracle_passes(monkeypatch):
+    results = []
+
+    def run():
+        results.extend(verify.run_all_checks(default_config("verify")))
+
+    assert _oracle_passes(monkeypatch, run) <= 372
+    assert all(result.passed for result in results)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@
 
 Usage::
 
-    python tools/artifact_digests.py DIGESTS.json [--seeds 0 2 8 25]
+    python tools/artifact_digests.py DIGESTS.json [--seeds N ...]
         [--configs cfg.json ...]
     python tools/artifact_digests.py --compare A.json B.json
 
 The first form runs, in process through ``guidance_lab.cli.main``, the
 five kinds on their default configs, ``verify`` at each of ``--seeds``
-(default: 0) and each kind named by a ``--configs`` file, each into its own
+(default: 0 2 8 25; 8 and 25 are the regression seeds of the verify
+tests) and each kind named by a ``--configs`` file, each into its own
 temporary output directory, and writes a JSON map from ``<run>/<artifact>``
 to the artifact's sha256.  A run is named by its kind, ``verify_seed_<n>``,
 or the config path as given.  It exits 1 if any run exits non-zero, after
@@ -92,8 +93,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("digests", nargs="?",
                         help="JSON file the digest map is written to")
-    parser.add_argument("--seeds", type=int, nargs="*", default=[0],
-                        help="verify seeds (default: 0)")
+    parser.add_argument("--seeds", type=int, nargs="*", default=[0, 2, 8, 25],
+                        help="verify seeds (default: 0 2 8 25)")
     parser.add_argument("--configs", nargs="*", default=[],
                         help="config files to run as well")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
