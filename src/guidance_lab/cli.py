@@ -160,9 +160,9 @@ def run_sweep_beta(config):
 
 def _oracle_terminal_draws(config, seed):
     """``sample_count`` draws of the conditional target's marginal at the
-    grid's last time."""
+    schedule's last time, ``t_max``."""
     return mix.sample(config.pair.conditional, config.schedule,
-                      config.sampler.t_end, config.sample_count, seed)
+                      config.schedule.t_max, config.sample_count, seed)
 
 
 def _compare_rules(config, omega, x0s, oracle, null_seed):
@@ -171,7 +171,7 @@ def _compare_rules(config, omega, x0s, oracle, null_seed):
     draws ``oracle`` with the permutation null seeded ``null_seed(i)`` for
     rule ``i``.  Yields, per rule, its name, its terminal states, the
     ``TwoSampleResult`` and the mean of ``log p_c`` over the terminal
-    states at the grid's last time, ``t_end``."""
+    states at the grid's last time, the schedule's ``t_max``."""
     rules = (("cfg", _cfg_rule(omega)),
              ("projected", _projected(config, omega=omega)))
     for index, (name, rule) in enumerate(rules):
@@ -182,7 +182,7 @@ def _compare_rules(config, omega, x0s, oracle, null_seed):
         result = metrics.permutation_test(terminal, oracle, n_perm=config.n_perm,
                                           seed=null_seed(index))
         log_p = mix.log_density(config.pair.conditional, config.schedule,
-                                config.sampler.t_end, terminal)
+                                config.schedule.t_max, terminal)
         yield name, terminal, result, float(log_p.mean())
 
 

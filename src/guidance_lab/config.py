@@ -13,7 +13,7 @@ The on-disk format is a single JSON object::
                     "decay_power": 4.0, "parallel_scale": 0.1,
                     "normal_source": "conditional",
                     "beta_sweep": [...], "omega_sweep": [...]},
-      "sampler":   {"steps": 30, "t_start": 0.001, "t_end": 0.999, "seed": 0},
+      "sampler":   {"steps": 30, "seed": 0},
       "samples":   {"count": 2000, "n_perm": 200}
     }
 
@@ -29,10 +29,11 @@ integers only (not booleans or fractional numbers), and real fields and
 arrays take finite JSON numbers only (not ``NaN``, ``Infinity`` or an
 integer beyond the float range).  Seeds must be non-negative, the size
 fields are at most ``MAX_STEPS``, ``MAX_SAMPLE_COUNT`` and
-``MAX_PERMUTATIONS``, a target's ``dim`` is in [1, ``MAX_DIM``], the
-sampler grid must lie inside the schedule clamp, and no two values of a
-sweep may be equal or share the ``:g`` label that names them in the
-artifacts, so a bad config fails before any artifact is written.
+``MAX_PERMUTATIONS``, a target's ``dim`` is in [1, ``MAX_DIM``], and no
+two values of a sweep may be equal or share the ``:g`` label that names
+them in the artifacts, so a bad config fails before any artifact is
+written.  There is no sampler time key: every run integrates over the
+schedule clamp ``[t_min, t_max]``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from . import metrics
 from . import mixture as mix
 from .errors import ConfigurationError, require_real
 from .guidance import GuidanceConfig, NormalSource
-from .sampler import SamplerConfig, TargetPair, _check_grid
+from .sampler import SamplerConfig, TargetPair
 from .schedule import Schedule
 
 KINDS = ("verify", "trace_divergence", "sweep_beta", "sweep_omega",
@@ -117,7 +118,6 @@ class ExperimentConfig:
             raise ConfigurationError("sweep_omega requires a non-empty omega_sweep")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        _check_grid(self.schedule, self.sampler)
         _check_range("sampler.steps", self.sampler.steps, 1, MAX_STEPS)
         _check_range("samples.count", self.sample_count, 2, MAX_SAMPLE_COUNT)
         _check_range("samples.n_perm", self.n_perm, metrics.MIN_PERMUTATIONS,
@@ -306,8 +306,6 @@ def _sampler_from_dict(d):
     where = "sampler"
     return SamplerConfig(
         steps=_int(d, "steps", defaults.steps, where),
-        t_start=_real(d, "t_start", defaults.t_start, where),
-        t_end=_real(d, "t_end", defaults.t_end, where),
         seed=_int(d, "seed", defaults.seed, where),
     )
 
@@ -359,8 +357,7 @@ def config_from_dict(d):
         guidance=_guidance_from_dict(guidance_block),
         beta_sweep=_sweep(guidance_block, "beta_sweep", beta_fallback),
         omega_sweep=_sweep(guidance_block, "omega_sweep", DEFAULT_OMEGAS),
-        sampler=_sampler_from_dict(_get_block(d, "sampler", (
-            "steps", "t_start", "t_end", "seed"))),
+        sampler=_sampler_from_dict(_get_block(d, "sampler", ("steps", "seed"))),
         sample_count=_int(samples, "count", 2000, "samples"),
         n_perm=_int(samples, "n_perm", 200, "samples"),
     )
@@ -390,8 +387,6 @@ def config_to_dict(config):
         },
         "sampler": {
             "steps": int(config.sampler.steps),
-            "t_start": float(config.sampler.t_start),
-            "t_end": float(config.sampler.t_end),
             "seed": int(config.sampler.seed),
         },
         "samples": {

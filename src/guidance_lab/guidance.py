@@ -168,7 +168,8 @@ def degenerate_threshold(x):
     """Norm threshold below which the normal is treated as zero at ``x``."""
     x = np.asarray(x, dtype=float)
     dim = x.shape[-1]
-    return 1e-12 * np.sqrt(dim) * (1.0 + np.linalg.norm(x, axis=-1))
+    # np.linalg.norm's arithmetic for one real axis, without its dispatch.
+    return 1e-12 * np.sqrt(dim) * (1.0 + np.sqrt(np.add.reduce(x * x, axis=-1)))
 
 
 def decompose(residual, normal, x):

@@ -341,8 +341,8 @@ def _quantiles(values, levels):
     virtual = last * levels
     below = np.floor(virtual)
     above = below + 1
-    at_end = virtual >= last
-    below[at_end] = above[at_end] = -1
+    at_last = virtual >= last
+    below[at_last] = above[at_last] = -1
     below, above = below.astype(np.intp), above.astype(np.intp)
     ordered = values.copy()
     ordered.partition(sorted({0, -1, *below.tolist(), *above.tolist()}))

@@ -1,9 +1,10 @@
 """Fixed-step Euler integration of the guided probability-flow ODE.
 
 The integrator marches ``x_{k+1} = x_k + dt * (v_u(x_k, t_k) + update_k)``
-on a uniform time grid from the noise end to the data end, where
-``update_k`` is whatever the configured guidance rule produces (or an
-arbitrary extra vector field, for conservation experiments).  Each guided
+on a uniform time grid over the schedule clamp ``[t_min, t_max]``, from
+the noise end to the data end, where ``update_k`` is whatever the
+configured guidance rule produces (or an arbitrary extra vector field,
+for conservation experiments).  Each guided
 step evaluates the conditional and the unconditional velocity in one
 oracle pass over the pair's stacked components (``mixture._Stack``, built
 once with the ``TargetPair``); the path coefficients of every step come
@@ -36,28 +37,20 @@ import numpy as np
 
 from . import mixture as mix
 from . import schedule as sched
-from .errors import (ConfigurationError, IntegrationError, ShapeError,
-                     require_int, require_real)
+from .errors import ConfigurationError, IntegrationError, ShapeError, require_int
 from .guidance import apply_guidance
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Time grid of the Euler integrator and the seed of its initial states."""
+    """Step count of the Euler integrator and the seed of its initial
+    states; the grid spans the schedule clamp ``[t_min, t_max]``."""
 
     steps: int = 30
-    t_start: float = sched.DEFAULT_T_MIN
-    t_end: float = sched.DEFAULT_T_MAX
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "steps", require_int("steps", self.steps, 1))
-        for name in ("t_start", "t_end"):
-            object.__setattr__(self, name, require_real(name, getattr(self, name)))
-        if not (0.0 <= self.t_start < self.t_end <= 1.0):
-            raise ConfigurationError(
-                f"need 0 <= t_start < t_end <= 1, got [{self.t_start}, {self.t_end}]"
-            )
         object.__setattr__(self, "seed", require_int("sampler seed", self.seed, 0))
 
 
@@ -104,24 +97,17 @@ class TrajectoryRecord:
         return self.states[-1]
 
 
-def _check_grid(schedule, sampler_config):
-    if sampler_config.t_start < schedule.t_min or sampler_config.t_end > schedule.t_max:
-        raise ConfigurationError(
-            f"sampler grid [{sampler_config.t_start}, {sampler_config.t_end}] "
-            f"exceeds schedule clamps [{schedule.t_min}, {schedule.t_max}]"
-        )
-
-
 def _euler(x0s, pair, schedule, guidance_config, sampler_config,
            guidance_field=None):
     """Vectorized Euler loop over a batch of initial states.
 
-    Returns ``(times, states)``: the grid and the ``(steps + 1, dim,
-    count)`` states, dimension-major.  Each step hands the oracle, the
-    guidance rule and the field its ``(dim, count)`` state as a ``(count,
-    dim)`` transposed view, and gets the velocities and the update back as
-    such views, so every elementwise op and every sum over dimensions or
-    components runs over the ``count`` trajectories in its inner loop.
+    Returns ``(times, states)``: the grid, ``steps + 1`` uniform times over
+    the schedule clamp, and the ``(steps + 1, dim, count)`` states,
+    dimension-major.  Each step hands the oracle, the guidance rule and the
+    field its ``(dim, count)`` state as a ``(count, dim)`` transposed view,
+    and gets the velocities and the update back as such views, so every
+    elementwise op and every sum over dimensions or components runs over
+    the ``count`` trajectories in its inner loop.
     The path coefficients of every step come from two schedule calls over
     the whole grid, and the oracle's time-only terms
     (``mixture._time_terms``: eigenvalues ``m_j``, log normalisers and
@@ -134,9 +120,8 @@ def _euler(x0s, pair, schedule, guidance_config, sampler_config,
     state with ``math.isfinite`` of the state's sum, and entry by entry
     only when that sum is not finite.
     """
-    _check_grid(schedule, sampler_config)
     steps = sampler_config.steps
-    times = np.linspace(sampler_config.t_start, sampler_config.t_end, steps + 1)
+    times = np.linspace(schedule.t_min, schedule.t_max, steps + 1)
     path = sched.evaluate(schedule, times)
     state_coefs, score_coefs = (
         c.tolist() for c in sched.coefficients(schedule, times))

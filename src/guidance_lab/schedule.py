@@ -18,7 +18,8 @@ the score.
 
 Evaluation times are clamped to ``[t_min, t_max]`` to keep ``a_t`` and the
 score finite; asking for a time outside the clamp raises ``DomainError``
-rather than silently projecting onto the boundary.
+rather than silently projecting onto the boundary.  The clamp is also the
+run's time interval: the Euler grid spans it, from ``t_min`` to ``t_max``.
 
 Every function here takes ``t`` as a scalar or as an array of times (one
 per state of a batch).  A scalar gives Python floats; an array gives arrays

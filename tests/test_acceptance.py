@@ -459,7 +459,7 @@ def test_criterion_09_sample_quality():
     details = []
     for seed in range(10):
         scfg = SamplerConfig(steps=30, seed=seed)
-        oracle = mixture.sample(pair.conditional, sch, scfg.t_end, n, 1000 + seed)
+        oracle = mixture.sample(pair.conditional, sch, sch.t_max, n, 1000 + seed)
         x0s = initial_states(n, pair.dim, scfg.seed)
         ed_cfg = energy_distance(
             integrate(x0s, pair, sch, cfg_rule, scfg).terminal_state, oracle

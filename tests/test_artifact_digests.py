@@ -55,8 +55,7 @@ def test_digest_map_is_written_when_a_run_fails(tool, tmp_path):
     # The profile is not finite at t = 1e-300, so the run exits 2 and
     # writes no artifact.
     cfg = _write(tmp_path / "cfg.json", {
-        "kind": "trace_divergence", "schedule": {"t_min": 1e-300},
-        "sampler": {"t_start": 1e-300}})
+        "kind": "trace_divergence", "schedule": {"t_min": 1e-300}})
     out = tmp_path / "digests.json"
     assert tool.main([str(out), "--seeds", "--configs", cfg]) == 1
     assert json.loads(out.read_text()) == {}

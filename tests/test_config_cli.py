@@ -636,7 +636,7 @@ def _recomputed(config, omega, x0_seed, oracle_seed, null_seed):
     the public API alone; and the oracle draws."""
     x0s = initial_states(config.sample_count, config.pair.dim, x0_seed)
     oracle = mixture.sample(config.pair.conditional, config.schedule,
-                            config.sampler.t_end, config.sample_count,
+                            config.schedule.t_max, config.sample_count,
                             oracle_seed)
     out = {}
     for index, (name, rule) in enumerate(_rules_at(config, omega).items()):
@@ -709,6 +709,35 @@ def test_sample_compare_values_match_the_public_api_bit_for_bit(tmp_path):
         }
 
 
+def test_clamp_alone_sets_the_run_interval(tmp_path):
+    clamp = {"t_min": 0.01, "t_max": 0.99}
+    payload = {"kind": "trace_divergence", "schedule": clamp,
+               "sampler": {"steps": 24}}
+    out = tmp_path / "trace"
+    assert cli.main(["trace_divergence", "--config",
+                     _write_config(tmp_path, payload), "--out", str(out)]) == 0
+    _, *lines = (out / "trace_divergence.csv").read_text().splitlines()
+    times = np.array([float(line.split(",")[1]) for line in lines])
+    assert times.tobytes() == np.linspace(0.01, 0.99, 25).tobytes()
+
+    payload = {**_SAMPLING, "kind": "sample_compare", "schedule": clamp,
+               "guidance": {"guidance_scale": 15.0}}
+    config = config_from_dict(payload)
+    out = tmp_path / "compare"
+    assert cli.main(["sample_compare", "--config",
+                     _write_config(tmp_path, payload, "compare.json"),
+                     "--out", str(out)]) == 0
+    oracle, rules = _recomputed(config, 15.0, 11, _derived_seed(7, 4),
+                                lambda ri: _derived_seed(7, 5, ri))
+    report = json.loads((out / "sample_compare_report.json").read_text())
+    _, *lines = (out / "samples_oracle.csv").read_text().splitlines()
+    np.testing.assert_array_equal(
+        [[float(v) for v in line.split(",")] for line in lines], oracle)
+    for name, (_, result, log_p) in rules.items():
+        assert report["rules"][name]["energy_distance"] == result.statistic
+        assert report["rules"][name]["mean_terminal_log_p_cond"] == log_p
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("kind, column", [("trace_divergence", "div_g_beta_0"),
                                           ("sweep_beta", "div_g_par")])
@@ -716,8 +745,7 @@ def test_trace_kind_with_a_non_finite_cell_exits_2_before_writing(
         tmp_path, capsys, kind, column):
     # At t = 1e-300, |b_t| = sigma / alpha is near 1e300, so the squared
     # norm of the split's normal overflows.
-    cfg = _write_config(tmp_path, {"kind": kind, "schedule": {"t_min": 1e-300},
-                                   "sampler": {"t_start": 1e-300}})
+    cfg = _write_config(tmp_path, {"kind": kind, "schedule": {"t_min": 1e-300}})
     out = tmp_path / "out"
     assert cli.main([kind, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -829,7 +857,8 @@ def _with_dim(dim):
     (_with_component(weight=float("nan")), []),
     (_with_component(cov_diag=[float("inf"), 1.0]), []),
     (_with("guidance", omega_sweep=[1.0, float("nan")]), []),
-    (_with("schedule", t_min=0.01), []),
+    (_with("sampler", t_start=0.01), []),
+    (_with("sampler", t_end=0.99), []),
     (_with("guidance", guidance_scale=10 ** 400), []),
     (_with_component(mean=[10 ** 400, 0.0]), []),
     (_with("sampler", steps=10 ** 400), []),
@@ -847,9 +876,9 @@ def _with_dim(dim):
     ({"kind": "sweep_beta", "guidance": {"beta_sweep": [0.5, 1.0, 0.5]}}, []),
     ({"kind": "trace_divergence", "guidance": {"beta_sweep": [0.0, -0.0]}}, []),
 ], ids=["seed-flag", "seed", "sampler-seed", "nan-weight", "inf-cov",
-        "nan-sweep", "grid-outside-clamp", "huge-int-scale", "huge-int-mean",
-        "huge-steps", "count-over-cap", "n-perm-over-cap", "dim-0",
-        "dim-over-cap", "over-long-integer",
+        "nan-sweep", "sampler-t-start", "sampler-t-end", "huge-int-scale",
+        "huge-int-mean", "huge-steps", "count-over-cap", "n-perm-over-cap",
+        "dim-0", "dim-over-cap", "over-long-integer",
         "not-utf8", "trace-beta-labels", "sweep-beta-labels", "omega-labels",
         "repeated-beta", "signed-zero-beta"])
 def test_cli_invalid_config_exits_2_before_any_artifact(tmp_path, capsys,

@@ -78,6 +78,17 @@ def test_degenerate_threshold_formula():
     np.testing.assert_allclose(batch, 1e-12 * np.sqrt(3))
 
 
+@pytest.mark.parametrize("dim", [2, 8, 64])
+def test_degenerate_threshold_equals_the_linalg_norm_route(dim):
+    rng = np.random.default_rng([83, dim])
+    points = rng.standard_normal((2049, dim)) * np.exp(rng.uniform(-30, 30, (2049, 1)))
+    # Point-major rows, and the transposed dimension-major batch the Euler
+    # loop passes.
+    for x in (points, np.ascontiguousarray(points.T).T, points[0]):
+        want = 1e-12 * np.sqrt(dim) * (1.0 + np.linalg.norm(x, axis=-1))
+        assert np.asarray(degenerate_threshold(x)).tobytes() == want.tobytes()
+
+
 def test_decompose_axis_aligned():
     par, orth = decompose(np.array([3.0, 4.0]), np.array([1.0, 0.0]), np.zeros(2))
     np.testing.assert_array_equal(par, [3.0, 0.0])

@@ -1,5 +1,7 @@
 """Tests for the fixed-step Euler sampler and its records."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -39,8 +41,9 @@ def _pair(dim=2):
 
 def test_time_grid_endpoints_and_shape():
     pair = _pair()
-    cfg = SamplerConfig(steps=12, t_start=0.05, t_end=0.95)
-    rec = integrate(np.zeros(2), pair, Schedule(), GuidanceConfig(), cfg)
+    cfg = SamplerConfig(steps=12)
+    rec = integrate(np.zeros(2), pair, Schedule(t_min=0.05, t_max=0.95),
+                    GuidanceConfig(), cfg)
     assert rec.times.shape == (13,)
     assert rec.states.shape == (13, 2)
     assert rec.times[0] == 0.05
@@ -56,13 +59,6 @@ def test_default_grid_spans_schedule_clamp():
     rec = integrate(np.zeros(2), pair, sch, GuidanceConfig(), cfg)
     assert rec.times[0] == sch.t_min
     assert rec.times[-1] == sch.t_max
-
-
-def test_grid_outside_schedule_clamp_rejected():
-    pair = _pair()
-    cfg = SamplerConfig(steps=4, t_start=0.0, t_end=0.5)
-    with pytest.raises(ConfigurationError):
-        integrate(np.zeros(2), pair, Schedule(), GuidanceConfig(), cfg)
 
 
 def test_default_batch_raises_no_floating_point_error():
@@ -84,18 +80,8 @@ def test_sampler_config_validation():
         SamplerConfig(steps=True)
     cfg = SamplerConfig(steps=np.int64(30))
     assert cfg.steps == 30 and type(cfg.steps) is int
-    with pytest.raises(ConfigurationError):
-        SamplerConfig(t_start=0.6, t_end=0.4)
-    with pytest.raises(ConfigurationError):
-        SamplerConfig(t_start=float("nan"))
-    with pytest.raises(ConfigurationError):
-        SamplerConfig(t_end=1.5)
-    for name in ("t_start", "t_end"):
-        for bad in (True, "0.1", None, float("inf"), 10**400):
-            with pytest.raises(ConfigurationError, match=name):
-                SamplerConfig(**{name: bad})
-    cfg = SamplerConfig(t_start=np.float64(0.5))
-    assert cfg.t_start == 0.5 and type(cfg.t_start) is float
+    # The grid's interval is the schedule clamp's: no time field here.
+    assert [f.name for f in dataclasses.fields(SamplerConfig)] == ["steps", "seed"]
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
@@ -291,7 +277,7 @@ def test_guidance_field_value_must_broadcast_to_the_batch():
 
 def _per_target_euler(x0s, pair, sch, rule, scfg):
     """The guided Euler loop with one oracle pass per target and step."""
-    times = np.linspace(scfg.t_start, scfg.t_end, scfg.steps + 1)
+    times = np.linspace(sch.t_min, sch.t_max, scfg.steps + 1)
     x = x0s
     for k in range(scfg.steps):
         t = float(times[k])
@@ -321,7 +307,7 @@ def test_joint_pass_trajectory_matches_per_target_passes(dim):
 def _scalar_time_euler(x0s, pair, sch, rule, scfg):
     """The guided Euler loop with every time term built at its step's
     scalar time: one stacked pass and ``apply_guidance`` per step."""
-    times = np.linspace(scfg.t_start, scfg.t_end, scfg.steps + 1)
+    times = np.linspace(sch.t_min, sch.t_max, scfg.steps + 1)
     states = [x0s]
     for k in range(scfg.steps):
         t, x = float(times[k]), states[-1]
@@ -443,8 +429,9 @@ def test_finite_state_whose_sum_overflows_does_not_raise():
     # overflows (NumPy warns of it) takes the exact entrywise check, which
     # passes.
     scfg = SamplerConfig(steps=1)
-    dt = scfg.t_end - scfg.t_start
-    rec = integrate(np.zeros(2), _pair(), Schedule(), GuidanceConfig(), scfg,
+    sch = Schedule()
+    dt = sch.t_max - sch.t_min
+    rec = integrate(np.zeros(2), _pair(), sch, GuidanceConfig(), scfg,
                     guidance_field=lambda x, t: np.full_like(x, 1.7e308 / dt))
     assert np.all(np.isfinite(rec.terminal_state))
     with np.errstate(over="ignore"):
