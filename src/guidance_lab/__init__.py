@@ -60,6 +60,7 @@ from .metrics import (
 from .mixture import (
     GaussianMixture,
     PosteriorMoments,
+    TargetPair,
     hessian_log_density,
     laplacian_log_density,
     log_density,
@@ -70,7 +71,6 @@ from .mixture import (
 )
 from .sampler import (
     SamplerConfig,
-    TargetPair,
     TrajectoryRecord,
     draw_initial_state,
     initial_states,

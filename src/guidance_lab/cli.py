@@ -104,7 +104,7 @@ def _write_profile(config, name, profile):
     pair, schedule = config.pair, config.schedule
     record = _reference_trajectory(config)
     times = record.times
-    terms = gd._pair_terms(pair._stack, schedule, times, record.states,
+    terms = gd._pair_terms(pair, schedule, times, record.states,
                            config.guidance.normal_source)
     divs = profile(times, sched.coefficients(schedule, times), terms)
     columns = ["t", *divs]
@@ -236,7 +236,7 @@ def run_sample_compare(config):
             "energy_distance": result.statistic,
             "null_quantiles": {repr(q): v
                                for q, v in result.null_quantiles.items()},
-            "n_perm": result.n_perm,
+            "n_perm": config.n_perm,
             "mean_terminal_log_p_cond": log_p,
         }
     _write_json(report, os.path.join(config.output_dir,

@@ -48,7 +48,8 @@ from . import metrics
 from . import mixture as mix
 from .errors import ConfigurationError, require_real
 from .guidance import GuidanceConfig, NormalSource
-from .sampler import SamplerConfig, TargetPair
+from .mixture import TargetPair
+from .sampler import SamplerConfig
 from .schedule import Schedule
 
 KINDS = ("verify", "trace_divergence", "sweep_beta", "sweep_omega",

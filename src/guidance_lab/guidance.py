@@ -27,9 +27,9 @@ is what lets stochastic divergence estimators be calibrated against truth:
 * parallel:    product rule on ``g_par = lam(x) n(x)`` with
                ``lam = <g, n> / ||n||^2`` and exact mixture Hessians.
 
-The pair fields (residual, parallel, projected update) stack their two
-targets once and make one oracle pass over the stack per value (both
-velocities), divergence or Jacobian (both scores, Hessians, Laplacians).
+The pair fields (residual, parallel, projected update) make one oracle
+pass over their ``mixture.TargetPair`` per value (both velocities),
+divergence or Jacobian (both scores, Hessians, Laplacians).
 """
 
 from __future__ import annotations
@@ -161,12 +161,17 @@ class VectorField:
 
 def normal_direction(velocity_value, x, state_coef):
     """Normal direction ``a_t * x - v`` implied by a velocity evaluation."""
-    return state_coef * np.asarray(x, dtype=float) - np.asarray(velocity_value, float)
+    v, x = np.asarray(velocity_value, dtype=float), np.asarray(x, dtype=float)
+    if v.shape != x.shape:
+        raise ShapeError(f"velocity shape {v.shape} != state shape {x.shape}")
+    return state_coef * x - v
 
 
 def degenerate_threshold(x):
     """Norm threshold below which the normal is treated as zero at ``x``."""
     x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        raise ShapeError("degenerate_threshold takes a point or a batch, not a scalar")
     dim = x.shape[-1]
     # np.linalg.norm's arithmetic for one real axis, without its dispatch.
     return 1e-12 * np.sqrt(dim) * (1.0 + np.sqrt(np.add.reduce(x * x, axis=-1)))
@@ -208,14 +213,23 @@ def apply_guidance(v_uncond, v_cond, x, t, schedule, config):
 
     The sampler integrates ``v_uncond + update``.  For ``GuidanceRule.CFG``
     the update is ``guidance_scale * residual``; for the projected rule it
-    is ``scale(t) * (residual + (parallel_scale - 1) * parallel)``.
+    is ``scale(t) * (residual + (parallel_scale - 1) * parallel)``.  Other
+    than one point or batch shape for all three arrays, and a scalar ``t``
+    or one per batch row, raises ShapeError; only shapes are compared.
     """
-    if config.rule is GuidanceRule.CFG:
-        return float(config.guidance_scale) * np.subtract(v_cond, v_uncond, dtype=float)
     v_u = np.asarray(v_uncond, dtype=float)
     v_c = np.asarray(v_cond, dtype=float)
-    g = v_c - v_u
     x = np.asarray(x, dtype=float)
+    if not (v_u.shape == v_c.shape == x.shape and x.ndim in (1, 2)):
+        raise ShapeError(f"velocities and state must be equal-shape points or batches, "
+                         f"got {v_u.shape}, {v_c.shape} and {x.shape}")
+    # As the schedule reads times: a list, tuple or array is one per row.
+    if (isinstance(t, (np.ndarray, list, tuple)) and np.ndim(t) != 0
+            and (x.ndim != 2 or np.shape(t) != x.shape[:1])):
+        raise ShapeError(f"times of shape {np.shape(t)} for states of shape {x.shape}")
+    g = v_c - v_u
+    if config.rule is GuidanceRule.CFG:
+        return float(config.guidance_scale) * g
     state_coef = mix._column(sched.coefficients(schedule, t).state_coef)
     src = v_c if config.normal_source is NormalSource.CONDITIONAL else v_u
     par, _ = decompose(g, normal_direction(src, x, state_coef), x)
@@ -253,11 +267,11 @@ def _pass(stack, schedule, t, x):
     return pts, terms, mix._scores(stack, terms)
 
 
-def _pair_velocities(stack, schedule, t, x):
+def _pair_velocities(pair, schedule, t, x):
     """Both targets' velocities, each shaped as ``x``, from one pass."""
-    pts, _ = mix._as_batch(x, stack.dim)
-    terms = mix._evaluate(stack, *mix._path(schedule, t), pts)
-    v = mix._velocities(stack, terms, *sched.coefficients(schedule, t), pts)
+    pts, _ = mix._as_batch(x, pair.dim)
+    terms = mix._evaluate(pair, *mix._path(schedule, t), pts)
+    v = mix._velocities(pair, terms, *sched.coefficients(schedule, t), pts)
     return v[:, 0] if np.ndim(x) == 1 else v
 
 
@@ -274,20 +288,20 @@ def residual_field(conditional, unconditional, schedule):
     mixture Hessians.  Those two come from different identities, which the
     test-suite exploits.
     """
-    stack = mix._Stack(conditional, unconditional)
+    pair = mix.TargetPair(conditional, unconditional)
 
     def fn(x, t):
-        return np.subtract(*_pair_velocities(stack, schedule, t, x))
+        return np.subtract(*_pair_velocities(pair, schedule, t, x))
 
     def div_fn(x, t):
-        _, terms, scored = _pass(stack, schedule, t, x)
-        lap_c, lap_u = mix._laplacians(stack, terms, scored)
+        _, terms, scored = _pass(pair, schedule, t, x)
+        lap_c, lap_u = mix._laplacians(pair, terms, scored)
         _, b = sched.coefficients(schedule, t)
         return _rows_of(x, -b * (lap_c - lap_u))
 
     def jac_fn(x, t):
-        pts, terms, scored = _pass(stack, schedule, t, x)
-        h_c, h_u = mix._hessians(stack, terms, scored, pts)
+        pts, terms, scored = _pass(pair, schedule, t, x)
+        h_c, h_u = mix._hessians(pair, terms, scored, pts)
         _, b = sched.coefficients(schedule, t)
         return _rows_of(x, -mix._column(b, 2) * (h_c - h_u))
 
@@ -301,11 +315,11 @@ class _PairTerms(NamedTuple):
     lap: np.ndarray  # (2, n) Laplacians of log p_c and log p_u
 
 
-def _pair_terms(stack, schedule, t, x, normal_source):
+def _pair_terms(pair, schedule, t, x, normal_source):
     """Exact Jacobians of ``g`` and ``g_par``, the divergence of ``g_par``
     and both targets' Laplacians at every row of ``x`` (a point or a
-    batch), from one oracle pass (:func:`_pass`) over ``stack``, the
-    conditional and unconditional target stacked in that order.
+    batch), from one oracle pass (:func:`_pass`) over the
+    ``mixture.TargetPair`` ``pair``.
 
     With ``g = -b (s_c - s_u)``, ``n = b s_src`` and ``lam = <g, n> / ||n||^2``
     the parallel field ``g_par = lam n`` has Jacobian
@@ -316,10 +330,10 @@ def _pair_terms(stack, schedule, t, x, normal_source):
     ``degenerate_threshold``, where :func:`decompose` passes the residual
     through whole and ``g_par`` has no derivative to report.
     """
-    pts, terms, scored = _pass(stack, schedule, t, x)
+    pts, terms, scored = _pass(pair, schedule, t, x)
     _, b = sched.coefficients(schedule, t)
     _, scores = scored
-    hessians = mix._hessians(stack, terms, scored, pts)
+    hessians = mix._hessians(pair, terms, scored, pts)
     src = 0 if normal_source is NormalSource.CONDITIONAL else 1
     g = -mix._column(b, 1) * (scores[0] - scores[1])
     n = mix._column(b, 1) * scores[src]
@@ -339,7 +353,7 @@ def _pair_terms(stack, schedule, t, x, normal_source):
         "nji,nj->ni", jac_n, n)
     jac_par = n[:, :, None] * grad_lam[:, None, :] + lam[:, None, None] * jac_n
     div_par = np.sum(n * grad_lam, axis=1) + lam * div_n
-    return _PairTerms(jac_g, jac_par, div_par, mix._laplacians(stack, terms, scored))
+    return _PairTerms(jac_g, jac_par, div_par, mix._laplacians(pair, terms, scored))
 
 
 def _update_jacobian(terms, config, t):
@@ -363,16 +377,16 @@ def parallel_component_field(conditional, unconditional, schedule,
     ``trace(jacobian)`` therefore reaches the same number through different
     arithmetic.
     """
-    stack = mix._Stack(conditional, unconditional)
+    pair = mix.TargetPair(conditional, unconditional)
 
     def fn(x, t):
-        v_c, v_u = _pair_velocities(stack, schedule, t, x)
+        v_c, v_u = _pair_velocities(pair, schedule, t, x)
         state_coef = mix._column(sched.coefficients(schedule, t).state_coef)
         src = v_c if normal_source is NormalSource.CONDITIONAL else v_u
         return decompose(v_c - v_u, normal_direction(src, x, state_coef), x)[0]
 
     def terms(x, t):
-        return _pair_terms(stack, schedule, t, x, normal_source)
+        return _pair_terms(pair, schedule, t, x, normal_source)
 
     def div_fn(x, t):
         return _rows_of(x, terms(x, t).div_par)
@@ -393,14 +407,14 @@ def projected_update_field(conditional, unconditional, schedule, config):
     """
     if config.rule is not GuidanceRule.PROJECTED:
         raise ConfigurationError("projected_update_field requires the projected rule")
-    stack = mix._Stack(conditional, unconditional)
+    pair = mix.TargetPair(conditional, unconditional)
 
     def fn(x, t):
-        v_c, v_u = _pair_velocities(stack, schedule, t, x)
+        v_c, v_u = _pair_velocities(pair, schedule, t, x)
         return apply_guidance(v_u, v_c, x, t, schedule, config)
 
     def terms(x, t):
-        return _pair_terms(stack, schedule, t, x, config.normal_source)
+        return _pair_terms(pair, schedule, t, x, config.normal_source)
 
     def jac_fn(x, t):
         return _rows_of(x, _update_jacobian(terms(x, t), config, t))
@@ -411,20 +425,20 @@ def projected_update_field(conditional, unconditional, schedule, config):
     return VectorField(fn, conditional.dim, div_fn, jac_fn, "projected-update")
 
 
-def score_rotation_field(target, schedule, scale=1.0, axes=(0, 1)):
-    """``scale * R @ score`` with ``R`` an antisymmetric plane generator.
+def score_rotation_field(target, schedule, scale=1.0):
+    """``scale * R @ score`` with ``R`` the generator of rotations in the
+    plane of the first two coordinates, so ``target.dim`` is at least 2.
 
     For any target the field is divergence-free in combination with the
     score (``div g = scale * tr(R H)`` vanishes for symmetric ``H`` and
     ``<R s, s> = 0``), i.e. it is an exactly conservative guidance field.
     """
-    i, j = axes
     dim = target.dim
-    if not (0 <= i < dim and 0 <= j < dim and i != j):
-        raise ConfigurationError(f"rotation axes {axes} invalid for dim {dim}")
+    if dim < 2:
+        raise ConfigurationError(f"a rotation needs dim >= 2, got dim {dim}")
     rot = np.zeros((dim, dim))
-    rot[i, j] = -1.0
-    rot[j, i] = 1.0
+    rot[0, 1] = -1.0
+    rot[1, 0] = 1.0
 
     def fn(x, t):
         s = mix.score(target, schedule, t, x)

@@ -37,7 +37,7 @@ from typing import Dict
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ShapeError, require_int
+from .errors import DomainError, ShapeError, require_int
 
 # Rows and columns of the pooled distance matrix one block holds.
 _ROW_BLOCK = 256
@@ -58,11 +58,10 @@ _MAX_THREADS = 2
 
 @dataclass(frozen=True)
 class TwoSampleResult:
-    """Observed statistic plus permutation-null quantiles."""
+    """Observed statistic plus the null's quantiles at ``DEFAULT_QUANTILES``."""
 
     statistic: float
     null_quantiles: Dict[float, float]
-    n_perm: int
 
 
 def _pooled(a, b):
@@ -354,7 +353,7 @@ def _quantiles(values, levels):
     return out
 
 
-def permutation_test(a, b, n_perm=1000, seed=0, quantiles=DEFAULT_QUANTILES):
+def permutation_test(a, b, n_perm=1000, seed=0):
     """Permutation null of the energy distance under label shuffling.
 
     Deterministic per seed: permutation ``p`` is the ``p``-th draw of
@@ -366,24 +365,16 @@ def permutation_test(a, b, n_perm=1000, seed=0, quantiles=DEFAULT_QUANTILES):
     helper thread is started and joined within the call); every
     per-thread partial is an exact integer, so no value depends on the
     thread or CPU count, the BLAS threads or ``_ROW_BLOCK``.  The null
-    quantiles are ``np.quantile``'s default linear ones, bit for bit, from
-    an in-house :func:`_quantiles`, so the test does not import
-    ``numpy.ma`` as ``np.quantile`` does.
+    quantiles at ``DEFAULT_QUANTILES`` are ``np.quantile``'s default linear
+    ones, bit for bit, from an in-house :func:`_quantiles`, so the test
+    does not import ``numpy.ma`` as ``np.quantile`` does.
     """
     n_perm = require_int("n_perm", n_perm, MIN_PERMUTATIONS)
     seed = require_int("seed", seed, 0)
-    try:
-        levels = np.asarray(quantiles, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"quantiles must be numbers, got {quantiles!r}") from exc
-    # NaN fails both comparisons.
-    if levels.ndim != 1 or not np.all((levels >= 0.0) & (levels <= 1.0)):
-        raise ConfigurationError(
-            f"quantiles must be a sequence of levels in [0, 1], got {quantiles!r}")
     energies = _split_energies(*_pooled(a, b), n_perm, seed)
-    values = _quantiles(energies[1:], levels)
-    qs = {float(q): float(v) for q, v in zip(quantiles, values)}
-    return TwoSampleResult(float(energies[0]), qs, n_perm)
+    values = _quantiles(energies[1:], np.array(DEFAULT_QUANTILES))
+    return TwoSampleResult(float(energies[0]),
+                           dict(zip(DEFAULT_QUANTILES, values.tolist())))
 
 
 def loglog_slope(xs, ys):

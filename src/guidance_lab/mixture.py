@@ -45,10 +45,11 @@ Conventions used throughout:
   column that broadcasts.  These time-only terms (``_time_terms``) also
   take a whole time grid, built once; the Euler loop lays them out
   step-major and takes one ``(k, ..., 1)`` entry per step;
-* a pass over several stacked targets returns their scores and velocities
-  as one ``(targets, n, dim)`` array (``_scores``, ``_velocities``) and
-  their Laplacians (``_laplacians``, from the scores, as ``_hessians``) as
-  one ``(targets, n)``, each target's sum written into its own row.
+* a pass over a ``TargetPair``, its two targets' stacked components,
+  returns both scores and velocities as one ``(targets, n, dim)`` array
+  (``_scores``, ``_velocities``) and both Laplacians (``_laplacians``, as
+  ``_hessians``, from the scores) as one ``(targets, n)``, each target's
+  sum written into its own row.
 
 The posterior of the clean sample ``X1`` given ``X_t = x`` is conjugate per
 component:
@@ -72,7 +73,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import schedule as sched
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, ShapeError, require_int
 
 _WEIGHT_TOL = 1e-12
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -182,6 +183,8 @@ class GaussianMixture:
         means = np.asarray(means, dtype=float)
         if means.ndim == 1:
             means = means[None, :]
+        if means.ndim != 2:
+            raise ShapeError(f"means must be (dim,) or (k, dim), got {means.shape}")
         k, dim = means.shape
         if np.shape(scales) not in ((), (1,), (k,)):
             raise ShapeError(
@@ -210,33 +213,42 @@ class PosteriorMoments:
     cov_trace: float
 
 
-class _Stack:
-    """The components of several targets in one stack, so that one oracle
-    pass evaluates every target at the same points and times.
+@dataclass(frozen=True)
+class TargetPair:
+    """Conditional and unconditional analytic targets of one experiment,
+    and the stack of their components, conditional first, that one oracle
+    pass evaluates both with.
 
-    It holds the arrays :func:`_evaluate` and :func:`_scores` read from a
-    ``GaussianMixture``, concatenated over the targets in order,
-    ``_slices``, one slice of the component axis per target, ``_starts``,
-    their first components, and ``_owner``, the target of each component.
-    A ``GaussianMixture`` is the one-target case: its ``_slices`` covers all
-    of its components.
+    Besides its two fields it holds, concatenated over the two targets, the
+    arrays :func:`_evaluate_at` and :func:`_scores` read from a
+    ``GaussianMixture``, with ``_slices``, each target's slice of the
+    component axis, ``_starts``, their first components, and ``_owner``,
+    the target of each component.
     """
 
-    def __init__(self, *targets):
-        if len({target.dim for target in targets}) != 1:
-            raise ShapeError("stacked targets must share one dimension")
-        self.dim = targets[0].dim
-        for name in ("means", "_log_weights", "_eigvals", "_eigvecs",
-                     "_eigvecs_t"):
-            arr = np.concatenate([getattr(target, name) for target in targets])
+    conditional: GaussianMixture
+    unconditional: GaussianMixture
+
+    def __post_init__(self):
+        cond, uncond = self.conditional, self.unconditional
+        if cond.dim != uncond.dim:
+            raise ShapeError(
+                f"conditional dim {cond.dim} != unconditional dim {uncond.dim}")
+        stacked = {name: np.concatenate([getattr(cond, name), getattr(uncond, name)])
+                   for name in ("means", "_log_weights", "_eigvals", "_eigvecs",
+                                "_eigvecs_t")}
+        stacked["_neg_eigvecs"] = np.negative(stacked["_eigvecs_t"]).mT
+        for arr in stacked.values():
             arr.setflags(write=False)
-            setattr(self, name, arr)
-        self._neg_eigvecs = np.negative(self._eigvecs_t).mT
-        self._neg_eigvecs.setflags(write=False)
-        bounds = np.cumsum([0] + [target.n_components for target in targets]).tolist()
-        self._slices = tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
-        self._starts = np.array(bounds[:-1], dtype=np.intp)
-        self._owner = np.repeat(np.arange(len(targets)), np.diff(bounds))
+        k_c, k_u = cond.n_components, uncond.n_components
+        # Not fields: the repr, equality and hash see the two targets only.
+        vars(self).update(stacked, _slices=(slice(0, k_c), slice(k_c, k_c + k_u)),
+                          _starts=np.array([0, k_c], dtype=np.intp),
+                          _owner=np.repeat(np.arange(2), [k_c, k_u]))
+
+    @property
+    def dim(self):
+        return self.conditional.dim
 
 
 class _Terms(NamedTuple):
@@ -316,10 +328,10 @@ def _evaluate_at(stack, m, log_norms, scaled_means, pts):
     rotations are the BLAS calls of the point-major layout with their
     operands swapped, so they round alike.
 
-    ``stack`` is a ``GaussianMixture``, one target, or a ``_Stack`` of
-    several, such as the two targets of a guided Euler step: one pass then
-    serves both.  Each component's arithmetic does not depend on what else
-    is stacked with it, and each target takes its log-sum-exp's maximum and
+    ``stack`` is a ``GaussianMixture``, one target, or a ``TargetPair``,
+    such as the two targets of a guided Euler step: one pass then serves
+    both.  Each component's arithmetic does not depend on what else is
+    stacked with it, and each target takes its log-sum-exp's maximum and
     sum over its own slice of components (around one ``exp``, one ``log``
     and one more ``exp`` over the stack), so a target's terms equal those
     of a pass over that target alone bit for bit.  A finite maximum leaves
@@ -477,9 +489,12 @@ def sample(target, schedule, t, count, seed):
     fixed ``seed``: ``alpha mu_j`` plus the Cholesky factor of ``M_j`` times
     a standard normal draw, with ``j`` drawn by weight.  Each factor is
     applied to the rows that drew its component, so no ``(count, dim, dim)``
-    stack of factors is gathered (4.2 GB for 2000 draws at ``dim = 512``)."""
+    stack of factors is gathered (4.2 GB for 2000 draws at ``dim = 512``).
+    ``count`` is an int of at least 1 and ``seed`` one of at least 0."""
     if np.ndim(t) != 0:
         raise ShapeError(f"sample takes one time, got shape {np.shape(t)}")
+    count = require_int("count", count, 1)
+    seed = require_int("seed", seed, 0)
     means, covs = _marginal_moments(target, *_path(schedule, t))
     rng = np.random.default_rng(seed)
     idx = rng.choice(target.n_components, size=count, p=target.weights)

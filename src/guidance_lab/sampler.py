@@ -6,8 +6,8 @@ the noise end to the data end, where ``update_k`` is whatever the
 configured guidance rule produces (or an arbitrary extra vector field,
 for conservation experiments).  Each guided
 step evaluates the conditional and the unconditional velocity in one
-oracle pass over the pair's stacked components (``mixture._Stack``, built
-once with the ``TargetPair``); the path coefficients of every step come
+oracle pass over the ``TargetPair``, which stacks both targets' components
+when it is built; the path coefficients of every step come
 from two schedule calls over the whole grid, and the oracle's time-only
 terms from one ``mixture._time_terms`` call over it, laid out step-major
 once per grid.  The loop holds its states dimension-major, ``(steps + 1,
@@ -31,7 +31,7 @@ by integrator order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,30 +52,6 @@ class SamplerConfig:
     def __post_init__(self):
         object.__setattr__(self, "steps", require_int("steps", self.steps, 1))
         object.__setattr__(self, "seed", require_int("sampler seed", self.seed, 0))
-
-
-@dataclass(frozen=True)
-class TargetPair:
-    """Conditional and unconditional analytic targets of one experiment."""
-
-    conditional: mix.GaussianMixture
-    unconditional: mix.GaussianMixture
-    # Both targets' components in one stack, conditional first, so that one
-    # oracle pass per Euler step evaluates both.
-    _stack: mix._Stack = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.conditional.dim != self.unconditional.dim:
-            raise ShapeError(
-                f"conditional dim {self.conditional.dim} != "
-                f"unconditional dim {self.unconditional.dim}"
-            )
-        object.__setattr__(
-            self, "_stack", mix._Stack(self.conditional, self.unconditional))
-
-    @property
-    def dim(self):
-        return self.conditional.dim
 
 
 @dataclass(frozen=True)
@@ -125,7 +101,7 @@ def _euler(x0s, pair, schedule, guidance_config, sampler_config,
     path = sched.evaluate(schedule, times)
     state_coefs, score_coefs = (
         c.tolist() for c in sched.coefficients(schedule, times))
-    stack = pair._stack if guidance_field is None else pair.unconditional
+    stack = pair if guidance_field is None else pair.unconditional
     # Step-major: [k] of each holds step k's (components, ..., 1) terms.
     m_steps, norms_steps, means_steps = (
         np.ascontiguousarray(np.moveaxis(grid, -1, 0)[..., None])

@@ -524,7 +524,7 @@ def check_beta_affinity(config):
     pair, schedule = config.pair, config.schedule
     rng = _rng(config.seed, 13)
     times, points = _draws(rng, pair.unconditional, schedule, 8, 0.1)
-    terms = gd._pair_terms(pair._stack, schedule, times, points,
+    terms = gd._pair_terms(pair, schedule, times, points,
                            gd.NormalSource.CONDITIONAL)
     columns = []
     for beta in _BETA_GRID:

@@ -59,3 +59,25 @@ def test_digest_map_is_written_when_a_run_fails(tool, tmp_path):
     out = tmp_path / "digests.json"
     assert tool.main([str(out), "--seeds", "--configs", cfg]) == 1
     assert json.loads(out.read_text()) == {}
+
+
+def _files(root):
+    return sorted(os.path.relpath(os.path.join(folder, name), root)
+                  for folder, _, names in os.walk(root) for name in names)
+
+
+def test_digest_map_holds_every_benchmark_job_at_a_seed(tool, tmp_path):
+    perfbench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    before = _files(perfbench)
+    out = tmp_path / "digests.json"
+    assert tool.main([str(out), "--seeds", "--bench-seeds", "3"]) == 0
+    digests = json.loads(out.read_text())
+    workloads = tool._workloads()
+    # Every job of both workloads, warm-up included, named per workload
+    # and seed, so that two maps compare job by job.
+    assert {key.rpartition("/")[0] for key in digests} == {
+        f"{workload}_seed_3/{spec.name}" for workload in workloads.WORKLOADS
+        for spec in [workloads.WARMUP[workload], *workloads.SPECS[workload]]}
+    assert "compare_seed_3/compare_d2_n1000/sample_compare_report.json" in digests
+    # The configs and the artifacts went to the tool's own temporary root.
+    assert _files(perfbench) == before

@@ -351,7 +351,7 @@ def test_field_jacobians_match_finite_differences():
         residual_field(cond, uncond, sch),
         parallel_component_field(cond, uncond, sch),
         projected_update_field(cond, uncond, sch, config),
-        score_rotation_field(cond, sch, scale=0.7, axes=(0, 2)),
+        score_rotation_field(cond, sch, scale=0.7),
     ]
     for field in fields:
         for t in (0.25, 0.7):
@@ -378,7 +378,7 @@ def _oracle_fields(cond, uncond, sch):
         parallel_component_field(cond, uncond, sch,
                                  normal_source=NormalSource.UNCONDITIONAL),
         projected_update_field(cond, uncond, sch, config),
-        score_rotation_field(cond, sch, scale=0.7, axes=(0, 2)),
+        score_rotation_field(cond, sch, scale=0.7),
     ]
 
 
@@ -464,7 +464,7 @@ def test_score_rotation_is_conservative():
     rng = np.random.default_rng(92)
     sch = Schedule()
     target = _random_mixture(rng, 3, 3)
-    f = score_rotation_field(target, sch, scale=0.5, axes=(0, 1))
+    f = score_rotation_field(target, sch, scale=0.5)
     for _ in range(10):
         t = float(rng.uniform(sch.t_min, sch.t_max))
         x = rng.normal(size=3)
@@ -582,11 +582,11 @@ def test_residual_field_dim_mismatch():
 
 
 def test_rotation_axes_validation():
-    target = GaussianMixture.single(np.zeros(2), 1.0)
+    # The rotation plane is that of the first two coordinates.
     with pytest.raises(ConfigurationError):
-        score_rotation_field(target, Schedule(), axes=(0, 2))
-    with pytest.raises(ConfigurationError):
-        score_rotation_field(target, Schedule(), axes=(1, 1))
+        score_rotation_field(GaussianMixture.single(np.zeros(1), 1.0), Schedule())
+    field = score_rotation_field(GaussianMixture.single(np.zeros(2), 1.0), Schedule())
+    assert field.jacobian(np.array([1.0, 0.0]), 0.5)[1, 0] != 0.0
 
 
 def test_scale_schedule_reaches_floor():

@@ -164,7 +164,6 @@ def test_shifted_distribution_exceeds_null():
     b = rng.normal(loc=[2.0, 0.0], size=(80, 2))
     res = permutation_test(a, b, n_perm=200, seed=0)
     assert res.statistic > res.null_quantiles[0.99]
-    assert res.n_perm == 200
     assert set(res.null_quantiles) == {0.5, 0.9, 0.95, 0.99}
 
 
@@ -584,20 +583,20 @@ def _outputs_at_blas_threads(script, *args):
 
 def test_null_independent_of_blas_threads():
     # BLAS splits a product's sums differently per thread count; the
-    # statistic and the null must not move.  The quantiles at k/99 are the
-    # 100 sorted null values.  The pooled size spans several row blocks.
+    # statistic and every permutation's energy, in permutation order, must
+    # not move.  The pooled size spans several row blocks.
     assert 1200 > 4 * metrics._ROW_BLOCK
     script = (
         "import numpy as np\n"
-        "from guidance_lab import permutation_test\n"
+        "from guidance_lab import metrics\n"
         "rng = np.random.default_rng(11)\n"
         "a = rng.normal(size=(600, 2))\n"
         "b = rng.normal(loc=0.2, size=(600, 2))\n"
-        "qs = [k / 99 for k in range(100)]\n"
-        "res = permutation_test(a, b, n_perm=100, seed=3, quantiles=qs)\n"
-        "print(repr(res.statistic), repr(res.null_quantiles))\n"
+        "energies = metrics._split_energies(*metrics._pooled(a, b), 100, 3)\n"
+        "print(energies.shape, energies.tobytes().hex())\n"
     )
     outputs = _outputs_at_blas_threads(script)
+    assert outputs[0].startswith("(101,)")
     assert outputs[0] == outputs[1]
 
 
@@ -681,9 +680,8 @@ def test_permutation_validation():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"quantiles": (0.5, 1.5)}, {"quantiles": (-0.1,)},
-    {"quantiles": (0.5, math.nan)}, {"quantiles": 0.5},
-    {"quantiles": ("median",)}, {"n_perm": 100.5}, {"n_perm": True},
+    {"n_perm": 99}, {"n_perm": "100"}, {"n_perm": None}, {"seed": True},
+    {"seed": "3"}, {"n_perm": 100.5}, {"n_perm": True},
     {"seed": -1}, {"seed": 1.5},
 ])
 def test_permutation_rejects_bad_arguments(kwargs):
@@ -691,15 +689,6 @@ def test_permutation_rejects_bad_arguments(kwargs):
     a, b = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
     with pytest.raises(ConfigurationError):
         permutation_test(a, b, **{"n_perm": 100, **kwargs})
-
-
-def test_custom_quantiles():
-    rng = np.random.default_rng(10)
-    a = rng.normal(size=(25, 2))
-    b = rng.normal(size=(25, 2))
-    res = permutation_test(a, b, n_perm=100, quantiles=(0.25, 0.75))
-    assert set(res.null_quantiles) == {0.25, 0.75}
-    assert res.null_quantiles[0.25] <= res.null_quantiles[0.75]
 
 
 def test_quantiles_match_one_call_per_quantile():
@@ -726,12 +715,12 @@ def test_quantiles_match_one_call_per_quantile():
         rng = np.random.default_rng([12, seed])
         a = rng.normal(size=(30, 2))
         b = rng.normal(loc=0.3, size=(40, 2))
-        res = permutation_test(a, b, n_perm=100 + 37 * seed, seed=seed,
-                               quantiles=qs)
+        res = permutation_test(a, b, n_perm=100 + 37 * seed, seed=seed)
         energies = metrics._split_energies(*metrics._pooled(a, b),
                                            100 + 37 * seed, seed)
         assert res.statistic == energies[0]
-        for q in qs:
+        assert tuple(res.null_quantiles) == metrics.DEFAULT_QUANTILES
+        for q in metrics.DEFAULT_QUANTILES:
             want = np.quantile(energies[1:], q)
             assert np.float64(res.null_quantiles[q]).tobytes() == want.tobytes(), q
 

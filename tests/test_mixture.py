@@ -265,7 +265,7 @@ def _same_bits(got, want, what):
 def test_stacked_pass_matches_each_target_alone_bit_for_bit(dim, counts):
     rng = np.random.default_rng([53, dim, *counts])
     cond, uncond = (_random_mixture(rng, dim, k) for k in counts)
-    stack = mixture._Stack(cond, uncond)
+    stack = mixture.TargetPair(cond, uncond)
     sch = Schedule()
     # Near the noise end every component carries weight, so the order of a
     # target's sums over its components shows in the last bits.
@@ -315,7 +315,8 @@ def _negated_scores(stack, terms):
 @pytest.mark.parametrize("dim", [2, 8, 16])
 def test_stored_negated_eigenvectors_match_negating_after(dim, count):
     rng = np.random.default_rng([59, dim, count])
-    stack = mixture._Stack(_random_mixture(rng, dim, 2), _random_mixture(rng, dim, 3))
+    stack = mixture.TargetPair(_random_mixture(rng, dim, 2),
+                               _random_mixture(rng, dim, 3))
     pts = 1.5 * rng.normal(size=(count, dim))
     terms = mixture._evaluate(stack, 0.4, 0.6, pts)
     got, want = mixture._scores(stack, terms), _negated_scores(stack, terms)
@@ -329,8 +330,8 @@ def test_stored_negated_eigenvectors_match_negating_after(dim, count):
 
 def test_stack_rejects_targets_of_different_dimensions():
     with pytest.raises(ShapeError):
-        mixture._Stack(GaussianMixture.single(np.zeros(2), 1.0),
-                       GaussianMixture.single(np.zeros(3), 1.0))
+        mixture.TargetPair(GaussianMixture.single(np.zeros(2), 1.0),
+                           GaussianMixture.single(np.zeros(3), 1.0))
 
 
 # ---------------------------------------------------------------------------

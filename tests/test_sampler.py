@@ -312,8 +312,8 @@ def _scalar_time_euler(x0s, pair, sch, rule, scfg):
     for k in range(scfg.steps):
         t, x = float(times[k]), states[-1]
         point = schedule.evaluate(sch, t)
-        terms = mixture._evaluate(pair._stack, point.alpha, point.sigma, x)
-        v_c, v_u = mixture._velocities(pair._stack, terms,
+        terms = mixture._evaluate(pair, point.alpha, point.sigma, x)
+        v_c, v_u = mixture._velocities(pair, terms,
                                        *schedule.coefficients(sch, t), x)
         states.append(x + (times[k + 1] - times[k]) * (
             v_u + apply_guidance(v_u, v_c, x, t, sch, rule)))
@@ -360,9 +360,9 @@ def test_guided_step_makes_one_oracle_pass(monkeypatch):
             calls.clear()
             grids.clear()
             integrate(x0, pair, sch, GuidanceConfig(), SamplerConfig(steps=steps))
-            assert calls == [(pair._stack, np.atleast_2d(x0).shape)] * steps
+            assert calls == [(pair, np.atleast_2d(x0).shape)] * steps
             # The time-only terms of the whole grid come from one call.
-            assert grids == [(pair._stack, (steps + 1,))]
+            assert grids == [(pair, (steps + 1,))]
     # An explicit field replaces the rule: only the unconditional target.
     calls.clear()
     grids.clear()
