@@ -340,8 +340,16 @@ def _pair_terms(pair, schedule, t, x, normal_source):
     jac_g = -mix._column(b, 2) * (hessians[0] - hessians[1])
     jac_n = mix._column(b, 2) * hessians[src]
     div_n = b * np.einsum("nii->n", hessians[src])
+    # Each row's normal and its derivatives are scaled by the power of two
+    # that puts the row's largest |entry| in [0.5, 1), so that ||n||^2 and
+    # its square neither overflow nor underflow.  The scale is exact, and
+    # lam n, J_par and div g_par do not depend on it.
+    shift = np.frexp(np.max(np.abs(n), axis=1))[1]
+    np.ldexp(n, -shift[:, None], out=n)
+    np.ldexp(jac_n, -shift[:, None, None], out=jac_n)
+    np.ldexp(div_n, -shift, out=div_n)
     nn = np.sum(n * n, axis=1)
-    degenerate = np.sqrt(nn) <= degenerate_threshold(pts)
+    degenerate = np.ldexp(np.sqrt(nn), shift) <= degenerate_threshold(pts)
     if np.any(degenerate):
         row = int(np.argmax(degenerate))
         raise DegenerateNormalError(f"normal direction vanished at row {row}")

@@ -8,8 +8,11 @@ from equal distributions.  Pooled distances are rounded to a power-of-two
 grid ``h`` with at most ``52 - ceil(log2 N)`` bits below the bounding-box
 diagonal, so BLAS sums them exactly, with the same bits on any threads.
 The pass visits each distance block on or above the diagonal once, with
-one product: an off-diagonal block counts twice, which that grid leaves a
-spare bit for (see ``_split_energies``).  A block's grid distances are
+one distance pass and one product with the 0/1 labels, whose last column
+is all ones so that the product carries the block's row sums as well.
+Each finished row strip is split exactly into multiples of ``2**26`` and
+remainders, and both parts are folded into the thread's own sums (see
+``_split_energies``).  A block's grid distances are
 computed in NumPy, one coordinate at a time, and equal ``np.rint(cdist(...))``
 of SciPy bit for bit (see ``_grid_distances``), so no kind imports SciPy.
 
@@ -17,8 +20,8 @@ With NumPy's OpenBLAS pinned to one thread (``OPENBLAS_NUM_THREADS=1``),
 the pass's row strips run on two threads where the process may use two
 CPUs (its affinity set): the calling thread and one helper thread each
 take the next strip from one shared iterator.  Every partial a thread
-keeps, and every sum of them, is an integer below ``2**53``, so the
-values do not depend on the thread count or on which thread ran a strip.
+keeps, and every sum of them, is an exact integer, so the values do not
+depend on the thread count or on which thread ran a strip.
 Each such null starts its helper thread itself and joins it before it
 returns or raises, so no thread outlives the call.  With a
 multi-threaded BLAS the two threads' products contend for one BLAS
@@ -42,9 +45,17 @@ from .errors import DomainError, ShapeError, require_int
 # Rows and columns of the pooled distance matrix one block holds.
 _ROW_BLOCK = 256
 
-# Row accumulators, integers of at most 2**53 in h, are split as
-# hi * 2**_SPLIT + lo, so their dots with the labels sum exactly.
+# Strip entries, integers of at most 2**52 in h, are split into a multiple
+# of 2**_SPLIT and a rest, so that their folds over the rows sum exactly.
 _SPLIT = 26
+# Every sum of a non-negative float below 2**53 and _ROUND lies in
+# [2**78, 2**79), where floats are the multiples of 2**_SPLIT.
+_ROUND = 2.0 ** (_SPLIT + 52)
+
+# The label width is padded with zero columns to a multiple of this: a
+# 256 x 256 block times 104 labels took 164 us, times 102 took 177 us
+# (2-core Xeon VM, one BLAS thread).
+_WIDTH_STEP = 8
 
 DEFAULT_QUANTILES = (0.5, 0.9, 0.95, 0.99)
 
@@ -76,16 +87,6 @@ def _pooled(a, b):
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DomainError("samples must be finite (no NaN or inf entries)")
     return np.concatenate([a, b]), a.shape[0]
-
-
-def _hi_lo(values):
-    """Exact split of integer-valued ``values`` as ``hi * 2**_SPLIT + lo``.
-
-    Scaling by a power of two is exact here and, unlike ``np.ldexp``, runs
-    as one vectorised multiply.
-    """
-    hi = np.floor(values * 2.0**-_SPLIT)
-    return np.stack([hi, values - hi * 2.0**_SPLIT])
 
 
 def _cpu_count():
@@ -209,18 +210,20 @@ def _strip_sums(factors, labels, starts):
     shared iterator ``starts``.  ``factors`` are the
     :func:`_difference_factors` of the pooled points in grid units.
 
-    Returns the partial row sums ``r`` (every column sum of a visited block
-    lands in rows of a later strip) and the hi/lo parts of the strips'
-    ``z^T K z``.  Byte labels are widened one block at a time into this
-    thread's float buffers as a product needs them.
+    Returns this thread's folds of its strips of ``A`` (see
+    :func:`_split_energies`), ``[sum_i z_ip A_ip, sum_i (A_ip + A_i1
+    z_ip)]`` with ``A_i1`` the ones column, as ``(2, 2, width)`` hi and lo
+    parts.  Byte labels are widened one block at a time into this thread's
+    float buffers as a product needs them.
     """
     left, right = factors
     size, width = labels.shape
     side = min(_ROW_BLOCK, size)
     dist, diff = np.empty(side * side), np.empty(side * side)
     acc, part, z_rows, z_cols = (np.empty(side * width) for _ in range(4))
-    r = np.zeros(size)
-    in_a = np.zeros((2, width))
+    on_or_below_diagonal = np.tri(side, dtype=bool)
+    ones = np.ones(side)
+    folds = np.zeros((2, 2, width))
     # Each ``next`` on the shared range iterator runs under the GIL, so
     # every strip goes to exactly one thread.
     for start in starts:
@@ -231,8 +234,9 @@ def _strip_sums(factors, labels, starts):
         block = _grid_distances(left_i, right[:, :, rows],
                                 _shaped(dist, height, height),
                                 _shaped(diff, height, height))
+        np.copyto(block, 0.0, where=on_or_below_diagonal[:height, :height])
         acc_i = np.matmul(block, z_i, out=_shaped(acc, height, width))
-        r[rows] += block.sum(axis=1)
+        product = _shaped(part, height, width)
         for col in range(start + _ROW_BLOCK, size, _ROW_BLOCK):
             cols = slice(col, col + _ROW_BLOCK)
             breadth = min(_ROW_BLOCK, size - col)
@@ -240,38 +244,50 @@ def _strip_sums(factors, labels, starts):
             block = _grid_distances(left_i, right[:, :, cols],
                                     _shaped(dist, height, breadth),
                                     _shaped(diff, height, breadth))
-            product = np.matmul(block, z_j, out=_shaped(part, height, width))
-            product *= 2.0
-            acc_i += product
-            r[rows] += block.sum(axis=1)
-            r[cols] += block.sum(axis=0)
-        # Row block ``rows`` of the accumulator is complete: fold it in.
-        in_a += np.einsum("ip,kip->kp", z_i, _hi_lo(acc_i))
-    return r, in_a
+            acc_i += np.matmul(block, z_j, out=product)
+        # Strip ``rows`` of ``A`` is complete.  Adding and taking away
+        # _ROUND rounds each entry to a multiple of 2**_SPLIT, exactly:
+        # that is its hi part, and the rest, at most 2**(_SPLIT - 1) in
+        # size, its lo part.
+        hi = np.add(acc_i, _ROUND, out=product)
+        hi -= _ROUND
+        lo = np.subtract(acc_i, hi, out=acc_i)
+        for k, piece in enumerate((hi, lo)):
+            folds[0, k] += np.einsum("ip,ip->p", z_i, piece)
+            folds[1, k] += ones[:height] @ piece + piece[:, -1] @ z_i
+    return folds
 
 
 def _split_energies(pooled, n, n_perm, seed):
     """Energy distances of ``pooled[:n] | pooled[n:]`` and of the ``n_perm``
     seeded permutation splits, from one pass over the grid distances ``K``.
 
-    Column ``z`` of ``labels`` marks a group ``a``.  With ``r`` the row sums
-    of ``K``, the within sums are ``z^T K z`` and ``sum(r) - 2 z^T r +
-    z^T K z``, the between sum ``z^T r - z^T K z``.  Only the blocks on and
-    above the diagonal are visited, each with one product: row block ``I``
-    accumulates ``K_II z_I + 2 sum_{J>I} K_IJ z_J``, whose dot with ``z_I``
-    summed over ``I`` is ``z^T K z``.  Every grid distance is at most
-    ``2**bits`` with ``N * 2**bits <= 2**52``, so a row sum is at most
-    ``2**52`` and the doubled accumulator at most ``2**53``: every BLAS
-    partial sum is an exact integer.  ``r`` gathers exact block row and
-    column sums.
+    Column ``z`` of ``labels`` marks a group ``a``, and a last column of
+    ones rides along.  With ``T`` the part of ``K`` above its diagonal, so
+    that ``K = T + T^T``, the within sums are ``z^T K z = 2 z^T T z`` and
+    ``1^T K 1 - 2 z^T K 1 + z^T K z``, the between sum ``z^T K 1 - z^T K
+    z``, where ``z^T K 1 = 1^T T z + z^T T 1`` and ``1^T K 1`` is that sum
+    at the ones column.  Only the blocks on and above the diagonal are
+    visited, each with one distance pass and one product: strip ``I`` of
+    ``A = T Z`` is ``triu(K_II) z_I + sum_{J>I} K_IJ z_J``, whose ones
+    column holds the strip's row sums of ``T``.  Every grid distance is at
+    most ``2**bits`` with ``N * 2**bits <= 2**52``, so an entry of ``A``,
+    an undoubled sum of distances, is an integer below ``2**52`` and every
+    BLAS partial sum of a product is exact.
+
+    A finished strip is split exactly into multiples of ``2**_SPLIT`` and
+    rests of at most ``2**(_SPLIT - 1)``, and each part is folded over the
+    strip's rows: ``z_I . A_I`` column by column, and ``1^T A_I + A_I1^T
+    z_I``, the strip's share of ``z^T K 1``.  Those folds, their sums over
+    strips and the combinations below are exact integers for any ``N``
+    below ``2**23``, and each sum is rounded once, when its two parts are
+    added.
 
     The row strips (row block ``I`` with every block right of it) run on
     ``_null_threads`` threads, the caller and its helpers, each taking the
-    next strip as it finishes one.  Each thread keeps its own ``r`` and
-    hi/lo ``z^T K z``; the caller adds them and folds ``z^T r`` once ``r``
-    is complete.  Every partial and every sum of partials is an integer
-    below ``2**53``, so neither the order nor the thread a strip ran on can
-    move a bit.
+    next strip as it finishes one and folding it into its own sums; the
+    caller adds the threads' sums.  Every partial is exact, so neither the
+    order nor the thread a strip ran on can move a bit.
     """
     size = pooled.shape[0]
     diagonal = math.dist(pooled.max(axis=0), pooled.min(axis=0))
@@ -285,8 +301,10 @@ def _split_energies(pooled, n, n_perm, seed):
     # A split pass holds its labels as bytes, which makes room for the
     # helper's memory; one thread keeps them float: at two BLAS threads the
     # per-block widening made a one-thread pass about 15% slower.
-    labels = np.zeros((size, n_perm + 1), dtype=np.uint8 if threads > 1 else float)
+    width = -(-(n_perm + 2) // _WIDTH_STEP) * _WIDTH_STEP
+    labels = np.zeros((size, width), dtype=np.uint8 if threads > 1 else float)
     labels[:n, 0] = 1
+    labels[:, -1] = 1
     rng = np.random.default_rng(seed)
     for p in range(1, n_perm + 1):
         labels[rng.permutation(size)[:n], p] = 1
@@ -298,16 +316,12 @@ def _split_energies(pooled, n, n_perm, seed):
         # finds no strip left and stops after its current one.
         collections.deque(starts, maxlen=0)
         raise
-    row_sums, in_a_parts = zip(*parts)
-    r, in_a = sum(row_sums), sum(in_a_parts)
-    from_a = np.zeros_like(in_a)
-    z = np.empty(min(_ROW_BLOCK, size) * (n_perm + 1))
-    for start in range(0, size, _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        from_a += _hi_lo(r[rows]) @ _as_float(labels[rows], z)
-    total = _hi_lo(r).sum(axis=1)[:, None]
+    folds = sum(parts)
+    in_a = 2.0 * folds[0, :, :n_perm + 1]
+    from_a = folds[1, :, :n_perm + 1]
+    total = folds[1, :, -1:]
     pairs = np.stack([in_a, from_a - in_a, total - 2.0 * from_a + in_a])
-    sum_a, sum_ab, sum_b = np.ldexp(pairs[:, 0], _SPLIT) + pairs[:, 1]
+    sum_a, sum_ab, sum_b = pairs[:, 0] + pairs[:, 1]
     m = size - n  # the bracket makes the value symmetric in a and b
     units = 2.0 * sum_ab / (n * m) - (sum_a / (n * n - n) + sum_b / (m * m - m))
     return np.ldexp(units, exponent)
@@ -360,11 +374,14 @@ def permutation_test(a, b, n_perm=1000, seed=0):
     ``default_rng(seed).permutation(n + m)``, whose first ``n`` entries
     label group ``a``.  The statistic (``energy_distance(a, b)`` bit for bit)
     and the null come from one pass in O((n + m) * n_perm) bytes of labels
-    whose BLAS sums are exact.  With OpenBLAS on one thread the pass's row
-    strips run on two threads where the process may use two CPUs (the
-    helper thread is started and joined within the call); every
-    per-thread partial is an exact integer, so no value depends on the
-    thread or CPU count, the BLAS threads or ``_ROW_BLOCK``.  The null
+    whose BLAS sums are exact: one distance pass and one label product per
+    block, an all-ones label column for the row sums and the total, and
+    one exact hi/lo fold per row strip (see :func:`_split_energies`).
+    With OpenBLAS on one thread the pass's row strips run on two threads
+    where the process may use two CPUs (the helper thread is started and
+    joined within the call); every per-thread partial is an exact integer,
+    so no value depends on the thread or CPU count, the BLAS threads,
+    ``_ROW_BLOCK`` or the label padding.  The null
     quantiles at ``DEFAULT_QUANTILES`` are ``np.quantile``'s default linear
     ones, bit for bit, from an in-house :func:`_quantiles`, so the test
     does not import ``numpy.ma`` as ``np.quantile`` does.

@@ -52,10 +52,10 @@ def test_digest_map_holds_each_artifact_of_a_config_run(tool, tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_digest_map_is_written_when_a_run_fails(tool, tmp_path):
-    # The profile is not finite at t = 1e-300, so the run exits 2 and
+    # The profile is not finite at t = 1e-308, so the run exits 2 and
     # writes no artifact.
     cfg = _write(tmp_path / "cfg.json", {
-        "kind": "trace_divergence", "schedule": {"t_min": 1e-300}})
+        "kind": "trace_divergence", "schedule": {"t_min": 1e-308}})
     out = tmp_path / "digests.json"
     assert tool.main([str(out), "--seeds", "--configs", cfg]) == 1
     assert json.loads(out.read_text()) == {}

@@ -739,19 +739,33 @@ def test_clamp_alone_sets_the_run_interval(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("kind, column", [("trace_divergence", "div_g_beta_0"),
+@pytest.mark.parametrize("kind, column", [("trace_divergence", "div_cond"),
                                           ("sweep_beta", "div_g_par")])
 def test_trace_kind_with_a_non_finite_cell_exits_2_before_writing(
         tmp_path, capsys, kind, column):
-    # At t = 1e-300, |b_t| = sigma / alpha is near 1e300, so the squared
-    # norm of the split's normal overflows.
-    cfg = _write_config(tmp_path, {"kind": kind, "schedule": {"t_min": 1e-300}})
+    # At t = 1e-308, |b_t| = sigma / alpha is near 1e308, so a divergence
+    # (the conditional target's, and that of g_par) overflows.
+    cfg = _write_config(tmp_path, {"kind": kind, "schedule": {"t_min": 1e-308}})
     out = tmp_path / "out"
     assert cli.main([kind, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert f"column {column} is not finite at step 0" in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["trace_divergence", "sweep_beta"])
+def test_trace_kind_runs_where_the_normal_norm_squared_overflows(tmp_path, kind):
+    # At t = 1e-300, |b_t| is near 1e300: ||n||^2 of the unscaled normal
+    # would overflow, but each row's normal is scaled by a power of two
+    # before it is squared, so every cell is finite.
+    cfg = _write_config(tmp_path, {"kind": kind, "schedule": {"t_min": 1e-300}})
+    out = tmp_path / "out"
+    assert cli.main([kind, "--config", cfg, "--out", str(out)]) == 0
+    header, *lines = (out / f"{kind}.csv").read_text().splitlines()
+    cells = np.array([[float(v) for v in line.split(",")] for line in lines])
+    assert cells[0, header.split(",").index("t")] == 1e-300
+    assert np.isfinite(cells).all()
 
 
 def test_cli_verify_smoke(tmp_path):

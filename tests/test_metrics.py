@@ -201,8 +201,8 @@ def _reference_energy(a, b):
 
 
 def test_energy_distance_matches_float_reference():
-    # Several row blocks, so the doubled off-diagonal products, the block
-    # row and column sums, the hi/lo fold and the final bracket all enter;
+    # Several row blocks, so the off-diagonal products, the ones column's
+    # row sums, the per-strip hi/lo folds and the final bracket all enter;
     # the grid rounding moves the value by far less than the bound.
     rng = np.random.default_rng(15)
     a = rng.normal(size=(400, 3))
@@ -216,20 +216,24 @@ def test_null_matches_per_permutation_reference():
     # The reference recomputes the energy distance of every label split
     # drawn from the same seeded permutation stream, on unrounded float
     # distances.  The pooled size spans more than one row block, so the
-    # blocked accumulation is exercised.
+    # blocked accumulation is exercised.  The label widths, n_perm + 2 with
+    # the ones column, lie below, on and above a multiple of the padding
+    # step.
     rng = np.random.default_rng(8)
     n, m = 150, 170
     assert n + m > metrics._ROW_BLOCK
     pooled = np.concatenate([rng.normal(size=(n, 2)),
                              rng.normal(loc=0.3, size=(m, 2))])
-    null = metrics._split_energies(pooled, n, 100, 9)[1:]
-    perms = np.random.default_rng(9)
-    for value in null:
-        perm = perms.permutation(n + m)
-        assert value == pytest.approx(
-            _reference_energy(pooled[perm[:n]], pooled[perm[n:]]),
-            rel=1e-12, abs=1e-12,
-        )
+    for n_perm in (100, 102, 105):
+        null = metrics._split_energies(pooled, n, n_perm, 9)[1:]
+        assert null.shape == (n_perm,)
+        perms = np.random.default_rng(9)
+        for value in null:
+            perm = perms.permutation(n + m)
+            assert value == pytest.approx(
+                _reference_energy(pooled[perm[:n]], pooled[perm[n:]]),
+                rel=1e-12, abs=1e-12,
+            )
 
 
 @pytest.mark.parametrize("at_origin", [1, 1023])
@@ -369,7 +373,7 @@ def test_null_threads_capped_and_gated_on_blas(monkeypatch):
     (1300, 256),  # six strips: more than the four threads
     (60, 7),      # nine strips of seven rows, the last one partial
 ])
-@pytest.mark.parametrize("n_perm", [0, 100])
+@pytest.mark.parametrize("n_perm", [0, 100, 102, 105])
 def test_null_independent_of_cpu_count(monkeypatch, size, row_block, n_perm):
     # Each thread's partials are exact integers, so neither which thread
     # ran a strip nor the order they are added in can move a bit.

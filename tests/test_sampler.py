@@ -372,6 +372,29 @@ def test_guided_step_makes_one_oracle_pass(monkeypatch):
     assert grids == [(pair.unconditional, (5,))]
 
 
+def test_projected_rule_makes_as_many_oracle_calls_as_cfg(monkeypatch):
+    # No additional inference cost: a projected-rule Euler step evaluates
+    # the pair once, as a CFG step does, on the same grid and batch.
+    pair = _pair()
+    calls = []
+    evaluate_at = mixture._evaluate_at
+
+    def counting(*args):
+        calls.append((args[0], args[4].shape))
+        return evaluate_at(*args)
+
+    monkeypatch.setattr(mixture, "_evaluate_at", counting)
+    x0s = initial_states(6, 2, seed=4)
+    counts = {}
+    for rule in (GuidanceRule.CFG, GuidanceRule.PROJECTED):
+        calls.clear()
+        integrate(x0s, pair, Schedule(), GuidanceConfig(rule=rule),
+                  SamplerConfig(steps=17))
+        counts[rule] = list(calls)
+    assert counts[GuidanceRule.PROJECTED] == [(pair, (6, 2))] * 17
+    assert counts[GuidanceRule.PROJECTED] == counts[GuidanceRule.CFG]
+
+
 def test_projected_beta_one_reproduces_cfg_trajectory():
     pair = _pair()
     sch = Schedule()
