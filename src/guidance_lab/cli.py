@@ -13,9 +13,16 @@ so re-running a config reproduces its outputs byte for byte.
 pass over the reference trajectory's states, and write nothing if a cell
 is not finite.  ``sweep_omega`` and ``sample_compare`` both compare CFG
 with the projected rule through one routine, ``_compare_rules``, each at
-its own seeds.  Exit status 0 means every check in the run passed (for
-``verify``) or the run completed (for the experiment kinds); configuration
-problems and non-finite profiles exit 2.
+its own seeds: it integrates every rule of the job, keeping each rule's
+terminal states alone, then draws the oracles and runs every permutation
+null of the job in one threaded pass (``metrics.permutation_tests``).
+The oracles' log-sum-exp underflows by design far from a component; the
+Euler loop, ``mixture._evaluate``, the trace kinds' one ``_pair_terms``
+pass and the ``verify`` checks each ignore underflow once, so every kind
+also completes under ``np.errstate(all="raise")``.  Exit
+status 0 means every check in the run passed (for ``verify``) or the run
+completed (for the experiment kinds); configuration problems and
+non-finite profiles exit 2.
 """
 
 from __future__ import annotations
@@ -84,7 +91,8 @@ def _cfg_rule(omega):
 
 
 def run_verify(config):
-    results = verify.run_all_checks(config)
+    with mix._ignoring_underflow():  # as in _write_profile
+        results = verify.run_all_checks(config)
     report = verify.report_dict(results)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -104,8 +112,12 @@ def _write_profile(config, name, profile):
     pair, schedule = config.pair, config.schedule
     record = _reference_trajectory(config)
     times = record.times
-    terms = gd._pair_terms(pair, schedule, times, record.states,
-                           config.guidance.normal_source)
+    # The oracles' log-sum-exp and responsibility products underflow to
+    # zero far from a component, as they should.  Ignored around this pass
+    # alone, not the whole run: an errstate slows some NumPy calls inside it.
+    with mix._ignoring_underflow():
+        terms = gd._pair_terms(pair, schedule, times, record.states,
+                               config.guidance.normal_source)
     divs = profile(times, sched.coefficients(schedule, times), terms)
     columns = ["t", *divs]
     matrix = np.column_stack([times] + [np.abs(div) / pair.dim
@@ -165,37 +177,52 @@ def _oracle_terminal_draws(config, seed):
                       config.schedule.t_max, config.sample_count, seed)
 
 
-def _compare_rules(config, omega, x0s, oracle, null_seed):
-    """CFG at ``omega``, then the projected rule at ``omega``, each
-    integrated from the same initial states ``x0s`` and tested against the
-    draws ``oracle`` with the permutation null seeded ``null_seed(i)`` for
-    rule ``i``.  Yields, per rule, its name, its terminal states, the
-    ``TwoSampleResult`` and the mean of ``log p_c`` over the terminal
-    states at the grid's last time, the schedule's ``t_max``."""
-    rules = (("cfg", _cfg_rule(omega)),
-             ("projected", _projected(config, omega=omega)))
-    for index, (name, rule) in enumerate(rules):
-        # A copy, so that the trajectory is freed here: a view of it would
-        # stay alive in the caller's loop through the next rule's run.
-        terminal = smp.integrate(x0s, config.pair, config.schedule, rule,
-                                 config.sampler).terminal_state.copy()
-        result = metrics.permutation_test(terminal, oracle, n_perm=config.n_perm,
-                                          seed=null_seed(index))
-        log_p = mix.log_density(config.pair.conditional, config.schedule,
-                                config.schedule.t_max, terminal)
-        yield name, terminal, result, float(log_p.mean())
+def _compare_rules(config, runs):
+    """CFG, then the projected rule, at each ``(omega, x0_seed, oracle_seed,
+    null_seed)`` of ``runs``, both integrated from the run's initial states
+    and tested against its ``sample_count`` oracle draws at ``t_max``.
+
+    Every rule of every run is integrated first, each kept as its terminal
+    copy alone (:func:`sampler.terminal_states`); then each run's oracle is
+    drawn, and one :func:`metrics.permutation_tests` call runs every null
+    of the job in one threaded pass, rule ``i`` of a run with seed
+    ``null_seed(i)``.  Each value equals that of its own
+    :func:`metrics.permutation_test`, bit for bit.  Returns, per run, its
+    oracle draws and, per rule, its name, its terminal states, the
+    ``TwoSampleResult`` and the mean of ``log p_c`` over the terminal states
+    at the grid's last time, the schedule's ``t_max``."""
+    names = ("cfg", "projected")
+    terminals = []
+    for omega, x0_seed, _, _ in runs:
+        x0s = smp.initial_states(config.sample_count, config.pair.dim, x0_seed)
+        terminals.append([
+            smp.terminal_states(x0s, config.pair, config.schedule, rule,
+                                config.sampler)
+            for rule in (_cfg_rule(omega), _projected(config, omega=omega))])
+    oracles = [_oracle_terminal_draws(config, oracle_seed)
+               for _, _, oracle_seed, _ in runs]
+    results = iter(metrics.permutation_tests(
+        [(terminal, oracle, null_seed(index))
+         for (*_, null_seed), rules, oracle in zip(runs, terminals, oracles)
+         for index, terminal in enumerate(rules)], n_perm=config.n_perm))
+    compared = []
+    for rules, oracle in zip(terminals, oracles):
+        compared.append((oracle, [
+            (name, terminal, next(results), float(mix.log_density(
+                config.pair.conditional, config.schedule,
+                config.schedule.t_max, terminal).mean()))
+            for name, terminal in zip(names, rules)]))
+    return compared
 
 
 def run_sweep_omega(config):
     rows = []
     summary = {}
-    for oi, omega in enumerate(config.omega_sweep):
-        x0s = smp.initial_states(config.sample_count, config.pair.dim,
-                                 _child_seed(config.seed, 1, oi))
-        oracle = _oracle_terminal_draws(config, _child_seed(config.seed, 2, oi))
-        for name, _, result, log_p in _compare_rules(
-                config, omega, x0s, oracle,
-                functools.partial(_child_seed, config.seed, 3, oi)):
+    runs = [(omega, _child_seed(config.seed, 1, oi), _child_seed(config.seed, 2, oi),
+             functools.partial(_child_seed, config.seed, 3, oi))
+            for oi, omega in enumerate(config.omega_sweep)]
+    for omega, (_, rules) in zip(config.omega_sweep, _compare_rules(config, runs)):
+        for name, _, result, log_p in rules:
             rows.append([name, float(omega), result.statistic,
                          result.null_quantiles[0.95], log_p])
             summary[f"{name}_omega_{omega:g}"] = result.statistic
@@ -222,15 +249,13 @@ def _write_samples(config, name, matrix):
 
 def run_sample_compare(config):
     omega = config.guidance.guidance_scale
-    oracle = _oracle_terminal_draws(config, _child_seed(config.seed, 4))
+    (oracle, rules), = _compare_rules(config, [(
+        omega, config.sampler.seed, _child_seed(config.seed, 4),
+        functools.partial(_child_seed, config.seed, 5))])
     _write_samples(config, "oracle", oracle)
     report = {"sample_count": config.sample_count, "guidance_scale": omega,
               "rules": {}}
-    x0s = smp.initial_states(config.sample_count, config.pair.dim,
-                             config.sampler.seed)
-    for name, terminal, result, log_p in _compare_rules(
-            config, omega, x0s, oracle,
-            functools.partial(_child_seed, config.seed, 5)):
+    for name, terminal, result, log_p in rules:
         _write_samples(config, name, terminal)
         report["rules"][name] = {
             "energy_distance": result.statistic,

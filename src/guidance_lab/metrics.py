@@ -16,17 +16,21 @@ remainders, and both parts are folded into the thread's own sums (see
 computed in NumPy, one coordinate at a time, and equal ``np.rint(cdist(...))``
 of SciPy bit for bit (see ``_grid_distances``), so no kind imports SciPy.
 
-With NumPy's OpenBLAS pinned to one thread (``OPENBLAS_NUM_THREADS=1``),
-the pass's row strips run on two threads where the process may use two
-CPUs (its affinity set): the calling thread and one helper thread each
-take the next strip from one shared iterator.  Every partial a thread
-keeps, and every sum of them, is an exact integer, so the values do not
-depend on the thread count or on which thread ran a strip.
-Each such null starts its helper thread itself and joins it before it
-returns or raises, so no thread outlives the call.  With a
-multi-threaded BLAS the two threads' products contend for one BLAS
-thread pool and the split pass was slower than one thread, so there the
-pass runs on the calling thread alone.
+Several nulls run as one pass: ``permutation_tests`` hands every null of
+a sampling job to one ``_split_energies`` call, and ``permutation_test``
+is its one-null case.  With NumPy's OpenBLAS pinned to one thread
+(``OPENBLAS_NUM_THREADS=1``) the pass runs on two threads where the
+process may use two CPUs (its affinity set): the calling thread and one
+helper thread, started once per pass, take their items from one work
+list, each null's label draw and then its row strips, so one null's
+labels are drawn while another's strips run.  Every partial a thread
+keeps, and every sum of them, is an exact integer, and each null's
+labels come from its own seed, so no value depends on the thread count,
+on which thread ran an item or on the other nulls of the pass.  The
+helper is joined before the pass returns or raises, so no thread
+outlives the call.  With a multi-threaded BLAS the two threads' products
+contend for one BLAS thread pool and the split pass was slower than one
+thread, so there the pass runs on the calling thread alone.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ DEFAULT_QUANTILES = (0.5, 0.9, 0.95, 0.99)
 # Fewest permutations whose null quantiles the test reports.
 MIN_PERMUTATIONS = 100
 
-# Most threads one null runs on: two beat one on a 2-core Xeon VM at one
+# Most threads one pass runs on: two beat one on a 2-core Xeon VM at one
 # BLAS thread; more were never measured.
 _MAX_THREADS = 2
 
@@ -76,6 +80,8 @@ class TwoSampleResult:
 
 
 def _pooled(a, b):
+    """The checked samples as a pooled sample, the tuple ``(a, b)`` of the
+    blocks it stacks (see :func:`_split_energies`), and ``n``."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"samples must be 2-d (n, dim) matrices, got "
@@ -86,7 +92,7 @@ def _pooled(a, b):
         raise ShapeError("each sample needs at least 2 points")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DomainError("samples must be finite (no NaN or inf entries)")
-    return np.concatenate([a, b]), a.shape[0]
+    return (a, b), a.shape[0]
 
 
 def _cpu_count():
@@ -114,7 +120,7 @@ def _blas_single_threaded():
 
 
 def _null_threads(strips):
-    """Threads a pass of ``strips`` row strips runs on.
+    """Threads a pass of ``strips`` row strips, over all its nulls, runs on.
 
     Two only with a one-thread BLAS: where the BLAS pool has a thread per
     CPU, both threads' products queue on it and the split pass was slower
@@ -171,16 +177,21 @@ def _as_float(labels, buffer):
     return widened
 
 
-def _difference_factors(points):
+def _difference_factors(*blocks, exponent=0):
     """Per coordinate ``k``, the ``(size, 2)`` rows ``[x_k, 1]`` and the
-    ``(2, size)`` columns ``[1; -x_k]`` of ``points``: the product of rows
-    ``I`` and columns ``J`` is the matrix of differences ``x_ik - x_jk``.
-    Both of its terms are exact, so under any BLAS each difference is
-    rounded once, to ``fl(x_ik - x_jk)``."""
-    left = np.ones((points.shape[1], points.shape[0], 2))
-    left[:, :, 0] = points.T
-    right = np.ones((points.shape[1], 2, points.shape[0]))
-    np.negative(points.T, out=right[:, 1])
+    ``(2, size)`` columns ``[1; -x_k]`` of the points of ``blocks`` stacked
+    in order and scaled exactly by ``2**-exponent``, written into the
+    factors with no stacked copy: the product of rows ``I`` and columns
+    ``J`` is the matrix of differences ``x_ik - x_jk``.  Both of its terms
+    are exact, so under any BLAS each difference is rounded once, to
+    ``fl(x_ik - x_jk)``."""
+    size = sum(block.shape[0] for block in blocks)
+    left = np.ones((blocks[0].shape[1], size, 2))
+    points = left[:, :, 0]
+    np.concatenate([block.T for block in blocks], axis=1, out=points)
+    np.ldexp(points, -exponent, out=points)
+    right = np.ones((blocks[0].shape[1], 2, size))
+    np.negative(points, out=right[:, 1])
     return left, right
 
 
@@ -205,27 +216,34 @@ def _grid_distances(left, right, out, diff):
     return np.rint(out, out=out)
 
 
-def _strip_sums(factors, labels, starts):
-    """This thread's share of the pass: the row strips it takes from the
-    shared iterator ``starts``.  ``factors`` are the
-    :func:`_difference_factors` of the pooled points in grid units.
+def _scratch(side, width):
+    """One thread's buffers for every strip it runs in a pass, ``side`` the
+    tallest strip and ``width`` the widest labels of the pass's nulls: the
+    flat distance, spare, accumulator and two label buffers, whose heads a
+    strip views (:func:`_shaped`), the diagonal block's mask and a row of
+    ones.  The spare buffer holds a block's squared coordinate differences
+    while its distances are formed, then its label product."""
+    return (np.empty(side * side), np.empty(side * max(side, width)),
+            *(np.empty(side * width) for _ in range(3)),
+            np.tri(side, dtype=bool), np.ones(side))
 
-    Returns this thread's folds of its strips of ``A`` (see
+
+def _strip_sums(factors, labels, starts, scratch):
+    """One run of a thread's share of a pass: the row strips of one null it
+    takes from ``starts``, in this thread's :func:`_scratch` buffers.
+    ``factors`` are the :func:`_difference_factors` of the null's pooled
+    points in grid units.
+
+    Returns the folds of these strips of ``A`` (see
     :func:`_split_energies`), ``[sum_i z_ip A_ip, sum_i (A_ip + A_i1
     z_ip)]`` with ``A_i1`` the ones column, as ``(2, 2, width)`` hi and lo
-    parts.  Byte labels are widened one block at a time into this thread's
-    float buffers as a product needs them.
+    parts.  Byte labels are widened one block at a time into the float
+    buffers as a product needs them.
     """
     left, right = factors
     size, width = labels.shape
-    side = min(_ROW_BLOCK, size)
-    dist, diff = np.empty(side * side), np.empty(side * side)
-    acc, part, z_rows, z_cols = (np.empty(side * width) for _ in range(4))
-    on_or_below_diagonal = np.tri(side, dtype=bool)
-    ones = np.ones(side)
+    dist, spare, acc, z_rows, z_cols, on_or_below_diagonal, ones = scratch
     folds = np.zeros((2, 2, width))
-    # Each ``next`` on the shared range iterator runs under the GIL, so
-    # every strip goes to exactly one thread.
     for start in starts:
         rows = slice(start, start + _ROW_BLOCK)
         height = min(_ROW_BLOCK, size - start)
@@ -233,17 +251,17 @@ def _strip_sums(factors, labels, starts):
         left_i = left[:, rows]
         block = _grid_distances(left_i, right[:, :, rows],
                                 _shaped(dist, height, height),
-                                _shaped(diff, height, height))
+                                _shaped(spare, height, height))
         np.copyto(block, 0.0, where=on_or_below_diagonal[:height, :height])
         acc_i = np.matmul(block, z_i, out=_shaped(acc, height, width))
-        product = _shaped(part, height, width)
+        product = _shaped(spare, height, width)
         for col in range(start + _ROW_BLOCK, size, _ROW_BLOCK):
             cols = slice(col, col + _ROW_BLOCK)
             breadth = min(_ROW_BLOCK, size - col)
             z_j = _as_float(labels[cols], z_cols)
             block = _grid_distances(left_i, right[:, :, cols],
                                     _shaped(dist, height, breadth),
-                                    _shaped(diff, height, breadth))
+                                    _shaped(spare, height, breadth))
             acc_i += np.matmul(block, z_j, out=product)
         # Strip ``rows`` of ``A`` is complete.  Adding and taking away
         # _ROUND rounds each entry to a multiple of 2**_SPLIT, exactly:
@@ -258,13 +276,175 @@ def _strip_sums(factors, labels, starts):
     return folds
 
 
-def _split_energies(pooled, n, n_perm, seed):
-    """Energy distances of ``pooled[:n] | pooled[n:]`` and of the ``n_perm``
-    seeded permutation splits, from one pass over the grid distances ``K``.
+def _label_width(n_perm):
+    """Columns of a null's labels: the observed split, ``n_perm``
+    permutations and the ones column, padded to a multiple of
+    ``_WIDTH_STEP``."""
+    return -(-(n_perm + 2) // _WIDTH_STEP) * _WIDTH_STEP
 
-    Column ``z`` of ``labels`` marks a group ``a``, and a last column of
-    ones rides along.  With ``T`` the part of ``K`` above its diagonal, so
-    that ``K = T + T^T``, the within sums are ``z^T K z = 2 z^T T z`` and
+
+def _grid_exponent(blocks, size):
+    """The exponent of the grid step ``h = 2**exponent`` of the pooled
+    sample of ``size`` points that ``blocks`` stack: ``52 - ceil(log2 N)``
+    bits below its bounding-box diagonal."""
+    diagonal = math.dist(np.max([block.max(axis=0) for block in blocks], axis=0),
+                         np.min([block.min(axis=0) for block in blocks], axis=0))
+    if not math.isfinite(2.0 * diagonal):
+        raise DomainError(f"twice the bounding-box diagonal {diagonal} overflows")
+    bits = 52 - (size - 1).bit_length()
+    return (math.frexp(diagonal)[1] if diagonal > 0.0 else 0) - bits
+
+
+def _draw_labels(size, n, n_perm, seed, dtype):
+    """The 0/1 labels of one null, ``(size, _label_width(n_perm))``:
+    column 0 marks the observed split ``[:n]``, column ``p`` the first ``n``
+    entries of the ``p``-th draw of ``default_rng(seed).permutation(size)``,
+    and the last column is all ones; the columns between are zero."""
+    labels = np.zeros((size, _label_width(n_perm)), dtype=dtype)
+    labels[:n, 0] = 1
+    labels[:, -1] = 1
+    rng = np.random.default_rng(seed)
+    for p in range(1, n_perm + 1):
+        labels[rng.permutation(size)[:n], p] = 1
+    return labels
+
+
+class _Pass:
+    """The work list of one pass over several nulls, and what its threads
+    share.
+
+    The list holds, per null ``k``, a preparation item ``(k, None)`` (its
+    grid factors and its label draw) and one item ``(k, start)`` per row
+    strip.  The first ``threads`` nulls are prepared first; after the
+    strips of null ``k`` comes the preparation of null ``k + threads``,
+    which waits until every strip of null ``k`` has finished and its inputs
+    are freed.  So while ``threads`` threads run strips, the next nulls'
+    labels are drawn beside them, and at most ``threads`` nulls' labels and
+    factors are held at a time.  A strip whose null is still being
+    prepared waits for it.  Each ``next`` on the shared list iterator runs
+    under the GIL, so every item goes to exactly one thread.
+    """
+
+    def __init__(self, nulls, sizes, exponents):
+        self.nulls, self.sizes, self.exponents = nulls, sizes, exponents
+        self.left = [-(-size // _ROW_BLOCK) for size in sizes]
+        self.threads = threads = _null_threads(sum(self.left))
+        # A split pass holds its labels as bytes, which makes room for the
+        # helper's memory; one thread keeps them float: at two BLAS threads
+        # the per-block widening made a one-thread pass about 15% slower.
+        self.dtype = np.uint8 if threads > 1 else float
+        self.inputs = [None] * len(nulls)
+        self.side = min(_ROW_BLOCK, max(sizes))
+        self.width = max(_label_width(n_perm) for _, _, n_perm, _ in nulls)
+        order = [(k, None) for k in range(min(threads, len(nulls)))]
+        for k, size in enumerate(sizes):
+            order += [(k, start) for start in range(0, size, _ROW_BLOCK)]
+            if k + threads < len(nulls):
+                order.append((k + threads, None))
+        self.work = iter(order)
+        self.failed = False
+        self.changed = threading.Condition()
+
+    def abort(self):
+        """Stop the pass: no thread takes another item or waits on one, and
+        a thread at work stops after its current strip."""
+        collections.deque(self.work, maxlen=0)
+        with self.changed:
+            self.failed = True
+            self.changed.notify_all()
+
+    def _await(self, ready):
+        """Wait until ``ready()`` holds; False if the pass was stopped."""
+        with self.changed:
+            self.changed.wait_for(lambda: self.failed or ready())
+            return not self.failed
+
+    def _prepare(self, k):
+        """Null ``k``'s grid factors and labels, once null ``k - threads``
+        has freed its own; False if the pass was stopped."""
+        blocks, n, n_perm, seed = self.nulls[k]
+        behind = k - self.threads
+        if behind >= 0 and not self._await(lambda: not self.left[behind]):
+            return False
+        inputs = (_difference_factors(*blocks, exponent=self.exponents[k]),
+                  _draw_labels(self.sizes[k], n, n_perm, seed, self.dtype))
+        with self.changed:
+            self.inputs[k] = inputs
+            self.changed.notify_all()
+        return True
+
+    def _run(self, k, first, tally):
+        """Strip starts of null ``k`` from ``first`` on, while the list's
+        next item is a strip of ``k``; ``tally`` gets the count handed out
+        and the first item of another null."""
+        tally[0] += 1
+        yield first
+        for item in self.work:
+            if item[0] != k:
+                tally[1] = item
+                return
+            tally[0] += 1
+            yield item[1]
+
+    def share(self):
+        """One thread's share: the items it takes from the list, each strip
+        run through :func:`_strip_sums` in this thread's own buffers.
+        Returns the thread's folds per null, None where it ran no strip."""
+        scratch = _scratch(self.side, self.width)
+        folds = [None] * len(self.nulls)
+        try:
+            item = next(self.work, None)
+            while item is not None:
+                k, start = item
+                if start is None:
+                    if not self._prepare(k):
+                        break
+                    item = next(self.work, None)
+                    continue
+                if not self._await(lambda: self.inputs[k] is not None):
+                    break
+                tally = [0, None]
+                part = _strip_sums(*self.inputs[k], self._run(k, start, tally),
+                                   scratch)
+                folds[k] = part if folds[k] is None else folds[k] + part
+                with self.changed:
+                    self.left[k] -= tally[0]
+                    if not self.left[k]:
+                        self.inputs[k] = None
+                        self.changed.notify_all()
+                item = tally[1] if tally[1] is not None else next(self.work, None)
+        except BaseException:
+            self.abort()
+            raise
+        return folds
+
+
+def _energies(folds, size, n, n_perm, exponent):
+    """Energy distances of the observed and the ``n_perm`` permutation
+    splits of one null, from its summed folds (see :func:`_split_energies`)."""
+    in_a = 2.0 * folds[0, :, :n_perm + 1]
+    from_a = folds[1, :, :n_perm + 1]
+    total = folds[1, :, -1:]
+    pairs = np.stack([in_a, from_a - in_a, total - 2.0 * from_a + in_a])
+    sum_a, sum_ab, sum_b = pairs[:, 0] + pairs[:, 1]
+    m = size - n  # the bracket makes the value symmetric in a and b
+    units = 2.0 * sum_ab / (n * m) - (sum_a / (n * n - n) + sum_b / (m * m - m))
+    return np.ldexp(units, exponent)
+
+
+def _split_energies(nulls, *one):
+    """Per null ``(pooled, n, n_perm, seed)`` of ``nulls``, the energy
+    distances of ``pooled[:n] | pooled[n:]`` and of its ``n_perm`` seeded
+    permutation splits, from one pass over every null's grid distances
+    ``K``.  ``pooled`` is an ``(N, dim)`` array or the tuple of the arrays
+    it stacks, such as ``(a, b)``; the pass writes them into its grid
+    factors and makes no stacked copy.  ``_split_energies(pooled, n,
+    n_perm, seed)`` is the one-null call and returns that null's energies
+    alone.
+
+    Column ``z`` of a null's labels marks a group ``a``, and a last column
+    of ones rides along.  With ``T`` the part of ``K`` above its diagonal,
+    so that ``K = T + T^T``, the within sums are ``z^T K z = 2 z^T T z`` and
     ``1^T K 1 - 2 z^T K 1 + z^T K z``, the between sum ``z^T K 1 - z^T K
     z``, where ``z^T K 1 = 1^T T z + z^T T 1`` and ``1^T K 1`` is that sum
     at the ones column.  Only the blocks on and above the diagonal are
@@ -283,48 +463,36 @@ def _split_energies(pooled, n, n_perm, seed):
     below ``2**23``, and each sum is rounded once, when its two parts are
     added.
 
-    The row strips (row block ``I`` with every block right of it) run on
-    ``_null_threads`` threads, the caller and its helpers, each taking the
-    next strip as it finishes one and folding it into its own sums; the
-    caller adds the threads' sums.  Every partial is exact, so neither the
-    order nor the thread a strip ran on can move a bit.
+    The pass runs on ``_null_threads`` threads, the caller and its helpers,
+    started once for all the nulls, which take their work from one list
+    (:class:`_Pass`): each null's label draw, then its row strips (row block
+    ``I`` with every block right of it), each thread folding a strip into
+    its own sums; the caller adds the threads' sums per null.  Every
+    partial is exact and every null's labels come from its own seed, so
+    neither the order, the thread a strip ran on nor the other nulls of the
+    pass can move a bit.
     """
-    size = pooled.shape[0]
-    diagonal = math.dist(pooled.max(axis=0), pooled.min(axis=0))
-    if not math.isfinite(2.0 * diagonal):
-        raise DomainError(f"twice the bounding-box diagonal {diagonal} overflows")
-    bits = 52 - (size - 1).bit_length()
-    exponent = (math.frexp(diagonal)[1] if diagonal > 0.0 else 0) - bits
-    # Exact: distances in units of h.
-    factors = _difference_factors(np.ldexp(pooled, -exponent))
-    threads = _null_threads(-(-size // _ROW_BLOCK))
-    # A split pass holds its labels as bytes, which makes room for the
-    # helper's memory; one thread keeps them float: at two BLAS threads the
-    # per-block widening made a one-thread pass about 15% slower.
-    width = -(-(n_perm + 2) // _WIDTH_STEP) * _WIDTH_STEP
-    labels = np.zeros((size, width), dtype=np.uint8 if threads > 1 else float)
-    labels[:n, 0] = 1
-    labels[:, -1] = 1
-    rng = np.random.default_rng(seed)
-    for p in range(1, n_perm + 1):
-        labels[rng.permutation(size)[:n], p] = 1
-    starts = iter(range(0, size, _ROW_BLOCK))
+    if one:
+        return _split_energies([(nulls, *one)])[0]
+    nulls = [(pooled if isinstance(pooled, tuple) else (pooled,), *rest)
+             for pooled, *rest in nulls]
+    if not nulls:
+        return []
+    sizes = [sum(block.shape[0] for block in blocks) for blocks, *_ in nulls]
+    exponents = [_grid_exponent(blocks, size)
+                 for (blocks, *_), size in zip(nulls, sizes)]
+    work = _Pass(nulls, sizes, exponents)
     try:
-        parts = _run_shares(lambda: _strip_sums(factors, labels, starts), threads)
+        parts = _run_shares(work.share, work.threads)
     except BaseException:
         # A helper still at work on this pass, after an interrupted join,
-        # finds no strip left and stops after its current one.
-        collections.deque(starts, maxlen=0)
+        # finds no item left and stops after its current strip.
+        work.abort()
         raise
-    folds = sum(parts)
-    in_a = 2.0 * folds[0, :, :n_perm + 1]
-    from_a = folds[1, :, :n_perm + 1]
-    total = folds[1, :, -1:]
-    pairs = np.stack([in_a, from_a - in_a, total - 2.0 * from_a + in_a])
-    sum_a, sum_ab, sum_b = pairs[:, 0] + pairs[:, 1]
-    m = size - n  # the bracket makes the value symmetric in a and b
-    units = 2.0 * sum_ab / (n * m) - (sum_a / (n * n - n) + sum_b / (m * m - m))
-    return np.ldexp(units, exponent)
+    return [_energies(sum(part[k] for part in parts if part[k] is not None),
+                      size, n, n_perm, exponent)
+            for k, ((_, n, n_perm, _), size, exponent)
+            in enumerate(zip(nulls, sizes, exponents))]
 
 
 def energy_distance(a, b):
@@ -368,7 +536,8 @@ def _quantiles(values, levels):
 
 
 def permutation_test(a, b, n_perm=1000, seed=0):
-    """Permutation null of the energy distance under label shuffling.
+    """Permutation null of the energy distance under label shuffling: the
+    one-test case of :func:`permutation_tests`.
 
     Deterministic per seed: permutation ``p`` is the ``p``-th draw of
     ``default_rng(seed).permutation(n + m)``, whose first ``n`` entries
@@ -377,21 +546,33 @@ def permutation_test(a, b, n_perm=1000, seed=0):
     whose BLAS sums are exact: one distance pass and one label product per
     block, an all-ones label column for the row sums and the total, and
     one exact hi/lo fold per row strip (see :func:`_split_energies`).
-    With OpenBLAS on one thread the pass's row strips run on two threads
-    where the process may use two CPUs (the helper thread is started and
-    joined within the call); every per-thread partial is an exact integer,
-    so no value depends on the thread or CPU count, the BLAS threads,
-    ``_ROW_BLOCK`` or the label padding.  The null
+    With OpenBLAS on one thread the label draw and the row strips run on
+    two threads where the process may use two CPUs (the helper thread is
+    started and joined within the call); every per-thread partial is an
+    exact integer, so no value depends on the thread or CPU count, the
+    BLAS threads, ``_ROW_BLOCK`` or the label padding.  The null
     quantiles at ``DEFAULT_QUANTILES`` are ``np.quantile``'s default linear
     ones, bit for bit, from an in-house :func:`_quantiles`, so the test
     does not import ``numpy.ma`` as ``np.quantile`` does.
     """
+    return permutation_tests([(a, b, seed)], n_perm)[0]
+
+
+def permutation_tests(tests, n_perm=1000):
+    """:func:`permutation_test` of each ``(a, b, seed)`` of ``tests``, in
+    order and bit for bit, from one threaded pass over all their nulls
+    (:func:`_split_energies`), which holds the labels of at most as many
+    nulls as it has threads.  Every pair is checked before the pass
+    starts."""
     n_perm = require_int("n_perm", n_perm, MIN_PERMUTATIONS)
-    seed = require_int("seed", seed, 0)
-    energies = _split_energies(*_pooled(a, b), n_perm, seed)
-    values = _quantiles(energies[1:], np.array(DEFAULT_QUANTILES))
-    return TwoSampleResult(float(energies[0]),
-                           dict(zip(DEFAULT_QUANTILES, values.tolist())))
+    nulls = []
+    for a, b, seed in tests:
+        seed = require_int("seed", seed, 0)
+        nulls.append((*_pooled(a, b), n_perm, seed))
+    levels = np.array(DEFAULT_QUANTILES)
+    return [TwoSampleResult(float(energies[0]), dict(zip(
+                DEFAULT_QUANTILES, _quantiles(energies[1:], levels).tolist())))
+            for energies in _split_energies(nulls)]
 
 
 def loglog_slope(xs, ys):

@@ -10,18 +10,21 @@ oracle pass over the ``TargetPair``, which stacks both targets' components
 when it is built; the path coefficients of every step come
 from two schedule calls over the whole grid, and the oracle's time-only
 terms from one ``mixture._time_terms`` call over it, laid out step-major
-once per grid.  The loop holds its states dimension-major, ``(steps + 1,
-dim, count)``, so at small ``dim`` the oracle's, the guidance rule's and
-the step's elementwise ops run over the ``count`` trajectories in their
-inner loops.  Trajectories are
+once per grid.  The loop holds its states dimension-major, ``(dim,
+count)``, so at small ``dim`` the oracle's, the guidance rule's and the
+step's elementwise ops run over the ``count`` trajectories in their inner
+loops, and it runs with underflow ignored, once per call, so a caller
+under ``np.errstate(all="raise")`` does not trip on the oracle's
+log-sum-exp.  Trajectories are
 deterministic given the initial state; batches draw initial states ``x0 ~
 N(0, I)`` with one child seed per trajectory index, ``default_rng([seed,
 j])``, so that results do not depend on batch size or ordering; the seeds
-of a whole batch are hashed in one vectorised pass.  A single trajectory
-and a batch both come back as a ``TrajectoryRecord`` of the time grid and
-the states: the loop keeps only what it integrates, and callers evaluate
-whatever summary they report on those states.  Experiments that compare
-rules integrate each rule from the same initial states.
+of a whole batch are hashed in one vectorised pass.  One loop serves two
+callers: ``integrate`` returns a ``TrajectoryRecord`` of the time grid and
+every state, and ``terminal_states`` the last states alone, keeping only
+the current and the next state as it goes.  Callers evaluate whatever
+summary they report on those states.  Experiments that compare rules
+integrate each rule from the same initial states.
 
 Only the Euler scheme is provided: the laboratory studies guidance-rule
 effects, and a fixed first-order solver keeps those effects un-confounded
@@ -73,13 +76,16 @@ class TrajectoryRecord:
         return self.states[-1]
 
 
-def _euler(x0s, pair, schedule, guidance_config, sampler_config,
-           guidance_field=None):
-    """Vectorized Euler loop over a batch of initial states.
+def _euler(states, times, pair, schedule, guidance_config, guidance_field=None):
+    """Vectorized Euler loop over a batch of initial states, the
+    dimension-major ``(dim, count)`` ``states[0]``, across the grid
+    ``times``.
 
-    Returns ``(times, states)``: the grid, ``steps + 1`` uniform times over
-    the schedule clamp, and the ``(steps + 1, dim, count)`` states,
-    dimension-major.  Each step hands the oracle, the guidance rule and the
+    The state at ``times[k]`` is written to ``states[k % len(states)]``, so
+    a ``(steps + 1, dim, count)`` buffer keeps the whole trajectory and a
+    ``(2, dim, count)`` one only the current and the next state; the loop
+    is the same.  Returns the last state, a ``(dim, count)`` view of
+    ``states``.  Each step hands the oracle, the guidance rule and the
     field its ``(dim, count)`` state as a ``(count, dim)`` transposed view,
     and gets the velocities and the update back as such views, so every
     elementwise op and every sum over dimensions or components runs over
@@ -94,10 +100,10 @@ def _euler(x0s, pair, schedule, guidance_config, sampler_config,
     back stacked, conditional first; with an explicit ``guidance_field``
     only the unconditional target is evaluated.  A step checks its new
     state with ``math.isfinite`` of the state's sum, and entry by entry
-    only when that sum is not finite.
+    only when that sum is not finite.  The loop runs with underflow
+    ignored: the oracle's log-sum-exp underflows to zero for components
+    far from a point, as it should.
     """
-    steps = sampler_config.steps
-    times = np.linspace(schedule.t_min, schedule.t_max, steps + 1)
     path = sched.evaluate(schedule, times)
     state_coefs, score_coefs = (
         c.tolist() for c in sched.coefficients(schedule, times))
@@ -106,37 +112,55 @@ def _euler(x0s, pair, schedule, guidance_config, sampler_config,
     m_steps, norms_steps, means_steps = (
         np.ascontiguousarray(np.moveaxis(grid, -1, 0)[..., None])
         for grid in mix._time_terms(stack, path.alpha, path.sigma))
-    count, dim = x0s.shape
-    states = np.empty((steps + 1, dim, count))
+    depth = len(states)
+    with mix._ignoring_underflow():
+        for k, (t, dt) in enumerate(zip(times.tolist(), np.diff(times).tolist())):
+            x, nxt = states[k % depth].T, states[(k + 1) % depth].T
+            terms = mix._evaluate_at(stack, m_steps[k], norms_steps[k],
+                                     means_steps[k], x)
+            velocities = mix._velocities(stack, terms, state_coefs[k],
+                                         score_coefs[k], x)
+            v_u = velocities[-1]
+            if guidance_field is not None:
+                update = np.asarray(guidance_field(x, t), dtype=float)
+                if update.shape != x.shape:
+                    try:
+                        update = np.broadcast_to(update, x.shape)
+                    except ValueError:
+                        raise ShapeError(
+                            f"guidance field value of shape {update.shape} "
+                            f"does not broadcast to {x.shape}") from None
+            else:
+                update = apply_guidance(v_u, velocities[0], x, t, schedule,
+                                        guidance_config)
+            np.add(x, dt * (v_u + update), out=nxt)
+            # A non-finite entry makes the sum non-finite; a sum of finite
+            # entries that overflows (NumPy warns of it) only takes the
+            # exact check.
+            if not (math.isfinite(np.add.reduce(nxt, axis=None))
+                    or np.isfinite(nxt).all()):
+                raise IntegrationError(
+                    f"non-finite state produced by Euler step {k} at t={t}", k
+                )
+    return states[(len(times) - 1) % depth]
+
+
+def _start(x0, pair, depth):
+    """A ``(depth, dim, count)`` state buffer holding the checked initial
+    state or batch ``x0`` in ``[0]``, dimension-major."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim not in (1, 2) or x0.shape[-1] != pair.dim:
+        raise ShapeError(f"x0 shape {x0.shape} does not match pair dim {pair.dim}; "
+                         f"expected ({pair.dim},) or (count, {pair.dim})")
+    x0s = np.atleast_2d(x0)
+    states = np.empty((depth, pair.dim, x0s.shape[0]))
     states[0] = x0s.T
-    for k, (t, dt) in enumerate(zip(times.tolist(), np.diff(times).tolist())):
-        x, nxt = states[k].T, states[k + 1].T
-        terms = mix._evaluate_at(stack, m_steps[k], norms_steps[k],
-                                 means_steps[k], x)
-        velocities = mix._velocities(stack, terms, state_coefs[k],
-                                     score_coefs[k], x)
-        v_u = velocities[-1]
-        if guidance_field is not None:
-            update = np.asarray(guidance_field(x, t), dtype=float)
-            if update.shape != x.shape:
-                try:
-                    update = np.broadcast_to(update, x.shape)
-                except ValueError:
-                    raise ShapeError(f"guidance field value of shape {update.shape} "
-                                     f"does not broadcast to {x.shape}") from None
-        else:
-            update = apply_guidance(v_u, velocities[0], x, t, schedule,
-                                    guidance_config)
-        np.add(x, dt * (v_u + update), out=nxt)
-        # A non-finite entry makes the sum non-finite; a sum of finite
-        # entries that overflows (NumPy warns of it) only takes the exact
-        # check.
-        if not (math.isfinite(np.add.reduce(nxt, axis=None))
-                or np.isfinite(nxt).all()):
-            raise IntegrationError(
-                f"non-finite state produced by Euler step {k} at t={t}", k
-            )
-    return times, states
+    return states
+
+
+def _grid(schedule, sampler_config):
+    """The Euler grid: ``steps + 1`` uniform times over the schedule clamp."""
+    return np.linspace(schedule.t_min, schedule.t_max, sampler_config.steps + 1)
 
 
 def integrate(x0, pair, schedule, guidance_config, sampler_config,
@@ -151,16 +175,22 @@ def integrate(x0, pair, schedule, guidance_config, sampler_config,
     does not broadcast to the batch raises ShapeError.  A single trajectory
     runs the same vectorized loop as a batch of one.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim not in (1, 2) or x0.shape[-1] != pair.dim:
-        raise ShapeError(f"x0 shape {x0.shape} does not match pair dim {pair.dim}; "
-                         f"expected ({pair.dim},) or (count, {pair.dim})")
-    times, states = _euler(
-        np.atleast_2d(x0), pair, schedule, guidance_config, sampler_config,
-        guidance_field=guidance_field,
-    )
+    times = _grid(schedule, sampler_config)
+    states = _start(x0, pair, len(times))
+    _euler(states, times, pair, schedule, guidance_config, guidance_field)
     return TrajectoryRecord(times=times, states=np.swapaxes(states, 1, 2)
-                            if x0.ndim == 2 else states[:, :, 0])
+                            if np.ndim(x0) == 2 else states[:, :, 0])
+
+
+def terminal_states(x0, pair, schedule, guidance_config, sampler_config):
+    """``integrate(...).terminal_state`` of the same arguments, bit for
+    bit, as a C-ordered copy: a ``(dim,)`` state for one initial state, a
+    ``(count, dim)`` batch for a batch.  The loop is :func:`integrate`'s,
+    but it keeps only the current and the next state, not the ``(steps + 1,
+    dim, count)`` trajectory."""
+    final = _euler(_start(x0, pair, 2), _grid(schedule, sampler_config), pair,
+                   schedule, guidance_config)
+    return final.T.copy() if np.ndim(x0) == 2 else final[:, 0].copy()
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's

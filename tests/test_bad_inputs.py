@@ -109,6 +109,15 @@ CASES = {
         lambda: gl.energy_distance(SAMPLES, np.zeros((4, 3))),
     "permutation_test one point":
         lambda: gl.permutation_test(SAMPLES[:1], SAMPLES, n_perm=100),
+    "permutation_tests second pair one point":
+        lambda: gl.permutation_tests([(SAMPLES, SAMPLES, 1),
+                                      (SAMPLES[:1], SAMPLES, 2)], n_perm=100),
+    "permutation_tests second seed -1":
+        lambda: gl.permutation_tests([(SAMPLES, SAMPLES, 1),
+                                      (SAMPLES, SAMPLES, -1)], n_perm=100),
+    "terminal_states x0 of dim 3":
+        lambda: gl.terminal_states(np.zeros((2, 3)), PAIR, SCH, PROJ,
+                                   SamplerConfig(steps=2)),
     "loglog_slope lengths": lambda: gl.loglog_slope([1.0, 2.0, 4.0], [1.0, 2.0]),
     "integrate x0 of dim 3":
         lambda: gl.integrate(np.zeros(3), PAIR, SCH, PROJ, SamplerConfig(steps=2)),

@@ -56,7 +56,9 @@ def test_runs_alternate_and_the_record_keeps_other_keys(tool, tmp_path,
 
     def run_once(checkout, workload, seed, seconds, trace):
         order.append(checkout)
-        return {"wall_s": 1.0 if checkout == "old" else 0.5}, {"nproc": 2}
+        fast = checkout == "new"
+        jobs = {} if trace else {"omega": 0.3 if fast else 0.4, "compare": 0.6}
+        return {"wall_s": 0.5 if fast else 1.0}, {"nproc": 2}, jobs
 
     monkeypatch.setattr(tool, "run_once", run_once)
     monkeypatch.setattr(tool, "_directions", lambda checkout: {"wall_s": "lower"})
@@ -72,6 +74,41 @@ def test_runs_alternate_and_the_record_keeps_other_keys(tool, tmp_path,
     assert section["command"].endswith("--seed 3 --seconds 1 --trace 0")
     assert section["pairs"] == 3
     assert section["wall_s"]["change_better_pairs"] == 3
+    # The job that moved is named; a job that did not wins no pair.
+    assert section["jobs"]["omega"]["change"]["median"] == 0.3
+    assert section["jobs"]["omega"]["change_better_pairs"] == 3
+    assert section["jobs"]["compare"]["change_better_pairs"] == 0
     assert tool.main(argv[:-2] + ["--trace", "1", "--out", str(out)]) == 0
-    assert set(json.loads(out.read_text())) >= {"compare_seed_3",
-                                                 "compare_seed_3_trace"}
+    record = json.loads(out.read_text())
+    assert set(record) >= {"compare_seed_3", "compare_seed_3_trace"}
+    assert "jobs" not in record["compare_seed_3_trace"]
+
+
+def _summary(rounds):
+    return {"workload": "compare", "rounds": rounds, "metrics": {}}
+
+
+def test_job_medians_reduce_each_job_as_wall_s_is_reduced(tool, tmp_path):
+    # Two jobs over three untraced rounds.  A job's seconds in a round are
+    # its time less the probe's own, scaled by the reference probe time
+    # over the round's mean probe time; its median is over the rounds.
+    ref = tool.PROBE_REF_S
+    rounds = []
+    for seconds, probe_s, mean_probe_s in ((1.0, 0.1, ref), (2.0, 0.0, 2 * ref),
+                                           (4.0, 0.5, ref / 2)):
+        stats = {"probe_s": probe_s, "mean_probe_s": mean_probe_s, "count": 3}
+        rounds.append({"traced": False, "jobs": {"a": seconds, "b": 0.5},
+                       "speed": {"a": stats, "b": stats},
+                       "seconds": seconds + 0.5})
+    run = tmp_path / ".perfbench_run" / "compare"
+    run.mkdir(parents=True)
+    (run / "summary.json").write_text(json.dumps(_summary(rounds)))
+    medians = tool.job_medians(str(tmp_path), "compare")
+    # a: 0.9, 1.0 and 7.0 at reference speed; b: 0.4, 0.25 and 0.0.
+    assert medians == {"a": pytest.approx(1.0), "b": pytest.approx(0.25)}
+    # A traced run samples no host speed, so it has no job medians.
+    for r in rounds:
+        r["speed"] = {"a": None, "b": None}
+    rounds[1]["traced"] = True
+    (run / "summary.json").write_text(json.dumps(_summary(rounds)))
+    assert tool.job_medians(str(tmp_path), "compare") == {}

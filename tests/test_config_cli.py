@@ -534,6 +534,21 @@ def test_trace_kind_makes_one_oracle_pass_after_the_euler_loop(tmp_path, kind,
     assert calls == [steps + 1]
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_default_kind_runs_under_raising_floating_point_errors(tmp_path, kind):
+    # The oracles' expected underflow is ignored once per run; every other
+    # floating-point error would still raise, and the artifacts keep their
+    # bytes.
+    plain, strict = tmp_path / "plain", tmp_path / "strict"
+    assert cli.main([kind, "--out", str(plain)]) == 0
+    with np.errstate(all="raise"):
+        assert cli.main([kind, "--out", str(strict)]) == 0
+    names = sorted(os.listdir(plain))
+    assert names and names == sorted(os.listdir(strict))
+    for name in names:
+        assert (plain / name).read_bytes() == (strict / name).read_bytes(), name
+
+
 def test_cli_seed_override_changes_trajectory(tmp_path):
     cfg = _write_config(tmp_path, {
         "kind": "trace_divergence",

@@ -240,12 +240,13 @@ def test_null_matches_per_permutation_reference():
 def test_null_exact_at_top_of_grid(monkeypatch, at_origin):
     # Pooled points sit at two corners, the origin and x = 1 - 2**-42, so
     # every cross distance is the grid's top, 2**41 at N = 2047 (just under
-    # a power of two; eight row blocks).  Row block I accumulates
-    # K_II z_I + 2 sum_{J>I} K_IJ z_J.  With half the points at each corner
-    # a row's accumulator peaks near 2**52; with a lone point at the origin
-    # and every other point in sample a, that row's nears 2**53.  One bit
-    # more of grid would round it, and the block size would then move the
-    # null.
+    # a power of two; eight row blocks).  Strip I of A = T Z holds each
+    # row's undoubled sums of its distances to the later points: with a
+    # lone point at the origin, that row's ones-column entry is 2046 *
+    # 2**41, just under the 2**52 that N * 2**bits <= 2**52 bounds every
+    # entry by; with half the points at each corner a row's sums reach
+    # 2**51.  At that top the hi/lo folds must still be exact, so the
+    # values match the float reference and the block size moves no bit.
     size = 2047
     pooled = np.zeros((size, 2))
     pooled[at_origin:, 0] = 1.0 - 2.0**-42
@@ -389,11 +390,16 @@ def test_null_independent_of_cpu_count(monkeypatch, size, row_block, n_perm):
 
 def test_null_strips_taken_once_under_thread_stress(monkeypatch):
     # More threads than cores and a tiny switch interval: a strip taken by
-    # two threads, or by none, would move the sums.
-    pooled = np.random.default_rng(5).normal(size=(300, 2))
+    # two threads, or by none, would move the sums, and so would labels
+    # freed or drawn out of turn in a pass of more nulls than threads.
+    rng = np.random.default_rng(5)
+    pooled = rng.normal(size=(300, 2))
+    nulls = [(rng.normal(size=(size, 2)), size // 3, 100, seed)
+             for seed, size in enumerate((40, 90, 300, 60, 130, 75, 200, 50))]
     monkeypatch.setattr(metrics, "_ROW_BLOCK", 7)
     _at_cpus(monkeypatch, 1)
     expected = metrics._split_energies(pooled, 120, 100, 2).tobytes()
+    alone = [metrics._split_energies(*null).tobytes() for null in nulls]
     _at_cpus(monkeypatch, 6)
     monkeypatch.setattr(metrics, "_MAX_THREADS", 6)
     interval = sys.getswitchinterval()
@@ -401,6 +407,8 @@ def test_null_strips_taken_once_under_thread_stress(monkeypatch):
     try:
         for _ in range(5):
             assert metrics._split_energies(pooled, 120, 100, 2).tobytes() == expected
+            assert [energies.tobytes()
+                    for energies in metrics._split_energies(nulls)] == alone
     finally:
         sys.setswitchinterval(interval)
 
@@ -518,10 +526,11 @@ class _Interrupt(BaseException):
 
 
 def test_interrupted_wait_leaves_the_next_call_whole(monkeypatch):
-    # An interrupt while the caller joins the helper leaves the helper at
-    # work on that call's share.  The helper must take no strip of the
-    # abandoned call after the interrupt, and the next call, of the same
-    # size, must still get its own outcome, not the abandoned one.
+    # An interrupt in the caller's share, and another while it joins the
+    # helper, leave the helper at work on that pass.  The helper must take
+    # no strip of the abandoned pass after the interrupt, and the next call,
+    # of the same size, must get its own whole outcome while the abandoned
+    # helper is still at work.
     _at_cpus(monkeypatch, 1)
     rng = np.random.default_rng(6)
     abandoned, pooled = rng.normal(size=(900, 2)), rng.normal(size=(900, 2))
@@ -532,14 +541,17 @@ def test_interrupted_wait_leaves_the_next_call_whole(monkeypatch):
     helper_took_a_strip, interrupted = threading.Event(), threading.Event()
     late_strips, left_running = [], []
 
-    def helper_lags(factors, labels, starts):
-        # On the first call the helper takes one strip, then pauses before
-        # each next one; the caller takes one strip of its own and begins
-        # to join, leaving two of the four strips untaken.
+    def interrupting(factors, labels, starts, scratch):
+        # On the first pass the helper takes one strip, then pauses before
+        # each next one; the caller runs one strip of its own and is
+        # interrupted, leaving two of the four strips untaken.
         if threading.get_ident() == caller:
             assert helper_took_a_strip.wait(timeout=10)
             if not interrupted.is_set():
-                starts = itertools.islice(starts, 1)
+                original_strips(factors, labels, itertools.islice(starts, 1),
+                                scratch)
+                interrupted.set()
+                raise _Interrupt
         elif not helper_took_a_strip.is_set():
             def lagging(starts=starts):
                 for start in starts:
@@ -549,24 +561,147 @@ def test_interrupted_wait_leaves_the_next_call_whole(monkeypatch):
                     yield start
                     time.sleep(0.2)
             starts = lagging()
-        return original_strips(factors, labels, starts)
+        return original_strips(factors, labels, starts, scratch)
 
     def cut_join(self, timeout=None):
         left_running.append(self)
-        interrupted.set()
         raise _Interrupt
 
-    monkeypatch.setattr(metrics, "_strip_sums", helper_lags)
+    monkeypatch.setattr(metrics, "_strip_sums", interrupting)
     monkeypatch.setattr(threading.Thread, "join", cut_join)
     with pytest.raises(_Interrupt):
         metrics._split_energies(abandoned, 400, 100, 1)
     monkeypatch.setattr(threading.Thread, "join", original_join)
+    assert left_running[0].is_alive()
     assert metrics._split_energies(pooled, 400, 100, 1).tobytes() == expected.tobytes()
     # The abandoned helper finishes its strip and takes no other.
     left_running[0].join(timeout=10)
     assert not left_running[0].is_alive()
     assert late_strips == []
     assert metrics._split_energies(pooled, 400, 100, 1).tobytes() == expected.tobytes()
+
+
+# Pooled sizes of one job-level pass: one, two and three row blocks.
+_JOB_SIZES = (320, 400, 514)
+
+
+def _job_nulls(sizes=_JOB_SIZES, n_perms=(100, 102, 105), dim=2):
+    """One null per size, each with its own split, n_perm and seed."""
+    rng = np.random.default_rng(len(sizes))
+    return [(rng.normal(loc=0.1 * k, size=(size, dim)), size // 2 - k, n_perm,
+             20 + k)
+            for k, (size, n_perm) in enumerate(zip(sizes, n_perms))]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_job_pass_equals_each_null_alone(monkeypatch, cpus):
+    # Nulls of different sizes and label widths in one pass, on one thread,
+    # on two (the third null's labels wait for the first null's strips) and
+    # on four (every null's labels drawn at once): each null's statistic
+    # and every permutation energy must equal its pass alone, bit for bit.
+    _at_cpus(monkeypatch, 1)
+    nulls = _job_nulls()
+    alone = [metrics._split_energies(*null).tobytes() for null in nulls]
+    _at_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(metrics, "_MAX_THREADS", 4)
+    together = metrics._split_energies(nulls)
+    assert [energies.tobytes() for energies in together] == alone
+    assert metrics._split_energies([]) == []
+    pairs = [(pooled[:n], pooled[n:], seed) for pooled, n, _, seed in nulls]
+    for n_perm in (100, 102, 105):
+        tests = metrics.permutation_tests(pairs, n_perm=n_perm)
+        for (a, b, seed), result in zip(pairs, tests, strict=True):
+            assert result == permutation_test(a, b, n_perm=n_perm, seed=seed)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity")
+def test_job_pass_independent_of_blas_threads_and_cpus():
+    # A fresh process per BLAS thread count and CPU affinity set, {0} and
+    # {0, 1} where this process may use two CPUs: one job-level pass must
+    # give every null its own bytes, the same in each.
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    script = (
+        "import os, sys\n"
+        "os.sched_setaffinity(0, [int(c) for c in sys.argv[1].split(',')])\n"
+        "import numpy as np\n"
+        "from guidance_lab import metrics\n"
+        "rng = np.random.default_rng(2)\n"
+        "nulls = [(rng.normal(size=(size, 3)), size // 2, 100 + k, 30 + k)\n"
+        "         for k, size in enumerate((320, 400, 514, 700))]\n"
+        "together = metrics._split_energies(nulls)\n"
+        "for null, energies in zip(nulls, together):\n"
+        "    assert metrics._split_energies(*null).tobytes() == energies.tobytes()\n"
+        "print(len(together), b''.join(e.tobytes() for e in together).hex())\n"
+    )
+    outputs = []
+    for affinity in {(cpus[0],), tuple(cpus)}:
+        outputs += _outputs_at_blas_threads(script, ",".join(map(str, affinity)))
+    assert outputs[0].startswith("4 ")
+    assert len(set(outputs)) == 1
+
+
+@pytest.mark.parametrize("failing", ["labels 0", "labels 2", "strips 0",
+                                     "strips 2"])
+def test_failed_work_item_joins_every_thread_and_reraises(monkeypatch, failing):
+    # A label draw or a strip run that raises, on whichever thread takes
+    # it, stops the pass: every helper is joined before the error reaches
+    # the caller, and the next call returns every null in full.
+    _at_cpus(monkeypatch, 2)
+    nulls = _job_nulls()
+    expected = [energies.tobytes() for energies in metrics._split_energies(nulls)]
+    what, index = failing.split()
+    size = nulls[int(index)][0].shape[0]
+    started = []
+    original_start = threading.Thread.start
+
+    def start(self):
+        started.append(self)
+        original_start(self)
+
+    def fail_at(original, rows):
+        def wrapper(*args):
+            if rows(*args) == size:
+                raise RuntimeError(f"{failing} failed")
+            return original(*args)
+        return wrapper
+
+    if what == "labels":
+        monkeypatch.setattr(metrics, "_draw_labels", fail_at(
+            metrics._draw_labels, lambda size, *rest: size))
+    else:
+        monkeypatch.setattr(metrics, "_strip_sums", fail_at(
+            metrics._strip_sums, lambda factors, labels, *rest: len(labels)))
+    monkeypatch.setattr(threading.Thread, "start", start)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{failing} failed"):
+        metrics._split_energies(nulls)
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == threads
+    monkeypatch.undo()
+    _at_cpus(monkeypatch, 2)
+    assert [energies.tobytes()
+            for energies in metrics._split_energies(nulls)] == expected
+
+
+def test_job_pass_holds_the_labels_of_at_most_threads_nulls(monkeypatch):
+    # Labels and grid factors are held for at most two nulls at a time on
+    # two threads, so eight nulls peak about where two do.  At d = 32 the
+    # factors of eight 1,024-point nulls would double the peak.
+    import tracemalloc
+
+    _at_cpus(monkeypatch, 2)
+    rng = np.random.default_rng(12)
+    nulls = [(rng.normal(size=(1024, 32)), 512, 100, seed) for seed in range(8)]
+    peaks = []
+    for count in (2, 8):
+        tracemalloc.start()
+        try:
+            metrics._split_energies(nulls[:count])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def _outputs_at_blas_threads(script, *args):

@@ -22,6 +22,7 @@ from guidance_lab import (
     initial_states,
     integrate,
     mixture,
+    terminal_states,
     schedule,
 )
 from guidance_lab.verify import _random_mixture
@@ -63,12 +64,18 @@ def test_default_grid_spans_schedule_clamp():
 
 def test_default_batch_raises_no_floating_point_error():
     # A component far from a state underflows in the log-sum-exp's exp by
-    # design; every other floating-point error must not happen.
+    # design, and the Euler loop ignores that underflow itself; every other
+    # floating-point error must not happen.
     cfg = default_config("sample_compare")
     x0s = initial_states(50, cfg.pair.dim, seed=cfg.sampler.seed)
-    with np.errstate(all="raise", under="ignore"):
+    plain = integrate(x0s, cfg.pair, cfg.schedule, cfg.guidance, cfg.sampler)
+    with np.errstate(all="raise"):
         rec = integrate(x0s, cfg.pair, cfg.schedule, cfg.guidance, cfg.sampler)
+        last = terminal_states(x0s, cfg.pair, cfg.schedule, cfg.guidance,
+                               cfg.sampler)
     assert np.isfinite(rec.states).all()
+    assert rec.states.tobytes() == plain.states.tobytes()
+    assert last.tobytes() == plain.terminal_state.tobytes()
 
 
 def test_sampler_config_validation():
@@ -223,6 +230,41 @@ def test_batch_rows_equal_single_runs_up_to_dim_3(dim, counts):
         for j, x0 in enumerate(x0s):
             one = integrate(x0, pair, sch, rule, scfg)
             assert batch.states[:, j, :].tobytes() == one.states.tobytes(), j
+
+
+@pytest.mark.parametrize("rule", [GuidanceRule.CFG, GuidanceRule.PROJECTED])
+def test_terminal_states_equal_the_trajectory_end(rule):
+    # One Euler loop serves both: the last states of a loop that keeps two
+    # states are the trajectory's last row, bit for bit, for a batch and
+    # for one initial state, and come back as a C-ordered copy.
+    pair, sch, scfg = _pair(3), Schedule(), SamplerConfig(steps=17)
+    gcfg = GuidanceConfig(rule=rule, guidance_scale=4.0)
+    x0s = initial_states(6, 3, seed=4)
+    last = terminal_states(x0s, pair, sch, gcfg, scfg)
+    assert last.flags.c_contiguous and last.shape == (6, 3)
+    assert last.tobytes() == integrate(
+        x0s, pair, sch, gcfg, scfg).terminal_state.tobytes()
+    one = terminal_states(x0s[2], pair, sch, gcfg, scfg)
+    assert one.shape == (3,)
+    assert one.tobytes() == integrate(
+        x0s[2], pair, sch, gcfg, scfg).terminal_state.tobytes()
+
+
+def test_terminal_states_keep_no_trajectory():
+    # 2,000 rows at d = 8 over 200 steps: the trajectory is 25.7 MB, the
+    # loop's temporaries and two states a few MB.
+    import tracemalloc
+
+    pair, sch, scfg = _pair(8), Schedule(), SamplerConfig(steps=200)
+    x0s = initial_states(2000, 8, seed=1)
+    trajectory = (scfg.steps + 1) * x0s.nbytes
+    tracemalloc.start()
+    try:
+        terminal_states(x0s, pair, sch, GuidanceConfig(), scfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < trajectory / 4
 
 
 def test_batch_result_summary_shapes():

@@ -13,11 +13,16 @@ run prints are reduced per metric to the parent's and the change's median
 and quartiles, every run's value, and ``change_better_pairs``: the pairs in
 which the change read strictly better, in the direction ``BENCHMARK.json``
 of the change checkout declares for the metric (ties count for neither
-side).  The result goes into ``--out`` under ``<W>_seed_<S>`` (with
-``_trace`` appended for ``--trace 1``), with the command each run ran;
-the other keys of an existing file are kept, so one file holds several
-workloads and any notes written into it by hand.  Only the standard
-library is used.
+side).  Each untraced run's jobs are reduced the same way under
+``jobs``: a job's seconds in a run are its median over the run's rounds
+at reference host speed, read from the run's
+``.perfbench_run/<W>/summary.json`` and reduced as ``perfbench/run.py``
+reduces them into ``wall_s``, so a record names the job that moved.  The
+result goes into ``--out`` under ``<W>_seed_<S>`` (with ``_trace``
+appended for ``--trace 1``), with the command each run ran; the other
+keys of an existing file are kept, so one file holds several workloads
+and any notes written into it by hand.  Only the standard library is
+used.
 """
 
 from __future__ import annotations
@@ -45,9 +50,34 @@ def _directions(checkout):
             for metric in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
 
+# perfbench/speed.py's PROBE_REF_S: the host-speed probe's time at the
+# reference speed that normalised seconds are read at.
+PROBE_REF_S = 3.5e-4
+
+
+def job_medians(checkout, workload):
+    """Each job's median seconds over the untraced rounds of the last run
+    of ``workload`` in ``checkout``, at reference host speed, as
+    ``perfbench/run.py`` takes each job's share of ``wall_s``: a round's
+    time less the probe's own, scaled by ``PROBE_REF_S`` over the round's
+    mean probe time.  Empty for a traced run, whose rounds are not
+    sampled for host speed."""
+    path = os.path.join(checkout, ".perfbench_run", workload, "summary.json")
+    with open(path, encoding="utf-8") as fh:
+        rounds = [r for r in json.load(fh)["rounds"] if not r["traced"]]
+    if not rounds or any(stats is None for r in rounds
+                         for stats in r["speed"].values()):
+        return {}
+    return {name: statistics.median(
+                (r["jobs"][name] - r["speed"][name]["probe_s"]) * PROBE_REF_S
+                / r["speed"][name]["mean_probe_s"] for r in rounds)
+            for name in rounds[0]["jobs"]}
+
+
 def run_once(checkout, workload, seed, seconds, trace):
-    """The ``(metrics, env)`` of one benchmark run in ``checkout``: the
-    metric values of its last output line and the environment it prints."""
+    """The ``(metrics, env, jobs)`` of one benchmark run in ``checkout``:
+    the metric values of its last output line, the environment it prints
+    and its :func:`job_medians`."""
     command = [sys.executable, os.path.join("perfbench", "run.py"),
                "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", str(trace)]
@@ -61,7 +91,8 @@ def run_once(checkout, workload, seed, seconds, trace):
         if line.startswith("env: "):
             env = json.loads(line[len("env: "):])
     result = json.loads(lines[-1])
-    return {name: entry["value"] for name, entry in result["metrics"].items()}, env
+    return ({name: entry["value"] for name, entry in result["metrics"].items()},
+            env, job_medians(checkout, workload))
 
 
 def _quartiles(values):
@@ -122,14 +153,16 @@ def main(argv=None):
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     runs = {"parent": [], "change": []}
+    jobs = {"parent": [], "change": []}
     env = {}
     try:
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                metrics, env = run_once(getattr(args, side), args.workload,
-                                        args.seed, args.seconds, args.trace)
+                metrics, env, seconds = run_once(getattr(args, side), args.workload,
+                                                 args.seed, args.seconds, args.trace)
                 runs[side].append(metrics)
+                jobs[side].append(seconds)
                 print(f"pair {pair} {side}: "
                       + " ".join(f"{k}={v:.4g}" for k, v in metrics.items()),
                       file=sys.stderr)
@@ -151,6 +184,10 @@ def main(argv=None):
                     f"{args.seconds:g} --trace {args.trace}"),
         **reduce_pairs(runs["parent"], runs["change"], _directions(args.change)),
     }
+    if all(jobs["parent"] + jobs["change"]):
+        per_job = reduce_pairs(jobs["parent"], jobs["change"], {})
+        del per_job["pairs"]
+        record[key]["jobs"] = per_job
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
