@@ -11,18 +11,19 @@ files in the output directory; runs are deterministic per (config, seed),
 so re-running a config reproduces its outputs byte for byte.
 ``trace_divergence`` and ``sweep_beta`` take every column from one oracle
 pass over the reference trajectory's states, and write nothing if a cell
-is not finite.  ``sweep_omega`` and ``sample_compare`` both compare CFG
-with the projected rule through one routine, ``_compare_rules``, each at
-its own seeds: it integrates every rule of the job, keeping each rule's
-terminal states alone, then draws the oracles and runs every permutation
-null of the job in one threaded pass (``metrics.permutation_tests``).
-The oracles' log-sum-exp underflows by design far from a component; the
-Euler loop, ``mixture._evaluate``, the trace kinds' one ``_pair_terms``
-pass and the ``verify`` checks each ignore underflow once, so every kind
-also completes under ``np.errstate(all="raise")``.  Exit
-status 0 means every check in the run passed (for ``verify``) or the run
-completed (for the experiment kinds); configuration problems and
-non-finite profiles exit 2.
+is not finite; both write the update's divergence by the scalar identity,
+from Hessian-vector products, with no ``(dim, dim)`` array per state.
+``sweep_omega`` and ``sample_compare`` both compare CFG with the projected
+rule through one routine, ``_compare_rules``, each at its own seeds: it
+integrates every rule of the job, keeping each rule's terminal states
+alone, then draws the oracles and runs every permutation null of the job
+in one threaded pass (``metrics.permutation_tests``).  The oracles'
+log-sum-exp underflows by design far from a component; the Euler loop,
+``mixture._evaluate``, the trace kinds' one ``_pair_terms`` pass and the
+``verify`` checks each ignore underflow once, so every kind also
+completes under ``np.errstate(all="raise")``.  Exit status 0 means every
+check in the run passed (for ``verify``) or the run completed (for the
+experiment kinds); configuration problems and non-finite profiles exit 2.
 """
 
 from __future__ import annotations
@@ -104,11 +105,12 @@ def run_verify(config):
 
 def _write_profile(config, name, profile):
     """Write ``<name>.csv``: step, time and ``|div| / dim`` of each column
-    ``profile(times, (a, b), terms)`` maps to its signed divergences, given
-    the reference trajectory's times, the path coefficients at them and one
-    :func:`guidance._pair_terms` pass over all its states.  A non-finite
-    cell raises DomainError, naming its column and step, before anything is
-    written."""
+    ``profile(a, b, terms, div_g, omega)`` maps to its signed divergences,
+    given the path coefficients at the reference trajectory's times, one
+    :func:`guidance._pair_terms` pass over all its states, the residual's
+    divergence ``-b * (lap_c - lap_u)`` and the projected rule's scale
+    ``omega(t)`` there.  A non-finite cell raises DomainError, naming its
+    column and step, before anything is written."""
     pair, schedule = config.pair, config.schedule
     record = _reference_trajectory(config)
     times = record.times
@@ -118,7 +120,10 @@ def _write_profile(config, name, profile):
     with mix._ignoring_underflow():
         terms = gd._pair_terms(pair, schedule, times, record.states,
                                config.guidance.normal_source)
-    divs = profile(times, sched.coefficients(schedule, times), terms)
+    a, b = sched.coefficients(schedule, times)
+    lap_c, lap_u = terms.lap
+    divs = profile(a, b, terms, -b * (lap_c - lap_u),
+                   sched.guidance_scale_at(_projected(config), times))
     columns = ["t", *divs]
     matrix = np.column_stack([times] + [np.abs(div) / pair.dim
                                         for div in divs.values()])
@@ -135,15 +140,15 @@ def _write_profile(config, name, profile):
 
 def run_trace_divergence(config):
     """|div| / dim of both velocities, ``dim * a - b * lap``, and of the
-    projected update at every ``beta``."""
+    projected update at every ``beta``, by the scalar identity
+    ``omega(t) * (div g - (1 - beta) * div g_par)`` as in ``sweep_beta``."""
 
-    def profile(times, coefficients, terms):
-        a, b = coefficients
+    def profile(a, b, terms, div_g, omega):
         divs = {f"div_{name}": config.pair.dim * a - b * lap
                 for name, lap in zip(("cond", "uncond"), terms.lap)}
         for beta in config.beta_sweep:
-            divs[f"div_g_beta_{beta:g}"] = gd._update_divergence(
-                terms, _projected(config, beta=beta), times)
+            divs[f"div_g_beta_{beta:g}"] = omega * (
+                div_g - (1.0 - beta) * terms.div_par)
         return divs
 
     return _write_profile(config, "trace_divergence", profile)
@@ -153,11 +158,8 @@ def run_sweep_beta(config):
     """|div| / dim of the residual, ``-b * (lap_c - lap_u)``, of its parallel
     and orthogonal parts, and of the update's three parts at every ``beta``."""
 
-    def profile(times, coefficients, terms):
-        lap_c, lap_u = terms.lap
-        div_g = -coefficients[1] * (lap_c - lap_u)
+    def profile(a, b, terms, div_g, omega):
         div_par, div_perp = terms.div_par, div_g - terms.div_par
-        omega = sched.guidance_scale_at(_projected(config), times)
         divs = {"div_g": div_g, "div_g_par": div_par, "div_g_perp": div_perp}
         for beta in config.beta_sweep:
             tag = f"{beta:g}"
@@ -307,16 +309,14 @@ def main(argv=None):
                     f"config kind {config.kind!r} does not match requested "
                     f"{args.kind!r}"
                 )
-        if args.out is not None or args.seed is not None:
-            # Rebuilt through the parser, so an override is checked as a
-            # config file's value would be.
-            overrides = cfg_mod.config_to_dict(config)
-            if args.out is not None:
-                overrides["output_dir"] = args.out
-            if args.seed is not None:
-                overrides["seed"] = args.seed
-                overrides["sampler"]["seed"] = args.seed
-            config = cfg_mod.config_from_dict(overrides)
+        # Each override is checked by its config's __post_init__, as a
+        # config file's value would be, without parsing the config again.
+        if args.out is not None:
+            config = dataclasses.replace(config, output_dir=args.out)
+        if args.seed is not None:
+            config = dataclasses.replace(
+                config, seed=args.seed,
+                sampler=dataclasses.replace(config.sampler, seed=args.seed))
         try:
             os.makedirs(config.output_dir, exist_ok=True)
         except OSError as exc:

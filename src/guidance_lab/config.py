@@ -76,9 +76,10 @@ MAX_STEPS = 10_000
 MAX_SAMPLE_COUNT = 100_000
 MAX_PERMUTATIONS = 10_000
 # A target's dimension, the largest ``verify`` uses.  At it, with the other
-# fields at their defaults, the largest array is the (31, 512, 2000) states of
-# ``sample_compare`` and ``sweep_omega`` (254 MB), the (31, 512, 512) Hessians
-# of the trace kinds (65 MB) and an (8, 512, 512) one of ``verify`` (17 MB).
+# fields at their defaults, the largest arrays are the (512, 4000, 2) grid
+# factors of a permutation null of ``sample_compare`` and ``sweep_omega``
+# (33 MB) and ten (512, 512) update Jacobians of ``verify`` (21 MB); the
+# trace kinds hold no (512, 512) array per state.
 MAX_DIM = 512
 
 

@@ -25,11 +25,12 @@ is what lets stochastic divergence estimators be calibrated against truth:
 * velocity:    ``div v = dim * a_t - b_t * lap log p``
 * residual:    ``div g = -b_t * (lap log p_c - lap log p_u)``
 * parallel:    product rule on ``g_par = lam(x) n(x)`` with
-               ``lam = <g, n> / ||n||^2`` and exact mixture Hessians.
+               ``lam = <g, n> / ||n||^2`` and Hessian-vector products
+* update:      the trace of its assembled Jacobian.
 
 The pair fields (residual, parallel, projected update) make one oracle
 pass over their ``mixture.TargetPair`` per value (both velocities),
-divergence or Jacobian (both scores, Hessians, Laplacians).
+divergence (both scores and Laplacians) or Jacobian (the Hessians too).
 """
 
 from __future__ import annotations
@@ -309,71 +310,75 @@ def residual_field(conditional, unconditional, schedule):
 
 
 class _PairTerms(NamedTuple):
-    jac_g: np.ndarray  # (n, dim, dim) Jacobian of the residual g
-    jac_par: np.ndarray  # (n, dim, dim) Jacobian of g_par
     div_par: np.ndarray  # (n,) product-rule divergence of g_par
     lap: np.ndarray  # (2, n) Laplacians of log p_c and log p_u
+    jac_g: Optional[np.ndarray] = None  # (n, dim, dim) Jacobian of g, if asked for
+    jac_par: Optional[np.ndarray] = None  # (n, dim, dim) Jacobian of g_par, if asked for
 
 
-def _pair_terms(pair, schedule, t, x, normal_source):
-    """Exact Jacobians of ``g`` and ``g_par``, the divergence of ``g_par``
-    and both targets' Laplacians at every row of ``x`` (a point or a
-    batch), from one oracle pass (:func:`_pass`) over the
-    ``mixture.TargetPair`` ``pair``.
+def _pair_terms(pair, schedule, t, x, normal_source, jacobians=False):
+    """The divergence of ``g_par`` and both targets' Laplacians at every row
+    of ``x`` (a point or a batch), and with ``jacobians`` the exact
+    Jacobians of ``g`` and ``g_par`` too, from one oracle pass
+    (:func:`_pass`) over the ``mixture.TargetPair`` ``pair``.
 
     With ``g = -b (s_c - s_u)``, ``n = b s_src`` and ``lam = <g, n> / ||n||^2``
     the parallel field ``g_par = lam n`` has Jacobian
-    ``n grad_lam^T + lam J_n`` and divergence ``<n, grad_lam> + lam div n``.
-    No term depends on ``parallel_scale``, so one evaluation serves the
-    update of every ``beta`` (:func:`_update_jacobian`).
+    ``n grad_lam^T + lam J_n`` and divergence ``<n, grad_lam> + lam div n``,
+    with ``div n = b lap_src`` and ``grad_lam`` from the products ``H_c n``,
+    ``H_u n`` and ``H_src g`` (``mixture._hessian_products``): only the
+    Jacobians form a ``(dim, dim)`` array per point.  No term depends on
+    ``parallel_scale``, so one evaluation serves the update of every
+    ``beta`` (:func:`_update_jacobian`).
     Raises DegenerateNormalError at any row whose normal has norm at most
     ``degenerate_threshold``, where :func:`decompose` passes the residual
     through whole and ``g_par`` has no derivative to report.
     """
     pts, terms, scored = _pass(pair, schedule, t, x)
     _, b = sched.coefficients(schedule, t)
-    _, scores = scored
-    hessians = mix._hessians(pair, terms, scored, pts)
+    lap = mix._laplacians(pair, terms, scored)
+    # Dimension-major (targets, dim, n) scores: a per-point coefficient
+    # scales their columns as it is, and a sum over dimensions adds rows.
+    scores = scored[1].mT
     src = 0 if normal_source is NormalSource.CONDITIONAL else 1
-    g = -mix._column(b, 1) * (scores[0] - scores[1])
-    n = mix._column(b, 1) * scores[src]
-    jac_g = -mix._column(b, 2) * (hessians[0] - hessians[1])
-    jac_n = mix._column(b, 2) * hessians[src]
-    div_n = b * np.einsum("nii->n", hessians[src])
-    # Each row's normal and its derivatives are scaled by the power of two
-    # that puts the row's largest |entry| in [0.5, 1), so that ||n||^2 and
-    # its square neither overflow nor underflow.  The scale is exact, and
-    # lam n, J_par and div g_par do not depend on it.
-    shift = np.frexp(np.max(np.abs(n), axis=1))[1]
-    np.ldexp(n, -shift[:, None], out=n)
-    np.ldexp(jac_n, -shift[:, None, None], out=jac_n)
-    np.ldexp(div_n, -shift, out=div_n)
-    nn = np.sum(n * n, axis=1)
+    g = -b * (scores[0] - scores[1])
+    n = b * scores[src]
+    # Each row's normal is scaled by the power of two that puts its
+    # largest |entry| in [0.5, 1), and so are ``b_n`` (``J_n = b_n H_src``)
+    # and ``div n``, so that ||n||^2 and its square neither overflow nor
+    # underflow.  The scale is exact, and lam n, J_par and div g_par do not
+    # depend on it.  ``div n`` is scaled once formed, so where it overflows
+    # (|b_t| near 1e308) so does div g_par.
+    shift = np.frexp(np.max(np.abs(n), axis=0))[1]
+    np.ldexp(n, -shift, out=n)
+    b_n = np.ldexp(b, -shift)
+    div_n = np.ldexp(b * lap[src], -shift)
+    nn = np.add.reduce(n * n, axis=0)
     degenerate = np.ldexp(np.sqrt(nn), shift) <= degenerate_threshold(pts)
     if np.any(degenerate):
         row = int(np.argmax(degenerate))
         raise DegenerateNormalError(f"normal direction vanished at row {row}")
-    gn = np.sum(g * n, axis=1)
+    products = mix._hessian_products(pair, terms, scored, np.stack([n, g]))
+    gn = np.add.reduce(g * n, axis=0)
     lam = gn / nn
-    grad_lam = (
-        np.einsum("nji,nj->ni", jac_g, n) + np.einsum("nji,nj->ni", jac_n, g)
-    ) / nn[:, None] - (2.0 * gn / (nn * nn))[:, None] * np.einsum(
-        "nji,nj->ni", jac_n, n)
-    jac_par = n[:, :, None] * grad_lam[:, None, :] + lam[:, None, None] * jac_n
-    div_par = np.sum(n * grad_lam, axis=1) + lam * div_n
-    return _PairTerms(jac_g, jac_par, div_par, mix._laplacians(pair, terms, scored))
+    grad_lam = ((b_n * products[src, 1] - b * (products[0, 0] - products[1, 0]))
+                / nn - (2.0 * gn / (nn * nn)) * (b_n * products[src, 0]))
+    div_par = np.add.reduce(n * grad_lam, axis=0) + lam * div_n
+    if not jacobians:
+        return _PairTerms(div_par, lap)
+    hessians = mix._hessians(pair, terms, scored, pts)
+    jac_g = -mix._column(b, 2) * (hessians[0] - hessians[1])
+    jac_par = (n.T[:, :, None] * grad_lam.T[:, None, :]
+               + (lam * b_n)[:, None, None] * hessians[src])
+    return _PairTerms(div_par, lap, jac_g, jac_par)
 
 
 def _update_jacobian(terms, config, t):
     """``scale(t) * (J_g + (parallel_scale - 1) * J_par)`` per row of the
-    :func:`_pair_terms` ``terms``: the Jacobian of the projected update."""
+    :func:`_pair_terms` ``terms`` (with Jacobians): the Jacobian of the
+    projected update."""
     scale = mix._column(sched.guidance_scale_at(config, t), 2)
     return scale * (terms.jac_g + (config.parallel_scale - 1.0) * terms.jac_par)
-
-
-def _update_divergence(terms, config, t):
-    """The trace of :func:`_update_jacobian`, one divergence per row."""
-    return np.einsum("nii->n", _update_jacobian(terms, config, t))
 
 
 def parallel_component_field(conditional, unconditional, schedule,
@@ -381,7 +386,8 @@ def parallel_component_field(conditional, unconditional, schedule,
     """Score-parallel part of the residual, with exact divergence/Jacobian.
 
     The exact divergence comes from the product rule on ``lam(x) n(x)``
-    (a scalar formula), while the exact Jacobian is assembled as a matrix;
+    (a scalar formula over Hessian-vector products), while the exact
+    Jacobian is assembled as a matrix from the Hessians;
     ``trace(jacobian)`` therefore reaches the same number through different
     arithmetic.
     """
@@ -393,14 +399,12 @@ def parallel_component_field(conditional, unconditional, schedule,
         src = v_c if normal_source is NormalSource.CONDITIONAL else v_u
         return decompose(v_c - v_u, normal_direction(src, x, state_coef), x)[0]
 
-    def terms(x, t):
-        return _pair_terms(pair, schedule, t, x, normal_source)
-
     def div_fn(x, t):
-        return _rows_of(x, terms(x, t).div_par)
+        return _rows_of(x, _pair_terms(pair, schedule, t, x, normal_source).div_par)
 
     def jac_fn(x, t):
-        return _rows_of(x, terms(x, t).jac_par)
+        return _rows_of(x, _pair_terms(pair, schedule, t, x, normal_source,
+                                       jacobians=True).jac_par)
 
     return VectorField(fn, conditional.dim, div_fn, jac_fn, "parallel")
 
@@ -421,14 +425,13 @@ def projected_update_field(conditional, unconditional, schedule, config):
         v_c, v_u = _pair_velocities(pair, schedule, t, x)
         return apply_guidance(v_u, v_c, x, t, schedule, config)
 
-    def terms(x, t):
-        return _pair_terms(pair, schedule, t, x, config.normal_source)
-
     def jac_fn(x, t):
-        return _rows_of(x, _update_jacobian(terms(x, t), config, t))
+        terms = _pair_terms(pair, schedule, t, x, config.normal_source,
+                            jacobians=True)
+        return _rows_of(x, _update_jacobian(terms, config, t))
 
     def div_fn(x, t):
-        return _rows_of(x, _update_divergence(terms(x, t), config, t))
+        return np.einsum("...ii->...", jac_fn(x, t))
 
     return VectorField(fn, conditional.dim, div_fn, jac_fn, "projected-update")
 

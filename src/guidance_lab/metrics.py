@@ -228,13 +228,13 @@ def _scratch(side, width):
             np.tri(side, dtype=bool), np.ones(side))
 
 
-def _strip_sums(factors, labels, starts, scratch):
-    """One run of a thread's share of a pass: the row strips of one null it
-    takes from ``starts``, in this thread's :func:`_scratch` buffers.
-    ``factors`` are the :func:`_difference_factors` of the null's pooled
-    points in grid units.
+def _strip_sums(factors, labels, start, scratch):
+    """One work item of a thread's share of a pass: the row strip of one
+    null that starts at row ``start``, in this thread's :func:`_scratch`
+    buffers.  ``factors`` are the :func:`_difference_factors` of the null's
+    pooled points in grid units.
 
-    Returns the folds of these strips of ``A`` (see
+    Returns the folds of this strip of ``A`` (see
     :func:`_split_energies`), ``[sum_i z_ip A_ip, sum_i (A_ip + A_i1
     z_ip)]`` with ``A_i1`` the ones column, as ``(2, 2, width)`` hi and lo
     parts.  Byte labels are widened one block at a time into the float
@@ -244,35 +244,33 @@ def _strip_sums(factors, labels, starts, scratch):
     size, width = labels.shape
     dist, spare, acc, z_rows, z_cols, on_or_below_diagonal, ones = scratch
     folds = np.zeros((2, 2, width))
-    for start in starts:
-        rows = slice(start, start + _ROW_BLOCK)
-        height = min(_ROW_BLOCK, size - start)
-        z_i = _as_float(labels[rows], z_rows)
-        left_i = left[:, rows]
-        block = _grid_distances(left_i, right[:, :, rows],
-                                _shaped(dist, height, height),
-                                _shaped(spare, height, height))
-        np.copyto(block, 0.0, where=on_or_below_diagonal[:height, :height])
-        acc_i = np.matmul(block, z_i, out=_shaped(acc, height, width))
-        product = _shaped(spare, height, width)
-        for col in range(start + _ROW_BLOCK, size, _ROW_BLOCK):
-            cols = slice(col, col + _ROW_BLOCK)
-            breadth = min(_ROW_BLOCK, size - col)
-            z_j = _as_float(labels[cols], z_cols)
-            block = _grid_distances(left_i, right[:, :, cols],
-                                    _shaped(dist, height, breadth),
-                                    _shaped(spare, height, breadth))
-            acc_i += np.matmul(block, z_j, out=product)
-        # Strip ``rows`` of ``A`` is complete.  Adding and taking away
-        # _ROUND rounds each entry to a multiple of 2**_SPLIT, exactly:
-        # that is its hi part, and the rest, at most 2**(_SPLIT - 1) in
-        # size, its lo part.
-        hi = np.add(acc_i, _ROUND, out=product)
-        hi -= _ROUND
-        lo = np.subtract(acc_i, hi, out=acc_i)
-        for k, piece in enumerate((hi, lo)):
-            folds[0, k] += np.einsum("ip,ip->p", z_i, piece)
-            folds[1, k] += ones[:height] @ piece + piece[:, -1] @ z_i
+    rows = slice(start, start + _ROW_BLOCK)
+    height = min(_ROW_BLOCK, size - start)
+    z_i = _as_float(labels[rows], z_rows)
+    left_i = left[:, rows]
+    block = _grid_distances(left_i, right[:, :, rows],
+                            _shaped(dist, height, height),
+                            _shaped(spare, height, height))
+    np.copyto(block, 0.0, where=on_or_below_diagonal[:height, :height])
+    acc_i = np.matmul(block, z_i, out=_shaped(acc, height, width))
+    product = _shaped(spare, height, width)
+    for col in range(start + _ROW_BLOCK, size, _ROW_BLOCK):
+        cols = slice(col, col + _ROW_BLOCK)
+        breadth = min(_ROW_BLOCK, size - col)
+        z_j = _as_float(labels[cols], z_cols)
+        block = _grid_distances(left_i, right[:, :, cols],
+                                _shaped(dist, height, breadth),
+                                _shaped(spare, height, breadth))
+        acc_i += np.matmul(block, z_j, out=product)
+    # Strip ``rows`` of ``A`` is complete.  Adding and taking away _ROUND
+    # rounds each entry to a multiple of 2**_SPLIT, exactly: that is its hi
+    # part, and the rest, at most 2**(_SPLIT - 1) in size, its lo part.
+    hi = np.add(acc_i, _ROUND, out=product)
+    hi -= _ROUND
+    lo = np.subtract(acc_i, hi, out=acc_i)
+    for k, piece in enumerate((hi, lo)):
+        folds[0, k] += np.einsum("ip,ip->p", z_i, piece)
+        folds[1, k] += ones[:height] @ piece + piece[:, -1] @ z_i
     return folds
 
 
@@ -373,19 +371,6 @@ class _Pass:
             self.changed.notify_all()
         return True
 
-    def _run(self, k, first, tally):
-        """Strip starts of null ``k`` from ``first`` on, while the list's
-        next item is a strip of ``k``; ``tally`` gets the count handed out
-        and the first item of another null."""
-        tally[0] += 1
-        yield first
-        for item in self.work:
-            if item[0] != k:
-                tally[1] = item
-                return
-            tally[0] += 1
-            yield item[1]
-
     def share(self):
         """One thread's share: the items it takes from the list, each strip
         run through :func:`_strip_sums` in this thread's own buffers.
@@ -393,26 +378,20 @@ class _Pass:
         scratch = _scratch(self.side, self.width)
         folds = [None] * len(self.nulls)
         try:
-            item = next(self.work, None)
-            while item is not None:
-                k, start = item
+            for k, start in self.work:
                 if start is None:
                     if not self._prepare(k):
                         break
-                    item = next(self.work, None)
                     continue
                 if not self._await(lambda: self.inputs[k] is not None):
                     break
-                tally = [0, None]
-                part = _strip_sums(*self.inputs[k], self._run(k, start, tally),
-                                   scratch)
+                part = _strip_sums(*self.inputs[k], start, scratch)
                 folds[k] = part if folds[k] is None else folds[k] + part
                 with self.changed:
-                    self.left[k] -= tally[0]
+                    self.left[k] -= 1
                     if not self.left[k]:
                         self.inputs[k] = None
                         self.changed.notify_all()
-                item = tally[1] if tally[1] is not None else next(self.work, None)
         except BaseException:
             self.abort()
             raise

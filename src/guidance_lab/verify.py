@@ -10,7 +10,7 @@ a second.
 A check draws its whole sample first (:func:`_draws`, one time per point)
 and then evaluates each route once over the batch: one oracle call per
 field (and per ``beta`` where it sweeps one), with the per-point times
-passed through.  Two checks stay per point, each saying why.  A measured
+passed through.  One check stays per point, saying why.  A measured
 value is the ``np.max`` of the check's gaps, so a route that returns NaN
 anywhere fails its check.
 """
@@ -466,16 +466,10 @@ def check_parallel_ratio_trend(config):
             15.0 * direction, 0.995**2 * np.eye(dim)
         )
         points = mix.sample(cond, schedule, t, 16, int(rng.integers(2**31)))
-        g_field = gd.residual_field(cond, uncond, schedule)
-        par_field = gd.parallel_component_field(cond, uncond, schedule)
-        ratios = []
-        # Per point: at D = 512 a 16-point batch makes each of the seven or
-        # so (n, D, D) arrays _pair_terms holds at once 33.5 MB.
-        for x in points:
-            div_g = g_field.divergence(x, t)
-            div_par = par_field.divergence(x, t)
-            ratios.append(abs(div_par) / abs(div_g))
-        medians.append(_median(ratios))
+        div_g = gd.residual_field(cond, uncond, schedule).divergence(points, t)
+        div_par = gd.parallel_component_field(cond, uncond, schedule).divergence(
+            points, t)
+        medians.append(_median(np.abs(div_par) / np.abs(div_g)))
     slope = metrics.loglog_slope(np.array(dims, float), np.array(medians))
     return CheckResult(
         name="parallel_ratio_dimension_trend",
@@ -525,11 +519,11 @@ def check_beta_affinity(config):
     rng = _rng(config.seed, 13)
     times, points = _draws(rng, pair.unconditional, schedule, 8, 0.1)
     terms = gd._pair_terms(pair, schedule, times, points,
-                           gd.NormalSource.CONDITIONAL)
+                           gd.NormalSource.CONDITIONAL, jacobians=True)
     columns = []
     for beta in _BETA_GRID:
         cfg = _projected_rule(beta)
-        columns.append(gd._update_divergence(terms, cfg, times)
+        columns.append(np.einsum("nii->n", gd._update_jacobian(terms, cfg, times))
                        / sched.guidance_scale_at(cfg, times))
     values = np.column_stack(columns)
     slope, intercept, line = _affine_fit(_BETA_GRID, values)

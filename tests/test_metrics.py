@@ -1,6 +1,5 @@
 """Tests for energy distance, its permutation null, and slope fits."""
 
-import itertools
 import json
 import math
 import os
@@ -541,27 +540,28 @@ def test_interrupted_wait_leaves_the_next_call_whole(monkeypatch):
     helper_took_a_strip, interrupted = threading.Event(), threading.Event()
     late_strips, left_running = [], []
 
-    def interrupting(factors, labels, starts, scratch):
-        # On the first pass the helper takes one strip, then pauses before
-        # each next one; the caller runs one strip of its own and is
-        # interrupted, leaving two of the four strips untaken.
+    abandoned_helper = []
+
+    def interrupting(factors, labels, start, scratch):
+        # On the first pass the helper takes one strip, then pauses after
+        # each; the caller runs one strip of its own and is interrupted,
+        # leaving two of the four strips untaken.
         if threading.get_ident() == caller:
             assert helper_took_a_strip.wait(timeout=10)
             if not interrupted.is_set():
-                original_strips(factors, labels, itertools.islice(starts, 1),
-                                scratch)
+                original_strips(factors, labels, start, scratch)
                 interrupted.set()
                 raise _Interrupt
-        elif not helper_took_a_strip.is_set():
-            def lagging(starts=starts):
-                for start in starts:
-                    if interrupted.is_set():
-                        late_strips.append(start)
-                    helper_took_a_strip.set()
-                    yield start
-                    time.sleep(0.2)
-            starts = lagging()
-        return original_strips(factors, labels, starts, scratch)
+        elif abandoned_helper in ([], [threading.get_ident()]):
+            abandoned_helper[:] = [threading.get_ident()]
+            if interrupted.is_set():
+                late_strips.append(start)
+            helper_took_a_strip.set()
+            try:
+                return original_strips(factors, labels, start, scratch)
+            finally:
+                time.sleep(0.2)
+        return original_strips(factors, labels, start, scratch)
 
     def cut_join(self, timeout=None):
         left_running.append(self)

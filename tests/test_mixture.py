@@ -328,6 +328,46 @@ def test_stored_negated_eigenvectors_match_negating_after(dim, count):
             _same_bits(values, expected, "per-target reduction")
 
 
+def _products(stack, sch, t, pts, vectors):
+    terms = mixture._evaluate(stack, *mixture._path(sch, t), pts)
+    scored = mixture._scores(stack, terms)
+    return (mixture._hessian_products(stack, terms, scored, vectors),
+            mixture._hessians(stack, terms, scored, pts))
+
+
+# The unconditional target's 9 components take _sum_components' loop.
+@pytest.mark.parametrize("dim", [2, 8, 64])
+def test_hessian_products_match_the_assembled_hessians(dim):
+    rng = np.random.default_rng([61, dim])
+    stack = mixture.TargetPair(_random_mixture(rng, dim, 3),
+                               _random_mixture(rng, dim, 9))
+    sch = Schedule()
+    count = 6
+    times = rng.uniform(sch.t_min, sch.t_max, count)
+    pts = 1.5 * rng.normal(size=(count, dim))
+    vectors = rng.normal(size=(2, dim, count))
+    for t in (0.4, times):
+        products, hessians = _products(stack, sch, t, pts, vectors)
+        assert products.shape == (2, 2, dim, count)
+        for i, h in enumerate(hessians):
+            for v, w in enumerate(vectors):
+                want = np.einsum("nij,jn->in", h, w)
+                gap = np.max(np.abs(products[i, v] - want)) / np.max(np.abs(want))
+                assert gap <= 1e-13, (t, i, v, gap)
+        # A single point is its batch row: bit for bit up to dim = 3, to
+        # roundoff above it, as every oracle.
+        for row in range(count):
+            one = (float(t) if np.ndim(t) == 0 else t[row:row + 1])
+            alone, _ = _products(stack, sch, one, pts[row:row + 1],
+                                 vectors[:, :, row:row + 1])
+            if dim <= 3:
+                _same_bits(alone[..., 0], products[..., row], f"row {row}")
+            else:
+                np.testing.assert_allclose(
+                    alone[..., 0], products[..., row], rtol=0,
+                    atol=1e-13 * np.max(np.abs(products[..., row])))
+
+
 def test_stack_rejects_targets_of_different_dimensions():
     with pytest.raises(ShapeError):
         mixture.TargetPair(GaussianMixture.single(np.zeros(2), 1.0),
