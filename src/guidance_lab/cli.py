@@ -17,11 +17,10 @@ from Hessian-vector products, with no ``(dim, dim)`` array per state.
 rule through one routine, ``_compare_rules``, each at its own seeds: it
 integrates every rule of the job, keeping each rule's terminal states
 alone, then draws the oracles and runs every permutation null of the job
-in one threaded pass (``metrics.permutation_tests``).  The oracles'
-log-sum-exp underflows by design far from a component; the Euler loop,
-``mixture._evaluate``, the trace kinds' one ``_pair_terms`` pass and the
-``verify`` checks each ignore underflow once, so every kind also
-completes under ``np.errstate(all="raise")``.  Exit status 0 means every
+in one threaded pass (``metrics.permutation_tests``).  Every kind also
+completes with NumPy set to raise on every floating-point error, and
+nothing here handles underflow: each oracle pass and the Euler loop
+ignore the underflow they expect themselves.  Exit status 0 means every
 check in the run passed (for ``verify``) or the run completed (for the
 experiment kinds); configuration problems and non-finite profiles exit 2.
 """
@@ -73,15 +72,13 @@ def _reference_trajectory(config):
                          config.sampler)
 
 
-def _projected(config, beta=None, omega=None):
-    """The configured guidance forced to the projected rule, with overrides."""
+def _projected(config, omega=None):
+    """The configured guidance forced to the projected rule, at ``omega`` if given."""
     base = config.guidance
     omega = base.guidance_scale if omega is None else float(omega)
-    return dataclasses.replace(
-        base, rule=gd.GuidanceRule.PROJECTED, guidance_scale=omega,
-        parallel_scale=base.parallel_scale if beta is None else float(beta),
-        min_scale=min(base.min_scale, omega),
-    )
+    return dataclasses.replace(base, rule=gd.GuidanceRule.PROJECTED,
+                               guidance_scale=omega,
+                               min_scale=min(base.min_scale, omega))
 
 
 def _cfg_rule(omega):
@@ -92,8 +89,7 @@ def _cfg_rule(omega):
 
 
 def run_verify(config):
-    with mix._ignoring_underflow():  # as in _write_profile
-        results = verify.run_all_checks(config)
+    results = verify.run_all_checks(config)
     report = verify.report_dict(results)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -109,21 +105,17 @@ def _write_profile(config, name, profile):
     given the path coefficients at the reference trajectory's times, one
     :func:`guidance._pair_terms` pass over all its states, the residual's
     divergence ``-b * (lap_c - lap_u)`` and the projected rule's scale
-    ``omega(t)`` there.  A non-finite cell raises DomainError, naming its
-    column and step, before anything is written."""
+    ``omega(t)`` there, all inside that pass.  A non-finite cell raises
+    DomainError, naming its column and step, before anything is written."""
     pair, schedule = config.pair, config.schedule
     record = _reference_trajectory(config)
     times = record.times
-    # The oracles' log-sum-exp and responsibility products underflow to
-    # zero far from a component, as they should.  Ignored around this pass
-    # alone, not the whole run: an errstate slows some NumPy calls inside it.
-    with mix._ignoring_underflow():
-        terms = gd._pair_terms(pair, schedule, times, record.states,
-                               config.guidance.normal_source)
-    a, b = sched.coefficients(schedule, times)
-    lap_c, lap_u = terms.lap
-    divs = profile(a, b, terms, -b * (lap_c - lap_u),
-                   sched.guidance_scale_at(_projected(config), times))
+    with gd._pair_terms(pair, schedule, times, record.states,
+                        config.guidance.normal_source) as terms:
+        a, b = sched.coefficients(schedule, times)
+        lap_c, lap_u = terms.lap
+        divs = profile(a, b, terms, -b * (lap_c - lap_u),
+                       sched.guidance_scale_at(_projected(config), times))
     columns = ["t", *divs]
     matrix = np.column_stack([times] + [np.abs(div) / pair.dim
                                         for div in divs.values()])

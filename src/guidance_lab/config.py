@@ -76,9 +76,10 @@ MAX_STEPS = 10_000
 MAX_SAMPLE_COUNT = 100_000
 MAX_PERMUTATIONS = 10_000
 # A target's dimension, the largest ``verify`` uses.  At it, with the other
-# fields at their defaults, the largest arrays are the (512, 4000, 2) grid
-# factors of a permutation null of ``sample_compare`` and ``sweep_omega``
-# (33 MB) and ten (512, 512) update Jacobians of ``verify`` (21 MB); the
+# fields at their defaults, the largest arrays are a permutation null's
+# (512, 4000, 2) and (512, 2, 4000) grid factors, 65.5 MB, in
+# ``sample_compare`` and ``sweep_omega``, whose job pass holds two nulls'
+# (131 MB), and ten (512, 512) update Jacobians of ``verify`` (21 MB); the
 # trace kinds hold no (512, 512) array per state.
 MAX_DIM = 512
 

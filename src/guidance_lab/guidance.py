@@ -35,6 +35,7 @@ divergence (both scores and Laplacians) or Jacobian (the Hessians too).
 
 from __future__ import annotations
 
+import contextlib
 import enum
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -241,6 +242,11 @@ def apply_guidance(v_uncond, v_cond, x, t, schedule, config):
 # -- exact oracle fields -----------------------------------------------------------
 
 
+def _rows_of(x, values):
+    """Per-row ``values`` for a batch ``x``; the single row for a point."""
+    return values[0] if np.ndim(x) == 1 else values
+
+
 def velocity_field(target, schedule):
     """Exact marginal velocity of ``target`` as a VectorField."""
 
@@ -248,37 +254,27 @@ def velocity_field(target, schedule):
         return mix.velocity(target, schedule, t, x)
 
     def div_fn(x, t):
-        a, b = sched.coefficients(schedule, t)
-        return target.dim * a - b * mix.laplacian_log_density(target, schedule, t, x)
+        with mix._pass(target, schedule, t, x) as (_, _, terms):
+            lap, = mix._laplacians(target, terms, mix._scores(target, terms))
+            a, b = sched.coefficients(schedule, t)
+            return _rows_of(x, target.dim * a - b * lap)
 
     def jac_fn(x, t):
-        a, b = (mix._column(c, 2) for c in sched.coefficients(schedule, t))
-        return a * np.eye(target.dim) - b * mix.hessian_log_density(
-            target, schedule, t, x
-        )
+        with mix._pass(target, schedule, t, x) as (pts, _, terms):
+            h, = mix._hessians(target, terms, mix._scores(target, terms), pts)
+            a, b = (mix._column(c, 2) for c in sched.coefficients(schedule, t))
+            return _rows_of(x, a * np.eye(target.dim) - b * h)
 
     return VectorField(fn, target.dim, div_fn, jac_fn, "velocity")
 
 
-def _pass(stack, schedule, t, x):
-    """One oracle pass over ``stack`` at the rows of ``x``: the points, the
-    terms and the scores ``mixture._hessians`` and ``_laplacians`` reduce."""
-    pts, _ = mix._as_batch(x, stack.dim)
-    terms = mix._evaluate(stack, *mix._path(schedule, t), pts)
-    return pts, terms, mix._scores(stack, terms)
-
-
+@contextlib.contextmanager
 def _pair_velocities(pair, schedule, t, x):
-    """Both targets' velocities, each shaped as ``x``, from one pass."""
-    pts, _ = mix._as_batch(x, pair.dim)
-    terms = mix._evaluate(pair, *mix._path(schedule, t), pts)
-    v = mix._velocities(pair, terms, *sched.coefficients(schedule, t), pts)
-    return v[:, 0] if np.ndim(x) == 1 else v
-
-
-def _rows_of(x, values):
-    """Per-row ``values`` for a batch ``x``; the single row for a point."""
-    return values[0] if np.ndim(x) == 1 else values
+    """Both targets' velocities, each shaped as ``x``, yielded inside one
+    pass (``mixture._pass``), so the caller's arithmetic on them runs there."""
+    with mix._pass(pair, schedule, t, x) as (pts, single, terms):
+        v = mix._velocities(pair, terms, *sched.coefficients(schedule, t), pts)
+        yield v[:, 0] if single else v
 
 
 def residual_field(conditional, unconditional, schedule):
@@ -292,19 +288,20 @@ def residual_field(conditional, unconditional, schedule):
     pair = mix.TargetPair(conditional, unconditional)
 
     def fn(x, t):
-        return np.subtract(*_pair_velocities(pair, schedule, t, x))
+        with _pair_velocities(pair, schedule, t, x) as velocities:
+            return np.subtract(*velocities)
 
     def div_fn(x, t):
-        _, terms, scored = _pass(pair, schedule, t, x)
-        lap_c, lap_u = mix._laplacians(pair, terms, scored)
-        _, b = sched.coefficients(schedule, t)
-        return _rows_of(x, -b * (lap_c - lap_u))
+        with mix._pass(pair, schedule, t, x) as (_, _, terms):
+            lap_c, lap_u = mix._laplacians(pair, terms, mix._scores(pair, terms))
+            _, b = sched.coefficients(schedule, t)
+            return _rows_of(x, -b * (lap_c - lap_u))
 
     def jac_fn(x, t):
-        pts, terms, scored = _pass(pair, schedule, t, x)
-        h_c, h_u = mix._hessians(pair, terms, scored, pts)
-        _, b = sched.coefficients(schedule, t)
-        return _rows_of(x, -mix._column(b, 2) * (h_c - h_u))
+        with mix._pass(pair, schedule, t, x) as (pts, _, terms):
+            h_c, h_u = mix._hessians(pair, terms, mix._scores(pair, terms), pts)
+            _, b = sched.coefficients(schedule, t)
+            return _rows_of(x, -mix._column(b, 2) * (h_c - h_u))
 
     return VectorField(fn, conditional.dim, div_fn, jac_fn, "residual")
 
@@ -312,15 +309,17 @@ def residual_field(conditional, unconditional, schedule):
 class _PairTerms(NamedTuple):
     div_par: np.ndarray  # (n,) product-rule divergence of g_par
     lap: np.ndarray  # (2, n) Laplacians of log p_c and log p_u
-    jac_g: Optional[np.ndarray] = None  # (n, dim, dim) Jacobian of g, if asked for
     jac_par: Optional[np.ndarray] = None  # (n, dim, dim) Jacobian of g_par, if asked for
+    hessians: Optional[tuple] = None  # (n, dim, dim) H_c and H_u, with jac_par
+    b: object = None  # b_t, a scalar or one per row, with jac_par
 
 
+@contextlib.contextmanager
 def _pair_terms(pair, schedule, t, x, normal_source, jacobians=False):
     """The divergence of ``g_par`` and both targets' Laplacians at every row
     of ``x`` (a point or a batch), and with ``jacobians`` the exact
-    Jacobians of ``g`` and ``g_par`` too, from one oracle pass
-    (:func:`_pass`) over the ``mixture.TargetPair`` ``pair``.
+    Jacobian of ``g_par``, both Hessians and ``b``, yielded inside one
+    oracle pass (``mixture._pass``) over the ``mixture.TargetPair`` ``pair``.
 
     With ``g = -b (s_c - s_u)``, ``n = b s_src`` and ``lam = <g, n> / ||n||^2``
     the parallel field ``g_par = lam n`` has Jacobian
@@ -329,56 +328,58 @@ def _pair_terms(pair, schedule, t, x, normal_source, jacobians=False):
     ``H_u n`` and ``H_src g`` (``mixture._hessian_products``): only the
     Jacobians form a ``(dim, dim)`` array per point.  No term depends on
     ``parallel_scale``, so one evaluation serves the update of every
-    ``beta`` (:func:`_update_jacobian`).
+    ``beta``, which the caller forms inside the pass (:func:`_update_jacobian`).
     Raises DegenerateNormalError at any row whose normal has norm at most
     ``degenerate_threshold``, where :func:`decompose` passes the residual
     through whole and ``g_par`` has no derivative to report.
     """
-    pts, terms, scored = _pass(pair, schedule, t, x)
-    _, b = sched.coefficients(schedule, t)
-    lap = mix._laplacians(pair, terms, scored)
-    # Dimension-major (targets, dim, n) scores: a per-point coefficient
-    # scales their columns as it is, and a sum over dimensions adds rows.
-    scores = scored[1].mT
-    src = 0 if normal_source is NormalSource.CONDITIONAL else 1
-    g = -b * (scores[0] - scores[1])
-    n = b * scores[src]
-    # Each row's normal is scaled by the power of two that puts its
-    # largest |entry| in [0.5, 1), and so are ``b_n`` (``J_n = b_n H_src``)
-    # and ``div n``, so that ||n||^2 and its square neither overflow nor
-    # underflow.  The scale is exact, and lam n, J_par and div g_par do not
-    # depend on it.  ``div n`` is scaled once formed, so where it overflows
-    # (|b_t| near 1e308) so does div g_par.
-    shift = np.frexp(np.max(np.abs(n), axis=0))[1]
-    np.ldexp(n, -shift, out=n)
-    b_n = np.ldexp(b, -shift)
-    div_n = np.ldexp(b * lap[src], -shift)
-    nn = np.add.reduce(n * n, axis=0)
-    degenerate = np.ldexp(np.sqrt(nn), shift) <= degenerate_threshold(pts)
-    if np.any(degenerate):
-        row = int(np.argmax(degenerate))
-        raise DegenerateNormalError(f"normal direction vanished at row {row}")
-    products = mix._hessian_products(pair, terms, scored, np.stack([n, g]))
-    gn = np.add.reduce(g * n, axis=0)
-    lam = gn / nn
-    grad_lam = ((b_n * products[src, 1] - b * (products[0, 0] - products[1, 0]))
-                / nn - (2.0 * gn / (nn * nn)) * (b_n * products[src, 0]))
-    div_par = np.add.reduce(n * grad_lam, axis=0) + lam * div_n
-    if not jacobians:
-        return _PairTerms(div_par, lap)
-    hessians = mix._hessians(pair, terms, scored, pts)
-    jac_g = -mix._column(b, 2) * (hessians[0] - hessians[1])
-    jac_par = (n.T[:, :, None] * grad_lam.T[:, None, :]
-               + (lam * b_n)[:, None, None] * hessians[src])
-    return _PairTerms(div_par, lap, jac_g, jac_par)
+    with mix._pass(pair, schedule, t, x) as (pts, _, terms):
+        scored = mix._scores(pair, terms)
+        _, b = sched.coefficients(schedule, t)
+        lap = mix._laplacians(pair, terms, scored)
+        # Dimension-major (targets, dim, n) scores: a per-point coefficient
+        # scales their columns as it is, and a sum over dimensions adds rows.
+        scores = scored[1].mT
+        src = 0 if normal_source is NormalSource.CONDITIONAL else 1
+        g = -b * (scores[0] - scores[1])
+        n = b * scores[src]
+        # Each row's normal is scaled by the power of two that puts its
+        # largest |entry| in [0.5, 1), and so are ``b_n`` (``J_n = b_n
+        # H_src``) and ``div n``, so that ||n||^2 and its square neither
+        # overflow nor underflow.  The scale is exact, and lam n, J_par and
+        # div g_par do not depend on it.  ``div n`` is scaled once formed,
+        # so where it overflows (|b_t| near 1e308) so does div g_par.
+        shift = np.frexp(np.max(np.abs(n), axis=0))[1]
+        np.ldexp(n, -shift, out=n)
+        b_n = np.ldexp(b, -shift)
+        div_n = np.ldexp(b * lap[src], -shift)
+        nn = np.add.reduce(n * n, axis=0)
+        degenerate = np.ldexp(np.sqrt(nn), shift) <= degenerate_threshold(pts)
+        if np.any(degenerate):
+            row = int(np.argmax(degenerate))
+            raise DegenerateNormalError(f"normal direction vanished at row {row}")
+        products = mix._hessian_products(pair, terms, scored, np.stack([n, g]))
+        gn = np.add.reduce(g * n, axis=0)
+        lam = gn / nn
+        grad_lam = ((b_n * products[src, 1] - b * (products[0, 0] - products[1, 0]))
+                    / nn - (2.0 * gn / (nn * nn)) * (b_n * products[src, 0]))
+        div_par = np.add.reduce(n * grad_lam, axis=0) + lam * div_n
+        if not jacobians:
+            yield _PairTerms(div_par, lap)
+            return
+        hessians = mix._hessians(pair, terms, scored, pts)
+        jac_par = (n.T[:, :, None] * grad_lam.T[:, None, :]
+                   + (lam * b_n)[:, None, None] * hessians[src])
+        yield _PairTerms(div_par, lap, jac_par, hessians, b)
 
 
 def _update_jacobian(terms, config, t):
     """``scale(t) * (J_g + (parallel_scale - 1) * J_par)`` per row of the
-    :func:`_pair_terms` ``terms`` (with Jacobians): the Jacobian of the
-    projected update."""
+    :func:`_pair_terms` ``terms`` (with Jacobians), ``J_g = -b (H_c -
+    H_u)``: the Jacobian of the projected update."""
+    jac_g = -mix._column(terms.b, 2) * np.subtract(*terms.hessians)
     scale = mix._column(sched.guidance_scale_at(config, t), 2)
-    return scale * (terms.jac_g + (config.parallel_scale - 1.0) * terms.jac_par)
+    return scale * (jac_g + (config.parallel_scale - 1.0) * terms.jac_par)
 
 
 def parallel_component_field(conditional, unconditional, schedule,
@@ -394,17 +395,18 @@ def parallel_component_field(conditional, unconditional, schedule,
     pair = mix.TargetPair(conditional, unconditional)
 
     def fn(x, t):
-        v_c, v_u = _pair_velocities(pair, schedule, t, x)
-        state_coef = mix._column(sched.coefficients(schedule, t).state_coef)
-        src = v_c if normal_source is NormalSource.CONDITIONAL else v_u
-        return decompose(v_c - v_u, normal_direction(src, x, state_coef), x)[0]
+        with _pair_velocities(pair, schedule, t, x) as (v_c, v_u):
+            state_coef = mix._column(sched.coefficients(schedule, t).state_coef)
+            src = v_c if normal_source is NormalSource.CONDITIONAL else v_u
+            return decompose(v_c - v_u, normal_direction(src, x, state_coef), x)[0]
 
     def div_fn(x, t):
-        return _rows_of(x, _pair_terms(pair, schedule, t, x, normal_source).div_par)
+        with _pair_terms(pair, schedule, t, x, normal_source) as terms:
+            return _rows_of(x, terms.div_par)
 
     def jac_fn(x, t):
-        return _rows_of(x, _pair_terms(pair, schedule, t, x, normal_source,
-                                       jacobians=True).jac_par)
+        with _pair_terms(pair, schedule, t, x, normal_source, jacobians=True) as terms:
+            return _rows_of(x, terms.jac_par)
 
     return VectorField(fn, conditional.dim, div_fn, jac_fn, "parallel")
 
@@ -422,13 +424,13 @@ def projected_update_field(conditional, unconditional, schedule, config):
     pair = mix.TargetPair(conditional, unconditional)
 
     def fn(x, t):
-        v_c, v_u = _pair_velocities(pair, schedule, t, x)
-        return apply_guidance(v_u, v_c, x, t, schedule, config)
+        with _pair_velocities(pair, schedule, t, x) as (v_c, v_u):
+            return apply_guidance(v_u, v_c, x, t, schedule, config)
 
     def jac_fn(x, t):
-        terms = _pair_terms(pair, schedule, t, x, config.normal_source,
-                            jacobians=True)
-        return _rows_of(x, _update_jacobian(terms, config, t))
+        with _pair_terms(pair, schedule, t, x, config.normal_source,
+                         jacobians=True) as terms:
+            return _rows_of(x, _update_jacobian(terms, config, t))
 
     def div_fn(x, t):
         return np.einsum("...ii->...", jac_fn(x, t))
@@ -452,15 +454,17 @@ def score_rotation_field(target, schedule, scale=1.0):
     rot[1, 0] = 1.0
 
     def fn(x, t):
-        s = mix.score(target, schedule, t, x)
-        return scale * (s @ rot.T)
+        with mix._pass(target, schedule, t, x) as (_, _, terms):
+            return _rows_of(x, scale * (mix._scores(target, terms)[1][0] @ rot.T))
 
     def div_fn(x, t):
-        h = mix.hessian_log_density(target, schedule, t, x)
-        return scale * np.einsum("ij,...ij->...", rot, h)
+        with mix._pass(target, schedule, t, x) as (pts, _, terms):
+            h, = mix._hessians(target, terms, mix._scores(target, terms), pts)
+            return _rows_of(x, scale * np.einsum("ij,...ij->...", rot, h))
 
     def jac_fn(x, t):
-        h = mix.hessian_log_density(target, schedule, t, x)
-        return scale * (rot @ h)
+        with mix._pass(target, schedule, t, x) as (pts, _, terms):
+            h, = mix._hessians(target, terms, mix._scores(target, terms), pts)
+            return _rows_of(x, scale * (rot @ h))
 
     return VectorField(fn, dim, div_fn, jac_fn, "rotated-score")

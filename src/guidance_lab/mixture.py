@@ -309,7 +309,7 @@ def _ignoring_underflow():
     caller's state already ignores it, as NumPy's default does, else
     ``np.errstate(under="ignore")``.  An ``errstate`` slows some NumPy
     calls inside it, by up to about 2.5% for a small matmul, ``einsum`` or
-    sum (timeit, one BLAS thread), so it is entered only where needed."""
+    sum (timeit, one BLAS thread), so only :func:`_pass` and the Euler loop enter it."""
     if np.geterr()["under"] == "ignore":
         return contextlib.nullcontext()
     return np.errstate(under="ignore")
@@ -318,15 +318,25 @@ def _ignoring_underflow():
 def _evaluate(stack, alpha, sigma, pts):
     """:func:`_evaluate_at` over :func:`_time_terms`: ``alpha`` and
     ``sigma`` are scalars, one time for every point, or ``(n,)`` arrays,
-    one time per point.  Runs with underflow ignored, as the Euler loop
-    runs :func:`_evaluate_at` (see there)."""
+    one time per point."""
     if isinstance(alpha, np.ndarray) and alpha.shape != (pts.shape[0],):
         raise ShapeError(
             f"times have shape {alpha.shape}; expected a scalar or "
             f"({pts.shape[0]},), one per point"
         )
+    return _evaluate_at(stack, *_time_terms(stack, alpha, sigma), pts)
+
+
+@contextlib.contextmanager
+def _pass(stack, schedule, t, x):
+    """The one entry of an oracle pass outside the Euler loop: yields the
+    ``(n, dim)`` points of ``x``, whether it was one point, and the
+    :func:`_evaluate` terms at ``t``, with underflow ignored in the ``with``
+    block, where the caller ends its arithmetic: far from a component the
+    log-sum-exp and each responsibility-weighted product underflow to 0."""
+    pts, single = _as_batch(x, stack.dim)
     with _ignoring_underflow():
-        return _evaluate_at(stack, *_time_terms(stack, alpha, sigma), pts)
+        yield pts, single, _evaluate(stack, *_path(schedule, t), pts)
 
 
 def _evaluate_at(stack, m, log_norms, scaled_means, pts):
@@ -354,10 +364,10 @@ def _evaluate_at(stack, m, log_norms, scaled_means, pts):
     ``errstate(divide="ignore")``, so a point where every component
     underflows gets log density -inf, not NaN.  The log-sum-exp's ``exp``
     underflows to zero for components far from a point, as it should, so
-    both callers, :func:`_evaluate` and the Euler loop, ignore underflow
-    (:func:`_ignoring_underflow`) once around their whole call, not once
-    per pass: an ``errstate`` costs about 1 us, and a single-point step
-    about 30 us.
+    both callers, :func:`_pass` and the Euler loop, ignore underflow
+    (:func:`_ignoring_underflow`) around their whole use of the terms; the
+    loop enters it once per call, not once per step: an ``errstate`` costs
+    about 1 us, and a single-point step about 30 us.
     """
     delta = np.ascontiguousarray(pts.T) - scaled_means
     # Columns Q_j^T (x - alpha mu_j).
@@ -484,24 +494,23 @@ def _path(schedule, t):
 
 def log_density(target, schedule, t, x):
     """Log density of the time-``t`` marginal at ``x``."""
-    pts, single = _as_batch(x, target.dim)
-    vals, = _evaluate(target, *_path(schedule, t), pts).log_density
+    with _pass(target, schedule, t, x) as (_, single, terms):
+        vals, = terms.log_density
     return float(vals[0]) if single else vals
 
 
 def score(target, schedule, t, x):
     """Score (gradient of log density) of the time-``t`` marginal at ``x``."""
-    pts, single = _as_batch(x, target.dim)
-    _, (s,) = _scores(target, _evaluate(target, *_path(schedule, t), pts))
+    with _pass(target, schedule, t, x) as (_, single, terms):
+        _, (s,) = _scores(target, terms)
     return s[0] if single else s
 
 
 def hessian_log_density(target, schedule, t, x):
     """Hessian of the time-``t`` marginal log density at ``x``: ``(dim, dim)``
     for one point, ``(n, dim, dim)`` for a batch."""
-    pts, single = _as_batch(x, target.dim)
-    terms = _evaluate(target, *_path(schedule, t), pts)
-    h, = _hessians(target, terms, _scores(target, terms), pts)
+    with _pass(target, schedule, t, x) as (pts, single, terms):
+        h, = _hessians(target, terms, _scores(target, terms), pts)
     return h[0] if single else h
 
 
@@ -512,9 +521,8 @@ def laplacian_log_density(target, schedule, t, x):
     route ``(alpha^2 * cov_trace - dim * sigma^2) / sigma^4`` is provided
     by :func:`posterior` and serves as an independent cross-check.
     """
-    pts, single = _as_batch(x, target.dim)
-    terms = _evaluate(target, *_path(schedule, t), pts)
-    vals, = _laplacians(target, terms, _scores(target, terms))
+    with _pass(target, schedule, t, x) as (_, single, terms):
+        vals, = _laplacians(target, terms, _scores(target, terms))
     return float(vals[0]) if single else vals
 
 
@@ -550,21 +558,20 @@ def sample(target, schedule, t, count, seed):
 def posterior(target, schedule, t, x) -> PosteriorMoments:
     """Conjugate posterior moments of the clean sample given ``X_t = x``."""
     alpha, sigma = _path(schedule, t)
-    pts, single = _as_batch(x, target.dim)
-    terms = _evaluate(target, alpha, sigma, pts)
-    resp, m = terms.resp, terms.m
-    lam = target._eigvals[:, :, None]
+    with _pass(target, schedule, t, x) as (pts, single, terms):
+        resp, m = terms.resp, terms.m
+        lam = target._eigvals[:, :, None]
 
-    sig2 = sigma * sigma
-    rotated = target._eigvecs.mT @ np.ascontiguousarray(pts.T)  # Q_j^T x
-    comp_means = target._eigvecs_t.mT @ (
-        (sig2 * target._rotated_means[:, :, None] + alpha * lam * rotated) / m)
-    comp_traces = sig2 * np.sum(lam / m, axis=1)  # (k, n|1)
+        sig2 = sigma * sigma
+        rotated = target._eigvecs.mT @ np.ascontiguousarray(pts.T)  # Q_j^T x
+        comp_means = target._eigvecs_t.mT @ (
+            (sig2 * target._rotated_means[:, :, None] + alpha * lam * rotated) / m)
+        comp_traces = sig2 * np.sum(lam / m, axis=1)  # (k, n|1)
 
-    mean = _sum_components(resp[:, None, :] * comp_means)  # (dim, n)
-    diff = comp_means - mean
-    spread = _sum_components((resp[:, None, :] * diff * diff).sum(axis=1))
-    cov_trace = _sum_components(resp * comp_traces) + spread
+        mean = _sum_components(resp[:, None, :] * comp_means)  # (dim, n)
+        diff = comp_means - mean
+        spread = _sum_components((resp[:, None, :] * diff * diff).sum(axis=1))
+        cov_trace = _sum_components(resp * comp_traces) + spread
     if single:
         return PosteriorMoments(mean=mean[:, 0], cov_trace=float(cov_trace[0]))
     return PosteriorMoments(mean=mean.T, cov_trace=cov_trace)
@@ -574,9 +581,8 @@ def velocity(target, schedule, t, x):
     """Exact probability-flow velocity ``a_t * x - b_t * score_t(x)`` of the
     time-``t`` marginal at ``x``; :func:`_predictor_velocity` is the
     reference route the tests compare it with."""
-    pts, single = _as_batch(x, target.dim)
-    terms = _evaluate(target, *_path(schedule, t), pts)
-    v, = _velocities(target, terms, *sched.coefficients(schedule, t), pts)
+    with _pass(target, schedule, t, x) as (pts, single, terms):
+        v, = _velocities(target, terms, *sched.coefficients(schedule, t), pts)
     return v[0] if single else v
 
 

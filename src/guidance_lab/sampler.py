@@ -13,13 +13,13 @@ terms from one ``mixture._time_terms`` call over it, laid out step-major
 once per grid.  The loop holds its states dimension-major, ``(dim,
 count)``, so at small ``dim`` the oracle's, the guidance rule's and the
 step's elementwise ops run over the ``count`` trajectories in their inner
-loops, and it runs with underflow ignored, once per call, so a caller
-under ``np.errstate(all="raise")`` does not trip on the oracle's
-log-sum-exp.  Trajectories are
-deterministic given the initial state; batches draw initial states ``x0 ~
-N(0, I)`` with one child seed per trajectory index, ``default_rng([seed,
-j])``, so that results do not depend on batch size or ordering; the seeds
-of a whole batch are hashed in one vectorised pass.  One loop serves two
+loops; it ignores underflow itself, once per call, not per step through
+``mixture._pass``, so a caller under ``np.errstate(all="raise")`` does
+not trip on the oracle's log-sum-exp.  Trajectories are deterministic
+given the initial state; batches draw initial states ``x0 ~ N(0, I)``
+with one child seed per trajectory index, ``default_rng([seed, j])``, so
+that results do not depend on batch size or ordering; the seeds of a
+whole batch are hashed in one vectorised pass.  One loop serves two
 callers: ``integrate`` returns a ``TrajectoryRecord`` of the time grid and
 every state, and ``terminal_states`` the last states alone, keeping only
 the current and the next state as it goes.  Callers evaluate whatever
@@ -102,7 +102,8 @@ def _euler(states, times, pair, schedule, guidance_config, guidance_field=None):
     state with ``math.isfinite`` of the state's sum, and entry by entry
     only when that sum is not finite.  The loop runs with underflow
     ignored: the oracle's log-sum-exp underflows to zero for components
-    far from a point, as it should.
+    far from a point, as it should.  Its steps call ``_evaluate_at``, not
+    ``mixture._pass``, as a context per step would slow a single point's.
     """
     path = sched.evaluate(schedule, times)
     state_coefs, score_coefs = (

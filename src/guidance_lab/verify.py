@@ -10,9 +10,8 @@ a second.
 A check draws its whole sample first (:func:`_draws`, one time per point)
 and then evaluates each route once over the batch: one oracle call per
 field (and per ``beta`` where it sweeps one), with the per-point times
-passed through.  One check stays per point, saying why.  A measured
-value is the ``np.max`` of the check's gaps, so a route that returns NaN
-anywhere fails its check.
+passed through.  A measured value is the ``np.max`` of the check's gaps,
+so a route that returns NaN anywhere fails its check.
 """
 
 from __future__ import annotations
@@ -143,29 +142,28 @@ def check_laplacian_posterior_lemma(config):
 
 
 def check_score_matches_fd(config):
-    """Score vs central finite differences of log_density."""
+    """Score vs central finite differences of log_density: per dimension,
+    one ``score`` call at its 10 points and one ``log_density`` call over
+    every point's ``x +- step * e_i`` stencil, one time per point."""
     tol = 1e-6
     step = 1e-5
     gaps = []
     for dim in (1, 2, 4):
         rng = _rng(config.seed, 3, dim)
         target = _random_mixture(rng, dim, 3)
-        # Per point: a batched +-e_i stencil rounds differently at D = 4,
-        # and the 1e-5 step amplifies that into the measured value.
+        times, points = [], []
         for _ in range(10):
-            t = rng.uniform(0.05, 0.9)
-            x = _random_points(rng, target, config.schedule, t, 1)[0]
-            s = mix.score(target, config.schedule, t, x)
-            fd = np.empty(dim)
-            for i in range(dim):
-                e = np.zeros(dim)
-                e[i] = step
-                fd[i] = (
-                    mix.log_density(target, config.schedule, t, x + e)
-                    - mix.log_density(target, config.schedule, t, x - e)
-                ) / (2 * step)
-            err = np.linalg.norm(fd - s) / (1.0 + np.linalg.norm(s))
-            gaps.append(err)
+            times.append(rng.uniform(0.05, 0.9))
+            points.append(_random_points(rng, target, config.schedule, times[-1], 1)[0])
+        t, x = np.array(times), np.array(points)
+        s = mix.score(target, config.schedule, t, x)
+        e = step * np.eye(dim)[:, None, :]  # (dim, 1, dim): step * e_i
+        stencil = np.concatenate([x + e, x - e]).reshape(-1, dim)
+        ld = mix.log_density(target, config.schedule, np.tile(t, 2 * dim), stencil)
+        plus, minus = ld.reshape(2, dim, t.size)
+        fd = ((plus - minus) / (2 * step)).T
+        err = np.linalg.norm(fd - s, axis=-1) / (1.0 + np.linalg.norm(s, axis=-1))
+        gaps.append(np.max(err))
     return _result("score_matches_fd", np.max(gaps), tol,
                    "analytic score vs central differences of log_density")
 
@@ -518,22 +516,19 @@ def check_beta_affinity(config):
     pair, schedule = config.pair, config.schedule
     rng = _rng(config.seed, 13)
     times, points = _draws(rng, pair.unconditional, schedule, 8, 0.1)
-    terms = gd._pair_terms(pair, schedule, times, points,
-                           gd.NormalSource.CONDITIONAL, jacobians=True)
-    columns = []
-    for beta in _BETA_GRID:
-        cfg = _projected_rule(beta)
-        columns.append(np.einsum("nii->n", gd._update_jacobian(terms, cfg, times))
-                       / sched.guidance_scale_at(cfg, times))
-    values = np.column_stack(columns)
+    with gd._pair_terms(pair, schedule, times, points,
+                        gd.NormalSource.CONDITIONAL, jacobians=True) as terms:
+        values = np.column_stack([
+            np.einsum("nii->n", gd._update_jacobian(terms, cfg, times))
+            / sched.guidance_scale_at(cfg, times)
+            for cfg in map(_projected_rule, _BETA_GRID)])
+        lap_c, lap_u = terms.lap
+        div_g = -sched.coefficients(schedule, times)[1] * (lap_c - lap_u)
     slope, intercept, line = _affine_fit(_BETA_GRID, values)
-    lap_c, lap_u = terms.lap
-    div_g = -sched.coefficients(schedule, times)[1] * (lap_c - lap_u)
-    div_par = terms.div_par
     measured = np.max([
         np.max(_relative_gap(values, line)),
-        np.max(_relative_gap(slope, div_par)),
-        np.max(_relative_gap(intercept, div_g - div_par)),
+        np.max(_relative_gap(slope, terms.div_par)),
+        np.max(_relative_gap(intercept, div_g - terms.div_par)),
     ])
     return _result("update_divergence_affine_in_beta", measured, 1e-8,
                    "div(update)/scale over beta: line residual, slope vs div g_par, "

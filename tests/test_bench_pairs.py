@@ -1,5 +1,6 @@
 """Tests for tools/bench_pairs.py, the paired benchmark record."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -112,3 +113,18 @@ def test_job_medians_reduce_each_job_as_wall_s_is_reduced(tool, tmp_path):
     rounds[1]["traced"] = True
     (run / "summary.json").write_text(json.dumps(_summary(rounds)))
     assert tool.job_medians(str(tmp_path), "compare") == {}
+
+
+def test_probe_reference_matches_the_benchmark_copy(tool):
+    # tools/bench_pairs.py copies PROBE_REF_S from perfbench/speed.py by
+    # hand; read the benchmark's value from its source, without importing
+    # or changing it, so the two cannot drift apart unnoticed.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "speed.py")
+    with open(path, encoding="utf-8") as fh:
+        module = ast.parse(fh.read())
+    values = [ast.literal_eval(node.value) for node in module.body
+              if isinstance(node, ast.Assign)
+              and [getattr(target, "id", None) for target in node.targets]
+              == ["PROBE_REF_S"]]
+    assert values == [tool.PROBE_REF_S]

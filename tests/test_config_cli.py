@@ -481,7 +481,7 @@ def test_trace_divergence_columns_match_field_divergences(tmp_path, source):
     for column, beta in zip(columns[4:], betas):
         want = np.abs(omega * (div_g - (1.0 - beta) * div_par)) / 3
         assert column.tobytes() == want.tobytes(), beta
-        rule = cli._projected(config, beta=beta)
+        rule = dataclasses.replace(cli._projected(config), parallel_scale=beta)
         assert rule.parallel_scale == beta and rule.normal_source.value == source
         assembled = np.abs(projected_update_field(
             pair.conditional, pair.unconditional, sch, rule).divergence(

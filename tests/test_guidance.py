@@ -1,8 +1,12 @@
 """Tests for guidance rules, the residual split, and the oracle fields."""
 
+import ast
+import os
+
 import numpy as np
 import pytest
 
+import guidance_lab
 from guidance_lab import (
     CapabilityError,
     ConfigurationError,
@@ -25,6 +29,7 @@ from guidance_lab import (
     score_rotation_field,
     velocity_field,
 )
+from guidance_lab.config import default_config
 from guidance_lab.schedule import coefficients, guidance_scale_at
 from guidance_lab.verify import _random_mixture
 
@@ -563,6 +568,96 @@ def test_field_values_along_a_trajectory_match_each_row_bit_for_bit():
         for wrong in (times[:4], np.append(times, 0.5)):
             with pytest.raises(ShapeError):
                 field(xs, wrong)
+
+
+def _oracle_quantities(pair, schedule, config):
+    """The 21 public oracle quantities of ``pair``, by name: the six
+    ``mixture`` oracles and the value, divergence and Jacobian of the five
+    oracle fields, each a function of ``(x, t)`` evaluated for both targets
+    where it takes one."""
+    targets = (pair.conditional, pair.unconditional)
+    quantities = {
+        name: lambda x, t, oracle=getattr(mixture, name): [
+            oracle(target, schedule, t, x) for target in targets]
+        for name in ("log_density", "score", "velocity", "hessian_log_density",
+                     "laplacian_log_density", "posterior")}
+    fields = {
+        "velocity_field": [velocity_field(target, schedule) for target in targets],
+        "residual_field": [residual_field(*targets, schedule)],
+        "parallel_component_field": [parallel_component_field(*targets, schedule)],
+        "projected_update_field": [projected_update_field(*targets, schedule, config)],
+        "score_rotation_field": [score_rotation_field(target, schedule)
+                                 for target in targets],
+    }
+    for name, group in fields.items():
+        for quantity, method in (("value", VectorField.__call__),
+                                 ("divergence", VectorField.divergence),
+                                 ("jacobian", VectorField.jacobian)):
+            quantities[f"{name}.{quantity}"] = (
+                lambda x, t, group=group, method=method: [
+                    method(field, x, t) for field in group])
+    return quantities
+
+
+def _bytes(values):
+    """The bytes of a list of oracle values, posterior moments included."""
+    return b"".join(
+        np.asarray(value.mean).tobytes() + np.asarray(value.cov_trace).tobytes()
+        if isinstance(value, mixture.PosteriorMoments)
+        else np.asarray(value).tobytes() for value in values)
+
+
+_DEFAULT_COMPARE = default_config("sample_compare")
+_QUANTITIES = _oracle_quantities(_DEFAULT_COMPARE.pair, _DEFAULT_COMPARE.schedule,
+                                 _DEFAULT_COMPARE.guidance)
+
+
+@pytest.mark.parametrize("name", sorted(_QUANTITIES))
+def test_public_oracle_quantity_completes_under_raising_errors(name):
+    # Far from a component the log-sum-exp and the responsibility-weighted
+    # products underflow by design; the oracle pass ignores that, and every
+    # other floating-point error still raises.  The values keep their bytes.
+    rng = np.random.default_rng(2024)
+    quantity = _QUANTITIES[name]
+    for t in (0.3, 0.6, 0.9, 0.99, 0.999):
+        x = 3.0 * rng.standard_normal((200, _DEFAULT_COMPARE.pair.dim))
+        plain = quantity(x, t)
+        with np.errstate(all="raise"):
+            strict = quantity(x, t)
+        assert _bytes(plain) == _bytes(strict), (name, t)
+
+
+def _functions_entering_ignoring_underflow(source):
+    """Names of the functions of ``source`` with a ``with`` statement that
+    enters ``_ignoring_underflow()``."""
+    names = set()
+    for function in ast.walk(ast.parse(source)):
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                if isinstance(node, ast.With) and any(
+                        isinstance(item.context_expr, ast.Call)
+                        and ast.unparse(item.context_expr.func).endswith(
+                            "_ignoring_underflow")
+                        for item in node.items):
+                    names.add(function.name)
+    return names
+
+
+def test_underflow_is_ignored_only_by_the_pass_entry_and_the_euler_loop():
+    # The policy lives behind mixture._pass; the Euler loop keeps its one
+    # context per call because it evaluates every step itself.
+    root = os.path.dirname(guidance_lab.__file__)
+    entered = {}
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name), encoding="utf-8") as fh:
+                source = fh.read()
+            for function in _functions_entering_ignoring_underflow(source):
+                entered.setdefault(name, []).append(function)
+            if name == "cli.py":
+                assert "_ignoring_underflow" not in source
+                assert "errstate" not in source
+    assert entered == {"mixture.py": ["_pass"], "sampler.py": ["_euler"]}
 
 
 def test_projected_update_field_requires_projected_rule():

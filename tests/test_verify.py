@@ -155,6 +155,7 @@ def _oracle_passes(monkeypatch, run):
 @pytest.mark.parametrize("name, passes", [
     ("tweedie_consistency", 10),  # 5 targets x (posterior, score)
     ("laplacian_posterior_lemma", 10),  # 5 targets x (Laplacian, posterior)
+    ("score_matches_fd", 6),  # 3 dims x (score, stencil log density)
     ("projected_divergence_identity", 15),  # 5 betas x 3 fields
     ("parallel_flux_scaling", 15),  # 5 betas x (2 velocities, score)
     ("cfg_recovery", 2),  # 2 velocities
@@ -170,13 +171,13 @@ def test_batched_checks_make_one_oracle_pass_per_route(monkeypatch, name, passes
     assert _oracle_passes(monkeypatch, lambda: check(config)) == passes
 
 
-def test_default_verify_makes_at_most_252_oracle_passes(monkeypatch):
+def test_default_verify_makes_at_most_88_oracle_passes(monkeypatch):
     results = []
 
     def run():
         results.extend(verify.run_all_checks(default_config("verify")))
 
-    assert _oracle_passes(monkeypatch, run) <= 252
+    assert _oracle_passes(monkeypatch, run) <= 88
     assert all(result.passed for result in results)
 
 
