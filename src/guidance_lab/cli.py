@@ -15,7 +15,8 @@ is not finite; both write the update's divergence by the scalar identity,
 from Hessian-vector products, with no ``(dim, dim)`` array per state.
 ``sweep_omega`` and ``sample_compare`` both compare CFG with the projected
 rule through one routine, ``_compare_rules``, each at its own seeds: it
-integrates every rule of the job, keeping each rule's terminal states
+integrates both rules at every omega of the job in one Euler loop
+(``sampler.job_terminal_states``), keeping each run's terminal states
 alone, then draws the oracles and runs every permutation null of the job
 in one threaded pass (``metrics.permutation_tests``).  Every kind also
 completes with NumPy set to raise on every floating-point error, and
@@ -176,23 +177,27 @@ def _compare_rules(config, runs):
     null_seed)`` of ``runs``, both integrated from the run's initial states
     and tested against its ``sample_count`` oracle draws at ``t_max``.
 
-    Every rule of every run is integrated first, each kept as its terminal
-    copy alone (:func:`sampler.terminal_states`); then each run's oracle is
-    drawn, and one :func:`metrics.permutation_tests` call runs every null
-    of the job in one threaded pass, rule ``i`` of a run with seed
-    ``null_seed(i)``.  Each value equals that of its own
-    :func:`metrics.permutation_test`, bit for bit.  Returns, per run, its
+    Every rule of every run is integrated first, in one Euler loop over the
+    whole job, CFG's runs and then the projected rule's, each kept as its
+    terminal copy alone (:func:`sampler.job_terminal_states`); then each
+    run's oracle is drawn, and one :func:`metrics.permutation_tests` call
+    runs every null of the job in one threaded pass, rule ``i`` of a run
+    with seed ``null_seed(i)``.  Each value equals that of its own
+    :func:`sampler.terminal_states` and :func:`metrics.permutation_test`,
+    bit for bit.  Returns, per run, its
     oracle draws and, per rule, its name, its terminal states, the
     ``TwoSampleResult`` and the mean of ``log p_c`` over the terminal states
     at the grid's last time, the schedule's ``t_max``."""
     names = ("cfg", "projected")
-    terminals = []
-    for omega, x0_seed, _, _ in runs:
-        x0s = smp.initial_states(config.sample_count, config.pair.dim, x0_seed)
-        terminals.append([
-            smp.terminal_states(x0s, config.pair, config.schedule, rule,
-                                config.sampler)
-            for rule in (_cfg_rule(omega), _projected(config, omega=omega))])
+    x0s = [smp.initial_states(config.sample_count, config.pair.dim, x0_seed)
+           for _, x0_seed, _, _ in runs]
+    omegas = [omega for omega, *_ in runs]
+    finals = smp.job_terminal_states(
+        [(x0, _cfg_rule(omega)) for omega, x0 in zip(omegas, x0s)]
+        + [(x0, _projected(config, omega=omega)) for omega, x0 in zip(omegas, x0s)],
+        config.pair, config.schedule, config.sampler)
+    del x0s  # not held through the nulls
+    terminals = list(zip(finals[:len(runs)], finals[len(runs):]))
     oracles = [_oracle_terminal_draws(config, oracle_seed)
                for _, _, oracle_seed, _ in runs]
     results = iter(metrics.permutation_tests(

@@ -201,12 +201,50 @@ def decompose(residual, normal, x):
             f"residual, normal and state must be equal-shape points or "
             f"batches, got {g.shape}, {n.shape} and {np.shape(x)}"
         )
-    g, n = np.ascontiguousarray(g.T), np.ascontiguousarray(n.T)
+    g = np.ascontiguousarray(g.T)
+    par = _parallel(g, n, x)
+    return par.T, (g - par).T
+
+
+def _parallel(g, n, x):
+    """:func:`decompose`'s parallel part, unchecked, as a C-ordered ``(dim,
+    n)`` array: ``g`` is the residual, C-ordered ``(dim, n)``, and ``n``
+    the normal as an ``(n, dim)`` batch or a point."""
+    n = np.ascontiguousarray(n.T)
     nn = np.sum(n * n, axis=0)
     ok = np.sqrt(nn) > degenerate_threshold(x)
     coef = np.divide(np.sum(g * n, axis=0), nn, out=np.zeros_like(nn), where=ok)
-    par = coef * n
-    return par.T, (g - par).T
+    return coef * n
+
+
+def _scale_at(config, t):
+    """The rule's scale at ``t``: CFG's constant ``guidance_scale``, or the
+    projected rule's :func:`schedule.guidance_scale_at`."""
+    if config.rule is GuidanceRule.CFG:
+        return float(config.guidance_scale)
+    return sched.guidance_scale_at(config, t)
+
+
+def _scales(config, times):
+    """:func:`_scale_at` at each of ``times``, a list of floats from the
+    scalar call; CFG's scale is constant, so it is taken once."""
+    if config.rule is GuidanceRule.CFG:
+        return [_scale_at(config, times[0])] * len(times)
+    return [_scale_at(config, t) for t in times]
+
+
+def _update(v_c, v_u, x, state_coef, scale, config):
+    """The update of ``config``'s rule from both velocities at the states
+    ``x``, equal-shape points or ``(n, dim)`` batches, given the path's
+    ``state_coef`` (unused by CFG) and the rule's ``scale``, each a scalar
+    or an ``(n, 1)`` column: the arithmetic of :func:`apply_guidance` and
+    of every Euler step, unchecked."""
+    g = v_c - v_u
+    if config.rule is GuidanceRule.CFG:
+        return scale * g
+    src = v_c if config.normal_source is NormalSource.CONDITIONAL else v_u
+    par = _parallel(np.ascontiguousarray(g.T), state_coef * x - src, x).T
+    return scale * (g + (config.parallel_scale - 1.0) * par)
 
 
 def apply_guidance(v_uncond, v_cond, x, t, schedule, config):
@@ -229,14 +267,10 @@ def apply_guidance(v_uncond, v_cond, x, t, schedule, config):
     if (isinstance(t, (np.ndarray, list, tuple)) and np.ndim(t) != 0
             and (x.ndim != 2 or np.shape(t) != x.shape[:1])):
         raise ShapeError(f"times of shape {np.shape(t)} for states of shape {x.shape}")
-    g = v_c - v_u
-    if config.rule is GuidanceRule.CFG:
-        return float(config.guidance_scale) * g
-    state_coef = mix._column(sched.coefficients(schedule, t).state_coef)
-    src = v_c if config.normal_source is NormalSource.CONDITIONAL else v_u
-    par, _ = decompose(g, normal_direction(src, x, state_coef), x)
-    scale = mix._column(sched.guidance_scale_at(config, t))
-    return scale * (g + (config.parallel_scale - 1.0) * par)
+    state_coef = (None if config.rule is GuidanceRule.CFG else
+                  mix._column(sched.coefficients(schedule, t).state_coef))
+    return _update(v_c, v_u, x, state_coef, mix._column(_scale_at(config, t)),
+                   config)
 
 
 # -- exact oracle fields -----------------------------------------------------------
@@ -358,11 +392,14 @@ def _pair_terms(pair, schedule, t, x, normal_source, jacobians=False):
         if np.any(degenerate):
             row = int(np.argmax(degenerate))
             raise DegenerateNormalError(f"normal direction vanished at row {row}")
-        products = mix._hessian_products(pair, terms, scored, np.stack([n, g]))
+        # H_c n and H_u n, and H_src g beside H_src n: no other product.
+        vectors = [n[None], n[None]]
+        vectors[src] = np.stack([n, g])
+        products = mix._hessian_products(pair, terms, scored, vectors)
         gn = np.add.reduce(g * n, axis=0)
         lam = gn / nn
-        grad_lam = ((b_n * products[src, 1] - b * (products[0, 0] - products[1, 0]))
-                    / nn - (2.0 * gn / (nn * nn)) * (b_n * products[src, 0]))
+        grad_lam = ((b_n * products[src][1] - b * (products[0][0] - products[1][0]))
+                    / nn - (2.0 * gn / (nn * nn)) * (b_n * products[src][0]))
         div_par = np.add.reduce(n * grad_lam, axis=0) + lam * div_n
         if not jacobians:
             yield _PairTerms(div_par, lap)

@@ -440,24 +440,27 @@ def _hessians(stack, terms, scored, pts):
 
 
 def _hessian_products(stack, terms, scored, vectors):
-    """Per target of ``stack``, its Hessian (see :func:`_hessians`) times
-    each of ``vectors`` (v, dim, n), one dimension-major column per point,
-    from one pass's ``terms`` and its :func:`_scores` ``scored``:
-    ``H w = sum_j r_j (dev_j (dev_j . w) - Q_j diag(1 / m_j) Q_j^T w)``,
-    one ``(targets, v, dim, n)`` array.  No ``(dim, dim)`` array is formed
-    per point: a product costs two stacked rotations, as a score costs one,
-    and each target's terms add in component order (``_sum_components``)."""
+    """Per target ``i`` of ``stack``, its Hessian (see :func:`_hessians`)
+    times each of its own ``vectors[i]`` (v_i, dim, n), one dimension-major
+    column per point, from one pass's ``terms`` and its :func:`_scores`
+    ``scored``: ``H w = sum_j r_j (dev_j (dev_j . w) - Q_j diag(1 / m_j)
+    Q_j^T w)``, a ``(v_i, dim, n)`` array per target.  Each target forms
+    only the products it is given.  No ``(dim, dim)`` array is formed per
+    point: a product costs two rotations, one BLAS call per component and
+    vector, as a score costs one, and each target's terms add in component
+    order (``_sum_components``)."""
     comp, scores = scored
-    # -Q_j (Q_j^T w / m_j) for every component and vector: (k, v, dim, n).
-    inverse = stack._neg_eigvecs[:, None] @ (
-        (stack._eigvecs.mT[:, None] @ vectors) / terms.m[:, None])
-    products = np.empty((len(stack._slices),) + vectors.shape)
-    for i, (components, s) in enumerate(zip(stack._slices, scores)):
+    products = []
+    for components, s, w in zip(stack._slices, scores, vectors):
+        # -Q_j (Q_j^T w / m_j) for each component and vector: (k, v, dim, n).
+        inverse = stack._neg_eigvecs[components, None] @ (
+            (stack._eigvecs.mT[components, None] @ w)
+            / terms.m[components, None])
         dev = (comp[components] - s.T)[:, None]  # (k, 1, dim, n)
-        along = np.add.reduce(dev * vectors, axis=2, keepdims=True)  # dev_j . w
-        inverse[components] += dev * along
-        inverse[components] *= terms.resp[components][:, None, None, :]
-        _sum_components(inverse[components], out=products[i])
+        along = np.add.reduce(dev * w, axis=2, keepdims=True)  # dev_j . w
+        inverse += dev * along
+        inverse *= terms.resp[components][:, None, None, :]
+        products.append(_sum_components(inverse))
     return products
 
 

@@ -525,6 +525,28 @@ def test_pair_fields_make_one_oracle_pass_per_quantity(monkeypatch):
         assert calls == [5, 5], field.label
 
 
+@pytest.mark.parametrize("source", list(NormalSource))
+def test_pair_divergence_forms_only_the_products_it_reads(monkeypatch, source):
+    # div g_par reads H_c n, H_u n and H_src g: the normal source's target
+    # is given n and g, the other target n alone, so H g of the other
+    # target is never formed.
+    rng = np.random.default_rng(98)
+    sch = Schedule()
+    cond, uncond = _pair(rng, dim=3)
+    field = parallel_component_field(cond, uncond, sch, normal_source=source)
+    given = []
+    products = mixture._hessian_products
+
+    def recording(stack, terms, scored, vectors):
+        given.append([np.shape(w) for w in vectors])
+        return products(stack, terms, scored, vectors)
+
+    monkeypatch.setattr(mixture, "_hessian_products", recording)
+    field.divergence(rng.normal(size=(4, 3)), 0.4)
+    src = 0 if source is NormalSource.CONDITIONAL else 1
+    assert given == [[(2 if target == src else 1, 3, 4) for target in (0, 1)]]
+
+
 def test_residual_field_equals_the_per_target_oracles_bit_for_bit():
     rng = np.random.default_rng(97)
     sch = Schedule()

@@ -347,19 +347,27 @@ def test_hessian_products_match_the_assembled_hessians(dim):
     pts = 1.5 * rng.normal(size=(count, dim))
     vectors = rng.normal(size=(2, dim, count))
     for t in (0.4, times):
-        products, hessians = _products(stack, sch, t, pts, vectors)
+        products, hessians = _products(stack, sch, t, pts, [vectors, vectors])
+        products = np.stack(products)
         assert products.shape == (2, 2, dim, count)
         for i, h in enumerate(hessians):
             for v, w in enumerate(vectors):
                 want = np.einsum("nij,jn->in", h, w)
                 gap = np.max(np.abs(products[i, v] - want)) / np.max(np.abs(want))
                 assert gap <= 1e-13, (t, i, v, gap)
+            # A product is the same bits whatever else its target is given.
+            for v in range(2):
+                alone, _ = _products(stack, sch, t, pts,
+                                     [vectors[v:v + 1], vectors[1 - v:2 - v]])
+                _same_bits(alone[i][0], products[i, v if i == 0 else 1 - v],
+                           f"target {i}, vector {v}")
         # A single point is its batch row: bit for bit up to dim = 3, to
         # roundoff above it, as every oracle.
         for row in range(count):
             one = (float(t) if np.ndim(t) == 0 else t[row:row + 1])
             alone, _ = _products(stack, sch, one, pts[row:row + 1],
-                                 vectors[:, :, row:row + 1])
+                                 [vectors[:, :, row:row + 1]] * 2)
+            alone = np.stack(alone)
             if dim <= 3:
                 _same_bits(alone[..., 0], products[..., row], f"row {row}")
             else:

@@ -25,6 +25,8 @@ from guidance_lab import (
     terminal_states,
     schedule,
 )
+from guidance_lab import cli, sampler
+from guidance_lab.sampler import job_terminal_states
 from guidance_lab.verify import _random_mixture
 
 
@@ -435,6 +437,136 @@ def test_projected_rule_makes_as_many_oracle_calls_as_cfg(monkeypatch):
         counts[rule] = list(calls)
     assert counts[GuidanceRule.PROJECTED] == [(pair, (6, 2))] * 17
     assert counts[GuidanceRule.PROJECTED] == counts[GuidanceRule.CFG]
+
+
+def test_sampling_job_makes_one_oracle_pass_per_rule_and_step(monkeypatch,
+                                                             tmp_path):
+    # sweep_omega integrates both rules at every omega in one Euler loop:
+    # 4 omegas x 200 rows x 30 steps is one 800-row pass per rule and step,
+    # 60 passes, not one per (rule, omega) and step (240).
+    config = dataclasses.replace(default_config("sweep_omega"),
+                                 sample_count=200, n_perm=100,
+                                 output_dir=str(tmp_path))
+    assert len(config.omega_sweep) == 4 and config.sampler.steps == 30
+    calls = []
+    evaluate_at = mixture._evaluate_at
+
+    def counting(*args):
+        calls.append((args[0], args[4].shape))
+        return evaluate_at(*args)
+
+    monkeypatch.setattr(mixture, "_evaluate_at", counting)
+    assert cli.run_sweep_omega(config) == 0
+    euler = [call for call in calls if call[0] is config.pair]
+    assert euler == [(config.pair, (800, 2))] * 60
+    # One run is the one-run job: one pass per step.
+    calls.clear()
+    integrate(initial_states(200, 2, seed=1), config.pair, config.schedule,
+              config.guidance, config.sampler)
+    assert calls == [(config.pair, (200, 2))] * 30
+
+
+def _job_runs(counts, dim):
+    """A job of both rules, CFG's runs first, each run with its own omega
+    and initial states."""
+    runs = []
+    for rule in (GuidanceRule.CFG, GuidanceRule.PROJECTED):
+        for index, count in enumerate(counts):
+            omega = 1.5 + index
+            config = (GuidanceConfig(rule=rule, guidance_scale=omega,
+                                     min_scale=0.0, decay_power=0.0)
+                      if rule is GuidanceRule.CFG else
+                      GuidanceConfig(guidance_scale=omega, min_scale=1.0))
+            runs.append((initial_states(count, dim, seed=10 + index), config))
+    return runs
+
+
+# Aligned runs (multiples of 8 rows) are stacked and cut; the others each
+# form one chunk, whole.  250 rows at d = 64 is past the size at which
+# OpenBLAS forms a product's last n % 8 columns with other kernels.
+@pytest.mark.parametrize("limit", [None, 16])
+@pytest.mark.parametrize("dim", [2, 16, 64])
+def test_job_loop_equals_each_run_integrated_alone(monkeypatch, dim, limit):
+    rng = np.random.default_rng([71, dim])
+    pair = TargetPair(conditional=_random_mixture(rng, dim, 2),
+                      unconditional=_random_mixture(rng, dim, 4))
+    sch, scfg = Schedule(), SamplerConfig(steps=6)
+    runs = _job_runs((3, 5, 8, 16, 24, 7, 11, 250), dim)
+    alone = [terminal_states(x0, pair, sch, config, scfg) for x0, config in runs]
+    if limit is not None:
+        # Chunks of 16 rows: cuts inside the 16- and 24-row runs' block,
+        # and chunks that span two runs of different omegas.
+        monkeypatch.setattr(sampler, "_MIN_CHUNK_ROWS", limit)
+        monkeypatch.setattr(sampler, "_CHUNK_ENTRIES", 0)
+        chunks = sampler._chunks([(len(x0), config) for x0, config in runs],
+                                 [0.1, 0.5, 0.9], dim)
+        assert [(rows.start, rows.stop) for rows, *_ in chunks][:6] == [
+            (0, 3), (3, 8), (8, 24), (24, 40), (40, 56), (56, 63)]
+        assert chunks[2][3] == [8, 8] and chunks[3][3] == [8, 8]
+    job = job_terminal_states(runs, pair, sch, scfg)
+    for (x0, config), one, mixed in zip(runs, alone, job):
+        assert mixed.flags.c_contiguous and mixed.shape == x0.shape
+        assert mixed.tobytes() == one.tobytes(), (len(x0), config.rule)
+    # A run of one point stays one point, a chunk of its own.
+    point, batch = runs[0][0][0], runs[3][0]
+    got = job_terminal_states([(point, runs[0][1]), (batch, runs[0][1])],
+                              pair, sch, scfg)
+    assert got[0].shape == (dim,)
+    assert got[0].tobytes() == integrate(
+        point, pair, sch, runs[0][1], scfg).terminal_state.tobytes()
+    assert got[1].tobytes() == terminal_states(
+        batch, pair, sch, runs[0][1], scfg).tobytes()
+
+
+# In these jobs each rule's aligned runs form one block.
+@pytest.mark.parametrize("counts,dim", [((2000,), 512), ((400,) * 4, 16),
+                                        ((200,) * 4, 2), ((2001, 8), 64),
+                                        ((1, 16, 3), 8)])
+def test_chunks_are_aligned_near_equal_and_of_one_rule(counts, dim):
+    runs = [(len(x0), config) for x0, config in _job_runs(counts, 1)]
+    limit = max(sampler._MIN_CHUNK_ROWS, sampler._CHUNK_ENTRIES // dim // 8 * 8)
+    chunks = sampler._chunks(runs, [0.1, 0.5], dim)
+    total = 2 * sum(counts)
+    rows = [range(total)[chunk[0] or slice(None)] for chunk in chunks]
+    assert [i for r in rows for i in r] == list(range(total))
+    starts = np.cumsum([0] + [count for count, _ in runs])
+    aligned = {rule: [] for rule in GuidanceRule}
+    for r, (_, config, _, _) in zip(rows, chunks):
+        owners = {int(np.searchsorted(starts, i, side="right")) - 1 for i in r}
+        assert {runs[i][1].rule for i in owners} == {config.rule}
+        if all(runs[i][0] % 8 == 0 for i in owners):
+            assert len(r) <= limit and len(r) % 8 == 0
+            aligned[config.rule].append(len(r))
+        else:  # a run of another count is one chunk, whole
+            owner, = owners
+            assert len(r) == runs[owner][0]
+    for sizes in aligned.values():
+        assert not sizes or max(sizes) - min(sizes) <= 8
+
+
+def test_terminal_states_peak_is_bounded_by_the_chunk_rule():
+    # d = 512, 1,024 rows: four chunks of 256.  The loop holds the state,
+    # its terminal copy and one chunk's oracle temporaries, bounded here at
+    # 8 (component, dim, row) arrays of the chunk.  Unchunked, the 1,024-row
+    # pass held 80 MB.
+    import tracemalloc
+
+    dim, rows = 512, 1024
+    pair = _pair(dim)
+    chunk = max(sampler._MIN_CHUNK_ROWS, sampler._CHUNK_ENTRIES // dim)
+    components = (pair.conditional.n_components
+                  + pair.unconditional.n_components)
+    x0s = initial_states(rows, dim, seed=1)
+    bound = 2 * x0s.nbytes + 8 * components * chunk * dim * 8
+    for rule in (GuidanceRule.CFG, GuidanceRule.PROJECTED):
+        tracemalloc.start()
+        try:
+            terminal_states(x0s, pair, Schedule(), GuidanceConfig(rule=rule),
+                            SamplerConfig(steps=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (rule, peak, bound)
 
 
 def test_projected_beta_one_reproduces_cfg_trajectory():
