@@ -18,11 +18,15 @@ of SciPy bit for bit (see ``_grid_distances``), so no kind imports SciPy.
 
 Several nulls run as one pass: ``permutation_tests`` hands every null of
 a sampling job to one ``_split_energies`` call, and ``permutation_test``
-is its one-null case.  With NumPy's OpenBLAS pinned to one thread
-(``OPENBLAS_NUM_THREADS=1``) the pass runs on two threads where the
-process may use two CPUs (its affinity set): the calling thread and one
-helper thread, started once per pass, take their items from one work
-list, each null's label draw and then its row strips.  A label draw holds
+is its one-null case.  The pass sets NumPy's bundled OpenBLAS to one
+thread while it runs and restores the caller's count after it, and runs
+on two threads where the process may use two CPUs (its affinity set): the
+calling thread and one helper thread, started once per pass, take their
+items from one work list, each null's label draw and then its row strips.
+The pin is process-wide: a caller running BLAS on another thread during
+a pass runs at one thread too, and passes on several threads of one
+process run one at a time.  Where NumPy links another BLAS the pass runs
+unpinned, with the same bits, only slower.  A label draw holds
 the GIL, so the other thread's strips stall behind it rather than run
 beside it: 100 permutations of 4,098 beside 40 label products took
 14.3 ms on two threads and 14.2 ms one after the other, and the labels
@@ -34,14 +38,13 @@ keeps, and every sum of them, is an exact integer, and each null's
 labels come from its own seed, so no value depends on the thread count,
 on which thread ran an item or on the other nulls of the pass.  The
 helper is joined before the pass returns or raises, so no thread
-outlives the call.  With a multi-threaded BLAS the two threads' products
-contend for one BLAS thread pool and the split pass was slower than one
-thread, so there the pass runs on the calling thread alone.
+outlives the call.
 """
 
 from __future__ import annotations
 
 import collections
+import ctypes
 import math
 import os
 import threading
@@ -76,6 +79,20 @@ MIN_PERMUTATIONS = 100
 # BLAS thread; more were never measured.
 _MAX_THREADS = 2
 
+# The thread-count getter and setter of NumPy's bundled OpenBLAS: dlsym on
+# NumPy's core module also searches the libraries it links.  Under another
+# BLAS they are None and the pass runs unpinned, with the same bits.
+try:
+    _core = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    _get_blas_threads = _core.scipy_openblas_get_num_threads64_
+    _set_blas_threads = _core.scipy_openblas_set_num_threads64_
+except (AttributeError, OSError):
+    _get_blas_threads = _set_blas_threads = None
+
+# Held while a pass pins the BLAS threads, so that no other pass restores
+# the count under it.
+_PIN = threading.Lock()
+
 
 @dataclass(frozen=True)
 class TwoSampleResult:
@@ -101,42 +118,20 @@ def _pooled(a, b):
     return (a, b), a.shape[0]
 
 
-def _cpu_count():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
-def _blas_single_threaded():
-    """Whether the environment pins OpenBLAS to one thread.
-
-    OpenBLAS takes its thread count from the first of these variables that
-    holds a positive integer, and starts one thread per CPU if none does.
-    """
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            threads = int(os.environ.get(name, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return threads == 1
-    return False
-
-
 def _null_threads(strips):
-    """Threads a pass of ``strips`` row strips, over all its nulls, runs on.
+    """Threads a pass of ``strips`` row strips, over all its nulls, runs on:
+    at most one per CPU of this process's affinity set.
 
-    Two only with a one-thread BLAS: where the BLAS pool has a thread per
-    CPU, both threads' products queue on it and the split pass was slower
-    than one thread (an N = 4,000, ``n_perm`` = 200 null at an unset BLAS
-    thread count: 76-80 -> 87-88 ms, medians of 15 and 21 alternating
-    runs; default ``sweep_omega`` 0.83 -> 1.02 s, 2-core Xeon VM).
+    The pass pins OpenBLAS to one thread: with a BLAS thread per CPU, both
+    threads' products queued on its pool and the split pass was slower than
+    one thread (an N = 4,000, ``n_perm`` = 200 null: 76-80 -> 87-88 ms,
+    2-core Xeon VM).
     """
-    if not _blas_single_threaded():
-        return 1
-    return min(_cpu_count(), strips, _MAX_THREADS)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, strips, _MAX_THREADS)
 
 
 def _run_shares(share, threads):
@@ -171,16 +166,6 @@ def _run_shares(share, threads):
 def _shaped(buffer, rows, cols):
     """A C-contiguous ``(rows, cols)`` view of the head of a flat buffer."""
     return buffer[:rows * cols].reshape(rows, cols)
-
-
-def _as_float(labels, buffer):
-    """A block of 0/1 ``labels`` as float64: the block itself if it is
-    float, else widened into the head of ``buffer``."""
-    if labels.dtype == np.float64:
-        return labels
-    widened = _shaped(buffer, *labels.shape)
-    np.copyto(widened, labels)
-    return widened
 
 
 def _difference_factors(*blocks, exponent=0):
@@ -252,7 +237,8 @@ def _strip_sums(factors, labels, start, scratch):
     folds = np.zeros((2, 2, width))
     rows = slice(start, start + _ROW_BLOCK)
     height = min(_ROW_BLOCK, size - start)
-    z_i = _as_float(labels[rows], z_rows)
+    z_i = _shaped(z_rows, height, width)
+    np.copyto(z_i, labels[rows])
     left_i = left[:, rows]
     block = _grid_distances(left_i, right[:, :, rows],
                             _shaped(dist, height, height),
@@ -263,7 +249,8 @@ def _strip_sums(factors, labels, start, scratch):
     for col in range(start + _ROW_BLOCK, size, _ROW_BLOCK):
         cols = slice(col, col + _ROW_BLOCK)
         breadth = min(_ROW_BLOCK, size - col)
-        z_j = _as_float(labels[cols], z_cols)
+        z_j = _shaped(z_cols, breadth, width)
+        np.copyto(z_j, labels[cols])
         block = _grid_distances(left_i, right[:, :, cols],
                                 _shaped(dist, height, breadth),
                                 _shaped(spare, height, breadth))
@@ -299,12 +286,12 @@ def _grid_exponent(blocks, size):
     return (math.frexp(diagonal)[1] if diagonal > 0.0 else 0) - bits
 
 
-def _draw_labels(size, n, n_perm, seed, dtype):
-    """The 0/1 labels of one null, ``(size, _label_width(n_perm))``:
+def _draw_labels(size, n, n_perm, seed):
+    """The 0/1 byte labels of one null, ``(size, _label_width(n_perm))``:
     column 0 marks the observed split ``[:n]``, column ``p`` the first ``n``
     entries of the ``p``-th draw of ``default_rng(seed).permutation(size)``,
     and the last column is all ones; the columns between are zero."""
-    labels = np.zeros((size, _label_width(n_perm)), dtype=dtype)
+    labels = np.zeros((size, _label_width(n_perm)), dtype=np.uint8)
     labels[:n, 0] = 1
     labels[:, -1] = 1
     rng = np.random.default_rng(seed)
@@ -334,10 +321,6 @@ class _Pass:
         self.nulls, self.sizes, self.exponents = nulls, sizes, exponents
         self.left = [-(-size // _ROW_BLOCK) for size in sizes]
         self.threads = threads = _null_threads(sum(self.left))
-        # A split pass holds its labels as bytes, which makes room for the
-        # helper's memory; one thread keeps them float: at two BLAS threads
-        # the per-block widening made a one-thread pass about 15% slower.
-        self.dtype = np.uint8 if threads > 1 else float
         self.inputs = [None] * len(nulls)
         self.side = min(_ROW_BLOCK, max(sizes))
         self.width = max(_label_width(n_perm) for _, _, n_perm, _ in nulls)
@@ -372,7 +355,7 @@ class _Pass:
         if behind >= 0 and not self._await(lambda: not self.left[behind]):
             return False
         inputs = (_difference_factors(*blocks, exponent=self.exponents[k]),
-                  _draw_labels(self.sizes[k], n, n_perm, seed, self.dtype))
+                  _draw_labels(self.sizes[k], n, n_perm, seed))
         with self.changed:
             self.inputs[k] = inputs
             self.changed.notify_all()
@@ -449,8 +432,9 @@ def _split_energies(nulls, *one):
     below ``2**23``, and each sum is rounded once, when its two parts are
     added.
 
-    The pass runs on ``_null_threads`` threads, the caller and its helpers,
-    started once for all the nulls, which take their work from one list
+    The pass pins OpenBLAS to one thread, under ``_PIN``, and runs on
+    ``_null_threads`` threads, the caller and its helpers, started once
+    for all the nulls, which take their work from one list
     (:class:`_Pass`): each null's label draw, then its row strips (row block
     ``I`` with every block right of it), each thread folding a strip into
     its own sums; the caller adds the threads' sums per null.  Every
@@ -468,13 +452,20 @@ def _split_energies(nulls, *one):
     exponents = [_grid_exponent(blocks, size)
                  for (blocks, *_), size in zip(nulls, sizes)]
     work = _Pass(nulls, sizes, exponents)
-    try:
-        parts = _run_shares(work.share, work.threads)
-    except BaseException:
-        # A helper still at work on this pass, after an interrupted join,
-        # finds no item left and stops after its current strip.
-        work.abort()
-        raise
+    with _PIN:
+        blas_threads = _get_blas_threads and _get_blas_threads()
+        try:
+            if blas_threads:
+                _set_blas_threads(1)
+            parts = _run_shares(work.share, work.threads)
+        except BaseException:
+            # A helper still at work on this pass, after an interrupted
+            # join, finds no item left and stops after its current strip.
+            work.abort()
+            raise
+        finally:
+            if blas_threads:
+                _set_blas_threads(blas_threads)
     return [_energies(sum(part[k] for part in parts if part[k] is not None),
                       size, n, n_perm, exponent)
             for k, ((_, n, n_perm, _), size, exponent)
@@ -532,11 +523,12 @@ def permutation_test(a, b, n_perm=1000, seed=0):
     whose BLAS sums are exact: one distance pass and one label product per
     block, an all-ones label column for the row sums and the total, and
     one exact hi/lo fold per row strip (see :func:`_split_energies`).
-    With OpenBLAS on one thread the label draw and the row strips run on
-    two threads where the process may use two CPUs (the helper thread is
-    started and joined within the call); every per-thread partial is an
-    exact integer, so no value depends on the thread or CPU count, the
-    BLAS threads, ``_ROW_BLOCK`` or the label padding.  The null
+    The label draw and the row strips run on two threads where the process
+    may use two CPUs (the helper thread is started and joined within the
+    call), with NumPy's OpenBLAS set to one thread for the whole process
+    until the call returns; every per-thread partial is an exact integer,
+    so no value depends on the thread or CPU count, the BLAS threads,
+    ``_ROW_BLOCK`` or the label padding.  The null
     quantiles at ``DEFAULT_QUANTILES`` are ``np.quantile``'s default linear
     ones, bit for bit, from an in-house :func:`_quantiles`, so the test
     does not import ``numpy.ma`` as ``np.quantile`` does.

@@ -332,38 +332,100 @@ def test_null_independent_of_row_block(monkeypatch):
 
 
 def _at_cpus(monkeypatch, cpus):
-    """Make the null see ``cpus`` CPUs in this process's affinity set and a
-    one-thread BLAS, the setting it splits its strips at."""
+    """Make the null see ``cpus`` CPUs in this process's affinity set."""
     monkeypatch.setattr(metrics.os, "sched_getaffinity",
                         lambda pid: set(range(cpus)))
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
 
 
-@pytest.mark.parametrize("env, single", [
-    ({}, False),
-    ({"OPENBLAS_NUM_THREADS": "1"}, True),
-    ({"OPENBLAS_NUM_THREADS": "2"}, False),
-    ({"OMP_NUM_THREADS": "1"}, True),
-    ({"GOTO_NUM_THREADS": "1"}, True),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
-    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
-    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "4"}, False),
-])
-def test_blas_thread_count_read_as_openblas_reads_it(monkeypatch, env, single):
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    assert metrics._blas_single_threaded() is single
+@pytest.fixture
+def blas_threads():
+    """NumPy's OpenBLAS thread count set to 2 through its setter, as a
+    caller might set it, and restored after the test.  Yields the getter,
+    or a reader of None where NumPy links another BLAS."""
+    if metrics._set_blas_threads is None:
+        yield lambda: None
+        return
+    before = metrics._get_blas_threads()
+    metrics._set_blas_threads(2)
+    try:
+        yield metrics._get_blas_threads
+    finally:
+        metrics._set_blas_threads(before)
 
 
 def test_null_threads_capped_and_gated_on_blas(monkeypatch):
     _at_cpus(monkeypatch, 4)
     assert metrics._null_threads(10) == metrics._MAX_THREADS == 2
     assert metrics._null_threads(1) == 1
-    # A multi-threaded BLAS pool: the split pass measured slower there.
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    _at_cpus(monkeypatch, 1)
     assert metrics._null_threads(10) == 1
+
+
+@pytest.mark.skipif(metrics._set_blas_threads is None,
+                    reason="NumPy links a BLAS other than its OpenBLAS")
+@pytest.mark.parametrize("concurrent", [False, True],
+                         ids=["one-pass", "two-passes"])
+def test_pass_pins_blas_to_one_thread_and_restores_it(monkeypatch, blas_threads,
+                                                      concurrent):
+    # Every strip runs at one BLAS thread, on either thread of the pass,
+    # and the caller's count is back when the pass returns, also when a
+    # second pass starts inside the first and ends after it.
+    _at_cpus(monkeypatch, 2)
+    nulls = _job_nulls()
+    expected = [energies.tobytes() for energies in metrics._split_energies(nulls)]
+    assert blas_threads() == 2
+    original = metrics._strip_sums
+    readings, outputs = [], []
+    first_done = threading.Event()
+
+    def run():
+        outputs.append([energies.tobytes()
+                        for energies in metrics._split_energies(nulls)])
+
+    second = threading.Thread(target=run)
+    pending = [second] if concurrent else []
+
+    def strip_sums(*args):
+        try:
+            pending.pop().start()
+        except IndexError:
+            pass
+        if threading.current_thread() is second:
+            assert first_done.wait(timeout=10)
+        readings.append(blas_threads())
+        return original(*args)
+
+    monkeypatch.setattr(metrics, "_strip_sums", strip_sums)
+    run()
+    first_done.set()
+    if concurrent:
+        second.join(timeout=30)
+        assert not second.is_alive()
+    assert outputs == [expected] * (1 + concurrent)
+    strips = sum(-(-size // metrics._ROW_BLOCK) for size in _JOB_SIZES)
+    assert len(readings) == (1 + concurrent) * strips and set(readings) == {1}
+    assert blas_threads() == 2
+
+
+def test_pass_without_the_blas_thread_calls(monkeypatch):
+    # Where NumPy links another BLAS the pass runs unpinned: the same bytes,
+    # still split between two threads at two CPUs.
+    _at_cpus(monkeypatch, 2)
+    nulls = _job_nulls()
+    expected = [energies.tobytes() for energies in metrics._split_energies(nulls)]
+    monkeypatch.setattr(metrics, "_get_blas_threads", None)
+    monkeypatch.setattr(metrics, "_set_blas_threads", None)
+    started = []
+    original_start = threading.Thread.start
+
+    def start(self):
+        started.append(self)
+        original_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    assert [energies.tobytes()
+            for energies in metrics._split_energies(nulls)] == expected
+    assert len(started) == 1
 
 
 @pytest.mark.parametrize("size, row_block", [
@@ -412,10 +474,13 @@ def test_null_strips_taken_once_under_thread_stress(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("cpus, blas_threads", [(1, "1"), (2, "2")])
-def test_one_thread_null_starts_no_thread(monkeypatch, cpus, blas_threads):
+@pytest.mark.parametrize("cpus, caller_blas_threads", [(1, 1), (1, 2)])
+def test_one_thread_null_starts_no_thread(monkeypatch, blas_threads, cpus,
+                                          caller_blas_threads):
+    # One CPU starts no helper, whatever BLAS thread count the caller set.
     _at_cpus(monkeypatch, cpus)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+    if metrics._set_blas_threads is not None:
+        metrics._set_blas_threads(caller_blas_threads)
 
     def refuse(self):
         raise AssertionError("a thread was started")
@@ -638,15 +703,17 @@ def test_job_pass_independent_of_blas_threads_and_cpus():
     for affinity in {(cpus[0],), tuple(cpus)}:
         outputs += _outputs_at_blas_threads(script, ",".join(map(str, affinity)))
     assert outputs[0].startswith("4 ")
-    assert len(set(outputs)) == 1
+    assert len(outputs) in (3, 6) and len(set(outputs)) == 1
 
 
 @pytest.mark.parametrize("failing", ["labels 0", "labels 2", "strips 0",
                                      "strips 2"])
-def test_failed_work_item_joins_every_thread_and_reraises(monkeypatch, failing):
+def test_failed_work_item_joins_every_thread_and_reraises(monkeypatch, blas_threads,
+                                                         failing):
     # A label draw or a strip run that raises, on whichever thread takes
-    # it, stops the pass: every helper is joined before the error reaches
-    # the caller, and the next call returns every null in full.
+    # it, stops the pass: every helper is joined and the caller's BLAS
+    # thread count restored before the error reaches the caller, and the
+    # next call returns every null in full.
     _at_cpus(monkeypatch, 2)
     nulls = _job_nulls()
     expected = [energies.tobytes() for energies in metrics._split_energies(nulls)]
@@ -678,6 +745,7 @@ def test_failed_work_item_joins_every_thread_and_reraises(monkeypatch, failing):
         metrics._split_energies(nulls)
     assert len(started) == 1 and not started[0].is_alive()
     assert threading.active_count() == threads
+    assert blas_threads() in (2, None)
     monkeypatch.undo()
     _at_cpus(monkeypatch, 2)
     assert [energies.tobytes()
@@ -704,15 +772,24 @@ def test_job_pass_holds_the_labels_of_at_most_threads_nulls(monkeypatch):
     assert peaks[1] <= 1.5 * peaks[0]
 
 
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                          "OMP_NUM_THREADS")
+
+
 def _outputs_at_blas_threads(script, *args):
     """stdout of ``script`` run in a fresh process at 1 and at 2 BLAS threads
-    (each run is a fresh process so that the thread count applies)."""
+    and with every BLAS thread variable unset, as in a default process, so
+    one BLAS thread per CPU (each run is a fresh process so that the thread
+    count applies)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(metrics.__file__)))
+    base = {name: value for name, value in os.environ.items()
+            if name not in _BLAS_THREAD_VARIABLES}
+    base["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for threads in ("1", "2", None):
+        env = dict(base, **({} if threads is None
+                            else {"OPENBLAS_NUM_THREADS": threads}))
         run = subprocess.run([sys.executable, "-c", script, *args], env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
@@ -736,7 +813,7 @@ def test_null_independent_of_blas_threads():
     )
     outputs = _outputs_at_blas_threads(script)
     assert outputs[0].startswith("(101,)")
-    assert outputs[0] == outputs[1]
+    assert len(outputs) == 3 and len(set(outputs)) == 1
 
 
 def test_trace_divergence_independent_of_blas_threads(tmp_path):
@@ -772,7 +849,7 @@ def test_trace_divergence_independent_of_blas_threads(tmp_path):
     )
     outputs = _outputs_at_blas_threads(script, str(config), str(tmp_path / "out"))
     assert outputs[0].count("\n") == 63  # header + 61 states + print's newline
-    assert outputs[0] == outputs[1]
+    assert len(outputs) == 3 and len(set(outputs)) == 1
 
 
 def test_sample_compare_independent_of_blas_threads(tmp_path):
@@ -808,7 +885,7 @@ def test_sample_compare_independent_of_blas_threads(tmp_path):
     )
     outputs = _outputs_at_blas_threads(script, str(config), str(tmp_path / "out"))
     assert outputs[0].count("samples_") == 3
-    assert outputs[0] == outputs[1]
+    assert len(outputs) == 3 and len(set(outputs)) == 1
 
 
 def test_permutation_validation():
