@@ -181,8 +181,10 @@ def _compare_rules(config, runs):
     whole job, CFG's runs and then the projected rule's, each kept as its
     terminal copy alone (:func:`sampler.job_terminal_states`); then each
     run's oracle is drawn, and one :func:`metrics.permutation_tests` call
-    runs every null of the job in one threaded pass, rule ``i`` of a run
-    with seed ``null_seed(i)``.  Each value equals that of its own
+    runs every null of the job in one pass, rule ``i`` of a run with seed
+    ``null_seed(i)``.  The job hands it two equal nulls per run, one per
+    rule, and each thread of the pass runs whole nulls, so the pair keeps
+    two threads busy.  Each value equals that of its own
     :func:`sampler.terminal_states` and :func:`metrics.permutation_test`,
     bit for bit.  Returns, per run, its
     oracle draws and, per rule, its name, its terminal states, the

@@ -29,7 +29,9 @@ integers only (not booleans or fractional numbers), and real fields and
 arrays take finite JSON numbers only (not ``NaN``, ``Infinity`` or an
 integer beyond the float range).  Seeds must be non-negative, the size
 fields are at most ``MAX_STEPS``, ``MAX_SAMPLE_COUNT`` and
-``MAX_PERMUTATIONS``, a target's ``dim`` is in [1, ``MAX_DIM``], and no
+``MAX_PERMUTATIONS``, a target's ``dim`` is in [1, ``MAX_DIM``], each
+sweep value passes its rule field's check (a beta is at least 0, as
+``parallel_scale`` is, an omega above 0, as ``guidance_scale`` is), and no
 two values of a sweep may be equal or share the ``:g`` label that names
 them in the artifacts, so a bad config fails before any artifact is
 written.  There is no sampler time key: every run integrates over the
@@ -313,10 +315,18 @@ def _sampler_from_dict(d):
     )
 
 
-def _sweep(d, key, fallback):
+def _sweep(d, key, fallback, field):
+    """The values of ``guidance.key``, each checked as the rule ``field``
+    it stands in for (a beta is a ``parallel_scale``, an omega a
+    ``guidance_scale``)."""
     values = tuple(
         float(v) for v in _real_array(d, key, list(fallback), "guidance", ndim=1)
     )
+    try:
+        for value in values:
+            GuidanceConfig(min_scale=0.0, **{field: value})
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"guidance.{key}: {exc}") from None
     # Artifacts name each value by its :g label: a repeat would overwrite.
     labels = [f"{v:g}" for v in values]
     if len(set(values)) < len(values) or len(set(labels)) < len(labels):
@@ -358,8 +368,10 @@ def config_from_dict(d):
             _get_block(d, "schedule", ("t_min", "t_max"))),
         pair=pair,
         guidance=_guidance_from_dict(guidance_block),
-        beta_sweep=_sweep(guidance_block, "beta_sweep", beta_fallback),
-        omega_sweep=_sweep(guidance_block, "omega_sweep", DEFAULT_OMEGAS),
+        beta_sweep=_sweep(guidance_block, "beta_sweep", beta_fallback,
+                          "parallel_scale"),
+        omega_sweep=_sweep(guidance_block, "omega_sweep", DEFAULT_OMEGAS,
+                           "guidance_scale"),
         sampler=_sampler_from_dict(_get_block(d, "sampler", ("steps", "seed"))),
         sample_count=_int(samples, "count", 2000, "samples"),
         n_perm=_int(samples, "n_perm", 200, "samples"),

@@ -11,7 +11,7 @@ The pass visits each distance block on or above the diagonal once, with
 one distance pass and one product with the 0/1 labels, whose last column
 is all ones so that the product carries the block's row sums as well.
 Each finished row strip is split exactly into multiples of ``2**26`` and
-remainders, and both parts are folded into the thread's own sums (see
+remainders, and both parts are folded into the null's sums (see
 ``_split_energies``).  A block's grid distances are
 computed in NumPy, one coordinate at a time, and equal ``np.rint(cdist(...))``
 of SciPy bit for bit (see ``_grid_distances``), so no kind imports SciPy.
@@ -19,26 +19,22 @@ of SciPy bit for bit (see ``_grid_distances``), so no kind imports SciPy.
 Several nulls run as one pass: ``permutation_tests`` hands every null of
 a sampling job to one ``_split_energies`` call, and ``permutation_test``
 is its one-null case.  The pass sets NumPy's bundled OpenBLAS to one
-thread while it runs and restores the caller's count after it, and runs
-on two threads where the process may use two CPUs (its affinity set): the
-calling thread and one helper thread, started once per pass, take their
-items from one work list, each null's label draw and then its row strips.
-The pin is process-wide: a caller running BLAS on another thread during
-a pass runs at one thread too, and passes on several threads of one
-process run one at a time.  Where NumPy links another BLAS the pass runs
-unpinned, with the same bits, only slower.  A label draw holds
-the GIL, so the other thread's strips stall behind it rather than run
-beside it: 100 permutations of 4,098 beside 40 label products took
-14.3 ms on two threads and 14.2 ms one after the other, and the labels
-drawn alone plus the pass with its labels drawn beforehand exceeded the
-real pass by only 2.5 ms for two N = 4,098 nulls (a 59.6 ms pass), and by
-0.5 ms or less for two d = 16, N = 800 nulls or eight N = 400 ones (in
-process, one BLAS thread, two CPUs).  Every partial a thread
-keeps, and every sum of them, is an exact integer, and each null's
-labels come from its own seed, so no value depends on the thread count,
-on which thread ran an item or on the other nulls of the pass.  The
-helper is joined before the pass returns or raises, so no thread
-outlives the call.
+thread while it runs and restores the caller's count after it.  A whole
+null is one work item: where the process may use two CPUs (its affinity
+set) and the pass has two nulls or more, the calling thread and one
+helper thread, started for the pass, each take the next null from one
+shared iterator, draw its labels, run all its row strips and keep its
+energies.  A one-null call runs on the calling thread and starts no
+thread.  Every sampling job hands the pass its nulls in pairs of equal
+size, two per omega, so whole nulls keep both threads busy.  The pin is
+process-wide: a caller running BLAS on another thread during a pass runs
+at one thread too, and passes on several threads of one process run one
+at a time.  Where NumPy links another BLAS the pass runs unpinned, with
+the same bits, only slower.  Every fold, and every sum of folds, is an
+exact integer, and each null's labels come from its own seed, so no value
+depends on the thread count, on which thread ran a null or on the other
+nulls of the pass.  The helper is joined before the pass returns or
+raises, so no thread outlives the call.
 """
 
 from __future__ import annotations
@@ -118,20 +114,20 @@ def _pooled(a, b):
     return (a, b), a.shape[0]
 
 
-def _null_threads(strips):
-    """Threads a pass of ``strips`` row strips, over all its nulls, runs on:
-    at most one per CPU of this process's affinity set.
+def _null_threads(nulls):
+    """Threads a pass of ``nulls`` nulls runs on, each running whole nulls:
+    at most one per null and one per CPU of this process's affinity set.
 
     The pass pins OpenBLAS to one thread: with a BLAS thread per CPU, both
-    threads' products queued on its pool and the split pass was slower than
-    one thread (an N = 4,000, ``n_perm`` = 200 null: 76-80 -> 87-88 ms,
-    2-core Xeon VM).
+    threads' products queued on its pool and a two-thread pass was slower
+    than one thread (an N = 4,000, ``n_perm`` = 200 null: 76-80 -> 87-88
+    ms, 2-core Xeon VM).
     """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         cpus = os.cpu_count() or 1
-    return min(cpus, strips, _MAX_THREADS)
+    return min(cpus, nulls, _MAX_THREADS)
 
 
 def _run_shares(share, threads):
@@ -208,11 +204,11 @@ def _grid_distances(left, right, out, diff):
 
 
 def _scratch(side, width):
-    """One thread's buffers for every strip it runs in a pass, ``side`` the
-    tallest strip and ``width`` the widest labels of the pass's nulls: the
-    flat distance, spare, accumulator and two label buffers, whose heads a
-    strip views (:func:`_shaped`), the diagonal block's mask and a row of
-    ones.  The spare buffer holds a block's squared coordinate differences
+    """One thread's buffers for every strip of every null it runs in a
+    pass, ``side`` the tallest strip and ``width`` the widest labels of the
+    pass's nulls: the flat distance, spare, accumulator and two label
+    buffers, whose heads a strip views (:func:`_shaped`), the diagonal
+    block's mask and a row of ones.  The spare buffer holds a block's squared coordinate differences
     while its distances are formed, then its label product."""
     return (np.empty(side * side), np.empty(side * max(side, width)),
             *(np.empty(side * width) for _ in range(3)),
@@ -220,10 +216,10 @@ def _scratch(side, width):
 
 
 def _strip_sums(factors, labels, start, scratch):
-    """One work item of a thread's share of a pass: the row strip of one
-    null that starts at row ``start``, in this thread's :func:`_scratch`
-    buffers.  ``factors`` are the :func:`_difference_factors` of the null's
-    pooled points in grid units.
+    """The row strip of one null that starts at row ``start``, in the
+    running thread's :func:`_scratch` buffers.  ``factors`` are the
+    :func:`_difference_factors` of the null's pooled points in grid
+    units.
 
     Returns the folds of this strip of ``A`` (see
     :func:`_split_energies`), ``[sum_i z_ip A_ip, sum_i (A_ip + A_i1
@@ -300,94 +296,6 @@ def _draw_labels(size, n, n_perm, seed):
     return labels
 
 
-class _Pass:
-    """The work list of one pass over several nulls, and what its threads
-    share.
-
-    The list holds, per null ``k``, a preparation item ``(k, None)`` (its
-    grid factors and its label draw) and one item ``(k, start)`` per row
-    strip.  The first ``threads`` nulls are prepared first; after the
-    strips of null ``k`` comes the preparation of null ``k + threads``,
-    which waits until every strip of null ``k`` has finished and its inputs
-    are freed.  So at most ``threads`` nulls' labels and factors are held
-    at a time.  A label draw holds the GIL, so it overlaps the other
-    thread's strips very little (see the module docstring): the list
-    balances the threads' work, it does not hide the draws.  A strip whose null is still being
-    prepared waits for it.  Each ``next`` on the shared list iterator runs
-    under the GIL, so every item goes to exactly one thread.
-    """
-
-    def __init__(self, nulls, sizes, exponents):
-        self.nulls, self.sizes, self.exponents = nulls, sizes, exponents
-        self.left = [-(-size // _ROW_BLOCK) for size in sizes]
-        self.threads = threads = _null_threads(sum(self.left))
-        self.inputs = [None] * len(nulls)
-        self.side = min(_ROW_BLOCK, max(sizes))
-        self.width = max(_label_width(n_perm) for _, _, n_perm, _ in nulls)
-        order = [(k, None) for k in range(min(threads, len(nulls)))]
-        for k, size in enumerate(sizes):
-            order += [(k, start) for start in range(0, size, _ROW_BLOCK)]
-            if k + threads < len(nulls):
-                order.append((k + threads, None))
-        self.work = iter(order)
-        self.failed = False
-        self.changed = threading.Condition()
-
-    def abort(self):
-        """Stop the pass: no thread takes another item or waits on one, and
-        a thread at work stops after its current strip."""
-        collections.deque(self.work, maxlen=0)
-        with self.changed:
-            self.failed = True
-            self.changed.notify_all()
-
-    def _await(self, ready):
-        """Wait until ``ready()`` holds; False if the pass was stopped."""
-        with self.changed:
-            self.changed.wait_for(lambda: self.failed or ready())
-            return not self.failed
-
-    def _prepare(self, k):
-        """Null ``k``'s grid factors and labels, once null ``k - threads``
-        has freed its own; False if the pass was stopped."""
-        blocks, n, n_perm, seed = self.nulls[k]
-        behind = k - self.threads
-        if behind >= 0 and not self._await(lambda: not self.left[behind]):
-            return False
-        inputs = (_difference_factors(*blocks, exponent=self.exponents[k]),
-                  _draw_labels(self.sizes[k], n, n_perm, seed))
-        with self.changed:
-            self.inputs[k] = inputs
-            self.changed.notify_all()
-        return True
-
-    def share(self):
-        """One thread's share: the items it takes from the list, each strip
-        run through :func:`_strip_sums` in this thread's own buffers.
-        Returns the thread's folds per null, None where it ran no strip."""
-        scratch = _scratch(self.side, self.width)
-        folds = [None] * len(self.nulls)
-        try:
-            for k, start in self.work:
-                if start is None:
-                    if not self._prepare(k):
-                        break
-                    continue
-                if not self._await(lambda: self.inputs[k] is not None):
-                    break
-                part = _strip_sums(*self.inputs[k], start, scratch)
-                folds[k] = part if folds[k] is None else folds[k] + part
-                with self.changed:
-                    self.left[k] -= 1
-                    if not self.left[k]:
-                        self.inputs[k] = None
-                        self.changed.notify_all()
-        except BaseException:
-            self.abort()
-            raise
-        return folds
-
-
 def _energies(folds, size, n, n_perm, exponent):
     """Energy distances of the observed and the ``n_perm`` permutation
     splits of one null, from its summed folds (see :func:`_split_energies`)."""
@@ -399,6 +307,19 @@ def _energies(folds, size, n, n_perm, exponent):
     m = size - n  # the bracket makes the value symmetric in a and b
     units = 2.0 * sum_ab / (n * m) - (sum_a / (n * n - n) + sum_b / (m * m - m))
     return np.ldexp(units, exponent)
+
+
+def _null_energies(blocks, n, n_perm, seed, exponent, scratch):
+    """The energies of one null (:func:`_energies`): its grid factors and
+    labels, then every row strip of it in ``scratch``, one thread's
+    :func:`_scratch` buffers.  The factors and labels are freed on return,
+    so a thread holds those of its current null alone."""
+    size = sum(block.shape[0] for block in blocks)
+    factors = _difference_factors(*blocks, exponent=exponent)
+    labels = _draw_labels(size, n, n_perm, seed)
+    folds = sum(_strip_sums(factors, labels, start, scratch)
+                for start in range(0, size, _ROW_BLOCK))
+    return _energies(folds, size, n, n_perm, exponent)
 
 
 def _split_energies(nulls, *one):
@@ -433,14 +354,15 @@ def _split_energies(nulls, *one):
     added.
 
     The pass pins OpenBLAS to one thread, under ``_PIN``, and runs on
-    ``_null_threads`` threads, the caller and its helpers, started once
-    for all the nulls, which take their work from one list
-    (:class:`_Pass`): each null's label draw, then its row strips (row block
-    ``I`` with every block right of it), each thread folding a strip into
-    its own sums; the caller adds the threads' sums per null.  Every
-    partial is exact and every null's labels come from its own seed, so
-    neither the order, the thread a strip ran on nor the other nulls of the
-    pass can move a bit.
+    ``_null_threads`` threads, the caller and its helpers
+    (:func:`_run_shares`).  Each thread takes the next null from one shared
+    iterator and runs it whole (:func:`_null_energies`) in its own buffers,
+    so the pass holds the labels and factors of at most as many nulls as it
+    has threads; a one-null call runs on the caller alone.  Every null's
+    labels come from its own seed and its folds are exact, so neither the
+    thread a null ran on nor the other nulls of the pass can move a bit.
+    A thread that raises, and the caller on any exception, empties the
+    iterator, so no thread takes another null.
     """
     if one:
         return _split_energies([(nulls, *one)])[0]
@@ -451,25 +373,35 @@ def _split_energies(nulls, *one):
     sizes = [sum(block.shape[0] for block in blocks) for blocks, *_ in nulls]
     exponents = [_grid_exponent(blocks, size)
                  for (blocks, *_), size in zip(nulls, sizes)]
-    work = _Pass(nulls, sizes, exponents)
+    side = min(_ROW_BLOCK, max(sizes))
+    width = max(_label_width(n_perm) for _, _, n_perm, _ in nulls)
+    energies = [None] * len(nulls)
+    work = iter(range(len(nulls)))
+
+    def share():
+        scratch = _scratch(side, width)
+        try:
+            for k in work:
+                energies[k] = _null_energies(*nulls[k], exponents[k], scratch)
+        except BaseException:
+            collections.deque(work, maxlen=0)
+            raise
+
     with _PIN:
         blas_threads = _get_blas_threads and _get_blas_threads()
         try:
             if blas_threads:
                 _set_blas_threads(1)
-            parts = _run_shares(work.share, work.threads)
+            _run_shares(share, _null_threads(len(nulls)))
         except BaseException:
-            # A helper still at work on this pass, after an interrupted
-            # join, finds no item left and stops after its current strip.
-            work.abort()
+            # A helper still at work, after an interrupted join, finishes
+            # its null and finds no other left.
+            collections.deque(work, maxlen=0)
             raise
         finally:
             if blas_threads:
                 _set_blas_threads(blas_threads)
-    return [_energies(sum(part[k] for part in parts if part[k] is not None),
-                      size, n, n_perm, exponent)
-            for k, ((_, n, n_perm, _), size, exponent)
-            in enumerate(zip(nulls, sizes, exponents))]
+    return energies
 
 
 def energy_distance(a, b):
@@ -523,12 +455,10 @@ def permutation_test(a, b, n_perm=1000, seed=0):
     whose BLAS sums are exact: one distance pass and one label product per
     block, an all-ones label column for the row sums and the total, and
     one exact hi/lo fold per row strip (see :func:`_split_energies`).
-    The label draw and the row strips run on two threads where the process
-    may use two CPUs (the helper thread is started and joined within the
-    call), with NumPy's OpenBLAS set to one thread for the whole process
-    until the call returns; every per-thread partial is an exact integer,
-    so no value depends on the thread or CPU count, the BLAS threads,
-    ``_ROW_BLOCK`` or the label padding.  The null
+    One null runs on the calling thread and starts no thread, with NumPy's
+    OpenBLAS set to one thread for the whole process until the call
+    returns; every partial is an exact integer, so no value depends on the
+    CPU count, the BLAS threads, ``_ROW_BLOCK`` or the label padding.  The null
     quantiles at ``DEFAULT_QUANTILES`` are ``np.quantile``'s default linear
     ones, bit for bit, from an in-house :func:`_quantiles`, so the test
     does not import ``numpy.ma`` as ``np.quantile`` does.
@@ -539,9 +469,9 @@ def permutation_test(a, b, n_perm=1000, seed=0):
 def permutation_tests(tests, n_perm=1000):
     """:func:`permutation_test` of each ``(a, b, seed)`` of ``tests``, in
     order and bit for bit, from one threaded pass over all their nulls
-    (:func:`_split_energies`), which holds the labels of at most as many
-    nulls as it has threads.  Every pair is checked before the pass
-    starts."""
+    (:func:`_split_energies`), in which each thread runs whole nulls, so
+    the pass holds the labels of at most as many nulls as it has threads.
+    Every pair is checked before the pass starts."""
     n_perm = require_int("n_perm", n_perm, MIN_PERMUTATIONS)
     nulls = []
     for a, b, seed in tests:

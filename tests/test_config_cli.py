@@ -956,12 +956,19 @@ def _with_dim(dim):
     ({"kind": "sweep_omega", "guidance": {"omega_sweep": [3.0, 3.0000001]}}, []),
     ({"kind": "sweep_beta", "guidance": {"beta_sweep": [0.5, 1.0, 0.5]}}, []),
     ({"kind": "trace_divergence", "guidance": {"beta_sweep": [0.0, -0.0]}}, []),
+    # Sweep values outside their rule field's range: beta as parallel_scale
+    # (>= 0), omega as guidance_scale (> 0).
+    ({"kind": "sweep_beta", "guidance": {"beta_sweep": [-0.5, 1.0]}}, []),
+    ({"kind": "trace_divergence", "guidance": {"beta_sweep": [-0.5, 1.0]}}, []),
+    ({"kind": "sweep_omega", "guidance": {"omega_sweep": [0.0, 3.0]}}, []),
+    ({"kind": "sweep_omega", "guidance": {"omega_sweep": [-3.0, 3.0]}}, []),
 ], ids=["seed-flag", "seed", "sampler-seed", "nan-weight", "inf-cov",
         "nan-sweep", "sampler-t-start", "sampler-t-end", "huge-int-scale",
         "huge-int-mean", "huge-steps", "count-over-cap", "n-perm-over-cap",
         "dim-0", "dim-over-cap", "over-long-integer",
         "not-utf8", "trace-beta-labels", "sweep-beta-labels", "omega-labels",
-        "repeated-beta", "signed-zero-beta"])
+        "repeated-beta", "signed-zero-beta", "sweep-beta-negative",
+        "trace-beta-negative", "omega-zero", "omega-negative"])
 def test_cli_invalid_config_exits_2_before_any_artifact(tmp_path, capsys,
                                                          payload, flags):
     # json.dumps writes NaN and Infinity, which json.load reads back; a bytes

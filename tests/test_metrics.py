@@ -1,5 +1,6 @@
 """Tests for energy distance, its permutation null, and slope fits."""
 
+import ast
 import json
 import math
 import os
@@ -437,8 +438,8 @@ def test_pass_without_the_blas_thread_calls(monkeypatch):
 ])
 @pytest.mark.parametrize("n_perm", [0, 100, 102, 105])
 def test_null_independent_of_cpu_count(monkeypatch, size, row_block, n_perm):
-    # Each thread's partials are exact integers, so neither which thread
-    # ran a strip nor the order they are added in can move a bit.
+    # A one-null call runs on the calling thread at any CPU count, and its
+    # strips' folds are exact integers, so no strip count moves a bit.
     rng = np.random.default_rng(size)
     pooled = rng.normal(size=(size, 3))
     monkeypatch.setattr(metrics, "_ROW_BLOCK", row_block)
@@ -450,9 +451,9 @@ def test_null_independent_of_cpu_count(monkeypatch, size, row_block, n_perm):
 
 
 def test_null_strips_taken_once_under_thread_stress(monkeypatch):
-    # More threads than cores and a tiny switch interval: a strip taken by
-    # two threads, or by none, would move the sums, and so would labels
-    # freed or drawn out of turn in a pass of more nulls than threads.
+    # More threads than cores and a tiny switch interval: a null taken by
+    # two threads, or by none, would move or lose its energies in a pass
+    # of more nulls than threads.
     rng = np.random.default_rng(5)
     pooled = rng.normal(size=(300, 2))
     nulls = [(rng.normal(size=(size, 2)), size // 3, 100, seed)
@@ -490,13 +491,65 @@ def test_one_thread_null_starts_no_thread(monkeypatch, blas_threads, cpus,
     metrics._split_energies(pooled, 300, 100, 1)
 
 
+def test_one_null_at_two_cpus_starts_no_thread(monkeypatch):
+    # A one-null call runs on the calling thread, also where the process may
+    # use two CPUs, and keeps the bytes of a one-CPU call.
+    rng = np.random.default_rng(8)
+    a, b = rng.normal(size=(400, 2)), rng.normal(loc=0.1, size=(300, 2))
+    _at_cpus(monkeypatch, 1)
+    expected = (energy_distance(a, b), permutation_test(a, b, n_perm=100, seed=1),
+                metrics._split_energies(*metrics._pooled(a, b), 100, 1).tobytes())
+    _at_cpus(monkeypatch, 2)
+
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert (energy_distance(a, b), permutation_test(a, b, n_perm=100, seed=1),
+            metrics._split_energies(*metrics._pooled(a, b), 100, 1).tobytes()
+            ) == expected
+
+
+def test_two_null_pass_runs_one_null_on_each_thread(monkeypatch):
+    # At two CPUs a two-null pass starts exactly one helper, and the caller
+    # and the helper each run one whole null, both at work at once.
+    _at_cpus(monkeypatch, 2)
+    nulls = _job_nulls(sizes=(700, 700), n_perms=(100, 100))
+    alone = [metrics._split_energies(*null).tobytes() for null in nulls]
+    started, ran_on = [], {}
+    original_start, original_labels = threading.Thread.start, metrics._draw_labels
+    both_at_work = threading.Barrier(2, timeout=10)
+
+    def start(self):
+        started.append(self)
+        original_start(self)
+
+    def draw_labels(size, n, n_perm, seed):
+        ran_on[seed] = threading.get_ident()
+        both_at_work.wait()
+        return original_labels(size, n, n_perm, seed)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(metrics, "_draw_labels", draw_labels)
+    together = metrics._split_energies(nulls)
+    assert [energies.tobytes() for energies in together] == alone
+    assert len(started) == 1 and not started[0].is_alive()
+    assert sorted(ran_on) == [20, 21] and len(set(ran_on.values())) == 2
+    assert threading.get_ident() in ran_on.values()
+
+
+def _two_pairs(rng, size):
+    """Two ``(a, b, seed)`` tests of ``size`` points a side."""
+    return [(rng.normal(size=(size, 2)), rng.normal(size=(size, 2)), seed)
+            for seed in (1, 2)]
+
+
 @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
 def test_split_null_leaves_no_thread_behind(monkeypatch, raises):
-    # The helper is started for the call and joined before it returns or
-    # raises, so the thread count is back where it was.
+    # The helper of a two-null pass is started for the call and joined
+    # before it returns or raises, so the thread count is back where it was.
     _at_cpus(monkeypatch, 2)
-    rng = np.random.default_rng(3)
-    a, b = rng.normal(size=(300, 2)), rng.normal(size=(300, 2))
+    pairs = _two_pairs(np.random.default_rng(3), 300)
     started = []
     original_start = threading.Thread.start
 
@@ -512,39 +565,45 @@ def test_split_null_leaves_no_thread_behind(monkeypatch, raises):
     if raises:
         monkeypatch.setattr(metrics, "_strip_sums", fail)
         with pytest.raises(RuntimeError, match="share failed"):
-            permutation_test(a, b, n_perm=100, seed=1)
+            metrics.permutation_tests(pairs, n_perm=100)
     else:
-        permutation_test(a, b, n_perm=100, seed=1)
+        metrics.permutation_tests(pairs, n_perm=100)
     assert len(started) == 1 and not started[0].is_alive()
     assert threading.active_count() == threads
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_gets_the_parents_bytes(monkeypatch):
-    # A child forked after a split null runs its own split null in full:
-    # no thread of the parent's is left for it to wait on.
+    # A child forked after a two-null pass runs its own two-null pass in
+    # full: no thread of the parent's is left for it to wait on.
     _at_cpus(monkeypatch, 2)
-    pooled = np.random.default_rng(9).normal(size=(700, 2))
-    expected = metrics._split_energies(pooled, 300, 100, 1).tobytes()
+    rng = np.random.default_rng(9)
+    nulls = [(rng.normal(size=(700, 2)), 300, 100, seed) for seed in (1, 2)]
+
+    def both():
+        return b"".join(energies.tobytes()
+                        for energies in metrics._split_energies(nulls))
+
+    expected = both()
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
             os.close(read_end)
-            os.write(write_end, metrics._split_energies(pooled, 300, 100, 1).tobytes())
+            os.write(write_end, both())
             status = 0
         finally:
             os._exit(status)
     os.close(write_end)
-    # The 808 bytes fit in the pipe's buffer, so the child exits unread.
+    # The 1,616 bytes fit in the pipe's buffer, so the child exits unread.
     deadline = time.monotonic() + 60.0
     while (waited := os.waitpid(pid, os.WNOHANG))[0] == 0:
         if time.monotonic() > deadline:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(read_end)
-            pytest.fail("the forked child's null did not finish in 60 s")
+            pytest.fail("the forked child's pass did not finish in 60 s")
         time.sleep(0.01)
     with os.fdopen(read_end, "rb") as child:
         received = child.read()
@@ -555,10 +614,11 @@ def test_forked_child_gets_the_parents_bytes(monkeypatch):
 @pytest.mark.parametrize("failing", ["helper", "caller"])
 def test_share_exception_reaches_the_caller(monkeypatch, failing):
     # Whichever thread's share raises, the caller re-raises it, and only
-    # after every other thread's share of that call has finished.
+    # after the other thread's share of that call has finished its null.
     _at_cpus(monkeypatch, 2)
-    pooled = np.random.default_rng(4).normal(size=(900, 2))
-    expected = metrics._split_energies(pooled, 400, 100, 1)
+    rng = np.random.default_rng(4)
+    nulls = [(rng.normal(size=(900, 2)), 400, 100, seed) for seed in (1, 2)]
+    expected = [energies.tobytes() for energies in metrics._split_energies(nulls)]
     caller = threading.get_ident()
     running = []
     working = threading.Event()
@@ -579,10 +639,11 @@ def test_share_exception_reaches_the_caller(monkeypatch, failing):
 
     monkeypatch.setattr(metrics, "_strip_sums", share)
     with pytest.raises(RuntimeError, match=f"{failing} share failed"):
-        metrics._split_energies(pooled, 400, 100, 1)
+        metrics._split_energies(nulls)
     assert running == []
     monkeypatch.setattr(metrics, "_strip_sums", original)
-    assert metrics._split_energies(pooled, 400, 100, 1).tobytes() == expected.tobytes()
+    assert [energies.tobytes()
+            for energies in metrics._split_energies(nulls)] == expected
 
 
 class _Interrupt(BaseException):
@@ -591,59 +652,101 @@ class _Interrupt(BaseException):
 
 def test_interrupted_wait_leaves_the_next_call_whole(monkeypatch):
     # An interrupt in the caller's share, and another while it joins the
-    # helper, leave the helper at work on that pass.  The helper must take
-    # no strip of the abandoned pass after the interrupt, and the next call,
-    # of the same size, must get its own whole outcome while the abandoned
-    # helper is still at work.
+    # helper, leave the helper at work on that pass.  The helper finishes
+    # its null but must take no other null of the abandoned pass, and the
+    # next call, of the same sizes, must get its own whole outcome while the
+    # abandoned helper is still at work.
     _at_cpus(monkeypatch, 1)
     rng = np.random.default_rng(6)
-    abandoned, pooled = rng.normal(size=(900, 2)), rng.normal(size=(900, 2))
-    expected = metrics._split_energies(pooled, 400, 100, 1)
+    abandoned = [(rng.normal(size=(900, 2)), 400, 100, seed) for seed in (1, 2, 3)]
+    nulls = [(rng.normal(size=(900, 2)), 400, 100, seed) for seed in (1, 2)]
+    expected = [energies.tobytes() for energies in metrics._split_energies(nulls)]
     _at_cpus(monkeypatch, 2)
     caller = threading.get_ident()
-    original_strips, original_join = metrics._strip_sums, threading.Thread.join
+    original_strips, original_labels = metrics._strip_sums, metrics._draw_labels
+    original_join = threading.Thread.join
     helper_took_a_strip, interrupted = threading.Event(), threading.Event()
-    late_strips, left_running = [], []
+    late_nulls, left_running, abandoned_helper = [], [], []
 
-    abandoned_helper = []
-
-    def interrupting(factors, labels, start, scratch):
-        # On the first pass the helper takes one strip, then pauses after
-        # each; the caller runs one strip of its own and is interrupted,
-        # leaving two of the four strips untaken.
+    def interrupting(*args):
+        # On the first pass the helper runs one strip of its null, then
+        # pauses after each; the caller runs one strip of its own null and
+        # is interrupted, leaving the third null untaken.
         if threading.get_ident() == caller:
             assert helper_took_a_strip.wait(timeout=10)
             if not interrupted.is_set():
-                original_strips(factors, labels, start, scratch)
+                original_strips(*args)
                 interrupted.set()
                 raise _Interrupt
         elif abandoned_helper in ([], [threading.get_ident()]):
             abandoned_helper[:] = [threading.get_ident()]
-            if interrupted.is_set():
-                late_strips.append(start)
             helper_took_a_strip.set()
             try:
-                return original_strips(factors, labels, start, scratch)
+                return original_strips(*args)
             finally:
                 time.sleep(0.2)
-        return original_strips(factors, labels, start, scratch)
+        return original_strips(*args)
+
+    def draw_labels(*args):
+        if interrupted.is_set() and abandoned_helper == [threading.get_ident()]:
+            late_nulls.append(args)
+        return original_labels(*args)
 
     def cut_join(self, timeout=None):
         left_running.append(self)
         raise _Interrupt
 
     monkeypatch.setattr(metrics, "_strip_sums", interrupting)
+    monkeypatch.setattr(metrics, "_draw_labels", draw_labels)
     monkeypatch.setattr(threading.Thread, "join", cut_join)
     with pytest.raises(_Interrupt):
-        metrics._split_energies(abandoned, 400, 100, 1)
+        metrics._split_energies(abandoned)
     monkeypatch.setattr(threading.Thread, "join", original_join)
     assert left_running[0].is_alive()
-    assert metrics._split_energies(pooled, 400, 100, 1).tobytes() == expected.tobytes()
-    # The abandoned helper finishes its strip and takes no other.
+    assert [energies.tobytes()
+            for energies in metrics._split_energies(nulls)] == expected
+    # The abandoned helper finishes its null and takes no other.
     left_running[0].join(timeout=10)
     assert not left_running[0].is_alive()
-    assert late_strips == []
-    assert metrics._split_energies(pooled, 400, 100, 1).tobytes() == expected.tobytes()
+    assert late_nulls == []
+    assert [energies.tobytes()
+            for energies in metrics._split_energies(nulls)] == expected
+
+
+def _thread_constructions_and_conditions(source):
+    """The innermost enclosing function of each ``Thread(...)`` call in
+    ``source`` (None at module level), and the count of the names and
+    attributes ``Condition`` it holds."""
+    scopes = {}
+    tree = ast.parse(source)
+    for function in ast.walk(tree):  # outer functions first, inner ones last
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(function):
+                scopes[node] = function.name
+    constructed, conditions = [], 0
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and ast.unparse(node.func).split(".")[-1] == "Thread"):
+            constructed.append(scopes.get(node))
+        conditions += "Condition" in (getattr(node, "id", None),
+                                      getattr(node, "attr", None))
+    return constructed, conditions
+
+
+def test_threads_are_made_only_by_run_shares():
+    # The null's one scheduler is the shared iterator of whole nulls: only
+    # metrics._run_shares starts threads, and nothing waits on a Condition.
+    root = os.path.dirname(metrics.__file__)
+    constructed, conditions = {}, 0
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name), encoding="utf-8") as fh:
+                scopes, count = _thread_constructions_and_conditions(fh.read())
+            if scopes:
+                constructed[name] = scopes
+            conditions += count
+    assert constructed == {"metrics.py": ["_run_shares"]}
+    assert conditions == 0
 
 
 # Pooled sizes of one job-level pass: one, two and three row blocks.
@@ -661,8 +764,8 @@ def _job_nulls(sizes=_JOB_SIZES, n_perms=(100, 102, 105), dim=2):
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_job_pass_equals_each_null_alone(monkeypatch, cpus):
     # Nulls of different sizes and label widths in one pass, on one thread,
-    # on two (the third null's labels wait for the first null's strips) and
-    # on four (every null's labels drawn at once): each null's statistic
+    # on two (the thread that finishes a null first takes the third) and,
+    # at four CPUs, on three (one thread per null): each null's statistic
     # and every permutation energy must equal its pass alone, bit for bit.
     _at_cpus(monkeypatch, 1)
     nulls = _job_nulls()
