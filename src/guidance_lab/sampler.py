@@ -28,8 +28,13 @@ one state array and advanced each step in row chunks of at most
 ``max(256, 8192 // dim)`` rows (``_chunks``), so that a job of many small
 runs pays a step's fixed cost of some 35 NumPy calls once per rule, not
 once per run, and a large one holds one chunk's oracle temporaries at a
-time.  A chunk never mixes rules, and every row keeps the bits it has
-when its run is integrated alone.  Three callers share the loop:
+time.  Each ``(count, dim)`` batch runs padded with copies of its last row
+up to a multiple of 8 rows, and is stacked and cut in whole 8-row blocks,
+so a batch row's bits depend neither on the batch's size nor on the runs
+beside it; the pad rows are dropped from what the callers return.  A chunk
+never mixes rules.  A lone ``(dim,)`` point is one unpadded row and runs
+alone, so from d = 4 up it may differ from its batch row by roundoff.
+Three callers share the loop:
 ``integrate`` returns a ``TrajectoryRecord`` of the time grid and every
 state of one run, ``terminal_states`` the last states of one run, and
 ``job_terminal_states`` those of every run of a job, both advancing the
@@ -77,7 +82,8 @@ class TrajectoryRecord:
     one per entry of ``times``: each a ``(dim,)`` state for one trajectory,
     or a ``(count, dim)`` batch when ``integrate`` started from a batch.
     A batch's ``states`` is a transposed view of the Euler loop's
-    dimension-major ``(steps + 1, dim, count)`` array.
+    dimension-major ``(steps + 1, dim, rows)`` array, its pad rows (see
+    :func:`integrate`) cut off.
     """
 
     times: np.ndarray
@@ -107,8 +113,13 @@ _MIN_CHUNK_ROWS = 256
 # the same bits at any offset and any n that is a multiple of 8, but forms
 # the last n % 8 columns with other kernels once n exceeds max(1e6 / dim**2,
 # 192), and one column as a matrix-vector product (measured for dim from 4
-# to 512 and n up to 3,001).  So rows are only stacked and cut in multiples
-# of 8, and any other run is one chunk, as it is alone.
+# to 512 and n up to 3,001).  So ``_start`` pads every batch with copies of
+# its last row up to a multiple of 8 rows, and rows are only stacked and cut
+# in multiples of 8: a batch row's bits do not depend on the batch's size.
+# A lone (dim,) point stays one row and runs alone, so from d = 4 up it may
+# differ from its batch row by roundoff.  Padding it to 8 rows cost 1-4 us
+# on a 30 us Euler step at d = 2 to 8, and took the ``trace`` benchmark's
+# wall time (single points only) from 0.0585 to 0.0634 s (one BLAS thread).
 _ROW_ALIGN = 8
 
 
@@ -117,17 +128,18 @@ def _chunks(runs, steps, dim):
     counts)`` each.
 
     ``runs`` holds each run's ``(count, GuidanceConfig)``, in the order of
-    their rows, and ``steps`` the grid's times but the last.  Consecutive
-    runs whose counts are multiples of ``_ROW_ALIGN`` and whose configs
-    differ at most in their scale schedule are stacked and cut into as few
-    chunks of at most the bound above as it takes, of sizes that are
-    multiples of ``_ROW_ALIGN`` and differ by at most ``_ROW_ALIGN``; any
-    other run is one chunk, whole.  So every row keeps the bits it has when
-    its run is integrated alone.  Chunks of one size let the allocator reuse
-    a chunk's freed temporaries: at d = 16, four 400-row runs per rule cut
-    into 512-row chunks and a 64-row rest made 134,000 page faults and took
-    0.09-0.12 s, in four 400-row chunks 14,000 and 0.06-0.09 s, and one loop
-    per run 82,000 and 0.08-0.11 s (fresh processes, one BLAS thread).
+    their rows, and ``steps`` the grid's times but the last.  Every count is
+    a multiple of ``_ROW_ALIGN`` (:func:`_start` pads each batch), but that
+    of a lone ``(dim,)`` point, which is the whole job.  Consecutive runs
+    whose configs differ at most in their scale schedule are stacked and cut
+    into as few chunks of at most the bound above as it takes, of sizes that
+    are multiples of ``_ROW_ALIGN`` and differ by at most ``_ROW_ALIGN``.
+    So every row keeps the bits it has when its run is integrated alone.
+    Chunks of one size let the allocator reuse a chunk's freed temporaries:
+    at d = 16, four 400-row runs per rule cut into 512-row chunks and a
+    64-row rest made 134,000 page faults and took 0.09-0.12 s, in four
+    400-row chunks 14,000 and 0.06-0.09 s, and one loop per run 82,000 and
+    0.08-0.11 s (fresh processes, one BLAS thread).
 
     ``rows`` is the chunk's slice of the job's rows, or None for a chunk of
     every row, and ``config`` its rule.  Each run's scale at every step is
@@ -142,32 +154,23 @@ def _chunks(runs, steps, dim):
     ends = list(itertools.accumulate(count for count, _ in runs))
     starts = [0] + ends[:-1]
     total = ends[-1] if ends else 0
-    aligned = [count % _ROW_ALIGN == 0 for count, _ in runs]
-    chunks, first = [], 0
-    for index, (_, config) in enumerate(runs):
-        if (index + 1 < len(runs) and aligned[index] and aligned[index + 1]
-                and _rule_key(runs[index + 1][1]) == _rule_key(config)):
-            continue
-        lo, hi = starts[first], ends[index]
-        bounds = [lo, hi]
-        if aligned[index]:
-            units = (hi - lo) // _ROW_ALIGN
-            pieces = max(1, -(-(hi - lo) // limit))
-            bounds = [lo + units * i // pieces * _ROW_ALIGN
-                      for i in range(pieces + 1)]
+    chunks = []
+    for _, group in itertools.groupby(range(len(runs)),
+                                      key=lambda i: _rule_key(runs[i][1])):
+        block = list(group)
+        config, lo, hi = runs[block[-1]][1], starts[block[0]], ends[block[-1]]
+        pieces = -(-(hi - lo) // limit)
+        bounds = [lo + (hi - lo) * i // pieces // _ROW_ALIGN * _ROW_ALIGN
+                  for i in range(pieces)] + [hi]
         for start, stop in zip(bounds, bounds[1:]):
-            if start == stop:
-                continue
             overlap = [(i, min(stop, ends[i]) - max(start, starts[i]))
-                       for i in range(first, index + 1)
-                       if starts[i] < stop and ends[i] > start]
+                       for i in block if starts[i] < stop and ends[i] > start]
             rows = None if (start, stop) == (0, total) else slice(start, stop)
             if len(overlap) == 1:
                 chunks.append((rows, config, scales[overlap[0][0]], None))
             else:
                 grid = np.array([scales[i] for i, _ in overlap]).T.copy()
                 chunks.append((rows, config, grid, [n for _, n in overlap]))
-        first = index + 1
     return chunks
 
 
@@ -261,9 +264,13 @@ def _euler(states, times, pair, schedule, runs, guidance_field=None):
 
 
 def _start(x0s, pair, depth):
-    """A ``(depth, dim, count)`` state buffer holding, in ``[0]``, the
+    """A ``(depth, dim, rows)`` state buffer holding, in ``[0]``, the
     checked initial states or batches ``x0s`` one after another,
-    dimension-major, and the row count of each."""
+    dimension-major, and the row count of each.  Each ``(count, dim)``
+    batch is padded with copies of its last row up to a multiple of
+    ``_ROW_ALIGN`` rows, which the loop advances, and a ``guidance_field``
+    sees, like any other; the counts include them.  A ``(dim,)`` point is
+    one row, unpadded, and may only run alone."""
     batches = []
     for x0 in x0s:
         x0 = np.asarray(x0, dtype=float)
@@ -271,6 +278,11 @@ def _start(x0s, pair, depth):
             raise ShapeError(
                 f"x0 shape {x0.shape} does not match pair dim {pair.dim}; "
                 f"expected ({pair.dim},) or (count, {pair.dim})")
+        if x0.ndim == 2:
+            x0 = np.pad(x0, ((0, -len(x0) % _ROW_ALIGN), (0, 0)), mode="edge")
+        elif len(x0s) > 1:
+            raise ShapeError(f"a ({pair.dim},) point runs alone, not in a job "
+                             f"of {len(x0s)} runs; pass a (1, {pair.dim}) batch")
         batches.append(np.atleast_2d(x0))
     counts = [len(batch) for batch in batches]
     states = np.empty((depth, pair.dim, sum(counts)))
@@ -293,30 +305,37 @@ def integrate(x0, pair, schedule, guidance_config, sampler_config,
     configured guidance rule with an arbitrary vector field of ``(x, t)``
     (the unconditional velocity stays the base flow), called once per step
     and row chunk; a value of it that does not broadcast to the chunk
-    raises ShapeError.  A single trajectory runs the same vectorized loop as
-    a batch of one.
+    raises ShapeError.  A batch runs padded to a multiple of ``_ROW_ALIGN``
+    rows with copies of its last row (see :func:`_start`), so the field sees
+    the pad rows too; the record drops them.  A single trajectory runs the
+    same vectorized loop as one unpadded row.
     """
     times = _grid(schedule, sampler_config)
     states, (count,) = _start([x0], pair, len(times))
     _euler(states, times, pair, schedule, [(count, guidance_config)],
            guidance_field)
-    return TrajectoryRecord(times=times, states=np.swapaxes(states, 1, 2)
-                            if np.ndim(x0) == 2 else states[:, :, 0])
+    return TrajectoryRecord(times=times, states=np.swapaxes(
+        states[:, :, :len(x0)], 1, 2) if np.ndim(x0) == 2 else states[:, :, 0])
 
 
 def job_terminal_states(runs, pair, schedule, sampler_config):
     """:func:`terminal_states` of each ``(x0, guidance_config)`` of
     ``runs``, bit for bit, from one Euler loop over all of them (see
     :func:`_euler`): a list of C-ordered copies, a ``(dim,)`` state for
-    one initial state, a ``(count, dim)`` batch for a batch.  Order the
-    runs by rule: a chunk holds consecutive runs of one rule only."""
+    one initial state, a ``(count, dim)`` batch for a batch.  Each batch
+    runs padded with copies of its last row up to a multiple of
+    ``_ROW_ALIGN`` rows (see :func:`_start`), whose terminal states are
+    dropped; so a batch row's bits do not depend on its batch's size.  A
+    ``(dim,)`` point runs alone: in a job of more than one run it raises
+    ShapeError.  Order the runs by rule: a chunk holds consecutive runs of
+    one rule only."""
     states, counts = _start([x0 for x0, _ in runs], pair, 1)
     final = _euler(states, _grid(schedule, sampler_config), pair, schedule,
                    list(zip(counts, [config for _, config in runs])))
     terminals, start = [], 0
     for (x0, _), count in zip(runs, counts):
-        rows = final[:, start:start + count]
-        terminals.append(rows.T.copy() if np.ndim(x0) == 2 else rows[:, 0].copy())
+        terminals.append(final[:, start:start + len(x0)].T.copy()
+                         if np.ndim(x0) == 2 else final[:, 0].copy())
         start += count
     return terminals
 

@@ -1,9 +1,12 @@
 """Tests for the fixed-step Euler sampler and its records."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guidance_lab import (
     ConfigurationError,
@@ -310,7 +313,8 @@ def test_guidance_field_value_must_broadcast_to_the_batch():
         with pytest.raises(ShapeError) as err:
             integrate(x0s, pair, Schedule(), GuidanceConfig(), scfg,
                       guidance_field=lambda x, t, shape=shape: np.zeros(shape))
-        assert str(shape) in str(err.value) and "(4, 2)" in str(err.value)
+        # The field sees the chunk: the 4-row batch padded to 8 rows.
+        assert str(shape) in str(err.value) and "(8, 2)" in str(err.value)
     # A value that broadcasts, one row shared by every state, is integrated.
     shared = integrate(x0s, pair, Schedule(), GuidanceConfig(), scfg,
                        guidance_field=lambda x, t: np.zeros(2))
@@ -342,9 +346,12 @@ def test_joint_pass_trajectory_matches_per_target_passes(dim):
     for rule in (GuidanceConfig(),
                  GuidanceConfig(rule=GuidanceRule.CFG, guidance_scale=3.0,
                                 min_scale=0.0, decay_power=0.0)):
-        for x0s in (initial_states(1, dim, seed=5), initial_states(4, dim, seed=5)):
-            rec = integrate(x0s, pair, sch, rule, scfg)
-            want = _per_target_euler(x0s, pair, sch, rule, scfg)
+        # A (dim,) point runs as one row, and an 8-row batch has no pad
+        # rows, so each runs as the reference does.
+        x0s = initial_states(8, dim, seed=5)
+        for x0, ref in ((x0s[0], x0s[:1]), (x0s, x0s)):
+            rec = integrate(x0, pair, sch, rule, scfg)
+            want = _per_target_euler(ref, pair, sch, rule, scfg)
             assert rec.terminal_state.tobytes() == want.tobytes()
 
 
@@ -377,9 +384,12 @@ def test_grid_time_terms_match_scalar_time_steps(dim, counts):
     for rule in (GuidanceConfig(),
                  GuidanceConfig(rule=GuidanceRule.CFG, guidance_scale=3.0,
                                 min_scale=0.0, decay_power=0.0)):
-        for x0s in (initial_states(1, dim, seed=3), initial_states(5, dim, seed=3)):
-            rec = integrate(x0s, pair, sch, rule, scfg)
-            want = _scalar_time_euler(x0s, pair, sch, rule, scfg)
+        # A (dim,) point runs as one row, and an 8-row batch has no pad
+        # rows, so each runs as the reference does.
+        x0s = initial_states(8, dim, seed=3)
+        for x0, ref in ((x0s[0], x0s[:1]), (x0s, x0s)):
+            rec = integrate(x0, pair, sch, rule, scfg)
+            want = _scalar_time_euler(ref, pair, sch, rule, scfg)
             assert rec.states.tobytes() == want.tobytes()
 
 
@@ -400,11 +410,12 @@ def test_guided_step_makes_one_oracle_pass(monkeypatch):
     monkeypatch.setattr(mixture, "_evaluate_at", counting)
     monkeypatch.setattr(mixture, "_time_terms", counting_grids)
     for steps in (4, 30):
-        for x0 in (np.zeros(2), initial_states(3, 2, seed=1)):
+        # A point is one row; the 3-row batch runs padded to 8 rows.
+        for x0, rows in ((np.zeros(2), 1), (initial_states(3, 2, seed=1), 8)):
             calls.clear()
             grids.clear()
             integrate(x0, pair, sch, GuidanceConfig(), SamplerConfig(steps=steps))
-            assert calls == [(pair, np.atleast_2d(x0).shape)] * steps
+            assert calls == [(pair, (rows, 2))] * steps
             # The time-only terms of the whole grid come from one call.
             assert grids == [(pair, (steps + 1,))]
     # An explicit field replaces the rule: only the unconditional target.
@@ -435,7 +446,8 @@ def test_projected_rule_makes_as_many_oracle_calls_as_cfg(monkeypatch):
         integrate(x0s, pair, Schedule(), GuidanceConfig(rule=rule),
                   SamplerConfig(steps=17))
         counts[rule] = list(calls)
-    assert counts[GuidanceRule.PROJECTED] == [(pair, (6, 2))] * 17
+    # The 6-row batch runs padded to 8 rows.
+    assert counts[GuidanceRule.PROJECTED] == [(pair, (8, 2))] * 17
     assert counts[GuidanceRule.PROJECTED] == counts[GuidanceRule.CFG]
 
 
@@ -481,8 +493,8 @@ def _job_runs(counts, dim):
     return runs
 
 
-# Aligned runs (multiples of 8 rows) are stacked and cut; the others each
-# form one chunk, whole.  250 rows at d = 64 is past the size at which
+# Every batch runs padded to a multiple of 8 rows, so all runs of a rule
+# are stacked and cut.  250 rows at d = 64 is past the size at which
 # OpenBLAS forms a product's last n % 8 columns with other kernels.
 @pytest.mark.parametrize("limit", [None, 16])
 @pytest.mark.parametrize("dim", [2, 16, 64])
@@ -494,71 +506,127 @@ def test_job_loop_equals_each_run_integrated_alone(monkeypatch, dim, limit):
     runs = _job_runs((3, 5, 8, 16, 24, 7, 11, 250), dim)
     alone = [terminal_states(x0, pair, sch, config, scfg) for x0, config in runs]
     if limit is not None:
-        # Chunks of 16 rows: cuts inside the 16- and 24-row runs' block,
-        # and chunks that span two runs of different omegas.
+        # Chunks of 16 rows over the padded runs of 8, 8, 8, 16, 24, 8, 16
+        # and 256 rows: a cut inside the 24-row run, and chunks that span
+        # two runs of different omegas.
         monkeypatch.setattr(sampler, "_MIN_CHUNK_ROWS", limit)
         monkeypatch.setattr(sampler, "_CHUNK_ENTRIES", 0)
-        chunks = sampler._chunks([(len(x0), config) for x0, config in runs],
-                                 [0.1, 0.5, 0.9], dim)
+        chunks = sampler._chunks([(len(x0) + -len(x0) % 8, config)
+                                  for x0, config in runs], [0.1, 0.5, 0.9], dim)
         assert [(rows.start, rows.stop) for rows, *_ in chunks][:6] == [
-            (0, 3), (3, 8), (8, 24), (24, 40), (40, 56), (56, 63)]
-        assert chunks[2][3] == [8, 8] and chunks[3][3] == [8, 8]
+            (0, 8), (8, 24), (24, 40), (40, 56), (56, 72), (72, 88)]
+        assert chunks[1][3] == [8, 8] and chunks[4][3] == [8, 8]
     job = job_terminal_states(runs, pair, sch, scfg)
     for (x0, config), one, mixed in zip(runs, alone, job):
         assert mixed.flags.c_contiguous and mixed.shape == x0.shape
         assert mixed.tobytes() == one.tobytes(), (len(x0), config.rule)
-    # A run of one point stays one point, a chunk of its own.
+    # A (dim,) point runs alone: in a job of more runs it is an error.
     point, batch = runs[0][0][0], runs[3][0]
-    got = job_terminal_states([(point, runs[0][1]), (batch, runs[0][1])],
-                              pair, sch, scfg)
-    assert got[0].shape == (dim,)
-    assert got[0].tobytes() == integrate(
-        point, pair, sch, runs[0][1], scfg).terminal_state.tobytes()
-    assert got[1].tobytes() == terminal_states(
-        batch, pair, sch, runs[0][1], scfg).tobytes()
+    with pytest.raises(ShapeError, match="runs alone"):
+        job_terminal_states([(point, runs[0][1]), (batch, runs[0][1])],
+                            pair, sch, scfg)
 
 
-# In these jobs each rule's aligned runs form one block.
+@pytest.mark.parametrize("dim", [2, 16, 64])
+@pytest.mark.parametrize("count", [3, 250, 1001])
+def test_batch_rows_do_not_depend_on_the_batch_size(dim, count):
+    # Each batch runs padded with copies of its last row to a multiple of 8
+    # rows, so its rows get the bits they have inside a larger batch.  At
+    # d = 64, 250 and 1,001 rows are past the size at which OpenBLAS forms a
+    # product's last n % 8 columns with other kernels.
+    rng = np.random.default_rng([79, dim])
+    pair = TargetPair(conditional=_random_mixture(rng, dim, 2),
+                      unconditional=_random_mixture(rng, dim, 4))
+    sch, scfg = Schedule(), SamplerConfig(steps=5)
+    rules = (GuidanceConfig(), GuidanceConfig(rule=GuidanceRule.CFG,
+                                              guidance_scale=3.0))
+    big = initial_states(1032, dim, 5)
+    wide = job_terminal_states([(big, rule) for rule in rules], pair, sch, scfg)
+    small = job_terminal_states([(initial_states(count, dim, 5), rule)
+                                 for rule in rules], pair, sch, scfg)
+    for got, want, rule in zip(small, wide, rules):
+        assert got.shape == (count, dim)
+        assert got.tobytes() == want[:count].tobytes(), rule.rule
+
+
+# In these jobs each rule's runs form one block, counted as _start pads
+# them: the 2,001-, 3- and 1-row batches run as 2,008, 8 and 8 rows.
 @pytest.mark.parametrize("counts,dim", [((2000,), 512), ((400,) * 4, 16),
                                         ((200,) * 4, 2), ((2001, 8), 64),
                                         ((1, 16, 3), 8)])
 def test_chunks_are_aligned_near_equal_and_of_one_rule(counts, dim):
-    runs = [(len(x0), config) for x0, config in _job_runs(counts, 1)]
+    runs = [(-(-len(x0) // 8) * 8, config)
+            for x0, config in _job_runs(counts, 1)]
     limit = max(sampler._MIN_CHUNK_ROWS, sampler._CHUNK_ENTRIES // dim // 8 * 8)
     chunks = sampler._chunks(runs, [0.1, 0.5], dim)
-    total = 2 * sum(counts)
+    total = sum(count for count, _ in runs)
     rows = [range(total)[chunk[0] or slice(None)] for chunk in chunks]
     assert [i for r in rows for i in r] == list(range(total))
     starts = np.cumsum([0] + [count for count, _ in runs])
-    aligned = {rule: [] for rule in GuidanceRule}
+    sizes = {rule: [] for rule in GuidanceRule}
     for r, (_, config, _, _) in zip(rows, chunks):
         owners = {int(np.searchsorted(starts, i, side="right")) - 1 for i in r}
         assert {runs[i][1].rule for i in owners} == {config.rule}
-        if all(runs[i][0] % 8 == 0 for i in owners):
-            assert len(r) <= limit and len(r) % 8 == 0
-            aligned[config.rule].append(len(r))
-        else:  # a run of another count is one chunk, whole
-            owner, = owners
-            assert len(r) == runs[owner][0]
-    for sizes in aligned.values():
-        assert not sizes or max(sizes) - min(sizes) <= 8
+        assert len(r) <= limit and len(r) % 8 == 0
+        sizes[config.rule].append(len(r))
+    for rule_sizes in sizes.values():
+        assert max(rule_sizes) - min(rule_sizes) <= 8
+
+
+_RULES = [GuidanceConfig(rule=GuidanceRule.CFG, guidance_scale=2.0),
+          GuidanceConfig(rule=GuidanceRule.CFG, guidance_scale=4.0),
+          GuidanceConfig(guidance_scale=2.0),
+          GuidanceConfig(guidance_scale=3.0, parallel_scale=0.5)]
+
+
+# Counts as _start pads them: 8 to 3,000 rows, or a lone point's one row.
+# The rules interleave, and the two CFG configs differ only in their scale
+# schedule, so they stack.
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(runs=st.lists(st.tuples(st.integers(1, 375).map(lambda units: 8 * units),
+                               st.sampled_from(_RULES)), min_size=1, max_size=12)
+       | st.sampled_from(_RULES).map(lambda config: [(1, config)]),
+       dim=st.sampled_from([1, 2, 8, 16, 64, 512]))
+def test_chunks_of_random_padded_runs_are_aligned_near_equal_and_of_one_rule(
+        runs, dim):
+    limit = max(sampler._MIN_CHUNK_ROWS, sampler._CHUNK_ENTRIES // dim // 8 * 8)
+    chunks = sampler._chunks(runs, [0.1, 0.5], dim)
+    total = sum(count for count, _ in runs)
+    rows = [range(total)[chunk[0] or slice(None)] for chunk in chunks]
+    assert [i for r in rows for i in r] == list(range(total))
+    starts = np.cumsum([0] + [count for count, _ in runs])
+    keys = [sampler._rule_key(config) for _, config in runs]
+    blocks = {}
+    for r, (_, config, _, _) in zip(rows, chunks):
+        owners = np.unique(np.searchsorted(starts, r, side="right") - 1).tolist()
+        assert {keys[i] for i in owners} == {sampler._rule_key(config)}
+        assert 0 < len(r) <= limit and (len(r) % 8 == 0 or total == 1)
+        # A stacked block: consecutive runs of one rule key.
+        block = owners[0]
+        while block and keys[block - 1] == keys[block]:
+            block -= 1
+        blocks.setdefault(block, []).append(len(r))
+    for sizes in blocks.values():
+        assert max(sizes) - min(sizes) <= 8
 
 
 def test_terminal_states_peak_is_bounded_by_the_chunk_rule():
-    # d = 512, 1,024 rows: four chunks of 256.  The loop holds the state,
-    # its terminal copy and one chunk's oracle temporaries, bounded here at
-    # 8 (component, dim, row) arrays of the chunk.  Unchunked, the 1,024-row
+    # d = 512, 1,024 rows: four chunks of 256; 1,025 rows run padded to
+    # 1,032, in five chunks of 200-208.  The loop holds the state, its
+    # terminal copy and one chunk's oracle temporaries, bounded here at 8
+    # (component, dim, row) arrays of the chunk.  Unchunked, the 1,024-row
     # pass held 80 MB.
     import tracemalloc
 
-    dim, rows = 512, 1024
+    dim = 512
     pair = _pair(dim)
     chunk = max(sampler._MIN_CHUNK_ROWS, sampler._CHUNK_ENTRIES // dim)
     components = (pair.conditional.n_components
                   + pair.unconditional.n_components)
-    x0s = initial_states(rows, dim, seed=1)
-    bound = 2 * x0s.nbytes + 8 * components * chunk * dim * 8
-    for rule in (GuidanceRule.CFG, GuidanceRule.PROJECTED):
+    for rows, rule in itertools.product(
+            (1024, 1025), (GuidanceRule.CFG, GuidanceRule.PROJECTED)):
+        x0s = initial_states(rows, dim, seed=1)
+        bound = 2 * x0s.nbytes + 8 * components * chunk * dim * 8
         tracemalloc.start()
         try:
             terminal_states(x0s, pair, Schedule(), GuidanceConfig(rule=rule),
@@ -566,7 +634,7 @@ def test_terminal_states_peak_is_bounded_by_the_chunk_rule():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound, (rule, peak, bound)
+        assert peak < bound, (rows, rule, peak, bound)
 
 
 def test_projected_beta_one_reproduces_cfg_trajectory():
