@@ -18,37 +18,51 @@ The on-disk format is a single JSON object::
     }
 
 with TARGET = ``{"dim": D, "components": [{"weight": w, "mean": [...],
-"cov_diag": [...] | "cov_full": [[...]]}]}``.  Parsing then serializing a
-parsed config reproduces the dictionary exactly.  There is no guidance
-rule key: each experiment kind fixes the rules it compares (see ``cli``),
-and no schedule kind: the path is always the linear one (see ``schedule``).
+"cov_diag": [...] | "cov_full": [[...]]}]}``.
 
-Parsing is strict: every block rejects keys it does not know and values of
-the wrong JSON type with ``ConfigurationError``.  Integer fields take JSON
-integers only (not booleans or fractional numbers), and real fields and
-arrays take finite JSON numbers only (not ``NaN``, ``Infinity`` or an
-integer beyond the float range).  Seeds must be non-negative, the size
-fields are at most ``MAX_STEPS``, ``MAX_SAMPLE_COUNT`` and
-``MAX_PERMUTATIONS``, a target's ``dim`` is in [1, ``MAX_DIM``], each
-sweep value passes its rule field's check (a beta is at least 0, as
-``parallel_scale`` is, an omega above 0, as ``guidance_scale`` is), and no
-two values of a sweep may be equal or share the ``:g`` label that names
-them in the artifacts, so a bad config fails before any artifact is
-written.  There is no sampler time key: every run integrates over the
-schedule clamp ``[t_min, t_max]``.
+The config dataclasses are the schema.  The keys of the ``schedule``,
+``sampler`` and ``guidance`` blocks are the fields of ``Schedule``,
+``SamplerConfig`` and ``GuidanceConfig``, less the guidance ``rule``; the
+guidance block also holds ``ExperimentConfig``'s two sweeps, the
+``samples`` block its ``sample_count`` (as ``count``) and ``n_perm``, and
+the top level its ``kind``, ``seed`` and ``output_dir``.  An omitted key
+of the three blocks takes its field's default; the other defaults are the
+parser's (seed 0, ``"out"``, 2000 samples, 200 permutations and the
+``DEFAULT_*`` sweeps).  ``config_to_dict`` reads the same fields back,
+so parsing then serializing a parsed config reproduces the dictionary
+exactly.  There is no guidance rule key: each experiment kind fixes the
+rules it compares (see ``cli``), and no schedule kind: the path is always
+the linear one (see ``schedule``).
+
+Each value is checked once, by the dataclass that holds it, so a config
+file and a config built in Python (say with ``dataclasses.replace``) pass
+the same checks, and a bad config fails before any artifact is written.
+The parser checks only the JSON structure: that blocks are objects without
+unknown keys, that arrays hold finite JSON numbers only (not ``NaN``,
+``Infinity`` or an integer beyond the float range), that ``normal_source``
+names a ``NormalSource``, and the target blocks; it prefixes a block's
+error with the block's key.  Integer fields take integers only (not
+booleans or fractional numbers), and real fields finite numbers only.
+Seeds must be non-negative, the size fields are at most ``MAX_STEPS``,
+``MAX_SAMPLE_COUNT`` and ``MAX_PERMUTATIONS``, a target's ``dim`` is in
+[1, ``MAX_DIM``], each sweep value passes its rule field's check (a beta
+is at least 0, as ``parallel_scale`` is, an omega above 0, as
+``guidance_scale`` is), and no two values of a sweep may be equal or share
+the ``:g`` label that names them in the artifacts.  There is no sampler
+time key: every run integrates over the schedule clamp ``[t_min, t_max]``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Tuple
 
 import numpy as np
 
 from . import metrics
 from . import mixture as mix
-from .errors import ConfigurationError, require_real
+from .errors import ConfigurationError, require_int, require_real
 from .guidance import GuidanceConfig, NormalSource
 from .mixture import TargetPair
 from .sampler import SamplerConfig
@@ -100,6 +114,15 @@ def default_target_pair():
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
+    """One experiment's settings, each value checked here or by the
+    dataclass that holds it, whether the config came from a file or was
+    built in Python.  The seed and the sizes are integers within their
+    bounds, ``output_dir`` is a string, each sweep value passes its rule
+    field's check (a beta is a ``parallel_scale``, an omega a
+    ``guidance_scale``), and no two values of a sweep are equal or share
+    the ``:g`` label that names them in the artifacts.  Errors name the
+    JSON key path."""
+
     kind: str
     seed: int
     output_dir: str
@@ -117,26 +140,49 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"kind must be one of {KINDS}, got {self.kind!r}"
             )
+        object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
+        if not isinstance(self.output_dir, str):
+            raise ConfigurationError(
+                f"output_dir must be a string, got {self.output_dir!r}")
+        self._sweep("beta_sweep", "parallel_scale")
+        self._sweep("omega_sweep", "guidance_scale")
         if self.kind in ("trace_divergence", "sweep_beta") and not self.beta_sweep:
             raise ConfigurationError(f"{self.kind} requires a non-empty beta_sweep")
         if self.kind == "sweep_omega" and not self.omega_sweep:
             raise ConfigurationError("sweep_omega requires a non-empty omega_sweep")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         _check_range("sampler.steps", self.sampler.steps, 1, MAX_STEPS)
-        _check_range("samples.count", self.sample_count, 2, MAX_SAMPLE_COUNT)
-        _check_range("samples.n_perm", self.n_perm, metrics.MIN_PERMUTATIONS,
-                     MAX_PERMUTATIONS)
+        object.__setattr__(self, "sample_count", _check_range(
+            "samples.count", self.sample_count, 2, MAX_SAMPLE_COUNT))
+        object.__setattr__(self, "n_perm", _check_range(
+            "samples.n_perm", self.n_perm, metrics.MIN_PERMUTATIONS,
+            MAX_PERMUTATIONS))
+
+    def _sweep(self, name, field):
+        """Check each value of sweep ``name`` as the rule ``field`` it
+        stands in for, and store the values as a tuple of floats."""
+        try:
+            values = tuple(getattr(GuidanceConfig(min_scale=0.0, **{field: v}),
+                                   field) for v in getattr(self, name))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"guidance.{name}: {exc}") from None
+        # Artifacts name each value by its :g label: a repeat would overwrite.
+        labels = [f"{v:g}" for v in values]
+        if len(set(values)) < len(values) or len(set(labels)) < len(labels):
+            raise ConfigurationError(
+                f"guidance.{name} values must differ and have distinct labels, "
+                f"got {list(values)} labelled {labels}")
+        object.__setattr__(self, name, values)
 
 
 def _check_range(name, value, low, high):
-    if not low <= value <= high:
+    """``value`` as an int in ``[low, high]``; otherwise ConfigurationError."""
+    value = require_int(name, value, low)
+    if value > high:
         raise ConfigurationError(f"{name} must be in [{low}, {high}], got {value}")
+    return value
 
 
-# -- typed field access --------------------------------------------------------------
-
-_MISSING = object()
+# -- JSON structure ------------------------------------------------------------------
 
 
 def _check_keys(block, allowed, where):
@@ -147,29 +193,10 @@ def _check_keys(block, allowed, where):
         )
 
 
-def _field(block, key, default, where):
-    value = block.get(key, default)
-    if value is _MISSING:
+def _required(block, key, where):
+    if key not in block:
         raise ConfigurationError(f"{where} is missing {key!r}")
-    return value
-
-
-def _int(block, key, default, where):
-    value = _field(block, key, default, where)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{where}.{key} must be an integer, got {value!r}")
-    return value
-
-
-def _real(block, key, default, where):
-    return require_real(f"{where}.{key}", _field(block, key, default, where))
-
-
-def _text(block, key, default, where):
-    value = _field(block, key, default, where)
-    if not isinstance(value, str):
-        raise ConfigurationError(f"{where}.{key} must be a string, got {value!r}")
-    return value
+    return block[key]
 
 
 def _is_numeric_list(value):
@@ -178,27 +205,22 @@ def _is_numeric_list(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _real_array(block, key, default, where, ndim):
+def _real_array(value, where, ndim):
     """A JSON list (``ndim`` 1) or list of lists (``ndim`` 2) of numbers."""
-    value = _field(block, key, default, where)
     if not isinstance(value, list) or not _is_numeric_list(value):
-        raise ConfigurationError(
-            f"{where}.{key} must be a list of numbers, got {value!r}"
-        )
+        raise ConfigurationError(f"{where} must be a list of numbers, got {value!r}")
     try:
         arr = np.asarray(value, dtype=float)
     except OverflowError as exc:  # an integer beyond the float range
         raise ConfigurationError(
-            f"{where}.{key} must be finite, got an integer too large for "
-            f"a float") from exc
+            f"{where} must be finite, got an integer too large for a float"
+        ) from exc
     except ValueError as exc:  # ragged nesting
-        raise ConfigurationError(f"{where}.{key} is ragged: {value!r}") from exc
+        raise ConfigurationError(f"{where} is ragged: {value!r}") from exc
     if arr.ndim != ndim:
-        raise ConfigurationError(
-            f"{where}.{key} must be {ndim}-dimensional, got {value!r}"
-        )
+        raise ConfigurationError(f"{where} must be {ndim}-dimensional, got {value!r}")
     if not np.all(np.isfinite(arr)):
-        raise ConfigurationError(f"{where}.{key} must be finite, got {value!r}")
+        raise ConfigurationError(f"{where} must be finite, got {value!r}")
     return arr
 
 
@@ -218,9 +240,8 @@ def target_from_dict(d):
     """Build a GaussianMixture from its JSON dictionary form."""
     where = "target"
     _check_keys(_object(d, where), _TARGET_KEYS, where)
-    dim = _int(d, "dim", _MISSING, where)
-    _check_range(f"{where}.dim", dim, 1, MAX_DIM)
-    components = _field(d, "components", _MISSING, where)
+    dim = _check_range(f"{where}.dim", _required(d, "dim", where), 1, MAX_DIM)
+    components = _required(d, "components", where)
     if not isinstance(components, list):
         raise ConfigurationError(f"{where}.components must be a list")
     if not components:
@@ -229,8 +250,8 @@ def target_from_dict(d):
     for index, comp in enumerate(components):
         at = f"{where}.components[{index}]"
         _check_keys(_object(comp, at), _COMPONENT_KEYS, at)
-        weights.append(_real(comp, "weight", _MISSING, at))
-        mean = _real_array(comp, "mean", _MISSING, at, ndim=1)
+        weights.append(require_real(f"{at}.weight", _required(comp, "weight", at)))
+        mean = _real_array(_required(comp, "mean", at), f"{at}.mean", ndim=1)
         if mean.shape != (dim,):
             raise ConfigurationError(
                 f"component mean {mean.tolist()} does not have dim {dim}"
@@ -240,12 +261,12 @@ def target_from_dict(d):
                 "each component needs exactly one of cov_diag / cov_full"
             )
         if "cov_diag" in comp:
-            diag = _real_array(comp, "cov_diag", _MISSING, at, ndim=1)
+            diag = _real_array(comp["cov_diag"], f"{at}.cov_diag", ndim=1)
             if diag.shape != (dim,):
                 raise ConfigurationError(f"cov_diag must have length {dim}")
             cov = np.diag(diag)
         else:
-            cov = _real_array(comp, "cov_full", _MISSING, at, ndim=2)
+            cov = _real_array(comp["cov_full"], f"{at}.cov_full", ndim=2)
             if cov.shape != (dim, dim):
                 raise ConfigurationError(f"cov_full must be {dim}x{dim}")
         means.append(mean)
@@ -270,144 +291,94 @@ def target_to_dict(target):
 
 _TOP_KEYS = ("kind", "seed", "output_dir", "schedule", "targets", "guidance",
              "sampler", "samples")
+_SIDES = ("conditional", "unconditional")
+_SWEEPS = ("beta_sweep", "omega_sweep")
 
 
-def _get_block(d, key, allowed):
+def _keys(cls):
+    """The keys of a config dataclass's JSON block: its fields but ``rule``."""
+    return tuple(f.name for f in fields(cls) if f.name != "rule")
+
+
+def _block(d, key, allowed):
     block = _object(d.get(key, {}), f"config block {key!r}")
     _check_keys(block, allowed, key)
-    return block
+    return dict(block)
 
 
-def _schedule_from_dict(d):
-    defaults = Schedule()
-    return Schedule(
-        t_min=_real(d, "t_min", defaults.t_min, "schedule"),
-        t_max=_real(d, "t_max", defaults.t_max, "schedule"),
-    )
-
-
-def _guidance_from_dict(d):
-    defaults = GuidanceConfig()
-    where = "guidance"
+def _build(cls, key, values):
+    """``cls(**values)``, its error prefixed with the block's ``key``."""
     try:
-        source = NormalSource(
-            _text(d, "normal_source", defaults.normal_source.value, where)
-        )
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"unknown normal_source {d.get('normal_source')!r}"
-        ) from exc
-    return GuidanceConfig(
-        guidance_scale=_real(d, "guidance_scale", defaults.guidance_scale, where),
-        min_scale=_real(d, "min_scale", defaults.min_scale, where),
-        decay_power=_real(d, "decay_power", defaults.decay_power, where),
-        parallel_scale=_real(d, "parallel_scale", defaults.parallel_scale, where),
-        normal_source=source,
-    )
-
-
-def _sampler_from_dict(d):
-    defaults = SamplerConfig()
-    where = "sampler"
-    return SamplerConfig(
-        steps=_int(d, "steps", defaults.steps, where),
-        seed=_int(d, "seed", defaults.seed, where),
-    )
-
-
-def _sweep(d, key, fallback, field):
-    """The values of ``guidance.key``, each checked as the rule ``field``
-    it stands in for (a beta is a ``parallel_scale``, an omega a
-    ``guidance_scale``)."""
-    values = tuple(
-        float(v) for v in _real_array(d, key, list(fallback), "guidance", ndim=1)
-    )
-    try:
-        for value in values:
-            GuidanceConfig(min_scale=0.0, **{field: value})
+        return cls(**values)
     except ConfigurationError as exc:
-        raise ConfigurationError(f"guidance.{key}: {exc}") from None
-    # Artifacts name each value by its :g label: a repeat would overwrite.
-    labels = [f"{v:g}" for v in values]
-    if len(set(values)) < len(values) or len(set(labels)) < len(labels):
+        raise ConfigurationError(f"{key}: {exc}") from None
+
+
+def _target_pair(targets):
+    if not targets:
+        return default_target_pair()
+    if len(targets) < len(_SIDES):
         raise ConfigurationError(
-            f"guidance.{key} values must differ and have distinct labels, "
-            f"got {list(values)} labelled {labels}")
-    return values
+            "targets block needs both 'conditional' and 'unconditional'"
+        )
+    return TargetPair(*(target_from_dict(targets[side]) for side in _SIDES))
 
 
 def config_from_dict(d):
     if not isinstance(d, dict):
         raise ConfigurationError("experiment config must be a JSON object")
     _check_keys(d, _TOP_KEYS, "config")
-    kind = _text(d, "kind", _MISSING, "config")
-    targets = _get_block(d, "targets", ("conditional", "unconditional"))
-    if "conditional" in targets and "unconditional" in targets:
-        pair = TargetPair(
-            conditional=target_from_dict(targets["conditional"]),
-            unconditional=target_from_dict(targets["unconditional"]),
-        )
-    elif targets:
-        raise ConfigurationError(
-            "targets block needs both 'conditional' and 'unconditional'"
-        )
-    else:
-        pair = default_target_pair()
-    guidance_block = _get_block(d, "guidance", (
-        "guidance_scale", "min_scale", "decay_power", "parallel_scale",
-        "normal_source", "beta_sweep", "omega_sweep"))
-    samples = _get_block(d, "samples", ("count", "n_perm"))
-    beta_fallback = (
-        DEFAULT_SWEEP_BETAS if kind == "sweep_beta" else DEFAULT_TRACE_BETAS
-    )
+    kind = _required(d, "kind", "config")
+    guidance = _block(d, "guidance", _keys(GuidanceConfig) + _SWEEPS)
+    sweeps = {"beta_sweep": (DEFAULT_SWEEP_BETAS if kind == "sweep_beta"
+                             else DEFAULT_TRACE_BETAS),
+              "omega_sweep": DEFAULT_OMEGAS}
+    for name in _SWEEPS:
+        if name in guidance:
+            sweeps[name] = _real_array(guidance.pop(name), f"guidance.{name}",
+                                       ndim=1)
+    if "normal_source" in guidance:
+        try:
+            guidance["normal_source"] = NormalSource(guidance["normal_source"])
+        except ValueError:
+            raise ConfigurationError(
+                f"unknown normal_source {guidance['normal_source']!r}") from None
+    samples = _block(d, "samples", ("count", "n_perm"))
     return ExperimentConfig(
         kind=kind,
-        seed=_int(d, "seed", 0, "config"),
-        output_dir=_text(d, "output_dir", "out", "config"),
-        schedule=_schedule_from_dict(
-            _get_block(d, "schedule", ("t_min", "t_max"))),
-        pair=pair,
-        guidance=_guidance_from_dict(guidance_block),
-        beta_sweep=_sweep(guidance_block, "beta_sweep", beta_fallback,
-                          "parallel_scale"),
-        omega_sweep=_sweep(guidance_block, "omega_sweep", DEFAULT_OMEGAS,
-                           "guidance_scale"),
-        sampler=_sampler_from_dict(_get_block(d, "sampler", ("steps", "seed"))),
-        sample_count=_int(samples, "count", 2000, "samples"),
-        n_perm=_int(samples, "n_perm", 200, "samples"),
+        seed=d.get("seed", 0),
+        output_dir=d.get("output_dir", "out"),
+        schedule=_build(Schedule, "schedule",
+                        _block(d, "schedule", _keys(Schedule))),
+        pair=_target_pair(_block(d, "targets", _SIDES)),
+        guidance=_build(GuidanceConfig, "guidance", guidance),
+        sampler=_build(SamplerConfig, "sampler",
+                       _block(d, "sampler", _keys(SamplerConfig))),
+        sample_count=samples.get("count", 2000),
+        n_perm=samples.get("n_perm", 200),
+        **sweeps,
     )
+
+
+def _fields(config):
+    """A config dataclass's JSON block: the value of each of its keys."""
+    return {name: getattr(config, name) for name in _keys(type(config))}
 
 
 def config_to_dict(config):
+    guidance = _fields(config.guidance)
+    guidance["normal_source"] = config.guidance.normal_source.value
     return {
         "kind": config.kind,
-        "seed": int(config.seed),
+        "seed": config.seed,
         "output_dir": config.output_dir,
-        "schedule": {
-            "t_min": float(config.schedule.t_min),
-            "t_max": float(config.schedule.t_max),
-        },
-        "targets": {
-            "conditional": target_to_dict(config.pair.conditional),
-            "unconditional": target_to_dict(config.pair.unconditional),
-        },
-        "guidance": {
-            "guidance_scale": float(config.guidance.guidance_scale),
-            "min_scale": float(config.guidance.min_scale),
-            "decay_power": float(config.guidance.decay_power),
-            "parallel_scale": float(config.guidance.parallel_scale),
-            "normal_source": config.guidance.normal_source.value,
-            "beta_sweep": [float(v) for v in config.beta_sweep],
-            "omega_sweep": [float(v) for v in config.omega_sweep],
-        },
-        "sampler": {
-            "steps": int(config.sampler.steps),
-            "seed": int(config.sampler.seed),
-        },
-        "samples": {
-            "count": int(config.sample_count),
-            "n_perm": int(config.n_perm),
-        },
+        "schedule": _fields(config.schedule),
+        "targets": {side: target_to_dict(getattr(config.pair, side))
+                    for side in _SIDES},
+        "guidance": {**guidance, **{name: list(getattr(config, name))
+                                    for name in _SWEEPS}},
+        "sampler": _fields(config.sampler),
+        "samples": {"count": config.sample_count, "n_perm": config.n_perm},
     }
 
 
@@ -427,13 +398,11 @@ def default_config(kind):
     base = {"kind": kind}
     if kind in ("trace_divergence", "sweep_beta"):
         # A fine grid so the profile resolves the late-time divergence
-        # spike, and a constant unit scale so the parallel_scale=1 row is
-        # exactly the raw residual's divergence.
+        # spike, and a constant unit scale (guidance_scale at the default
+        # min_scale, no decay) so the parallel_scale=1 row is exactly the
+        # raw residual's divergence.
         base["sampler"] = {"steps": 240}
-        base["guidance"] = {
-            "guidance_scale": 1.0, "min_scale": 1.0, "decay_power": 0.0,
-        }
+        base["guidance"] = {"guidance_scale": 1.0, "decay_power": 0.0}
     elif kind == "sample_compare":
         base["guidance"] = {"guidance_scale": 15.0}
-        base["samples"] = {"count": 2000, "n_perm": 200}
     return config_from_dict(base)

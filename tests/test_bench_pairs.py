@@ -53,11 +53,23 @@ def test_quartiles_interpolate_between_order_statistics(tool):
 
 def test_runs_alternate_and_the_record_keeps_other_keys(tool, tmp_path,
                                                         monkeypatch):
-    order = []
+    # Each checkout holds a file naming it, and leftovers a slot's copy
+    # leaves out.
+    for name in ("old", "new"):
+        (tmp_path / name / ".perfbench_run").mkdir(parents=True)
+        (tmp_path / name / "which").write_text(name)
+    order, slots, reused = [], [], []
 
     def run_once(checkout, workload, seed, seconds, trace):
-        order.append(checkout)
-        fast = checkout == "new"
+        name = open(os.path.join(checkout, "which")).read()
+        assert not os.path.exists(os.path.join(checkout, ".perfbench_run"))
+        order.append(name)
+        slots.append(os.path.basename(checkout))
+        # Mark the copy as run, to tell a fresh copy from a reused one.
+        marker = os.path.join(checkout, "ran")
+        reused.append(os.path.exists(marker))
+        open(marker, "w").close()
+        fast = name == "new"
         jobs = {} if trace else {"omega": 0.3 if fast else 0.4, "compare": 0.6}
         return {"wall_s": 0.5 if fast else 1.0}, {"nproc": 2}, jobs
 
@@ -65,19 +77,29 @@ def test_runs_alternate_and_the_record_keeps_other_keys(tool, tmp_path,
     monkeypatch.setattr(tool, "_directions", lambda checkout: {"wall_s": "lower"})
     out = tmp_path / "BENCH_1.json"
     out.write_text(json.dumps({"change": "what changed"}))
-    argv = ["old", "new", "--workload", "compare", "--seed", "3",
-            "--pairs", "3", "--seconds", "1", "--out", str(out)]
+    argv = [str(tmp_path / "old"), str(tmp_path / "new"), "--workload",
+            "compare", "--seed", "3", "--pairs", "5", "--seconds", "1",
+            "--out", str(out)]
     assert tool.main(argv) == 0
-    assert order == ["old", "new", "new", "old", "old", "new"]
+    assert order == ["old", "new", "new", "old", "old", "new", "new", "old",
+                     "old", "new"]
+    # The slots swap every other pair: the parent runs in slot 0 in pairs
+    # 0, 1 and 4, in slot 1 in pairs 2 and 3.
+    assert slots == ["slot0", "slot1", "slot1", "slot0", "slot1", "slot0",
+                     "slot0", "slot1", "slot0", "slot1"]
+    # Fresh copies at pairs 0, 2 and 4; pairs 1 and 3 reuse them.
+    assert reused == [False, False, True, True] * 2 + [False, False]
     record = json.loads(out.read_text())
     assert record["change"] == "what changed"
     section = record["compare_seed_3"]
     assert section["command"].endswith("--seed 3 --seconds 1 --trace 0")
-    assert section["pairs"] == 3
-    assert section["wall_s"]["change_better_pairs"] == 3
+    assert section["pairs"] == 5
+    assert section["slots"] == {"parent": [0, 0, 1, 1, 0],
+                                "change": [1, 1, 0, 0, 1]}
+    assert section["wall_s"]["change_better_pairs"] == 5
     # The job that moved is named; a job that did not wins no pair.
     assert section["jobs"]["omega"]["change"]["median"] == 0.3
-    assert section["jobs"]["omega"]["change_better_pairs"] == 3
+    assert section["jobs"]["omega"]["change_better_pairs"] == 5
     assert section["jobs"]["compare"]["change_better_pairs"] == 0
     assert tool.main(argv[:-2] + ["--trace", "1", "--out", str(out)]) == 0
     record = json.loads(out.read_text())

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -45,7 +46,8 @@ from guidance_lab.guidance import (GuidanceConfig, GuidanceRule,
                                    parallel_component_field,
                                    projected_update_field, residual_field,
                                    velocity_field)
-from guidance_lab.schedule import guidance_scale_at
+from guidance_lab.sampler import SamplerConfig
+from guidance_lab.schedule import Schedule, guidance_scale_at
 from guidance_lab.tables import atomic_write, write_json
 from guidance_lab.verify import _random_mixture
 
@@ -317,6 +319,56 @@ def test_config_validation_errors():
         with pytest.raises(ConfigurationError):
             target_from_dict(bad)
 
+
+
+@pytest.mark.parametrize("kind, bad, payload", [
+    ("sample_compare", {"sample_count": 2.9}, {"samples": {"count": 2.9}}),
+    ("sample_compare", {"n_perm": 150.5}, {"samples": {"n_perm": 150.5}}),
+    ("verify", {"seed": True}, {"seed": True}),
+    ("verify", {"output_dir": 7}, {"output_dir": 7}),
+    ("sweep_beta", {"beta_sweep": (-0.5, 1.0)},
+     {"guidance": {"beta_sweep": [-0.5, 1.0]}}),
+    ("trace_divergence", {"beta_sweep": (0.1, 0.1000001)},
+     {"guidance": {"beta_sweep": [0.1, 0.1000001]}}),
+    ("sweep_omega", {"omega_sweep": (0.0, 3.0)},
+     {"guidance": {"omega_sweep": [0.0, 3.0]}}),
+], ids=["fractional-count", "fractional-n-perm", "bool-seed", "int-output-dir",
+        "negative-beta", "beta-labels", "zero-omega"])
+def test_config_built_in_python_meets_the_config_file_checks(kind, bad, payload):
+    # Each value is checked by the dataclass that holds it, so a config
+    # built in Python fails as the same value in a config file does.
+    with pytest.raises(ConfigurationError):
+        dataclasses.replace(default_config(kind), **bad)
+    with pytest.raises(ConfigurationError):
+        config_from_dict({"kind": kind, **payload})
+
+
+# The sha256 of each default config's canonical JSON: a change to the
+# schema, a default or the serialized form shows here.
+_DEFAULT_CONFIG_SHA256 = {
+    "verify": "340be6050d1d6a0f1ea4be9f994379ec97c903ad0b76b33a026eb2434e8d02ad",
+    "trace_divergence":
+        "c49f1e89bafc8a1c149c5f07bdd7dc7e8a2e7c15c2dffae3eb7dd8617abed562",
+    "sweep_beta": "92649d3bcb89a4e7b15f36834d6a102de7f34e0d13b609d5e9967a2a5c75d6cd",
+    "sweep_omega": "5dc1022518ddc3c8c977401206e7aee294616136f377fc4f3d082bc72fca9712",
+    "sample_compare":
+        "dba7dd4ef7ce3d50e1caf8d4f3e5e20b821676cbc6eac9483c926dfad5f22ff6",
+}
+
+
+def test_default_config_serialized_form_is_pinned():
+    for kind in KINDS:
+        text = json.dumps(config_to_dict(default_config(kind)), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            _DEFAULT_CONFIG_SHA256[kind], kind
+    # Each block's keys are its dataclass's fields, less the guidance rule.
+    blocks = config_to_dict(default_config("verify"))
+    for key, cls, extra in (("schedule", Schedule, set()),
+                            ("sampler", SamplerConfig, set()),
+                            ("guidance", GuidanceConfig,
+                             {"beta_sweep", "omega_sweep"})):
+        names = {f.name for f in dataclasses.fields(cls)} - {"rule"}
+        assert set(blocks[key]) == names | extra, key
 
 def test_default_pair_geometry():
     pair = default_target_pair()

@@ -6,23 +6,29 @@ Usage::
         --pairs N --seconds T --out BENCH_<n>.json [--trace 1]
 
 Each pair runs ``perfbench/run.py --workload W --seed S --seconds T``
-once in each checkout, from that checkout's root, one run at a time; the
-parent goes first in even pairs and the change in odd ones, so drift in
-machine load falls on both sides alike.  The metrics of the last line each
-run prints are reduced per metric to the parent's and the change's median
-and quartiles, every run's value, and ``change_better_pairs``: the pairs in
-which the change read strictly better, in the direction ``BENCHMARK.json``
-of the change checkout declares for the metric (ties count for neither
-side).  Each untraced run's jobs are reduced the same way under
-``jobs``: a job's seconds in a run are its median over the run's rounds
-at reference host speed, read from the run's
-``.perfbench_run/<W>/summary.json`` and reduced as ``perfbench/run.py``
-reduces them into ``wall_s``, so a record names the job that moved.  The
-result goes into ``--out`` under ``<W>_seed_<S>`` (with ``_trace``
-appended for ``--trace 1``), with the command each run ran; the other
-keys of an existing file are kept, so one file holds several workloads
-and any notes written into it by hand.  Only the standard library is
-used.
+once for each checkout, one run at a time; the parent goes first in even
+pairs and the change in odd ones, so drift in machine load falls on both
+sides alike.  A run does not start from the checkout itself but from a
+copy of it (without ``.git``, ``.perfbench_run`` or ``__pycache__``) in
+one of two slot directories of a temporary root, made afresh every other
+pair with the two checkouts' slots swapped: the parent sits in slot 0 in
+pairs 0, 1, 4, 5, ... and in slot 1 in the others, so a bias that
+follows the directory a run starts from falls on both sides alike too.
+The metrics of the last line each run prints are reduced per metric to
+the parent's and the change's median and quartiles, every run's value,
+and ``change_better_pairs``: the pairs in which the change read strictly
+better, in the direction ``BENCHMARK.json`` of the change checkout
+declares for the metric (ties count for neither side).  Each untraced
+run's jobs are reduced the same way under ``jobs``: a job's seconds in a
+run are its median over the run's rounds at reference host speed, read
+from the run's ``.perfbench_run/<W>/summary.json`` and reduced as
+``perfbench/run.py`` reduces them into ``wall_s``, so a record names the
+job that moved.  The result goes into ``--out`` under ``<W>_seed_<S>``
+(with ``_trace`` appended for ``--trace 1``), with the command each run
+ran and, under ``slots``, the slot each of the parent's and the change's
+runs ran in; the other keys of an existing file are kept, so one file
+holds several workloads and any notes written into it by hand.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -30,12 +36,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ORDER = ("parent and change alternate, the first of each pair switching "
-         "every pair")
+         "every pair; each runs from a copy in one of two slot directories, "
+         "the copies made afresh and the slots swapped every other pair")
+# What a slot's copy of a checkout leaves out: history and run leftovers.
+_UNCOPIED = shutil.ignore_patterns(".git", ".perfbench_run", "__pycache__")
 
 
 class BenchError(Exception):
@@ -154,18 +165,29 @@ def main(argv=None):
         parser.error("--pairs must be at least 1")
     runs = {"parent": [], "change": []}
     jobs = {"parent": [], "change": []}
+    slots = {"parent": [], "change": []}
     env = {}
     try:
-        for pair in range(args.pairs):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                metrics, env, seconds = run_once(getattr(args, side), args.workload,
-                                                 args.seed, args.seconds, args.trace)
-                runs[side].append(metrics)
-                jobs[side].append(seconds)
-                print(f"pair {pair} {side}: "
-                      + " ".join(f"{k}={v:.4g}" for k, v in metrics.items()),
-                      file=sys.stderr)
+        with tempfile.TemporaryDirectory(prefix="bench_pairs_") as root:
+            for pair in range(args.pairs):
+                slot_of = {"parent": pair // 2 % 2, "change": 1 - pair // 2 % 2}
+                if pair % 2 == 0:
+                    for side, slot in slot_of.items():
+                        path = os.path.join(root, f"slot{slot}")
+                        shutil.rmtree(path, ignore_errors=True)
+                        shutil.copytree(getattr(args, side), path,
+                                        symlinks=True, ignore=_UNCOPIED)
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for side in order:
+                    path = os.path.join(root, f"slot{slot_of[side]}")
+                    metrics, env, seconds = run_once(path, args.workload, args.seed,
+                                                     args.seconds, args.trace)
+                    runs[side].append(metrics)
+                    jobs[side].append(seconds)
+                    slots[side].append(slot_of[side])
+                    print(f"pair {pair} {side} (slot {slot_of[side]}): "
+                          + " ".join(f"{k}={v:.4g}" for k, v in metrics.items()),
+                          file=sys.stderr)
     except BenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -183,6 +205,7 @@ def main(argv=None):
                     f"{args.workload} --seed {args.seed} --seconds "
                     f"{args.seconds:g} --trace {args.trace}"),
         **reduce_pairs(runs["parent"], runs["change"], _directions(args.change)),
+        "slots": slots,
     }
     if all(jobs["parent"] + jobs["change"]):
         per_job = reduce_pairs(jobs["parent"], jobs["change"], {})
